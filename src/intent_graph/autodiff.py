@@ -9,7 +9,7 @@ all-zero gradient.
 All arithmetic is 64-bit; the finite-difference tolerances used by
 finite_diff_check are not reliable in 32-bit. Forward ops are pure functions
 of their inputs. A tape and the tensors recorded on it belong to a single
-thread; tape-free (inference) evaluation is safe to fan out across threads.
+thread.
 """
 
 from __future__ import annotations
@@ -244,16 +244,39 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _emit(a.tape, (a,), a.data * c, lambda g: (g * c,))
 
 
-def scalar_mul(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply ``a`` elementwise by the 1x1 tensor ``s`` (both differentiable)."""
-    if s.shape != (1, 1):
-        raise ShapeError(f"scalar_mul: multiplier must be 1x1, got {s.shape}")
-    ad, sv = a.data, float(s.data[0, 0])
+def symmetric_scatter(
+    base: Tensor, pairs: Sequence[tuple[int, int]], weights: Sequence[Tensor]
+) -> Tensor:
+    """Add the 1x1 ``weights[k]`` to square ``base`` at (i, j) and (j, i).
+
+    ``pairs[k] = (i, j)`` must be off-diagonal and each unordered pair may
+    appear once, so no entry receives two weights and the gradient of
+    weight k is exactly g[i, j] + g[j, i].
+    """
+    n = base.rows
+    if base.cols != n:
+        raise ShapeError(f"symmetric_scatter: base must be square, got {base.shape}")
+    if len(pairs) != len(weights):
+        raise ShapeError(f"symmetric_scatter: {len(pairs)} pairs but {len(weights)} weights")
+    out = base.data.copy()
+    seen: set[tuple[int, int]] = set()
+    for (i, j), w in zip(pairs, weights):
+        if w.shape != (1, 1):
+            raise ShapeError(f"symmetric_scatter: weights must be 1x1, got {w.shape}")
+        if i == j or not (0 <= i < n and 0 <= j < n):
+            raise ShapeError(f"symmetric_scatter: pair {(i, j)} is not off-diagonal in {base.shape}")
+        key = (min(i, j), max(i, j))
+        if key in seen:
+            raise ValueError(f"symmetric_scatter: pair {key} appears more than once")
+        seen.add(key)
+        v = w.data[0, 0]
+        out[i, j] += v
+        out[j, i] += v
 
     def bwd(g: Array):
-        return g * sv, np.array([[float(np.sum(g * ad))]])
+        return (g, *(np.array([[g[i, j] + g[j, i]]]) for i, j in pairs))
 
-    return _emit(_joint_tape(a, s), (a, s), ad * sv, bwd)
+    return _emit(_joint_tape(base, *weights), (base, *weights), out, bwd)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:

@@ -10,7 +10,9 @@ learned from the pair (pedestrian feature, spatial relation, object feature):
 with both projections mapping into a shared edge space of width D_e. The
 adjacency has a unit diagonal, w_j on row/column 0, and (in fully_connected
 mode) pairwise object-object weights produced by the same machinery with the
-source object standing in for the pedestrian.
+source object standing in for the pedestrian. Star spokes (0, j+1) and object
+pairs (i+1, j+1) form one index list, and the whole matrix is assembled by a
+single symmetric_scatter node on the tape.
 
 Graph convolution is Z = A @ X @ W per layer, ReLU between layers, none after
 the last; zero layers return X untouched.
@@ -78,22 +80,18 @@ def build_adjacency(
 
     ``weights[j]`` connects the center node 0 with object node j+1. In
     fully_connected mode ``pair_weights[(i, j)]`` (0-based object indices,
-    i < j) fills both symmetric object-object entries. The result stays
-    differentiable with respect to every weight tensor. With row_normalize
-    each row is divided by its sum.
+    i < j) fills both symmetric object-object entries. Every weight is
+    written into the identity by one symmetric_scatter node, so the result
+    stays differentiable with respect to every weight tensor. With
+    row_normalize each row is divided by its sum.
     """
     if mode not in ADJACENCY_MODES:
         raise ValueError(f"unknown adjacency mode {mode!r}")
     n = len(weights)
     for j, w in enumerate(weights):
         _check_weight(w, f"edge weight {j}")
-
-    a = ad.constant(np.eye(n + 1))
-    for j, w in enumerate(weights):
-        mask = np.zeros((n + 1, n + 1))
-        mask[0, j + 1] = 1.0
-        mask[j + 1, 0] = 1.0
-        a = ad.add(a, ad.scalar_mul(ad.constant(mask), w))
+    pairs = [(0, j + 1) for j in range(n)]
+    edge_weights = list(weights)
 
     if mode == "fully_connected":
         pair_weights = pair_weights or {}
@@ -105,13 +103,12 @@ def build_adjacency(
             )
         for (i, j), w in sorted(pair_weights.items()):
             _check_weight(w, f"object pair weight {(i, j)}")
-            mask = np.zeros((n + 1, n + 1))
-            mask[i + 1, j + 1] = 1.0
-            mask[j + 1, i + 1] = 1.0
-            a = ad.add(a, ad.scalar_mul(ad.constant(mask), w))
+            pairs.append((i + 1, j + 1))
+            edge_weights.append(w)
     elif pair_weights:
         raise ValueError("pair_weights are only meaningful in fully_connected mode")
 
+    a = ad.symmetric_scatter(ad.constant(np.eye(n + 1)), pairs, edge_weights)
     if row_normalize:
         ones_col = ad.constant(np.ones((n + 1, 1)))
         ones_row = ad.constant(np.ones((1, n + 1)))

@@ -514,12 +514,14 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     values: dict[str, np.ndarray] = {}
     for name, shape in shapes.items():
         entry = raw[name]
-        if list(entry.get("shape", [])) != list(shape):
+        if not isinstance(entry, dict):
+            raise CheckpointError(f"parameter {name}: entry must be an object, got {type(entry).__name__}")
+        if entry.get("shape") != list(shape):
             raise CheckpointError(f"parameter {name}: shape {entry.get('shape')} != {list(shape)}")
-        arr = np.asarray(entry.get("values"), dtype=np.float64)
-        if arr.size != shape[0] * shape[1]:
-            raise CheckpointError(f"parameter {name}: {arr.size} values for shape {list(shape)}")
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"parameter {name}: non-finite values")
-        values[name] = arr.reshape(shape)
+        flat = entry.get("values")
+        if not isinstance(flat, list) or not all(type(v) in (int, float) and math.isfinite(v) for v in flat):
+            raise CheckpointError(f"parameter {name}: non-finite or non-numeric values")
+        if len(flat) != shape[0] * shape[1]:
+            raise CheckpointError(f"parameter {name}: {len(flat)} values for shape {list(shape)}")
+        values[name] = np.array(flat, dtype=np.float64).reshape(shape)
     return cfg, values

@@ -232,10 +232,6 @@ def spatial_relation(
     )
 
 
-def as_vector(s: SpatialRelation) -> Tensor:
-    return s.as_vector()
-
-
 @dataclass(frozen=True)
 class FocusRegion:
     """Trapezoid ahead of the ego vehicle, symmetric about ``center_x``.

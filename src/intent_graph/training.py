@@ -9,20 +9,14 @@ The per-scenario loss is the mean binary cross-entropy of the K future-frame
 logits against the stored labels. Evaluation thresholds probabilities at 0.5
 (>= predicts crossing) and reports average accuracy over all predicted
 frames, accuracy at the final step, mean per-step confidence, and mean loss.
-
-The INTENT_GRAPH_THREADS environment variable caps how many scenario
-forwards evaluate/predict may run concurrently (default 1); results are
-reduced in dataset order either way, so the reports do not depend on it.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, IO, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -30,8 +24,6 @@ from .autodiff import GradientTape, Tensor, bce_with_logits, scale, sigmoid_valu
 from .configs import ConfigError, from_mapping, to_plain_dict
 from .model import ModelConfig, forward_logits, future_labels, init_parameters
 from .scene import Scenario
-
-THREADS_ENV_VAR = "INTENT_GRAPH_THREADS"
 
 
 class NumericError(RuntimeError):
@@ -164,26 +156,6 @@ class AdamOptimizer:
         return out
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return max(1, n)
-
-
-def _map_scenarios(fn: Callable, scenarios: Sequence) -> list:
-    """Apply fn to each scenario, optionally fanned out; order is preserved."""
-    threads = _thread_count()
-    if threads == 1 or len(scenarios) <= 1:
-        return [fn(s) for s in scenarios]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, scenarios))
-
-
 def aggregate_metrics(per_scenario: Sequence[tuple[Sequence[float], Sequence[int], float]], threshold: float = 0.5) -> EvalReport:
     """Reduce (probabilities, labels, loss) triples into an EvalReport.
 
@@ -232,7 +204,7 @@ def evaluate(
         probs = sigmoid_values(np.array(logits)).reshape(-1).tolist()
         return probs, labels, loss_from_logits(logits, labels)
 
-    return aggregate_metrics(_map_scenarios(one, dataset), threshold=threshold)
+    return aggregate_metrics([one(s) for s in dataset], threshold=threshold)
 
 
 def metrics_record(epoch: int, report: EvalReport) -> dict:

@@ -57,12 +57,29 @@ def test_elementwise_ops_values():
     assert np.allclose(ad.div(a, b).data, [[1 / 3, -0.5]])
 
 
-def test_scalar_mul_broadcasts_1x1():
-    s = Tensor(2.5)
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ad.scalar_mul(a, s).data, [[2.5, 5.0], [7.5, 10.0]])
-    with pytest.raises(ShapeError):
-        ad.scalar_mul(a, Tensor([1.0, 2.0]))
+def test_symmetric_scatter_values_gradient_and_checks():
+    tape = GradientTape()
+    u = tape.parameter("u", np.array([[0.25]]))
+    v = tape.parameter("v", np.array([[0.5]]))
+    out = ad.symmetric_scatter(Tensor(np.eye(3)), [(0, 1), (2, 1)], [u, v])
+    assert np.array_equal(out.data, [[1.0, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.0]])
+    g = np.arange(9.0).reshape(3, 3)
+    grads = tape.backward(ad.sum_all(ad.hadamard(out, Tensor(g))))
+    assert grads["u"].tolist() == [[g[0, 1] + g[1, 0]]]
+    assert grads["v"].tolist() == [[g[2, 1] + g[1, 2]]]
+    # no weights leaves the base untouched
+    assert np.array_equal(ad.symmetric_scatter(Tensor(np.eye(2)), [], []).data, np.eye(2))
+    for base, pairs, weights in [
+        (Tensor(np.ones((2, 3))), [(0, 1)], [Tensor(0.5)]),  # not square
+        (Tensor(np.eye(3)), [(0, 1)], []),  # count mismatch
+        (Tensor(np.eye(3)), [(0, 1)], [Tensor([0.5, 0.5])]),  # weight not 1x1
+        (Tensor(np.eye(3)), [(1, 1)], [Tensor(0.5)]),  # diagonal
+        (Tensor(np.eye(3)), [(0, 3)], [Tensor(0.5)]),  # out of range
+    ]:
+        with pytest.raises(ShapeError):
+            ad.symmetric_scatter(base, pairs, weights)
+    with pytest.raises(ValueError, match="more than once"):
+        ad.symmetric_scatter(Tensor(np.eye(3)), [(0, 1), (1, 0)], [Tensor(0.5), Tensor(0.5)])
 
 
 def test_relu_subgradient_zero_at_zero():
@@ -233,7 +250,22 @@ def _loss_value(build):
         ("mean_rows", lambda p: ad.sum_all(ad.mean_rows(ad.matmul(p["b"], p["a"])))),
         ("slice", lambda p: ad.sum_all(ad.slice_rows(ad.matmul(p["b"], p["a"]), 1, 3))),
         ("dot", lambda p: ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"]))),
-        ("scalar_mul", lambda p: ad.sum_all(ad.scalar_mul(p["a"], ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"]))))),
+        (
+            "symmetric_scatter",
+            lambda p: ad.sum_all(
+                ad.hadamard(
+                    ad.matmul(p["a"], p["b"]),
+                    ad.symmetric_scatter(
+                        ad.matmul(p["c"], p["b"]),
+                        [(0, 1), (2, 1)],
+                        [
+                            ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"])),
+                            ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["a"])),
+                        ],
+                    ),
+                )
+            ),
+        ),
         ("bce", lambda p: ad.bce_with_logits(ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"])), 1)),
     ],
 )

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from intent_graph.cli import main
-from intent_graph.model import load_checkpoint
+from intent_graph.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
 
 
 def _run(capsys, argv):
@@ -157,6 +157,30 @@ def test_tampered_checkpoint_is_a_config_error(tmp_path, capsys, cfg_path):
     model.write_text(json.dumps(doc))
     code, doc, _ = _run(capsys, ["eval", "--model", str(model), "--data", data])
     assert code == 2 and doc["error"]["kind"] == "config"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda entry: [entry["shape"], entry["values"]],  # entry is not an object
+        lambda entry: dict(entry, values="not numbers"),  # values are not numeric
+    ],
+    ids=["entry-is-a-list", "values-is-a-string"],
+)
+def test_malformed_checkpoint_entry_is_a_config_error(tmp_path, capsys, cfg_path, corrupt):
+    data = str(tmp_path / "data.jsonl")
+    model = tmp_path / "model.json"
+    _run(capsys, ["synth", "--config", cfg_path, "--out", data])
+    with open(cfg_path) as fh:
+        mcfg = ModelConfig.from_dict(json.load(fh)["model"])
+    save_checkpoint(model, mcfg, init_parameters(mcfg))
+    doc = json.loads(model.read_text())
+    name = sorted(doc["parameters"])[0]
+    doc["parameters"][name] = corrupt(doc["parameters"][name])
+    model.write_text(json.dumps(doc))
+    code, doc, _ = _run(capsys, ["eval", "--model", str(model), "--data", data])  # one JSON document
+    assert code == 2 and doc["error"]["kind"] == "config"
+    assert name in doc["error"]["message"]
 
 
 # -- data errors (exit 3) -----------------------------------------------------------

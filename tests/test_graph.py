@@ -134,16 +134,43 @@ def test_row_normalized_rows_sum_to_one():
     assert np.allclose(a.sum(axis=1), 1.0)
 
 
+class _CountingTape(GradientTape):
+    def __init__(self):
+        super().__init__()
+        self.recorded = 0
+
+    def record(self, inputs, output, backward_fn):
+        self.recorded += 1
+        super().record(inputs, output, backward_fn)
+
+
+_UNIT = st.floats(1e-6, 1 - 1e-6, allow_nan=False)
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(1e-6, 1 - 1e-6, allow_nan=False), min_size=1, max_size=6))
-def test_star_adjacency_invariants(raw):
-    a = build_adjacency([_w(v) for v in raw]).data
+@given(st.lists(_UNIT, min_size=1, max_size=6), st.sampled_from(["star", "fully_connected"]), st.data())
+def test_star_adjacency_invariants(raw, mode, data):
     n = len(raw)
-    assert a.shape == (n + 1, n + 1)
-    assert np.array_equal(a, a.T)
-    assert np.array_equal(np.diag(a), np.ones(n + 1))
-    off = a - np.diag(np.diag(a))
-    assert np.count_nonzero(off) == 2 * n
+    tape = _CountingTape()
+    weights = [tape.parameter(f"w{j}", [[v]]) for j, v in enumerate(raw)]
+    want = np.eye(n + 1)
+    want[0, 1:] = want[1:, 0] = raw
+    pair_weights = None
+    if mode == "fully_connected":
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        values = data.draw(st.lists(_UNIT, min_size=len(pairs), max_size=len(pairs)))
+        pair_weights = {}
+        for (i, j), v in zip(pairs, values):
+            pair_weights[(i, j)] = tape.parameter(f"p{i}_{j}", [[v]])
+            want[i + 1, j + 1] = want[j + 1, i + 1] = v
+    a = build_adjacency(weights, mode=mode, pair_weights=pair_weights)
+    assert tape.recorded == 1  # one assembly node, whatever N and the pair count
+    assert a.data.shape == (n + 1, n + 1)
+    assert np.array_equal(a.data, a.data.T)
+    assert np.array_equal(np.diag(a.data), np.ones(n + 1))
+    # every off-diagonal entry is exactly a given weight (or 0 off the edge set)
+    assert np.array_equal(a.data, want)
+    off = a.data - np.diag(np.diag(a.data))
     nz = off[off != 0]
     assert np.all((nz > 0) & (nz < 1))
 

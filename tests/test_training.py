@@ -12,7 +12,6 @@ from intent_graph.configs import ConfigError
 from intent_graph.data import SynthConfig, generate_synthetic
 from intent_graph.model import ModelConfig, forward_logits, future_labels, init_parameters
 from intent_graph.training import (
-    THREADS_ENV_VAR,
     AdamOptimizer,
     EmptyDatasetError,
     NumericError,
@@ -219,7 +218,7 @@ def test_empty_dataset_rejected():
         evaluate([], cfg, init_parameters(cfg))
 
 
-# -- evaluation and thread fan-out ------------------------------------------------
+# -- evaluation -------------------------------------------------------------------
 
 
 def test_evaluate_is_pure_and_repeatable():
@@ -227,28 +226,6 @@ def test_evaluate_is_pure_and_repeatable():
     cfg = _mcfg()
     values = init_parameters(cfg)
     assert evaluate(data, cfg, values) == evaluate(data, cfg, values)
-
-
-def test_thread_fanout_is_bitwise_equal(monkeypatch):
-    data = _dataset(n=6)
-    cfg = _mcfg()
-    values = init_parameters(cfg)
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    single = evaluate(data, cfg, values)
-    monkeypatch.setenv(THREADS_ENV_VAR, "4")
-    fanned = evaluate(data, cfg, values)
-    assert fanned == single  # dataclass equality covers every float exactly
-
-
-def test_thread_env_validation(monkeypatch):
-    data = _dataset(n=2)
-    cfg = _mcfg()
-    values = init_parameters(cfg)
-    monkeypatch.setenv(THREADS_ENV_VAR, "not-a-number")
-    with pytest.raises(ConfigError, match=THREADS_ENV_VAR):
-        evaluate(data, cfg, values)
-    monkeypatch.setenv(THREADS_ENV_VAR, "0")  # floors at one worker
-    assert evaluate(data, cfg, values) is not None
 
 
 # -- config -----------------------------------------------------------------------
