@@ -14,6 +14,7 @@ thread.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -247,34 +248,40 @@ def scale(a: Tensor, c: float) -> Tensor:
 def symmetric_scatter(
     base: Tensor, pairs: Sequence[tuple[int, int]], weights: Sequence[Tensor]
 ) -> Tensor:
-    """Add the 1x1 ``weights[k]`` to square ``base`` at (i, j) and (j, i).
+    """Add weight k to square ``base`` at (i, j) and (j, i) for ``pairs[k] = (i, j)``.
 
-    ``pairs[k] = (i, j)`` must be off-diagonal and each unordered pair may
-    appear once, so no entry receives two weights and the gradient of
-    weight k is exactly g[i, j] + g[j, i].
+    ``weights`` are (m, 1) columns (a 1x1 weight is a column of one) whose
+    rows, in order, line up with ``pairs``. Pairs must be off-diagonal and
+    each unordered pair may appear once, so no entry receives two weights
+    and the gradient of weight k is exactly g[i, j] + g[j, i].
     """
     n = base.rows
     if base.cols != n:
         raise ShapeError(f"symmetric_scatter: base must be square, got {base.shape}")
-    if len(pairs) != len(weights):
-        raise ShapeError(f"symmetric_scatter: {len(pairs)} pairs but {len(weights)} weights")
+    for w in weights:
+        if w.cols != 1:
+            raise ShapeError(f"symmetric_scatter: weights must be columns, got {w.shape}")
+    rows = [w.rows for w in weights]
+    if len(pairs) != sum(rows):
+        raise ShapeError(f"symmetric_scatter: {len(pairs)} pairs but {sum(rows)} weights")
+    values = [v for w in weights for v in w.data[:, 0].tolist()]
     out = base.data.copy()
     seen: set[tuple[int, int]] = set()
-    for (i, j), w in zip(pairs, weights):
-        if w.shape != (1, 1):
-            raise ShapeError(f"symmetric_scatter: weights must be 1x1, got {w.shape}")
+    for (i, j), v in zip(pairs, values):
         if i == j or not (0 <= i < n and 0 <= j < n):
             raise ShapeError(f"symmetric_scatter: pair {(i, j)} is not off-diagonal in {base.shape}")
         key = (min(i, j), max(i, j))
         if key in seen:
             raise ValueError(f"symmetric_scatter: pair {key} appears more than once")
         seen.add(key)
-        v = w.data[0, 0]
         out[i, j] += v
         out[j, i] += v
+    ends = list(itertools.accumulate(rows))
 
     def bwd(g: Array):
-        return (g, *(np.array([[g[i, j] + g[j, i]]]) for i, j in pairs))
+        i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        flat = (g[i, j] + g[j, i]).reshape(-1, 1)
+        return (g, *(flat[end - r : end] for end, r in zip(ends, rows)))
 
     return _emit(_joint_tape(base, *weights), (base, *weights), out, bwd)
 

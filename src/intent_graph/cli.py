@@ -6,8 +6,12 @@ piping stdout into a file or ``jq`` always yields exactly one JSON document.
 
 Exit codes: 0 success, 2 configuration problem (bad flags, bad config file,
 bad checkpoint), 3 data problem (unreadable or malformed dataset, empty
-selection), 4 numeric problem (non-finite loss, failed gradient check). On
-failure stdout still carries one JSON document: {"error": {"kind", "message"}}.
+selection), 4 numeric problem (non-finite loss, failed gradient check), 5
+internal error (a bug in this program, not in its input: an engine
+ShapeError or any other unexpected exception; its traceback goes to stderr).
+On failure stdout still carries one JSON document:
+{"error": {"kind", "message"}}, with kind one of config, data, numeric,
+internal.
 
 Config files are JSON with up to three sections, each feeding one dataclass:
 
@@ -24,11 +28,12 @@ import argparse
 import itertools
 import json
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import __version__
-from .autodiff import GradientTape, finite_diff_check
+from .autodiff import GradientTape, ShapeError, finite_diff_check
 from .configs import ConfigError
 from .data import (
     SequenceFileError,
@@ -437,16 +442,26 @@ def _fail(code: int, kind: str, exc: Exception) -> int:
     return code
 
 
+def _internal(exc: Exception) -> int:
+    _say("".join(traceback.format_exception(exc)).rstrip())
+    _emit({"error": {"kind": "internal", "message": f"{type(exc).__name__}: {exc}"}})
+    return 5
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:
         return _fail(2, "config", exc)
+    except ShapeError as exc:  # a ValueError, but raised by engine bugs, not by input
+        return _internal(exc)
     except (SequenceFileError, ScenarioError, EmptyDatasetError, OSError, ValueError) as exc:
         return _fail(3, "data", exc)
     except NumericError as exc:
         return _fail(4, "numeric", exc)
+    except Exception as exc:  # noqa: BLE001 - the one-JSON-document contract holds for bugs too
+        return _internal(exc)
 
 
 if __name__ == "__main__":

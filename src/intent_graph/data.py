@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -239,16 +240,36 @@ def serialize(scenarios: Sequence[Scenario]) -> str:
     return "".join(json.dumps(scenario_to_record(s), separators=(",", ":")) + "\n" for s in scenarios)
 
 
+def write_text_atomic(path, text: str) -> None:
+    """Replace ``path`` with ``text`` so readers see the old file or the new one.
+
+    The text goes to a temporary file in the same directory, is flushed to
+    disk, and is renamed over ``path``. If any step fails the temporary file
+    is removed and an existing file at ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_dataset(path, scenarios: Sequence[Scenario], config: "SynthConfig | None" = None) -> None:
     """Write scenarios as JSONL; with a config, also drop a provenance sidecar."""
-    Path(path).write_text(serialize(scenarios), encoding="utf-8")
+    write_text_atomic(path, serialize(scenarios))
     if config is not None:
         sidecar = {
             "format": "sequence-jsonl-v1",
             "count": len(scenarios),
             "generator": config.to_dict(),
         }
-        Path(str(path) + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+        write_text_atomic(str(path) + ".meta.json", json.dumps(sidecar, indent=2) + "\n")
 
 
 _MASK64 = (1 << 64) - 1

@@ -2,10 +2,11 @@
 
 Per observed frame the forward pass (a) updates the pedestrian stream cell on
 the frame's pedestrian feature (or passes the raw feature through), (b) scores
-one edge weight per scene object, (c) runs graph convolution over the star
-graph and splits the result into the refined pedestrian row and the mean
-object context, and (d) feeds the concatenated frame vector to the
-aggregation cell. The last aggregated hidden state seeds a zero-input rollout
+one edge weight per scene object, all of them in one block (and in
+fully_connected mode all object pairs in a second block), (c) runs graph
+convolution over the star graph and splits the result into the refined
+pedestrian row and the mean object context, and (d) feeds the concatenated
+frame vector to the aggregation cell. The last aggregated hidden state seeds a zero-input rollout
 that emits one crossing logit per future frame.
 
 graph_mode variants:
@@ -35,6 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradientTape, Tensor, sigmoid_values
 from .configs import ConfigError, from_mapping, to_plain_dict
+from .data import write_text_atomic
 from .graph import (
     EdgeWeightParams,
     GraphConvParams,
@@ -242,37 +244,38 @@ def _object_sort_key(obj: ObjectObservation):
     )
 
 
-def _edge_target_feature(cfg: ModelConfig, obj: ObjectObservation) -> np.ndarray:
-    feat = obj.feature.reshape(1, -1)
-    if cfg.include_object_class:
-        feat = np.hstack([feat, category_one_hot(obj.category).reshape(1, -1)])
-    return feat
+def _edge_targets(cfg: ModelConfig, entities: list[ObjectObservation], feats: np.ndarray) -> np.ndarray:
+    """Edge-scoring target rows: the features, plus the class one-hot if configured."""
+    if not cfg.include_object_class:
+        return feats
+    classes = np.array([category_one_hot(e.category) for e in entities]).reshape(len(entities), CATEGORY_COUNT)
+    return np.hstack([feats, classes])
+
+
+def _relation_block(box_pairs: list[tuple[BoundingBox, BoundingBox]], scale: float) -> Tensor:
+    """The (M, 8) spatial relations of (source, target) box pairs, times ``scale``."""
+    rows = []
+    for a, b in box_pairs:
+        r = spatial_relation(a, b)
+        rows.append((r.dxmin, r.dymin, r.dxmax, r.dymax, r.dxc, r.dyc, r.w_union, r.h_union))
+    return Tensor(np.array(rows, dtype=np.float64).reshape(len(rows), 8) * scale)
 
 
 @dataclass(frozen=True)
 class PredictionOutput:
-    """Per future frame: raw logit, probability, and confidence.
-
-    The confidence is the uncalibrated probability itself, i.e. the sigmoid
-    of the logit.
-    """
+    """Per future frame: raw logit and its (uncalibrated) sigmoid probability."""
 
     logits: tuple[float, ...]
     probabilities: tuple[float, ...]
-    confidence: tuple[float, ...]
 
     @classmethod
     def from_logits(cls, logits) -> "PredictionOutput":
         flat = [float(z) for z in logits]
         probs = tuple(float(v) for v in sigmoid_values(np.array(flat)).reshape(-1))
-        return cls(logits=tuple(flat), probabilities=probs, confidence=probs)
+        return cls(logits=tuple(flat), probabilities=probs)
 
     def to_dict(self) -> dict:
-        return {
-            "logits": list(self.logits),
-            "probabilities": list(self.probabilities),
-            "confidence": list(self.confidence),
-        }
+        return {"logits": list(self.logits), "probabilities": list(self.probabilities)}
 
 
 def _forward_core(
@@ -323,29 +326,23 @@ def _forward_core(
             frame_vecs.append(ad.concat_rows(center, Tensor(pooled)))
             continue
 
-        weights = []
-        for ent in entities:
-            v_o = Tensor(_edge_target_feature(cfg, ent))
-            if cfg.location_centric:
-                weights.append(location_centric_edge(center, v_o, edge_p))
-            else:
-                s = spatial_relation(center_boxes[t], ent.aligned_box()).scaled(cfg.spatial_scale)
-                weights.append(edge_weight(center, s, v_o, edge_p))
+        feats = np.array([ent.feature for ent in entities]).reshape(len(entities), cfg.D)
+        targets = Tensor(_edge_targets(cfg, entities, feats))
+        if cfg.location_centric:
+            weights = location_centric_edge(center, targets, edge_p)
+        else:
+            boxes = [ent.aligned_box() for ent in entities]
+            rel = _relation_block([(center_boxes[t], box) for box in boxes], cfg.spatial_scale)
+            weights = edge_weight(center, rel, targets, edge_p)
         pair_weights = None
         if mode == "fully_connected":
-            pair_weights = {}
-            for i in range(len(entities)):
-                for j in range(i + 1, len(entities)):
-                    s_ij = spatial_relation(
-                        entities[i].aligned_box(), entities[j].aligned_box()
-                    ).scaled(cfg.spatial_scale)
-                    v_src = Tensor(entities[i].feature.reshape(1, -1))
-                    v_tgt = Tensor(_edge_target_feature(cfg, entities[j]))
-                    pair_weights[(i, j)] = edge_weight(v_src, s_ij, v_tgt, edge_p)
+            src, tgt = np.triu_indices(len(entities), 1)  # object pairs i < j, row-major
+            rel = _relation_block([(boxes[i], boxes[j]) for i, j in zip(src, tgt)], cfg.spatial_scale)
+            pair_weights = [edge_weight(Tensor(feats[src]), rel, Tensor(targets.data[tgt]), edge_p)]
         g = star_graph(
             center,
-            [Tensor(ent.feature.reshape(1, -1)) for ent in entities],
-            weights,
+            [Tensor(row) for row in feats],
+            [weights],
             mode=mode,
             pair_weights=pair_weights,
             row_normalize=cfg.normalize_adjacency,
@@ -491,7 +488,7 @@ def save_checkpoint(path, cfg: ModelConfig, values: Mapping[str, np.ndarray]) ->
             for name in shapes
         },
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    write_text_atomic(path, json.dumps(doc))
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:

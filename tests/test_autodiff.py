@@ -15,6 +15,7 @@ from intent_graph.autodiff import (
     Tensor,
     finite_diff_check,
 )
+from intent_graph.graph import EdgeWeightParams, edge_weight, location_centric_edge
 
 
 def test_scalar_and_vector_promotion():
@@ -213,6 +214,17 @@ def test_constants_do_not_need_a_tape():
 
 # -- gradients vs central differences ---------------------------------------
 
+# Constant operands for the fused edge-scoring rows: three edges, a (1, 4)
+# center from "a", projections into a width-4 edge space. The target side is
+# positive (from "c" > 0), so its ReLU passes everything and the edges carry
+# gradient whatever the draw.
+_EDGE = np.random.default_rng(11)
+_EDGE_REL = Tensor(_EDGE.standard_normal((3, 8)))
+_EDGE_TGT = Tensor(_EDGE.uniform(0.1, 1.0, (3, 5)))
+_EDGE_MIX_I = Tensor(_EDGE.standard_normal((12, 3)) * 0.2)
+_EDGE_MIX_C = Tensor(_EDGE.standard_normal((4, 3)) * 0.2)
+_EDGE_MIX_O = Tensor(_EDGE.uniform(0.0, 0.1, (5, 3)))
+
 
 def _central(f, params, h=1e-6):
     out = {}
@@ -267,6 +279,27 @@ def _loss_value(build):
             ),
         ),
         ("bce", lambda p: ad.bce_with_logits(ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"])), 1)),
+        (
+            "edge_weight",
+            lambda p: ad.sum_all(
+                edge_weight(
+                    ad.mean_rows(p["a"]),
+                    _EDGE_REL,
+                    _EDGE_TGT,
+                    EdgeWeightParams(ad.matmul(_EDGE_MIX_I, p["a"]), ad.matmul(_EDGE_MIX_O, p["c"])),
+                )
+            ),
+        ),
+        (
+            "location_centric_edge",
+            lambda p: ad.sum_all(
+                location_centric_edge(
+                    ad.mean_rows(p["a"]),
+                    _EDGE_TGT,
+                    EdgeWeightParams(ad.matmul(_EDGE_MIX_C, p["a"]), ad.matmul(_EDGE_MIX_O, p["c"])),
+                )
+            ),
+        ),
     ],
 )
 def test_op_gradients_match_central_differences(name, build):

@@ -1,13 +1,15 @@
 """Command-line behavior, exercised in process through main(argv).
 
 Stdout must always hold exactly one JSON document; human chatter goes to
-stderr. Exit codes: 0 ok, 2 config, 3 data, 4 numeric.
+stderr. Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 internal.
 """
 
 import json
 
 import pytest
 
+from intent_graph import cli
+from intent_graph.autodiff import ShapeError
 from intent_graph.cli import main
 from intent_graph.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
 
@@ -78,6 +80,7 @@ def test_synth_train_eval_predict_roundtrip(tmp_path, capsys, cfg_path):
     assert len(doc["results"]) == 1
     rec = doc["results"][0]
     assert rec["id"] == first_id
+    assert set(rec) == {"id", "logits", "probabilities", "labels"}
     assert len(rec["logits"]) == 2 and len(rec["labels"]) == 2
     assert all(0.0 <= p <= 1.0 for p in rec["probabilities"])
 
@@ -297,6 +300,31 @@ def test_ablate_degenerate_split_is_a_data_error(tmp_path, capsys, cfg_path):
          "--grid", '{"model.num_layers": [1]}', "--train-fraction", "0.05"],
     )
     assert code == 3
+
+
+# -- internal errors (exit 5) --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bug", [ShapeError("matmul: inner dimensions differ"), KeyError("edge.proj_i")], ids=["shape", "other"]
+)
+def test_program_bugs_are_internal_errors(tmp_path, capsys, cfg_path, monkeypatch, bug):
+    # a ShapeError is a ValueError, but it signals an engine bug, not bad data
+    data = str(tmp_path / "data.jsonl")
+    model = str(tmp_path / "model.json")
+    _run(capsys, ["synth", "--config", cfg_path, "--out", data])
+    with open(cfg_path) as fh:
+        mcfg = ModelConfig.from_dict(json.load(fh)["model"])
+    save_checkpoint(model, mcfg, init_parameters(mcfg))
+
+    def broken(*args, **kwargs):
+        raise bug
+
+    monkeypatch.setattr(cli, "forward", broken)
+    code, doc, err = _run(capsys, ["predict", "--model", model, "--data", data])  # one JSON document
+    assert code == 5
+    assert doc == {"error": {"kind": "internal", "message": f"{type(bug).__name__}: {bug}"}}
+    assert "Traceback" in err
 
 
 # -- argparse plumbing ---------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from intent_graph.configs import ConfigError
+from intent_graph.model import ModelConfig, init_parameters, save_checkpoint
 from intent_graph.data import (
     FeatureWidthError,
     RecordParseError,
@@ -177,6 +180,29 @@ def test_write_dataset_sidecar(tmp_path):
     assert meta["count"] == 2
     assert meta["generator"]["seed"] == 1
     assert SynthConfig.from_dict(meta["generator"]) == cfg
+
+
+@pytest.mark.parametrize("target", ["d.jsonl", "d.jsonl.meta.json", "model.json"])
+def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, target):
+    cfg = SynthConfig(n_scenarios=2, frames_per_scenario=4, D=4, seed=1)
+    for name in ("d.jsonl", "d.jsonl.meta.json", "model.json"):
+        (tmp_path / name).write_text(f"old {name}\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == target:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        if target == "model.json":
+            mcfg = ModelConfig(D=4, D_e=3, hidden=4, T=2, K=2)
+            save_checkpoint(tmp_path / target, mcfg, init_parameters(mcfg))
+        else:
+            write_dataset(tmp_path / "d.jsonl", generate_synthetic(cfg), config=cfg)
+    assert (tmp_path / target).read_text() == f"old {target}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "d.jsonl.meta.json", "model.json"]
 
 
 # -- seed derivation -----------------------------------------------------------

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intent_graph import autodiff as ad
-from intent_graph.autodiff import GradientTape, Tensor, finite_diff_check
+from intent_graph import model
+from intent_graph.autodiff import GradientTape, ShapeError, Tensor, finite_diff_check
+from intent_graph.data import SynthConfig, generate_synthetic
 from intent_graph.graph import (
     EdgeWeightParams,
     GraphConvParams,
@@ -29,7 +31,8 @@ from intent_graph.graph import (
     location_centric_edge,
     star_graph,
 )
-from intent_graph.scene import BoundingBox, spatial_relation
+from intent_graph.model import ModelConfig, init_parameters
+from intent_graph.scene import CATEGORY_COUNT, BoundingBox, spatial_relation
 
 SIGMOID_1_8 = 0.8581489350995123
 
@@ -42,23 +45,24 @@ def _edge_params(tape=None):
     return EdgeWeightParams(tape.parameter("proj_i", proj_i), tape.parameter("proj_o", proj_o))
 
 
+# the frozen hand instance as a block of one edge
+REL = spatial_relation(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3)).as_vector()
+
+
 def test_edge_weight_frozen_value():
-    s = spatial_relation(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3))
-    w = edge_weight(Tensor([1.0, -1.0]), s, Tensor([0.5, 2.0]), _edge_params())
+    w = edge_weight(Tensor([1.0, -1.0]), REL, Tensor([0.5, 2.0]), _edge_params())
     assert w.shape == (1, 1)
     assert w.item() == pytest.approx(SIGMOID_1_8, abs=1e-15)
 
 
 def test_edge_weight_gradient_reaches_both_projections():
-    s = spatial_relation(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3))
-
     def f(values):
         tape = GradientTape()
         p = EdgeWeightParams(
             tape.parameter("proj_i", values["proj_i"]),
             tape.parameter("proj_o", values["proj_o"]),
         )
-        return edge_weight(Tensor([1.0, -1.0]), s, Tensor([0.5, 2.0]), p)
+        return edge_weight(Tensor([1.0, -1.0]), REL, Tensor([0.5, 2.0]), p)
 
     report = finite_diff_check(
         f, {"proj_i": _edge_params().proj_i.data, "proj_o": _edge_params().proj_o.data}
@@ -74,6 +78,106 @@ def test_location_centric_edge_skips_relu_and_spatial_term():
     assert w.item() == pytest.approx(expect, abs=1e-15)
 
 
+def _old_edge_chain(src_rows, rel_rows, tgt_rows, p):
+    """The per-edge op chain the fused node replaces (rel_rows=None: location-centric)."""
+    out = []
+    for m, (src, tgt) in enumerate(zip(src_rows, tgt_rows)):
+        if rel_rows is None:
+            e_i = ad.matmul(src, p.proj_i)
+            e_o = ad.matmul(tgt, p.proj_o)
+        else:
+            e_i = ad.relu(ad.matmul(ad.concat_rows(src, rel_rows[m]), p.proj_i))
+            e_o = ad.relu(ad.matmul(tgt, p.proj_o))
+        out.append(ad.clamp_open_unit(ad.sigmoid(ad.dot(e_i, e_o))))
+    return out
+
+
+def _rows(t: Tensor) -> list[Tensor]:
+    return [Tensor(t.data[m : m + 1]) for m in range(t.rows)]
+
+
+@pytest.mark.parametrize(
+    "case", ["taped_center", "constant_block", "no_edges", "object_class", "location_centric"]
+)
+def test_fused_edge_scores_are_bytewise_the_per_edge_chain(case):
+    rng = np.random.default_rng(7)
+    m = 0 if case == "no_edges" else 6
+    dc, de = 5, 4
+    do = dc + (CATEGORY_COUNT if case == "object_class" else 0)
+    location = case == "location_centric"
+    params = {
+        "proj_i": rng.standard_normal((dc if location else dc + 8, de)) * 0.6,
+        "proj_o": rng.standard_normal((do, de)) * 0.6,
+        "center": rng.standard_normal((1, dc)),
+    }
+    block = rng.standard_normal((m, dc))
+    rel = Tensor(rng.standard_normal((m, 8)))
+    tgt = Tensor(rng.standard_normal((m, do)))
+    scatter = Tensor(rng.standard_normal((m + 1, m + 1)))
+
+    def run(fused: bool):
+        tape = GradientTape()
+        p = EdgeWeightParams(tape.parameter("proj_i", params["proj_i"]), tape.parameter("proj_o", params["proj_o"]))
+        center = tape.parameter("center", params["center"])
+        src = Tensor(block) if case == "constant_block" else center
+        if fused:
+            w = location_centric_edge(src, tgt, p) if location else edge_weight(src, rel, tgt, p)
+            weights, values = [w], w.data
+        else:
+            src_rows = _rows(src) if src.rows == m else [src] * m
+            weights = _old_edge_chain(src_rows, None if location else _rows(rel), _rows(tgt), p)
+            values = np.array([w.data[0] for w in weights]).reshape(m, 1)
+        # the center also reaches the loss outside edge scoring, as in the model
+        x = ad.stack_rows([center, *(Tensor(r) for r in block)])
+        z = ad.matmul(build_adjacency(weights), x)
+        loss = ad.add(ad.sum_all(ad.hadamard(z, ad.matmul(scatter, x))), ad.sum_all(center))
+        return values, tape.backward(loss)
+
+    (got, got_grads), (want, want_grads) = run(True), run(False)
+    assert got.shape == (m, 1)
+    assert got.tobytes() == want.tobytes()
+    assert set(got_grads) == set(want_grads)
+    for name in want_grads:
+        assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+    assert m == 0 or np.any(got_grads["proj_i"] != 0.0)
+
+
+def test_edge_block_rejects_bad_shapes_and_taped_targets():
+    p = _edge_params()
+    two = Tensor(np.ones((2, 2)))
+    with pytest.raises(ShapeError):
+        edge_weight(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 8))), two, p)  # 3 sources, 2 targets
+    with pytest.raises(ShapeError):
+        edge_weight(Tensor([1.0, -1.0]), Tensor(np.ones((2, 7))), two, p)
+    with pytest.raises(ShapeError):
+        edge_weight(Tensor([1.0, -1.0, 0.0]), Tensor(np.ones((2, 8))), two, p)
+    tape = GradientTape()
+    with pytest.raises(ValueError, match="constants"):
+        edge_weight(Tensor([1.0, -1.0]), Tensor(np.ones((2, 8))), tape.parameter("t", np.ones((2, 2))), p)
+
+
+@pytest.mark.parametrize("mode,per_frame", [("star", 1), ("fully_connected", 2)])
+def test_one_scoring_node_per_edge_block(monkeypatch, mode, per_frame):
+    cfg = ModelConfig(D=6, D_e=5, hidden=6, T=3, K=2, graph_mode=mode, spatial_scale=1 / 1280)
+    scenario = generate_synthetic(
+        SynthConfig(n_scenarios=1, frames_per_scenario=5, D=6, seed=3, vehicle_count_range=(2, 4))
+    )[0]
+    tape = _CountingTape()
+    recorded = []
+
+    def counted(*args):
+        before = tape.recorded
+        out = edge_weight(*args)
+        recorded.append((tape.recorded - before, out.rows))
+        return out
+
+    monkeypatch.setattr(model, "edge_weight", counted)
+    model.forward_logits(scenario, cfg, init_parameters(cfg), tape=tape)
+    assert len(recorded) == per_frame * cfg.T
+    assert all(nodes == 1 for nodes, _ in recorded)
+    assert sum(rows for _, rows in recorded) > len(recorded)  # blocks, not single edges
+
+
 def test_edge_params_width_mismatch():
     with pytest.raises(ValueError):
         EdgeWeightParams(Tensor(np.ones((10, 2))), Tensor(np.ones((2, 3))))
@@ -82,9 +186,8 @@ def test_edge_params_width_mismatch():
 def test_saturating_edge_score_still_yields_a_valid_weight():
     # a huge inner product would round sigmoid to exactly 1.0; the weight
     # must stay strictly inside (0,1) so adjacency assembly accepts it
-    s = spatial_relation(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3))
     p = EdgeWeightParams(Tensor(np.full((10, 2), 50.0)), Tensor(np.full((2, 2), 50.0)))
-    w = edge_weight(Tensor([1.0, 1.0]), s, Tensor([1.0, 1.0]), p)
+    w = edge_weight(Tensor([1.0, 1.0]), REL, Tensor([1.0, 1.0]), p)
     assert 0.0 < w.item() < 1.0
     build_adjacency([w])
 
@@ -106,6 +209,8 @@ def test_adjacency_rejects_out_of_range_weights():
     for bad in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(ValueError, match="open interval"):
             build_adjacency([_w(bad)])
+        with pytest.raises(ValueError, match="edge weight 1 outside the open interval"):
+            build_adjacency([Tensor([[0.5], [bad]])])
 
 
 def test_adjacency_rejects_non_scalar_weight():
@@ -115,10 +220,12 @@ def test_adjacency_rejects_non_scalar_weight():
 
 def test_fully_connected_needs_every_pair():
     weights = [_w(0.5), _w(0.5), _w(0.5)]
-    pairs = {(0, 1): _w(0.3), (0, 2): _w(0.3)}  # (1, 2) missing
+    pairs = [_w(0.3), _w(0.3)]  # (0, 1) and (0, 2); (1, 2) missing
     with pytest.raises(ValueError, match="per object pair"):
         build_adjacency(weights, mode="fully_connected", pair_weights=pairs)
-    pairs[(1, 2)] = _w(0.9)
+    with pytest.raises(ValueError, match="per object pair"):
+        build_adjacency([Tensor(np.full((3, 1), 0.5))], mode="fully_connected")
+    pairs.append(_w(0.9))
     a = build_adjacency(weights, mode="fully_connected", pair_weights=pairs).data
     assert a[2, 3] == a[3, 2] == 0.9
     assert a[1, 2] == a[2, 1] == 0.3
@@ -126,7 +233,7 @@ def test_fully_connected_needs_every_pair():
 
 def test_pair_weights_rejected_in_star_mode():
     with pytest.raises(ValueError, match="fully_connected"):
-        build_adjacency([_w(0.5)], mode="star", pair_weights={(0, 1): _w(0.5)})
+        build_adjacency([_w(0.5)], mode="star", pair_weights=[_w(0.5)])
 
 
 def test_row_normalized_rows_sum_to_one():
@@ -159,9 +266,9 @@ def test_star_adjacency_invariants(raw, mode, data):
     if mode == "fully_connected":
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         values = data.draw(st.lists(_UNIT, min_size=len(pairs), max_size=len(pairs)))
-        pair_weights = {}
+        pair_weights = []
         for (i, j), v in zip(pairs, values):
-            pair_weights[(i, j)] = tape.parameter(f"p{i}_{j}", [[v]])
+            pair_weights.append(tape.parameter(f"p{i}_{j}", [[v]]))
             want[i + 1, j + 1] = want[j + 1, i + 1] = v
     a = build_adjacency(weights, mode=mode, pair_weights=pair_weights)
     assert tape.recorded == 1  # one assembly node, whatever N and the pair count
@@ -262,9 +369,8 @@ def test_star_graph_bundle_and_validate():
 
 def test_zero_projections_give_exactly_half():
     # both embeddings collapse to zero, sigmoid(0) is exactly 0.5
-    s = spatial_relation(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3))
     zero = EdgeWeightParams(Tensor(np.zeros((10, 2))), Tensor(np.zeros((2, 2))))
-    w = edge_weight(Tensor(np.array([[1.0, -1.0]])), s, Tensor(np.array([[0.5, 2.0]])), zero)
+    w = edge_weight(Tensor(np.array([[1.0, -1.0]])), REL, Tensor(np.array([[0.5, 2.0]])), zero)
     assert w.data.item() == 0.5
     zero_loc = EdgeWeightParams(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
     lw = location_centric_edge(Tensor(np.array([[1.0, -1.0]])), Tensor(np.array([[0.5, 2.0]])), zero_loc)

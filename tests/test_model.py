@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intent_graph.autodiff import GradientTape
+from intent_graph.autodiff import GradientTape, sigmoid_values
 from intent_graph.configs import ConfigError
 from intent_graph.data import SynthConfig, generate_synthetic
 from intent_graph.model import (
@@ -409,7 +409,7 @@ def test_forward_stays_finite_across_random_configs(seed, mode, layers, shared):
     out = forward(scenario, cfg, values=init_parameters(cfg))
     assert all(np.isfinite(out.logits))
     assert all(0.0 <= p <= 1.0 for p in out.probabilities)
-    assert out.confidence == out.probabilities
+    assert out.probabilities == tuple(float(p) for p in sigmoid_values(np.array(out.logits)))
 
 
 # -- labels and validation --------------------------------------------------------
