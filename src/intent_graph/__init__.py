@@ -58,7 +58,6 @@ from .scene import (
     ObjectCategory,
     ObjectObservation,
     Scenario,
-    SpatialRelation,
     in_focus_region,
     spatial_relation,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "ScenarioError",
     "SequenceFileError",
     "ShapeError",
-    "SpatialRelation",
     "StarGraph",
     "SynthConfig",
     "TapeConsumedError",

@@ -43,6 +43,7 @@ from .data import (
     load,
     split,
     write_dataset,
+    write_text_atomic,
 )
 from .model import (
     ModelConfig,
@@ -150,8 +151,7 @@ class RunManifest:
             "out": self.out,
             "version": self.version,
         }
-        with open(self.out + ".manifest.json", "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
+        write_text_atomic(self.out + ".manifest.json", json.dumps(payload, indent=2) + "\n")
 
 
 def _cmd_synth(args) -> int:
@@ -367,10 +367,9 @@ def _cmd_ablate(args) -> int:
         "n_test": len(test_set),
         "runs": runs,
     }
+    if args.out:  # before _emit, so a failed write still leaves one JSON document on stdout
+        write_text_atomic(args.out, json.dumps(payload, indent=2) + "\n")
     _emit(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, indent=2) + "\n")
     return 0
 
 

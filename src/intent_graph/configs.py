@@ -7,6 +7,7 @@ loudly instead of silently running with a default.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from typing import Any, Mapping, Type, TypeVar
 
@@ -15,6 +16,22 @@ T = TypeVar("T")
 
 class ConfigError(Exception):
     """Invalid, unknown, or inconsistent configuration."""
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite int or float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def check_bool_fields(obj: Any) -> None:
+    """Raise ConfigError unless every ``bool``-annotated field of ``obj`` holds a bool.
+
+    A truthy string such as "no" would otherwise switch a feature on.
+    """
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.type in (bool, "bool") and not isinstance(value, bool):
+            raise ConfigError(f"{f.name} must be true or false, got {value!r}")
 
 
 def from_mapping(cls: Type[T], mapping: Mapping[str, Any], where: str = "") -> T:

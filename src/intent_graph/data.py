@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .configs import ConfigError, from_mapping, to_plain_dict
+from .configs import ConfigError, from_mapping, is_finite_real, to_plain_dict
 from .scene import (
     CROSSWALK_CATEGORIES,
     VEHICLE_CATEGORIES,
@@ -322,20 +322,20 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be an integer >= {minimum}, got {v!r}")
         for name in ("frame_width", "frame_height", "fps"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+            if not (is_finite_real(v) and v > 0):
                 raise ConfigError(f"{name} must be positive, got {v!r}")
         lo, hi = self.crosswalk_center_range
-        if not (0 <= lo <= hi <= 1):
+        if not (is_finite_real(lo) and is_finite_real(hi) and 0 <= lo <= hi <= 1):
             raise ConfigError(f"crosswalk_center_range must satisfy 0 <= lo <= hi <= 1, got {self.crosswalk_center_range}")
         vlo, vhi = self.vehicle_count_range
-        if not (isinstance(vlo, int) and isinstance(vhi, int) and 0 <= vlo <= vhi):
+        if not (all(isinstance(v, int) and not isinstance(v, bool) for v in (vlo, vhi)) and 0 <= vlo <= vhi):
             raise ConfigError(f"vehicle_count_range must be integers 0 <= lo <= hi, got {self.vehicle_count_range}")
         slo, shi = self.ped_speed_range
-        if not (0 < slo <= shi):
+        if not (is_finite_real(slo) and is_finite_real(shi) and 0 < slo <= shi):
             raise ConfigError(f"ped_speed_range must satisfy 0 < lo <= hi, got {self.ped_speed_range}")
         for name in ("theta_x_frac", "theta_v_frac"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and 0 < v < 1):
+            if not (is_finite_real(v) and 0 < v < 1):
                 raise ConfigError(f"{name} must lie in (0, 1), got {v!r}")
 
     @classmethod

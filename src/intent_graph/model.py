@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientTape, Tensor, sigmoid_values
-from .configs import ConfigError, from_mapping, to_plain_dict
+from .configs import ConfigError, check_bool_fields, from_mapping, is_finite_real, to_plain_dict
 from .data import write_text_atomic
 from .graph import (
     EdgeWeightParams,
@@ -109,11 +109,12 @@ class ModelConfig:
         _check_int("T", self.T, 1)
         _check_int("K", self.K, 1)
         _check_int("seed", self.seed, 0)
+        check_bool_fields(self)
         if self.graph_mode not in GRAPH_MODES:
             raise ConfigError(f"graph_mode must be one of {GRAPH_MODES}, got {self.graph_mode!r}")
         if not isinstance(self.temporal, TemporalConfig):
             raise ConfigError("temporal must be a TemporalConfig")
-        if not (isinstance(self.spatial_scale, (int, float)) and math.isfinite(self.spatial_scale) and self.spatial_scale > 0):
+        if not (is_finite_real(self.spatial_scale) and self.spatial_scale > 0):
             raise ConfigError(f"spatial_scale must be a positive real, got {self.spatial_scale!r}")
         if self.graph_mode in ("star", "fully_connected") and self.hidden != self.D:
             raise ConfigError(
@@ -252,15 +253,6 @@ def _edge_targets(cfg: ModelConfig, entities: list[ObjectObservation], feats: np
     return np.hstack([feats, classes])
 
 
-def _relation_block(box_pairs: list[tuple[BoundingBox, BoundingBox]], scale: float) -> Tensor:
-    """The (M, 8) spatial relations of (source, target) box pairs, times ``scale``."""
-    rows = []
-    for a, b in box_pairs:
-        r = spatial_relation(a, b)
-        rows.append((r.dxmin, r.dymin, r.dxmax, r.dymax, r.dxc, r.dyc, r.w_union, r.h_union))
-    return Tensor(np.array(rows, dtype=np.float64).reshape(len(rows), 8) * scale)
-
-
 @dataclass(frozen=True)
 class PredictionOutput:
     """Per future frame: raw logit and its (uncalibrated) sigmoid probability."""
@@ -331,13 +323,14 @@ def _forward_core(
         if cfg.location_centric:
             weights = location_centric_edge(center, targets, edge_p)
         else:
-            boxes = [ent.aligned_box() for ent in entities]
-            rel = _relation_block([(center_boxes[t], box) for box in boxes], cfg.spatial_scale)
+            boxes = np.array([ent.aligned_box().as_list() for ent in entities], dtype=np.float64).reshape(-1, 4)
+            center_box = np.array([center_boxes[t].as_list()], dtype=np.float64)
+            rel = Tensor(spatial_relation(center_box, boxes) * cfg.spatial_scale)
             weights = edge_weight(center, rel, targets, edge_p)
         pair_weights = None
         if mode == "fully_connected":
             src, tgt = np.triu_indices(len(entities), 1)  # object pairs i < j, row-major
-            rel = _relation_block([(boxes[i], boxes[j]) for i, j in zip(src, tgt)], cfg.spatial_scale)
+            rel = Tensor(spatial_relation(boxes[src], boxes[tgt]) * cfg.spatial_scale)
             pair_weights = [edge_weight(Tensor(feats[src]), rel, Tensor(targets.data[tgt]), edge_p)]
         g = star_graph(
             center,

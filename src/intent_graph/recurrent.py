@@ -23,6 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .configs import check_bool_fields
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,9 @@ class TemporalConfig:
     use_temporal: bool = True
     use_ped_gru: bool = True
     use_ctxt_gru: bool = False
+
+    def __post_init__(self):
+        check_bool_fields(self)
 
 
 @dataclass

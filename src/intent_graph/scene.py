@@ -1,13 +1,14 @@
 """Scene-level domain types.
 
 Bounding boxes live in image-pixel coordinates with y growing downward.
-The spatial relation between the pedestrian and a scene object is the 8-vector
+The spatial relation of a target box to a source box (a scene object to the
+pedestrian, or one object to another) is the 8-vector
 
     [dxmin, dymin, dxmax, dymax, dxc, dyc, w_union, h_union]
 
-where every delta is object minus pedestrian and the union terms are the
-width/height of the smallest box containing both. Deltas are raw pixels by
-default; pass frame_size to get frame-relative units instead.
+where every delta is target minus source and the union terms are the
+width/height of the smallest box containing both, all in raw pixels.
+``spatial_relation`` computes a block of such rows at once.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-from .autodiff import Tensor
 
 
 class ObjectCategory(Enum):
@@ -125,111 +124,31 @@ class BoundingBox:
         """The same box translated horizontally by dx (camera alignment)."""
         return BoundingBox(self.xmin + dx, self.ymin, self.xmax + dx, self.ymax)
 
-    def union(self, other: "BoundingBox") -> "BoundingBox":
-        return BoundingBox(
-            min(self.xmin, other.xmin),
-            min(self.ymin, other.ymin),
-            max(self.xmax, other.xmax),
-            max(self.ymax, other.ymax),
-        )
-
     def as_list(self) -> list[float]:
         return [self.xmin, self.ymin, self.xmax, self.ymax]
 
 
-@dataclass(frozen=True)
-class SpatialRelation:
-    """Object-minus-pedestrian box geometry plus the union box extent."""
+def spatial_relation(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """Encode where each ``tgt`` box sits relative to its ``src`` box.
 
-    dxmin: float
-    dymin: float
-    dxmax: float
-    dymax: float
-    dxc: float
-    dyc: float
-    w_union: float
-    h_union: float
-
-    def __post_init__(self):
-        _require_finite(
-            "SpatialRelation",
-            self.dxmin,
-            self.dymin,
-            self.dxmax,
-            self.dymax,
-            self.dxc,
-            self.dyc,
-            self.w_union,
-            self.h_union,
-        )
-        if self.w_union < 0 or self.h_union < 0:
-            raise ValueError("union extent cannot be negative")
-
-    def as_vector(self) -> Tensor:
-        """The 1x8 constant tensor in field declaration order."""
-        return Tensor(
-            [
-                self.dxmin,
-                self.dymin,
-                self.dxmax,
-                self.dymax,
-                self.dxc,
-                self.dyc,
-                self.w_union,
-                self.h_union,
-            ]
-        )
-
-    @classmethod
-    def from_vector(cls, values) -> "SpatialRelation":
-        arr = np.asarray(values, dtype=np.float64).reshape(-1)
-        if arr.size != 8:
-            raise ValueError(f"expected 8 components, got {arr.size}")
-        return cls(*[float(v) for v in arr])
-
-    def scaled(self, factor: float) -> "SpatialRelation":
-        """Every component multiplied by ``factor`` (unit change)."""
-        return SpatialRelation(
-            self.dxmin * factor,
-            self.dymin * factor,
-            self.dxmax * factor,
-            self.dymax * factor,
-            self.dxc * factor,
-            self.dyc * factor,
-            self.w_union * factor,
-            self.h_union * factor,
-        )
-
-
-def spatial_relation(
-    ped: BoundingBox,
-    obj: BoundingBox,
-    frame_size: tuple[float, float] | None = None,
-) -> SpatialRelation:
-    """Encode where ``obj`` sits relative to ``ped``.
-
-    With frame_size=(width, height) the x components (and w_union) are divided
-    by width and the y components (and h_union) by height; by default raw
-    pixel differences are returned.
+    ``src`` and ``tgt`` are (M, 4) or (1, 4) float64 arrays of
+    ``[xmin, ymin, xmax, ymax]`` rows; a (1, 4) side is shared by every row.
+    Returns the (M, 8) block ``[dxmin, dymin, dxmax, dymax, dxc, dyc,
+    w_union, h_union]``. Raises ValueError on a non-finite entry, which finite
+    boxes near the edge of the float range can produce by overflow.
     """
-    u = ped.union(obj)
-    pcx, pcy = ped.center
-    ocx, ocy = obj.center
-    sx = sy = 1.0
-    if frame_size is not None:
-        sx, sy = float(frame_size[0]), float(frame_size[1])
-        if sx <= 0 or sy <= 0:
-            raise ValueError(f"frame_size must be positive, got {frame_size}")
-    return SpatialRelation(
-        dxmin=(obj.xmin - ped.xmin) / sx,
-        dymin=(obj.ymin - ped.ymin) / sy,
-        dxmax=(obj.xmax - ped.xmax) / sx,
-        dymax=(obj.ymax - ped.ymax) / sy,
-        dxc=(ocx - pcx) / sx,
-        dyc=(ocy - pcy) / sy,
-        w_union=u.width / sx,
-        h_union=u.height / sy,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = np.concatenate(
+            [
+                tgt - src,
+                0.5 * (tgt[:, :2] + tgt[:, 2:]) - 0.5 * (src[:, :2] + src[:, 2:]),
+                np.maximum(src[:, 2:], tgt[:, 2:]) - np.minimum(src[:, :2], tgt[:, :2]),
+            ],
+            axis=1,
+        )
+    if not np.isfinite(rel).all():
+        raise ValueError("spatial_relation: non-finite entry")
+    return rel
 
 
 @dataclass(frozen=True)

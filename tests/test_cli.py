@@ -5,6 +5,8 @@ stderr. Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 internal.
 """
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +140,17 @@ def test_missing_and_malformed_config(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_finite_learning_rate_is_a_config_error(tmp_path, capsys, cfg_path):
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["train"]["learning_rate"] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(cfg))
+    assert '"learning_rate": Infinity' in path.read_text()  # json.load accepts this
+    code, doc, _ = _run(capsys, ["train", "--config", str(path), "--data", str(tmp_path / "d.jsonl")])
+    assert code == 2 and doc["error"]["kind"] == "config"
+    assert "learning_rate" in doc["error"]["message"]
+
+
 def test_unknown_section_and_unused_section_typos_fail(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"modle": {}}))
@@ -268,6 +281,31 @@ def test_ablate_grid_runs_and_reports(tmp_path, capsys, cfg_path):
         assert set(run) == {"overrides", "parameters", "train", "test"}
     assert json.loads(out.read_text()) == doc
     assert (tmp_path / "ablate.json.manifest.json").exists()
+
+
+@pytest.mark.parametrize("target", ["model.json.manifest.json", "ablate.json"])
+def test_interrupted_output_write_keeps_the_old_file(tmp_path, capsys, cfg_path, monkeypatch, target):
+    data = str(tmp_path / "data.jsonl")
+    _run(capsys, ["synth", "--config", cfg_path, "--out", data])
+    (tmp_path / target).write_text("old\n")
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == target:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    if target == "ablate.json":
+        argv = ["ablate", "--config", cfg_path, "--data", data,
+                "--grid", '{"model.num_layers": [0]}', "--out", str(tmp_path / target)]
+    else:
+        argv = ["train", "--config", cfg_path, "--data", data, "--out", str(tmp_path / "model.json")]
+    code, doc, _ = _run(capsys, argv)
+    assert code == 3 and doc["error"]["kind"] == "data"
+    assert "disk full" in doc["error"]["message"]
+    assert (tmp_path / target).read_text() == "old\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 @pytest.mark.parametrize(

@@ -32,7 +32,7 @@ from intent_graph.graph import (
     star_graph,
 )
 from intent_graph.model import ModelConfig, init_parameters
-from intent_graph.scene import CATEGORY_COUNT, BoundingBox, spatial_relation
+from intent_graph.scene import CATEGORY_COUNT
 
 SIGMOID_1_8 = 0.8581489350995123
 
@@ -45,8 +45,9 @@ def _edge_params(tape=None):
     return EdgeWeightParams(tape.parameter("proj_i", proj_i), tape.parameter("proj_o", proj_o))
 
 
-# the frozen hand instance as a block of one edge
-REL = spatial_relation(BoundingBox(0, 0, 2, 2), BoundingBox(1, 1, 3, 3)).as_vector()
+# the frozen hand instance as a block of one edge: the relation of box
+# (1, 1, 3, 3) to box (0, 0, 2, 2)
+REL = Tensor([[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 3.0, 3.0]])
 
 
 def test_edge_weight_frozen_value():

@@ -44,9 +44,8 @@ from intent_graph.scene import (
     ObjectCategory,
     ObjectObservation,
     category_one_hot,
-    spatial_relation,
 )
-from intent_graph.training import scenario_loss_tensor
+from intent_graph.training import TrainConfig, scenario_loss_tensor
 
 
 def _scenario(D=6, frames=5, seed=2, vehicles=(2, 2)):
@@ -73,11 +72,26 @@ def _gru(v, prefix, x, h):
     return (1.0 - z) * h + z * cand
 
 
+def _mirror_relation(src, tgt, scale):
+    """The 1x8 relation of box ``tgt`` to box ``src``, from the corners, times ``scale``."""
+    return np.array(
+        [
+            [
+                tgt.xmin - src.xmin,
+                tgt.ymin - src.ymin,
+                tgt.xmax - src.xmax,
+                tgt.ymax - src.ymax,
+                0.5 * (tgt.xmin + tgt.xmax) - 0.5 * (src.xmin + src.xmax),
+                0.5 * (tgt.ymin + tgt.ymax) - 0.5 * (src.ymin + src.ymax),
+                max(src.xmax, tgt.xmax) - min(src.xmin, tgt.xmin),
+                max(src.ymax, tgt.ymax) - min(src.ymin, tgt.ymin),
+            ]
+        ]
+    ) * scale
+
+
 def _mirror_edge(v, cfg, center_row, ped_box, obj):
-    s = spatial_relation(ped_box, obj.aligned_box()).scaled(cfg.spatial_scale)
-    svec = np.array(
-        [[s.dxmin, s.dymin, s.dxmax, s.dymax, s.dxc, s.dyc, s.w_union, s.h_union]]
-    )
+    svec = _mirror_relation(ped_box, obj.aligned_box(), cfg.spatial_scale)
     v_i = np.hstack([center_row, svec])
     feat = obj.feature.reshape(1, -1)
     if cfg.include_object_class:
@@ -125,12 +139,7 @@ def _mirror_forward(scenario, cfg, v):
         if cfg.graph_mode == "fully_connected":
             for i in range(n):
                 for j in range(i + 1, n):
-                    s = spatial_relation(objs[i].aligned_box(), objs[j].aligned_box()).scaled(
-                        cfg.spatial_scale
-                    )
-                    svec = np.array(
-                        [[s.dxmin, s.dymin, s.dxmax, s.dymax, s.dxc, s.dyc, s.w_union, s.h_union]]
-                    )
+                    svec = _mirror_relation(objs[i].aligned_box(), objs[j].aligned_box(), cfg.spatial_scale)
                     v_i = np.hstack([objs[i].feature.reshape(1, -1), svec])
                     tgt = objs[j].feature.reshape(1, -1)
                     if cfg.include_object_class:
@@ -322,6 +331,35 @@ def test_config_validation():
         ModelConfig(location_centric=True, graph_mode="fully_connected")
     with pytest.raises(ConfigError, match="unknown config key"):
         ModelConfig.from_dict({"d": 6})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: ModelConfig(shared_weights="no"), id="shared_weights=str"),
+        pytest.param(lambda: ModelConfig(normalize_adjacency=1), id="normalize_adjacency=int"),
+        pytest.param(lambda: ModelConfig(location_centric="yes"), id="location_centric=str"),
+        pytest.param(lambda: ModelConfig(include_object_class=None), id="include_object_class=None"),
+        pytest.param(lambda: ModelConfig(spatial_scale=True), id="spatial_scale=bool"),
+        pytest.param(lambda: TemporalConfig(use_temporal=0), id="use_temporal=int"),
+        pytest.param(lambda: TemporalConfig(use_ped_gru="false"), id="use_ped_gru=str"),
+        pytest.param(lambda: ModelConfig.from_dict({"temporal": {"use_ctxt_gru": "no"}}), id="use_ctxt_gru=str-from-mapping"),
+        pytest.param(lambda: TrainConfig(learning_rate=float("inf")), id="learning_rate=inf"),
+        pytest.param(lambda: TrainConfig(learning_rate=True), id="learning_rate=bool"),
+        pytest.param(lambda: TrainConfig(epsilon=float("inf")), id="epsilon=inf"),
+        pytest.param(lambda: TrainConfig(beta1=False), id="beta1=bool"),
+        pytest.param(lambda: TrainConfig(grad_clip_norm=float("inf")), id="grad_clip_norm=inf"),
+        pytest.param(lambda: TrainConfig.from_dict(json.loads('{"learning_rate": Infinity}')), id="learning_rate=Infinity-from-json"),
+        pytest.param(lambda: SynthConfig(frame_width=True), id="frame_width=bool"),
+        pytest.param(lambda: SynthConfig(fps=True), id="fps=bool"),
+        pytest.param(lambda: SynthConfig(vehicle_count_range=(False, True)), id="vehicle_count_range=bools"),
+        pytest.param(lambda: SynthConfig(ped_speed_range=(True, 5.0)), id="ped_speed_range=bool"),
+        pytest.param(lambda: SynthConfig(crosswalk_center_range=(False, True)), id="crosswalk_center_range=bools"),
+    ],
+)
+def test_config_rejects_values_of_the_wrong_type(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_config_dict_roundtrip_including_temporal():

@@ -18,7 +18,6 @@ from intent_graph.scene import (
     ObjectCategory,
     ObjectObservation,
     Scenario,
-    SpatialRelation,
     category_one_hot,
     in_focus_region,
     region_crossing_labels,
@@ -49,7 +48,6 @@ def test_box_basics():
     assert PED.width == 20 and PED.height == 40
     assert PED.center == (20.0, 40.0)
     assert PED.bottom_center == (20.0, 60.0)
-    assert PED.union(OBJ) == BoundingBox(10, 20, 70, 60)
     assert PED.shift_x(5).as_list() == [15, 20, 35, 60]
     with pytest.raises(ValueError):
         BoundingBox(10, 0, 5, 10)
@@ -57,27 +55,57 @@ def test_box_basics():
         BoundingBox(0, 0, float("nan"), 1)
 
 
+def _rows(*boxes):
+    return np.array([b.as_list() for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
 def test_spatial_relation_frozen_vector():
-    rel = spatial_relation(PED, OBJ)
-    assert rel.as_vector().data.tolist() == [RELATION]
+    rel = spatial_relation(_rows(PED), _rows(OBJ))
+    assert rel.dtype == np.float64
+    assert rel.tolist() == [RELATION]
 
 
-def test_spatial_relation_frame_normalized():
-    rel = spatial_relation(PED, OBJ, frame_size=(100.0, 50.0))
-    want = [30 / 100, 5 / 50, 40 / 100, -5 / 50, 35 / 100, 0.0, 60 / 100, 40 / 50]
-    assert np.allclose(rel.as_vector().data, [want])
+def _scalar_relation(src, tgt):
+    """Straight-line reference for one row: target minus source, union extent."""
+    sx0, sy0, sx1, sy1 = src
+    tx0, ty0, tx1, ty1 = tgt
+    return [
+        tx0 - sx0,
+        ty0 - sy0,
+        tx1 - sx1,
+        ty1 - sy1,
+        0.5 * (tx0 + tx1) - 0.5 * (sx0 + sx1),
+        0.5 * (ty0 + ty1) - 0.5 * (sy0 + sy1),
+        max(sx1, tx1) - min(sx0, tx0),
+        max(sy1, ty1) - min(sy0, ty0),
+    ]
 
 
-def test_spatial_relation_scaled_matches_manual():
-    rel = spatial_relation(PED, OBJ).scaled(0.01)
-    assert np.allclose(rel.as_vector().data, np.array([RELATION]) * 0.01)
+def test_relation_block_is_bytewise_the_scalar_rows():
+    rng = np.random.default_rng(7)
+    corner = rng.uniform(-2000.0, 2000.0, size=(9, 2))
+    boxes = np.hstack([corner, corner + rng.uniform(0.5, 300.0, size=(9, 2))])
+    center, objs = boxes[:1], boxes[1:]
+    for m in (1, 2, 3, 8):
+        got = spatial_relation(center, objs[:m])
+        want = np.array([_scalar_relation(center[0].tolist(), row.tolist()) for row in objs[:m]])
+        assert got.shape == (m, 8)
+        assert got.tobytes() == want.tobytes()
+    src, tgt = np.triu_indices(8, 1)
+    got = spatial_relation(objs[src], objs[tgt])
+    want = np.array([_scalar_relation(objs[i].tolist(), objs[j].tolist()) for i, j in zip(src, tgt)])
+    assert got.shape == (28, 8)
+    assert got.tobytes() == want.tobytes()
+    assert spatial_relation(center, objs[:0]).shape == (0, 8)
+    assert spatial_relation(objs[:0], objs[:0]).shape == (0, 8)
 
 
-def test_from_vector_roundtrip():
-    rel = SpatialRelation.from_vector(RELATION)
-    assert rel == spatial_relation(PED, OBJ)
-    with pytest.raises(ValueError):
-        SpatialRelation.from_vector([1.0, 2.0])
+def test_relation_overflow_is_rejected():
+    # both boxes are finite, but their corner difference exceeds the float range
+    far_left = _rows(BoundingBox(-1.7e308, 0.0, -1.6e308, 1.0))
+    far_right = _rows(BoundingBox(1.6e308, 0.0, 1.7e308, 1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        spatial_relation(far_left, far_right)
 
 
 finite = st.floats(-1e4, 1e4, allow_nan=False)
@@ -90,36 +118,39 @@ def boxes():
     )
 
 
+DXMIN, DYMIN, DXMAX, DYMAX, DXC, DYC, W_UNION, H_UNION = range(8)
+
+
 @settings(max_examples=60, deadline=None)
 @given(boxes(), boxes())
 def test_relation_center_deltas_antisymmetric(a, b):
-    fwd = spatial_relation(a, b)
-    rev = spatial_relation(b, a)
-    assert fwd.dxc == -rev.dxc and fwd.dyc == -rev.dyc
-    assert fwd.w_union == rev.w_union and fwd.h_union == rev.h_union
+    fwd = spatial_relation(_rows(a), _rows(b))[0]
+    rev = spatial_relation(_rows(b), _rows(a))[0]
+    assert fwd[DXC] == -rev[DXC] and fwd[DYC] == -rev[DYC]
+    assert fwd[W_UNION] == rev[W_UNION] and fwd[H_UNION] == rev[H_UNION]
 
 
 @settings(max_examples=60, deadline=None)
 @given(boxes(), boxes(), st.floats(-500, 500, allow_nan=False))
 def test_relation_translation_invariant(a, b, dx):
-    base = spatial_relation(a, b)
-    moved = spatial_relation(a.shift_x(dx), b.shift_x(dx))
-    assert moved.dxc == pytest.approx(base.dxc, abs=1e-9)
-    assert moved.dxmin == pytest.approx(base.dxmin, abs=1e-9)
-    assert moved.w_union == pytest.approx(base.w_union, abs=1e-9)
+    base = spatial_relation(_rows(a), _rows(b))[0]
+    moved = spatial_relation(_rows(a.shift_x(dx)), _rows(b.shift_x(dx)))[0]
+    assert moved[DXC] == pytest.approx(base[DXC], abs=1e-9)
+    assert moved[DXMIN] == pytest.approx(base[DXMIN], abs=1e-9)
+    assert moved[W_UNION] == pytest.approx(base[W_UNION], abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
 @given(boxes(), boxes())
 def test_union_extent_dominates_either_box(a, b):
-    rel = spatial_relation(a, b)
-    assert rel.w_union >= max(a.width, b.width)
-    assert rel.h_union >= max(a.height, b.height)
+    rel = spatial_relation(_rows(a), _rows(b))[0]
+    assert rel[W_UNION] >= max(a.width, b.width)
+    assert rel[H_UNION] >= max(a.height, b.height)
 
 
 def test_relation_of_box_with_itself_is_zero_deltas():
-    rel = spatial_relation(PED, PED)
-    assert rel.as_vector().data.tolist() == [[0, 0, 0, 0, 0, 0, PED.width, PED.height]]
+    rel = spatial_relation(_rows(PED), _rows(PED))
+    assert rel.tolist() == [[0, 0, 0, 0, 0, 0, PED.width, PED.height]]
 
 
 # -- focus region -------------------------------------------------------------
@@ -212,13 +243,10 @@ def test_scenario_timestamp_and_width_validation():
 def test_camera_offset_shifts_x_terms_by_exactly_the_offset():
     offset = -12.5
     obs = ObjectObservation(ObjectCategory.CAR, OBJ, np.ones(3), camera_offset_x=offset)
-    base = spatial_relation(PED, OBJ)
-    moved = spatial_relation(PED, obs.aligned_box())
-    assert moved.dxmin == base.dxmin + offset
-    assert moved.dxmax == base.dxmax + offset
-    assert moved.dxc == base.dxc + offset
+    base = spatial_relation(_rows(PED), _rows(OBJ))[0]
+    moved = spatial_relation(_rows(PED), _rows(obs.aligned_box()))[0]
+    for x_term in (DXMIN, DXMAX, DXC):
+        assert moved[x_term] == base[x_term] + offset
     # y geometry is untouched by a horizontal alignment shift
-    assert moved.dymin == base.dymin
-    assert moved.dymax == base.dymax
-    assert moved.dyc == base.dyc
-    assert moved.h_union == base.h_union
+    for y_term in (DYMIN, DYMAX, DYC, H_UNION):
+        assert moved[y_term] == base[y_term]
