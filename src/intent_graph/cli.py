@@ -97,8 +97,8 @@ def _load_sections(path: str | None) -> dict:
             raw = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     unknown = set(raw) - set(_SECTIONS)
@@ -297,8 +297,8 @@ def _cmd_ablate(args) -> int:
     sections = _load_sections(args.config)
     try:
         grid = json.loads(args.grid)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--grid is not valid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"--grid is not valid JSON: {exc}") from exc
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("--grid must be a non-empty JSON object of {dotted.path: [values]}")
     for key, options in grid.items():

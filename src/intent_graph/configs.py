@@ -1,7 +1,8 @@
 """Strict dataclass <- mapping construction shared by all config types.
 
 Unknown keys are hard errors everywhere: a typo in a config file must fail
-loudly instead of silently running with a default.
+loudly instead of silently running with a default. ``finite_array`` is the
+number rule that data files and checkpoints share with the configs.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 import typing
 from typing import Any, Mapping, Type, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 
@@ -18,9 +21,40 @@ class ConfigError(Exception):
     """Invalid, unknown, or inconsistent configuration."""
 
 
+def finite_array(values: list) -> np.ndarray | None:
+    """``values`` as a float64 array, or None unless every entry is a finite number.
+
+    The one number rule for data files, checkpoints and configs: each entry's
+    type is exactly int or float (NumPy alone reads "1.5" and True as floats),
+    an int fits the float range, and no entry is NaN or infinite.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except OverflowError:
+        return None
+    return arr if np.isfinite(arr).all() else None
+
+
 def is_finite_real(value) -> bool:
-    """True for a finite int or float; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    """True for one value that ``finite_array`` accepts."""
+    return finite_array([value]) is not None
+
+
+def check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
+    """Raise ConfigError unless ``value`` is an int that ``finite_array`` accepts, in range."""
+    if type(value) is not int or not is_finite_real(value):
+        raise ConfigError(f"{name} must be an integer within the float range, got {value!r}")
+    if value < minimum or (maximum is not None and value > maximum):
+        bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise ConfigError(f"{name} must be {bound}, got {value}")
+
+
+def check_real(name: str, value, low: float, high: float = math.inf, include_low: bool = False) -> None:
+    """Raise ConfigError unless ``value`` is a finite number in (low, high), or [low, high) with ``include_low``."""
+    if not (is_finite_real(value) and (low <= value if include_low else low < value) and value < high):
+        raise ConfigError(f"{name} must be a finite number in {'[' if include_low else '('}{low}, {high}), got {value!r}")
 
 
 def check_bool_fields(obj: Any) -> None:

@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .configs import ConfigError, from_mapping, is_finite_real, to_plain_dict
+from .configs import ConfigError, check_int, check_real, finite_array, from_mapping, is_finite_real, to_plain_dict
 from .scene import (
     CROSSWALK_CATEGORIES,
     VEHICLE_CATEGORIES,
@@ -93,25 +93,20 @@ def _check_keys(obj: dict, required: set[str], optional: set[str], what: str, li
     _require(not unknown, f"{what} has unknown key(s) {sorted(unknown)}", line)
 
 
-def _number(value, what: str, line: int) -> float:
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
-        f"{what} must be a finite number, got {value!r}",
-        line,
-    )
-    return float(value)
-
-
-def _number_list(value, what: str, line: int) -> list[float]:
-    _require(isinstance(value, list) and value, f"{what} must be a non-empty array", line)
-    return [_number(v, what, line) for v in value]
+def _numbers(value, what: str, line: int) -> np.ndarray:
+    _require(isinstance(value, list), f"{what} must be an array", line)
+    arr = finite_array(value)
+    if arr is None:
+        bad = next(v for v in value if not is_finite_real(v))
+        raise RecordParseError(f"{what} must be a finite number, got {bad!r}", line)
+    return arr
 
 
 def _box(value, what: str, line: int) -> BoundingBox:
-    nums = _number_list(value, what, line)
-    _require(len(nums) == 4, f"{what} must have 4 entries, got {len(nums)}", line)
+    corners = _numbers(value, what, line)
+    _require(corners.size == 4, f"{what} must have 4 entries, got {corners.size}", line)
     try:
-        return BoundingBox(*nums)
+        return BoundingBox(*corners.tolist())
     except ValueError as exc:
         raise RecordParseError(f"{what}: {exc}", line) from exc
 
@@ -123,45 +118,42 @@ def _parse_frame(obj, line: int, width: list[int | None]) -> FrameObservation:
     label = obj["label"]
     _require(label in (0, 1) and not isinstance(label, bool), f"label must be 0 or 1, got {label!r}", line)
 
+    def feature(value, what: str) -> np.ndarray:
+        feat = _numbers(value, what, line)
+        _require(feat.size > 0, f"{what} must be a non-empty array", line)
+        width[0] = width[0] or feat.size
+        if feat.size != width[0]:
+            raise FeatureWidthError(f"{what} has width {feat.size}, file uses width {width[0]}", line)
+        return feat
+
     ped = obj["ped"]
     _check_keys(ped, {"box", "feat"}, set(), "ped", line)
     ped_box = _box(ped["box"], "ped.box", line)
-    ped_feat = _number_list(ped["feat"], "ped.feat", line)
-
-    def check_width(n: int, what: str):
-        if width[0] is None:
-            width[0] = n
-        elif n != width[0]:
-            raise FeatureWidthError(f"{what} has width {n}, file uses width {width[0]}", line)
-
-    check_width(len(ped_feat), "ped.feat")
+    ped_feat = feature(ped["feat"], "ped.feat")
 
     objects = obj["objects"]
     _require(isinstance(objects, list), "objects must be an array", line)
-    parsed = []
     for entry in objects:
         _check_keys(entry, {"cat", "box", "feat"}, {"cam_dx"}, "object", line)
-        cat = entry["cat"]
-        _require(isinstance(cat, str), f"cat must be a string, got {cat!r}", line)
+    cam_dx = _numbers([entry.get("cam_dx", 0.0) for entry in objects], "cam_dx", line).tolist()
+    parsed = []
+    for entry, dx in zip(objects, cam_dx):
         try:
-            category = ObjectCategory.from_name(cat)
+            category = ObjectCategory.from_name(entry["cat"])
         except ValueError as exc:
             raise RecordParseError(str(exc), line) from exc
-        feat = _number_list(entry["feat"], "object feat", line)
-        check_width(len(feat), "object feat")
-        cam_dx = _number(entry.get("cam_dx", 0.0), "cam_dx", line)
         parsed.append(
             ObjectObservation(
                 category=category,
                 box=_box(entry["box"], "object box", line),
-                feature=np.array(feat),
-                camera_offset_x=cam_dx,
+                feature=feature(entry["feat"], "object feat"),
+                camera_offset_x=dx,
             )
         )
     return FrameObservation(
         timestamp_index=t,
         pedestrian_box=ped_box,
-        pedestrian_feature=np.array(ped_feat),
+        pedestrian_feature=ped_feat,
         objects=tuple(parsed),
         crossing_label=label,
     )
@@ -170,23 +162,18 @@ def _parse_frame(obj, line: int, width: list[int | None]) -> FrameObservation:
 def _parse_record(text: str, line: int, width: list[int | None]) -> Scenario:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RecordParseError(f"invalid JSON: {exc.msg}", line) from exc
+    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
+        raise RecordParseError(f"invalid JSON: {exc}", line) from exc
     _check_keys(obj, {"id", "fps", "frames"}, set(), "record", line)
     _require(isinstance(obj["id"], str) and obj["id"], "id must be a non-empty string", line)
-    fps = _number(obj["fps"], "fps", line)
-    _require(fps > 0, f"fps must be positive, got {fps}", line)
+    [fps] = _numbers([obj["fps"]], "fps", line).tolist()
     frames_raw = obj["frames"]
-    _require(isinstance(frames_raw, list) and frames_raw, "frames must be a non-empty array", line)
+    _require(isinstance(frames_raw, list), "frames must be an array", line)
 
     frames = [_parse_frame(f, line, width) for f in frames_raw]
-    last = None
-    for frame in frames:
-        if last is not None and frame.timestamp_index <= last:
-            raise TimestampOrderError(
-                f"timestamps must increase strictly ({last} then {frame.timestamp_index})", line
-            )
-        last = frame.timestamp_index
+    for prev, frame in zip(frames, frames[1:]):
+        t0, t1 = prev.timestamp_index, frame.timestamp_index
+        _require(t0 < t1, f"timestamps must increase strictly ({t0} then {t1})", line, TimestampOrderError)
     try:
         return Scenario(id=obj["id"], frames=tuple(frames), fps=fps)
     except ValueError as exc:
@@ -317,26 +304,20 @@ class SynthConfig:
         object.__setattr__(self, "vehicle_count_range", tuple(self.vehicle_count_range))
         object.__setattr__(self, "ped_speed_range", tuple(self.ped_speed_range))
         for name, minimum in (("n_scenarios", 1), ("frames_per_scenario", 2), ("D", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-                raise ConfigError(f"{name} must be an integer >= {minimum}, got {v!r}")
+            check_int(name, getattr(self, name), minimum)
         for name in ("frame_width", "frame_height", "fps"):
-            v = getattr(self, name)
-            if not (is_finite_real(v) and v > 0):
-                raise ConfigError(f"{name} must be positive, got {v!r}")
+            check_real(name, getattr(self, name), 0)
         lo, hi = self.crosswalk_center_range
         if not (is_finite_real(lo) and is_finite_real(hi) and 0 <= lo <= hi <= 1):
             raise ConfigError(f"crosswalk_center_range must satisfy 0 <= lo <= hi <= 1, got {self.crosswalk_center_range}")
         vlo, vhi = self.vehicle_count_range
-        if not (all(isinstance(v, int) and not isinstance(v, bool) for v in (vlo, vhi)) and 0 <= vlo <= vhi):
-            raise ConfigError(f"vehicle_count_range must be integers 0 <= lo <= hi, got {self.vehicle_count_range}")
+        check_int("vehicle_count_range lo", vlo, 0)
+        check_int("vehicle_count_range hi", vhi, vlo)
         slo, shi = self.ped_speed_range
-        if not (is_finite_real(slo) and is_finite_real(shi) and 0 < slo <= shi):
-            raise ConfigError(f"ped_speed_range must satisfy 0 < lo <= hi, got {self.ped_speed_range}")
+        check_real("ped_speed_range lo", slo, 0)
+        check_real("ped_speed_range hi", shi, slo, include_low=True)
         for name in ("theta_x_frac", "theta_v_frac"):
-            v = getattr(self, name)
-            if not (is_finite_real(v) and 0 < v < 1):
-                raise ConfigError(f"{name} must lie in (0, 1), got {v!r}")
+            check_real(name, getattr(self, name), 0, 1)
 
     @classmethod
     def from_dict(cls, mapping: Mapping) -> "SynthConfig":

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientTape, Tensor, sigmoid_values
-from .configs import ConfigError, check_bool_fields, from_mapping, is_finite_real, to_plain_dict
+from .configs import ConfigError, check_bool_fields, check_int, check_real, finite_array, from_mapping, to_plain_dict
 from .data import write_text_atomic
 from .graph import (
     EdgeWeightParams,
@@ -66,14 +66,6 @@ class ScenarioError(Exception):
     """A scenario cannot be consumed under the given model config."""
 
 
-def _check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
-        raise ConfigError(f"{name} must be {bound}, got {value}")
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     """Dimensions, horizons, and every structural switch of the model.
@@ -102,20 +94,19 @@ class ModelConfig:
     location_centric: bool = False
 
     def __post_init__(self):
-        _check_int("D", self.D, 1)
-        _check_int("D_e", self.D_e, 1)
-        _check_int("hidden", self.hidden, 1)
-        _check_int("num_layers", self.num_layers, 0, 3)
-        _check_int("T", self.T, 1)
-        _check_int("K", self.K, 1)
-        _check_int("seed", self.seed, 0)
+        check_int("D", self.D, 1)
+        check_int("D_e", self.D_e, 1)
+        check_int("hidden", self.hidden, 1)
+        check_int("num_layers", self.num_layers, 0, 3)
+        check_int("T", self.T, 1)
+        check_int("K", self.K, 1)
+        check_int("seed", self.seed, 0)
         check_bool_fields(self)
         if self.graph_mode not in GRAPH_MODES:
             raise ConfigError(f"graph_mode must be one of {GRAPH_MODES}, got {self.graph_mode!r}")
         if not isinstance(self.temporal, TemporalConfig):
             raise ConfigError("temporal must be a TemporalConfig")
-        if not (is_finite_real(self.spatial_scale) and self.spatial_scale > 0):
-            raise ConfigError(f"spatial_scale must be a positive real, got {self.spatial_scale!r}")
+        check_real("spatial_scale", self.spatial_scale, 0)
         if self.graph_mode in ("star", "fully_connected") and self.hidden != self.D:
             raise ConfigError(
                 f"graph node rows mix the pedestrian stream (width hidden={self.hidden}) with raw "
@@ -488,7 +479,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Read a checkpoint and validate it against its embedded config."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer literal too long
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -509,9 +500,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         if entry.get("shape") != list(shape):
             raise CheckpointError(f"parameter {name}: shape {entry.get('shape')} != {list(shape)}")
         flat = entry.get("values")
-        if not isinstance(flat, list) or not all(type(v) in (int, float) and math.isfinite(v) for v in flat):
+        flat = finite_array(flat) if isinstance(flat, list) else None
+        if flat is None:
             raise CheckpointError(f"parameter {name}: non-finite or non-numeric values")
-        if len(flat) != shape[0] * shape[1]:
-            raise CheckpointError(f"parameter {name}: {len(flat)} values for shape {list(shape)}")
-        values[name] = np.array(flat, dtype=np.float64).reshape(shape)
+        if flat.size != shape[0] * shape[1]:
+            raise CheckpointError(f"parameter {name}: {flat.size} values for shape {list(shape)}")
+        values[name] = flat.reshape(shape)
     return cfg, values

@@ -41,10 +41,10 @@ class ObjectCategory(Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "ObjectCategory":
-        for member in cls:
-            if member.value == name:
-                return member
-        raise ValueError(f"unknown object category {name!r}")
+        try:
+            return cls(name)
+        except ValueError:
+            raise ValueError(f"unknown object category {name!r}") from None
 
     @property
     def index(self) -> int:

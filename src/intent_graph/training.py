@@ -21,7 +21,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .autodiff import GradientTape, Tensor, bce_with_logits, scale, sigmoid_values
-from .configs import ConfigError, from_mapping, is_finite_real, to_plain_dict
+from .configs import check_int, check_real, from_mapping, to_plain_dict
 from .model import ModelConfig, forward_logits, future_labels, init_parameters
 from .scene import Scenario
 
@@ -47,22 +47,14 @@ class TrainConfig:
 
     def __post_init__(self):
         # learning_rate 0 is legal: a zero step must leave parameters untouched.
-        if not (is_finite_real(self.learning_rate) and self.learning_rate >= 0):
-            raise ConfigError(f"learning_rate must be a finite number >= 0, got {self.learning_rate!r}")
+        check_real("learning_rate", self.learning_rate, 0, include_low=True)
         for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not (is_finite_real(v) and 0 <= v < 1):
-                raise ConfigError(f"{name} must lie in [0, 1), got {v!r}")
-        if not (is_finite_real(self.epsilon) and self.epsilon > 0):
-            raise ConfigError(f"epsilon must be a finite positive number, got {self.epsilon!r}")
-        if isinstance(self.epochs, bool) or not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ConfigError(f"epochs must be an integer >= 1, got {self.epochs!r}")
-        if isinstance(self.batch_size, bool) or not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigError(f"batch_size must be an integer >= 1, got {self.batch_size!r}")
-        if not (is_finite_real(self.grad_clip_norm) and self.grad_clip_norm > 0):
-            raise ConfigError(f"grad_clip_norm must be a finite positive number, got {self.grad_clip_norm!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+            check_real(name, getattr(self, name), 0, 1, include_low=True)
+        check_real("epsilon", self.epsilon, 0)
+        check_int("epochs", self.epochs, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_real("grad_clip_norm", self.grad_clip_norm, 0)
+        check_int("seed", self.seed, 0)
 
     @classmethod
     def from_dict(cls, mapping: Mapping) -> "TrainConfig":

@@ -4,15 +4,21 @@ Stdout must always hold exactly one JSON document; human chatter goes to
 stderr. Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 internal.
 """
 
+import contextlib
+import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intent_graph import cli
 from intent_graph.autodiff import ShapeError
 from intent_graph.cli import main
+from intent_graph.data import SynthConfig, generate_synthetic, serialize
 from intent_graph.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
 
 
@@ -197,6 +203,104 @@ def test_malformed_checkpoint_entry_is_a_config_error(tmp_path, capsys, cfg_path
     code, doc, _ = _run(capsys, ["eval", "--model", str(model), "--data", data])  # one JSON document
     assert code == 2 and doc["error"]["kind"] == "config"
     assert name in doc["error"]["message"]
+
+
+# -- numbers beyond the float range (exit 2 or 3, never 5) ---------------------------
+
+_INT_BEYOND_FLOAT = "1" + "0" * 400
+
+
+def _with_literal(doc, path, literal: str) -> str:
+    """``doc`` as JSON text with the entry at key ``path`` written as the bare ``literal``."""
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "@literal@"
+    return json.dumps(doc).replace('"@literal@"', literal)
+
+
+@pytest.mark.parametrize("where", ["data", "checkpoint", "config"])
+def test_int_beyond_float_range_is_an_input_error(tmp_path, capsys, cfg_path, where):
+    data = tmp_path / "data.jsonl"
+    model = tmp_path / "model.json"
+    cfg = json.loads(Path(cfg_path).read_text())
+    mcfg = ModelConfig.from_dict(cfg["model"])
+    _run(capsys, ["synth", "--config", cfg_path, "--out", str(data)])
+    save_checkpoint(model, mcfg, init_parameters(mcfg))
+    bad = tmp_path / "bad.json"
+    if where == "data":
+        record = json.loads(data.read_text().splitlines()[0])
+        bad.write_text(_with_literal(record, ["frames", 0, "ped", "feat", 0], _INT_BEYOND_FLOAT) + "\n")
+        argv, expected = ["predict", "--model", str(model), "--data", str(bad)], (3, "data")
+    elif where == "checkpoint":
+        doc = json.loads(model.read_text())
+        name = sorted(doc["parameters"])[0]
+        bad.write_text(_with_literal(doc, ["parameters", name, "values", 0], _INT_BEYOND_FLOAT))
+        argv, expected = ["eval", "--model", str(bad), "--data", str(data)], (2, "config")
+    else:
+        bad.write_text(_with_literal(cfg, ["train", "learning_rate"], _INT_BEYOND_FLOAT))
+        argv, expected = ["synth", "--config", str(bad), "--out", str(tmp_path / "x.jsonl")], (2, "config")
+    code, doc, _ = _run(capsys, argv)  # one JSON document
+    assert (code, doc["error"]["kind"]) == expected
+
+
+# Every input path either works or fails with a typed error: replace one leaf
+# of a valid record, checkpoint or config with a value of the wrong kind.
+_FUZZ_LITERALS = ("true", '"x"', "null", "[]", "[[1]]", "NaN", "1e999", _INT_BEYOND_FLOAT, "-1")
+_FUZZ_MODEL = {"D": 4, "D_e": 4, "hidden": 4, "T": 3, "K": 2, "spatial_scale": 1 / 1280}
+_FUZZ_CONFIG = {
+    "synth": {"n_scenarios": 2, "frames_per_scenario": 5, "D": 4, "vehicle_count_range": [1, 1]},
+    "model": _FUZZ_MODEL,
+    "train": {"epochs": 1, "learning_rate": 0.01},
+}
+
+
+def _leaves(doc, path=()):
+    """Key paths to every scalar of ``doc``; of a long array only the first and last entries."""
+    if isinstance(doc, dict):
+        items = list(doc.items())
+    elif isinstance(doc, list):
+        items = list(enumerate(doc))
+        items = items if len(items) <= 4 else [items[0], items[-1]]
+    else:
+        return [path]
+    return [leaf for key, value in items for leaf in _leaves(value, (*path, key))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    mcfg = ModelConfig(**_FUZZ_MODEL)
+    save_checkpoint(root / "model.json", mcfg, init_parameters(mcfg))
+    [scenario, _] = generate_synthetic(SynthConfig.from_dict(_FUZZ_CONFIG["synth"]))
+    record = json.loads(serialize([scenario]))
+    (root / "data.jsonl").write_text(json.dumps(record) + "\n")
+    return {
+        "record": (record, "data.jsonl", ["predict", "--model", str(root / "model.json"), "--data"]),
+        "checkpoint": (json.loads((root / "model.json").read_text()), "model.json",
+                       ["eval", "--data", str(root / "data.jsonl"), "--model"]),
+        "config": (_FUZZ_CONFIG, "cfg.json", ["synth", "--out", str(root / "out.jsonl"), "--config"]),
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_wrong_leaf_gives_one_json_document_and_a_typed_exit(fuzz_inputs, data):
+    target = data.draw(st.sampled_from(sorted(fuzz_inputs)), label="target")
+    doc, name, argv = fuzz_inputs[target]
+    leaf = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
+    literal = data.draw(st.sampled_from(_FUZZ_LITERALS), label="literal")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(_with_literal(doc, leaf, literal) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, str(path)])
+    assert code in (0, 2, 3), err.getvalue()
+    text = out.getvalue()
+    _, end = json.JSONDecoder().raw_decode(text)
+    assert not text[end:].strip()
 
 
 # -- data errors (exit 3) -----------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +61,23 @@ def _record(**overrides):
     return base
 
 
+def _set(path: str, value):
+    """A mutation that sets the entry at dotted ``path`` of a record; digits index lists."""
+
+    def mutate(rec):
+        *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        for key in parents:
+            rec = rec[key]
+        rec[last] = value
+
+    return mutate
+
+
+def _raw(literal: str) -> str:
+    """A placeholder that the malformed-record test writes as the bare JSON text ``literal``."""
+    return f"raw:{literal}"
+
+
 def _write(tmp_path, lines):
     path = tmp_path / "data.jsonl"
     path.write_text("".join(json.dumps(l) + "\n" for l in lines), encoding="utf-8")
@@ -87,7 +105,11 @@ def test_serialize_then_load_is_byte_identical(tmp_path):
     text = serialize(scenarios)
     path = tmp_path / "x.jsonl"
     path.write_text(text, encoding="utf-8")
-    assert serialize(load(path)) == text
+    loaded = load(path)
+    assert serialize(loaded) == text
+    for frame in (f for s in loaded for f in s.frames):
+        assert frame.pedestrian_feature.dtype == np.float64
+        assert all(o.feature.dtype == np.float64 for o in frame.objects)
 
 
 @pytest.mark.parametrize(
@@ -105,13 +127,29 @@ def test_serialize_then_load_is_byte_identical(tmp_path):
         (lambda r: r["frames"][0].__setitem__("t", 1.5), RecordParseError, "integer"),
         (lambda r: r["frames"][0]["ped"].__setitem__("feat", []), RecordParseError, "non-empty"),
         (lambda r: r["frames"][0]["ped"]["feat"].__setitem__(0, None), RecordParseError, "number"),
+        # the number rule: exactly an int or a float, finite, within the float range
+        pytest.param(_set("frames.0.ped.feat.1", "1.5"), RecordParseError, "number", id="ped-feat-string"),
+        pytest.param(_set("frames.0.objects.0.feat.0", "1.5"), RecordParseError, "number", id="object-feat-string"),
+        pytest.param(_set("frames.0.ped.box.0", "1.5"), RecordParseError, "number", id="ped-box-string"),
+        pytest.param(_set("frames.0.objects.0.box.3", True), RecordParseError, "number", id="object-box-bool"),
+        pytest.param(_set("frames.0.ped.feat.0", [1.0]), RecordParseError, "number", id="feat-nested-list"),
+        pytest.param(_set("frames.0.ped.feat.0", _raw("NaN")), RecordParseError, "number", id="feat-NaN"),
+        pytest.param(_set("frames.0.ped.box.2", _raw("Infinity")), RecordParseError, "number", id="box-Infinity"),
+        pytest.param(_set("frames.0.objects.0.feat.1", _raw("1e999")), RecordParseError, "number", id="feat-1e999"),
+        pytest.param(_set("frames.0.ped.feat.0", 10**400), RecordParseError, "number", id="feat-400-digit-int"),
+        pytest.param(_set("fps", -(10**400)), RecordParseError, "fps", id="fps-400-digit-int"),
+        pytest.param(_set("frames.0.objects.0.cam_dx", True), RecordParseError, "cam_dx", id="cam_dx-bool"),
+        # json.loads itself refuses integer literals of more than 4300 digits
+        pytest.param(_set("frames.0.ped.feat.0", _raw("1" * 5000)), RecordParseError, "JSON", id="feat-5000-digit-int"),
     ],
 )
 def test_malformed_records_rejected_with_kind(tmp_path, mutate, kind, fragment):
     rec = _record()
     mutate(rec)
+    path = tmp_path / "data.jsonl"
+    path.write_text(re.sub(r'"raw:([^"]*)"', r"\1", json.dumps(rec)) + "\n", encoding="utf-8")
     with pytest.raises(kind) as excinfo:
-        load(_write(tmp_path, [rec]))
+        load(path)
     assert excinfo.value.line == 1
     assert fragment in str(excinfo.value)
 

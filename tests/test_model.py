@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intent_graph.autodiff import GradientTape, sigmoid_values
-from intent_graph.configs import ConfigError
+from intent_graph.configs import ConfigError, finite_array, is_finite_real
 from intent_graph.data import SynthConfig, generate_synthetic
 from intent_graph.model import (
     CheckpointError,
@@ -355,11 +355,33 @@ def test_config_validation():
         pytest.param(lambda: SynthConfig(vehicle_count_range=(False, True)), id="vehicle_count_range=bools"),
         pytest.param(lambda: SynthConfig(ped_speed_range=(True, 5.0)), id="ped_speed_range=bool"),
         pytest.param(lambda: SynthConfig(crosswalk_center_range=(False, True)), id="crosswalk_center_range=bools"),
+        pytest.param(lambda: TrainConfig(learning_rate=10**400), id="learning_rate=int-beyond-float-range"),
+        pytest.param(lambda: ModelConfig(spatial_scale=10**400), id="spatial_scale=int-beyond-float-range"),
+        pytest.param(lambda: SynthConfig(ped_speed_range=(1, 10**400)), id="ped_speed_range=int-beyond-float-range"),
+        pytest.param(lambda: ModelConfig(T=10**400), id="T=int-beyond-float-range"),
+        pytest.param(lambda: SynthConfig(n_scenarios=10**400), id="n_scenarios=int-beyond-float-range"),
     ],
 )
 def test_config_rejects_values_of_the_wrong_type(build):
     with pytest.raises(ConfigError):
         build()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [["1.5"], [1.0, True], [None], [[1.0]], [float("nan")], [-float("inf")], [10**400], [2.0, -(10**400)]],
+)
+def test_number_rule_rejects_all_but_finite_ints_and_floats(values):
+    assert finite_array(values) is None
+    assert not is_finite_real(values[-1])
+
+
+def test_number_rule_converts_like_float():
+    values = [0, -3, 2**64 + 1, 0.1, -1e308, 5e-324]
+    arr = finite_array(values)
+    assert arr.dtype == np.float64
+    assert arr.tobytes() == np.array([float(v) for v in values]).tobytes()
+    assert finite_array([]).shape == (0,)
 
 
 def test_config_dict_roundtrip_including_temporal():
