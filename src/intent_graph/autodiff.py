@@ -306,39 +306,8 @@ def relu(a: Tensor) -> Tensor:
 def sigmoid_values(x: Array) -> Array:
     """Numerically stable elementwise logistic function on a plain array."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = sigmoid_values(a.data)
-    return _emit(a.tape, (a,), s, lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    return _emit(a.tape, (a,), t, lambda g: (g * (1.0 - t * t),))
-
-
-_OPEN_UNIT_LO = np.nextafter(0.0, 1.0)
-_OPEN_UNIT_HI = np.nextafter(1.0, 0.0)
-
-
-def clamp_open_unit(a: Tensor) -> Tensor:
-    """Nudge values into the open interval (0, 1) by one float64 step.
-
-    A sigmoid saturates to exactly 0.0 or 1.0 in float64 once |logit| passes
-    roughly 37/745, where its derivative is below 1e-16 anyway, so the
-    backward pass here is the identity. Keeps quantities that are provably
-    inside (0,1) in exact arithmetic from tripping open-interval validation.
-    """
-    return _emit(
-        a.tape, (a,), np.clip(a.data, _OPEN_UNIT_LO, _OPEN_UNIT_HI), lambda g: (g,)
-    )
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -350,7 +319,7 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     def bwd(g: Array):
         return g[:, :p], g[:, p:]
 
-    return _emit(_joint_tape(a, b), (a, b), np.hstack([a.data, b.data]), bwd)
+    return _emit(_joint_tape(a, b), (a, b), np.concatenate([a.data, b.data], axis=1), bwd)
 
 
 def stack_rows(rows: Sequence[Tensor]) -> Tensor:
@@ -382,19 +351,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
     return _emit(a.tape, (a,), a.data[start:stop, :].copy(), bwd)
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Inner product of two row vectors, returned as a 1x1 tensor."""
-    if a.rows != 1 or b.rows != 1 or a.cols != b.cols:
-        raise ShapeError(f"dot expects equal-width row vectors, got {a.shape} and {b.shape}")
-    ad, bd = a.data, b.data
-
-    def bwd(g: Array):
-        g0 = float(g[0, 0])
-        return g0 * bd, g0 * ad
-
-    return _emit(_joint_tape(a, b), (a, b), np.array([[float(ad[0] @ bd[0])]]), bwd)
-
-
 def mean_rows(a: Tensor) -> Tensor:
     """Arithmetic mean over rows: (m, n) -> (1, n)."""
     m = a.rows
@@ -405,16 +361,6 @@ def mean_rows(a: Tensor) -> Tensor:
         return (np.repeat(g / m, m, axis=0),)
 
     return _emit(a.tape, (a,), a.data.mean(axis=0, keepdims=True), bwd)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all entries as a 1x1 tensor."""
-    shape = a.shape
-
-    def bwd(g: Array):
-        return (np.full(shape, float(g[0, 0])),)
-
-    return _emit(a.tape, (a,), np.array([[float(a.data.sum())]]), bwd)
 
 
 def bce_with_logits(logit: Tensor, label: int) -> Tensor:

@@ -284,7 +284,12 @@ _PED_PROJ_TAG = 0x9ED
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Geometry and size of a synthetic draw; lengths are pixels, px/frame."""
+    """Geometry and size of a synthetic draw; lengths are pixels, px/frame.
+
+    Sizes are capped at 100,000 scenarios, 1,000 frames per scenario, D = 4,096
+    and 100 vehicles per frame, so that a typo such as D = 2**62 is a config
+    error instead of a failed allocation or a draw that never ends.
+    """
 
     n_scenarios: int = 32
     frames_per_scenario: int = 16
@@ -303,16 +308,18 @@ class SynthConfig:
         object.__setattr__(self, "crosswalk_center_range", tuple(self.crosswalk_center_range))
         object.__setattr__(self, "vehicle_count_range", tuple(self.vehicle_count_range))
         object.__setattr__(self, "ped_speed_range", tuple(self.ped_speed_range))
-        for name, minimum in (("n_scenarios", 1), ("frames_per_scenario", 2), ("D", 1), ("seed", 0)):
-            check_int(name, getattr(self, name), minimum)
+        for name, minimum, maximum in (
+            ("n_scenarios", 1, 100_000), ("frames_per_scenario", 2, 1_000), ("D", 1, 4_096), ("seed", 0, None)
+        ):
+            check_int(name, getattr(self, name), minimum, maximum)
         for name in ("frame_width", "frame_height", "fps"):
             check_real(name, getattr(self, name), 0)
         lo, hi = self.crosswalk_center_range
         if not (is_finite_real(lo) and is_finite_real(hi) and 0 <= lo <= hi <= 1):
             raise ConfigError(f"crosswalk_center_range must satisfy 0 <= lo <= hi <= 1, got {self.crosswalk_center_range}")
         vlo, vhi = self.vehicle_count_range
-        check_int("vehicle_count_range lo", vlo, 0)
-        check_int("vehicle_count_range hi", vhi, vlo)
+        check_int("vehicle_count_range lo", vlo, 0, 100)
+        check_int("vehicle_count_range hi", vhi, vlo, 100)
         slo, shi = self.ped_speed_range
         check_real("ped_speed_range lo", slo, 0)
         check_real("ped_speed_range hi", shi, slo, include_low=True)

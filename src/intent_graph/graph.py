@@ -36,6 +36,10 @@ from .autodiff import Array, ShapeError, Tensor, sigmoid_values
 
 ADJACENCY_MODES = ("star", "fully_connected")
 
+# Edge weights are clipped one float64 step inside (0, 1), which a sigmoid leaves
+# once |logit| passes roughly 37/745; the clip passes the gradient unchanged.
+_OPEN_UNIT_LO, _OPEN_UNIT_HI = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+
 
 @dataclass
 class EdgeWeightParams:
@@ -123,7 +127,7 @@ def _edge_scores(src: Tensor, rel: Tensor | None, tgt: Tensor, p: EdgeWeightPara
     return ad._emit(
         ad._joint_tape(src, p.proj_i, p.proj_o),
         inputs,
-        np.clip(s, ad._OPEN_UNIT_LO, ad._OPEN_UNIT_HI),
+        np.clip(s, _OPEN_UNIT_LO, _OPEN_UNIT_HI),
         bwd,
     )
 
@@ -243,15 +247,6 @@ class StarGraph:
     a: Tensor
     x: Tensor
     weights: list[Tensor] = field(default_factory=list)
-
-    def validate(self) -> None:
-        n = _weight_count(self.weights, "edge weight")
-        if self.a.shape != (n + 1, n + 1):
-            raise ValueError(f"adjacency shape {self.a.shape} != ({n + 1}, {n + 1})")
-        if self.x.rows != n + 1:
-            raise ValueError(f"feature rows {self.x.rows} != {n + 1}")
-        if not np.array_equal(self.a.data, self.a.data.T):
-            raise ValueError("adjacency is not symmetric")
 
 
 def star_graph(

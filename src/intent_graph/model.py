@@ -241,7 +241,7 @@ def _edge_targets(cfg: ModelConfig, entities: list[ObjectObservation], feats: np
     if not cfg.include_object_class:
         return feats
     classes = np.array([category_one_hot(e.category) for e in entities]).reshape(len(entities), CATEGORY_COUNT)
-    return np.hstack([feats, classes])
+    return np.concatenate([feats, classes], axis=1)
 
 
 @dataclass(frozen=True)
@@ -481,12 +481,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer literal too long
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint format_version {doc.get('format_version')!r}"
-            if isinstance(doc, dict)
-            else "checkpoint must be a JSON object"
-        )
+    if not isinstance(doc, dict):
+        raise CheckpointError("checkpoint must be a JSON object")
+    version = doc.get("format_version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:  # `true == 1` and `1.0 == 1` in Python
+        raise CheckpointError(f"unsupported checkpoint format_version {version!r}")
     cfg = ModelConfig.from_dict(doc.get("model", {}))
     shapes = parameter_shapes(cfg)
     raw = doc.get("parameters")
@@ -497,8 +496,9 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         entry = raw[name]
         if not isinstance(entry, dict):
             raise CheckpointError(f"parameter {name}: entry must be an object, got {type(entry).__name__}")
-        if entry.get("shape") != list(shape):
-            raise CheckpointError(f"parameter {name}: shape {entry.get('shape')} != {list(shape)}")
+        got = entry.get("shape")
+        if got != list(shape) or any(type(n) is not int for n in got):
+            raise CheckpointError(f"parameter {name}: shape {got} != {list(shape)}")
         flat = entry.get("values")
         flat = finite_array(flat) if isinstance(flat, list) else None
         if flat is None:

@@ -12,6 +12,24 @@ W_* are (I+H, H), biases (1, H). Hidden state starts at zero unless given.
 The prediction rollout feeds a width-0 input each future step (the zero-input
 degenerate cell), so its gate matrices are (H, H), and reads a scalar logit
 off each hidden state through a linear readout.
+
+One step records one tape node. Its forward makes the NumPy calls of the
+per-op chain concat -> matmul -> add -> sigmoid -> ... -> add, in the same
+order, and its backward returns one gradient per use of an input, in the
+order that chain's reverse pass reaches them:
+
+    inputs     h       b_h   W_h          x             h       b_r   W_r
+    gradients  g*keep  g_ah  xrh.T@g_ah   g_xrh[:, :I]  g_rh*r  g_ar  xh.T@g_ar
+
+    inputs     b_z   W_z          x            h
+    gradients  g_az  xh.T@g_az    g_xh[:, :I]  g_xh[:, I:]
+
+Here keep = 1 - z; g_ah, g_ar and g_az are the gradients at the candidate,
+reset and update pre-activations; g_xrh = g_ah @ W_h.T, g_rh = g_xrh[:, I:]
+and g_xh = g_ar @ W_r.T + g_az @ W_z.T. The tape then adds h's three
+contributions (and x's two) in the chain's order, so every gradient, and so
+every trained model, is bit for bit the chain's. The tests keep the chain as
+the reference.
 """
 
 from __future__ import annotations
@@ -22,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Array, Tensor, sigmoid_values
 from .configs import check_bool_fields
 
 
@@ -77,18 +95,37 @@ class GRUCellParams:
 
 
 def gru_step(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
-    """One gated update; returns the next hidden state (1, H)."""
+    """One gated update as one tape node; returns the next hidden state (1, H)."""
     if x.shape != (1, p.input_width):
         raise ValueError(f"input shape {x.shape} != (1, {p.input_width})")
     if h.shape != (1, p.hidden_width):
         raise ValueError(f"hidden shape {h.shape} != (1, {p.hidden_width})")
-    xh = ad.concat_rows(x, h)
-    z = ad.sigmoid(ad.add(ad.matmul(xh, p.W_z), p.b_z))
-    r = ad.sigmoid(ad.add(ad.matmul(xh, p.W_r), p.b_r))
-    xrh = ad.concat_rows(x, ad.hadamard(r, h))
-    candidate = ad.tanh(ad.add(ad.matmul(xrh, p.W_h), p.b_h))
-    keep = ad.sub(ad.constant(np.ones((1, p.hidden_width))), z)
-    return ad.add(ad.hadamard(keep, h), ad.hadamard(z, candidate))
+    i, xd, hd = p.input_width, x.data, h.data
+    w_z, w_r, w_h = p.W_z.data, p.W_r.data, p.W_h.data
+    xh = np.concatenate([xd, hd], axis=1)
+    z = sigmoid_values(xh @ w_z + p.b_z.data)
+    r = sigmoid_values(xh @ w_r + p.b_r.data)
+    xrh = np.concatenate([xd, r * hd], axis=1)
+    candidate = np.tanh(xrh @ w_h + p.b_h.data)
+    keep = 1.0 - z
+
+    def bwd(g: Array):
+        # each expression keeps the chain's operand order: float sums and
+        # products are not associative
+        g_z = g * candidate + -(g * hd)
+        g_ah = g * z * (1.0 - candidate * candidate)
+        g_xrh = g_ah @ w_h.T
+        g_rh = g_xrh[:, i:]
+        g_ar = g_rh * hd * r * (1.0 - r)
+        g_az = g_z * z * (1.0 - z)
+        g_xh = g_ar @ w_r.T + g_az @ w_z.T
+        return (
+            g * keep, g_ah, xrh.T @ g_ah, g_xrh[:, :i], g_rh * r, g_ar,
+            xh.T @ g_ar, g_az, xh.T @ g_az, g_xh[:, :i], g_xh[:, i:],
+        )
+
+    inputs = (h, p.b_h, p.W_h, x, h, p.b_r, p.W_r, p.b_z, p.W_z, x, h)
+    return ad._emit(ad._joint_tape(*inputs), inputs, keep * hd + z * candidate, bwd)
 
 
 def run_observation(

@@ -16,6 +16,9 @@ from intent_graph.autodiff import (
     finite_diff_check,
 )
 from intent_graph.graph import EdgeWeightParams, edge_weight, location_centric_edge
+from intent_graph.recurrent import GRUCellParams, gru_step
+
+import reference_ops as ops
 
 
 def test_scalar_and_vector_promotion():
@@ -65,7 +68,7 @@ def test_symmetric_scatter_values_gradient_and_checks():
     out = ad.symmetric_scatter(Tensor(np.eye(3)), [(0, 1), (2, 1)], [u, v])
     assert np.array_equal(out.data, [[1.0, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.0]])
     g = np.arange(9.0).reshape(3, 3)
-    grads = tape.backward(ad.sum_all(ad.hadamard(out, Tensor(g))))
+    grads = tape.backward(ops.sum_all(ad.hadamard(out, Tensor(g))))
     assert grads["u"].tolist() == [[g[0, 1] + g[1, 0]]]
     assert grads["v"].tolist() == [[g[2, 1] + g[1, 2]]]
     # no weights leaves the base untouched
@@ -86,27 +89,55 @@ def test_symmetric_scatter_values_gradient_and_checks():
 def test_relu_subgradient_zero_at_zero():
     tape = GradientTape()
     x = tape.parameter("x", np.array([[-1.0, 0.0, 2.0]]))
-    y = ad.sum_all(ad.relu(x))
+    y = ops.sum_all(ad.relu(x))
     grads = tape.backward(y)
     assert np.array_equal(grads["x"], [[0.0, 0.0, 1.0]])
 
 
 def test_sigmoid_extreme_logits_stay_finite():
-    out = ad.sigmoid(Tensor([-800.0, 0.0, 800.0])).data
+    out = ops.sigmoid(Tensor([-800.0, 0.0, 800.0])).data
     assert np.all(np.isfinite(out))
     assert out[0, 1] == 0.5
     assert 0.0 <= out[0, 0] < 1e-300
     assert out[0, 2] == 1.0  # saturates in float64; must not overflow
 
 
+def _masked_sigmoid(x):
+    """The one-branch-per-sign form that sigmoid_values replaced, as a byte reference."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.random.default_rng(0).standard_normal((64, 33)) * 4.0,
+        np.random.default_rng(1).standard_normal((1, 2000)) * 300.0,
+        np.array([[0.0, -0.0, 745.5, -745.5, 1e308, -1e308, 37.0, -37.0, 5e-324, -5e-324]]),
+        np.zeros((1, 0)),
+        np.zeros((0, 3)),
+    ],
+    ids=["rows", "wide-range", "specials", "0-width", "0-rows"],
+)
+def test_sigmoid_values_is_bytewise_the_masked_form(x):
+    got, want = ad.sigmoid_values(x), _masked_sigmoid(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_clamp_open_unit_values_and_identity_gradient():
-    out = ad.clamp_open_unit(Tensor([0.0, 0.5, 1.0])).data
+    out = ops.clamp_open_unit(Tensor([0.0, 0.5, 1.0])).data
     assert 0.0 < out[0, 0] < 1e-300
     assert out[0, 1] == 0.5
     assert 0.999999999999999 < out[0, 2] < 1.0
     tape = GradientTape()
     x = tape.parameter("x", np.array([[0.0, 0.5, 1.0]]))
-    grads = tape.backward(ad.sum_all(ad.clamp_open_unit(x)))
+    grads = tape.backward(ops.sum_all(ops.clamp_open_unit(x)))
     assert np.array_equal(grads["x"], [[1.0, 1.0, 1.0]])
 
 
@@ -131,10 +162,10 @@ def test_stack_slice_roundtrip():
 def test_dot_and_mean_rows_and_sum_all():
     a = Tensor([1.0, 2.0, 3.0])
     b = Tensor([4.0, 5.0, 6.0])
-    assert ad.dot(a, b).item() == 32.0
+    assert ops.dot(a, b).item() == 32.0
     m = Tensor([[1.0, 3.0], [5.0, 7.0]])
     assert np.array_equal(ad.mean_rows(m).data, [[3.0, 5.0]])
-    assert ad.sum_all(m).item() == 16.0
+    assert ops.sum_all(m).item() == 16.0
 
 
 def test_bce_frozen_values():
@@ -169,14 +200,14 @@ def test_backward_requires_scalar():
 def test_backward_twice_raises_then_reset_allows():
     tape = GradientTape()
     x = tape.parameter("x", np.array([[2.0]]))
-    loss = ad.sum_all(ad.hadamard(x, x))
+    loss = ops.sum_all(ad.hadamard(x, x))
     first = tape.backward(loss)
     assert first["x"][0, 0] == 4.0
     with pytest.raises(TapeConsumedError):
         tape.backward(loss)
     tape.reset()
     x2 = tape.parameter("x", np.array([[3.0]]))
-    again = tape.backward(ad.sum_all(ad.hadamard(x2, x2)))
+    again = tape.backward(ops.sum_all(ad.hadamard(x2, x2)))
     assert again["x"][0, 0] == 6.0
 
 
@@ -184,7 +215,7 @@ def test_untouched_parameter_gets_zero_gradient():
     tape = GradientTape()
     x = tape.parameter("x", np.array([[1.0]]))
     unused = tape.parameter("unused", np.ones((2, 3)))
-    grads = tape.backward(ad.sum_all(x))
+    grads = tape.backward(ops.sum_all(x))
     assert np.array_equal(grads["unused"], np.zeros((2, 3)))
     assert unused.grad is not None
 
@@ -208,7 +239,7 @@ def test_constants_do_not_need_a_tape():
     tape = GradientTape()
     x = tape.parameter("x", np.array([[1.0, 2.0]]))
     y = ad.add(x, ad.constant(np.array([[10.0, 20.0]])))
-    grads = tape.backward(ad.sum_all(y))
+    grads = tape.backward(ops.sum_all(y))
     assert np.array_equal(grads["x"], [[1.0, 1.0]])
 
 
@@ -224,6 +255,30 @@ _EDGE_TGT = Tensor(_EDGE.uniform(0.1, 1.0, (3, 5)))
 _EDGE_MIX_I = Tensor(_EDGE.standard_normal((12, 3)) * 0.2)
 _EDGE_MIX_C = Tensor(_EDGE.standard_normal((4, 3)) * 0.2)
 _EDGE_MIX_O = Tensor(_EDGE.uniform(0.0, 0.1, (5, 3)))
+
+
+# Constant operands for the gru_step row: a cell with I = 1 and H = 3 whose
+# three gate matrices are mixes of "b"; x and h are read off "a" and "c", and h
+# is used again after the step.
+_GRU = np.random.default_rng(12)
+_GRU_MIX = [Tensor(_GRU.standard_normal((4, 4)) * 0.5) for _ in range(2)]
+_GRU_X = Tensor(_GRU.standard_normal((4, 1)) * 0.5)
+_GRU_H = Tensor(_GRU.standard_normal((4, 3)) * 0.1)
+
+
+def _gru_loss(p):
+    b = p["b"]
+    cell = GRUCellParams(
+        W_z=b,
+        W_r=ad.matmul(_GRU_MIX[0], b),
+        W_h=ad.matmul(_GRU_MIX[1], b),
+        b_z=ad.mean_rows(b),
+        b_r=ad.slice_rows(b, 0, 1),
+        b_h=ad.slice_rows(b, 3, 4),
+    )
+    h = ad.matmul(ad.mean_rows(p["c"]), _GRU_H)
+    out = gru_step(cell, ad.matmul(ad.mean_rows(p["a"]), _GRU_X), h)
+    return ops.sum_all(ad.hadamard(out, h))
 
 
 def _central(f, params, h=1e-6):
@@ -254,34 +309,34 @@ def _loss_value(build):
 @pytest.mark.parametrize(
     "name,build",
     [
-        ("matmul", lambda p: ad.sum_all(ad.matmul(p["a"], p["b"]))),
-        ("hadamard", lambda p: ad.sum_all(ad.hadamard(p["a"], p["a"]))),
-        ("div", lambda p: ad.sum_all(ad.div(p["a"], p["c"]))),
-        ("sigmoid", lambda p: ad.sum_all(ad.sigmoid(p["a"]))),
-        ("tanh", lambda p: ad.sum_all(ad.tanh(p["a"]))),
-        ("mean_rows", lambda p: ad.sum_all(ad.mean_rows(ad.matmul(p["b"], p["a"])))),
-        ("slice", lambda p: ad.sum_all(ad.slice_rows(ad.matmul(p["b"], p["a"]), 1, 3))),
-        ("dot", lambda p: ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"]))),
+        ("matmul", lambda p: ops.sum_all(ad.matmul(p["a"], p["b"]))),
+        ("hadamard", lambda p: ops.sum_all(ad.hadamard(p["a"], p["a"]))),
+        ("div", lambda p: ops.sum_all(ad.div(p["a"], p["c"]))),
+        ("sigmoid", lambda p: ops.sum_all(ops.sigmoid(p["a"]))),
+        ("tanh", lambda p: ops.sum_all(ops.tanh(p["a"]))),
+        ("mean_rows", lambda p: ops.sum_all(ad.mean_rows(ad.matmul(p["b"], p["a"])))),
+        ("slice", lambda p: ops.sum_all(ad.slice_rows(ad.matmul(p["b"], p["a"]), 1, 3))),
+        ("dot", lambda p: ops.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"]))),
         (
             "symmetric_scatter",
-            lambda p: ad.sum_all(
+            lambda p: ops.sum_all(
                 ad.hadamard(
                     ad.matmul(p["a"], p["b"]),
                     ad.symmetric_scatter(
                         ad.matmul(p["c"], p["b"]),
                         [(0, 1), (2, 1)],
                         [
-                            ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"])),
-                            ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["a"])),
+                            ops.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"])),
+                            ops.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["a"])),
                         ],
                     ),
                 )
             ),
         ),
-        ("bce", lambda p: ad.bce_with_logits(ad.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"])), 1)),
+        ("bce", lambda p: ad.bce_with_logits(ops.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"])), 1)),
         (
             "edge_weight",
-            lambda p: ad.sum_all(
+            lambda p: ops.sum_all(
                 edge_weight(
                     ad.mean_rows(p["a"]),
                     _EDGE_REL,
@@ -290,9 +345,10 @@ def _loss_value(build):
                 )
             ),
         ),
+        ("gru_step", lambda p: _gru_loss(p)),
         (
             "location_centric_edge",
-            lambda p: ad.sum_all(
+            lambda p: ops.sum_all(
                 location_centric_edge(
                     ad.mean_rows(p["a"]),
                     _EDGE_TGT,
@@ -330,7 +386,7 @@ def test_random_mlp_passes_finite_diff_check(seed):
     def f(values):
         tape = GradientTape()
         p = {k: tape.parameter(k, v) for k, v in values.items()}
-        h = ad.tanh(ad.matmul(p["x"], p["w1"]))
+        h = ops.tanh(ad.matmul(p["x"], p["w1"]))
         return ad.bce_with_logits(ad.matmul(h, p["w2"]), 1)
 
     report = finite_diff_check(f, params)
@@ -348,7 +404,7 @@ def test_operator_sugar_matches_functions():
     tape = GradientTape()
     x = tape.parameter("x", np.array([[1.0, 2.0]]))
     y = tape.parameter("y", np.array([[3.0, 4.0]]))
-    combined = ad.sum_all((x + y) * y - (-x))
+    combined = ops.sum_all((x + y) * y - (-x))
     grads = tape.backward(combined)
     # d/dx [(x+y)y + x] = y + 1, d/dy = x + 2y
     assert np.array_equal(grads["x"], [[4.0, 5.0]])

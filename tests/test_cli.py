@@ -157,6 +157,22 @@ def test_non_finite_learning_rate_is_a_config_error(tmp_path, capsys, cfg_path):
     assert "learning_rate" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("D", 2**62), ("vehicle_count_range", [0, 2**70]), ("n_scenarios", 10**12), ("frames_per_scenario", 10**9)],
+    ids=["D", "vehicle_count_range", "n_scenarios", "frames_per_scenario"],
+)
+def test_synth_size_beyond_its_cap_is_a_config_error(tmp_path, capsys, cfg_path, key, value):
+    cfg = json.loads(Path(cfg_path).read_text())
+    cfg["synth"][key] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.jsonl"
+    code, doc, _ = _run(capsys, ["synth", "--config", str(path), "--out", str(out)])
+    assert (code, doc["error"]["kind"]) == (2, "config")
+    assert key in doc["error"]["message"] and not out.exists()
+
+
 def test_unknown_section_and_unused_section_typos_fail(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"modle": {}}))
@@ -284,13 +300,10 @@ def fuzz_inputs(tmp_path_factory):
     }
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_one_wrong_leaf_gives_one_json_document_and_a_typed_exit(fuzz_inputs, data):
-    target = data.draw(st.sampled_from(sorted(fuzz_inputs)), label="target")
+def _run_with_leaf(fuzz_inputs, target, leaf, literal):
+    """Run the target's command on its input with ``leaf`` written as ``literal``;
+    stdout must hold one JSON document and the exit code must be typed."""
     doc, name, argv = fuzz_inputs[target]
-    leaf = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
-    literal = data.draw(st.sampled_from(_FUZZ_LITERALS), label="literal")
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / name
@@ -299,8 +312,46 @@ def test_one_wrong_leaf_gives_one_json_document_and_a_typed_exit(fuzz_inputs, da
             code = main([*argv, str(path)])
     assert code in (0, 2, 3), err.getvalue()
     text = out.getvalue()
-    _, end = json.JSONDecoder().raw_decode(text)
+    result, end = json.JSONDecoder().raw_decode(text)
     assert not text[end:].strip()
+    return code, result
+
+
+def _is_version_or_shape(target, leaf):
+    """Checkpoint leaves that must hold exactly an int: no other literal may load."""
+    return target == "checkpoint" and (leaf == ("format_version",) or (len(leaf) == 4 and leaf[2] == "shape"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_wrong_leaf_gives_one_json_document_and_a_typed_exit(fuzz_inputs, data):
+    target = data.draw(st.sampled_from(sorted(fuzz_inputs)), label="target")
+    doc = fuzz_inputs[target][0]
+    leaf = data.draw(st.sampled_from(_leaves(doc)), label="leaf")
+    value = doc
+    for key in leaf:
+        value = value[key]
+    twin = (json.dumps(float(value)),) if type(value) is int else ()  # same value, wrong type
+    literal = data.draw(st.sampled_from(_FUZZ_LITERALS + twin), label="literal")
+    code, _ = _run_with_leaf(fuzz_inputs, target, leaf, literal)
+    if _is_version_or_shape(target, leaf):
+        assert code != 0
+
+
+@pytest.mark.parametrize(
+    "leaf,literal",
+    [
+        (("format_version",), "true"),
+        (("format_version",), "1.0"),
+        (("parameters", "readout.b", "shape", 0), "true"),
+        (("parameters", "readout.w", "shape", 0), "4.0"),
+    ],
+    ids=["version-true", "version-1.0", "shape-true", "shape-4.0"],
+)
+def test_checkpoint_version_and_shape_must_be_ints(fuzz_inputs, leaf, literal):
+    assert _is_version_or_shape("checkpoint", leaf)
+    code, doc = _run_with_leaf(fuzz_inputs, "checkpoint", leaf, literal)
+    assert (code, doc["error"]["kind"]) == (2, "config")
 
 
 # -- data errors (exit 3) -----------------------------------------------------------

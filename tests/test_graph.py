@@ -34,6 +34,8 @@ from intent_graph.graph import (
 from intent_graph.model import ModelConfig, init_parameters
 from intent_graph.scene import CATEGORY_COUNT
 
+import reference_ops as ops
+
 SIGMOID_1_8 = 0.8581489350995123
 
 
@@ -89,7 +91,7 @@ def _old_edge_chain(src_rows, rel_rows, tgt_rows, p):
         else:
             e_i = ad.relu(ad.matmul(ad.concat_rows(src, rel_rows[m]), p.proj_i))
             e_o = ad.relu(ad.matmul(tgt, p.proj_o))
-        out.append(ad.clamp_open_unit(ad.sigmoid(ad.dot(e_i, e_o))))
+        out.append(ops.clamp_open_unit(ops.sigmoid(ops.dot(e_i, e_o))))
     return out
 
 
@@ -131,7 +133,7 @@ def test_fused_edge_scores_are_bytewise_the_per_edge_chain(case):
         # the center also reaches the loss outside edge scoring, as in the model
         x = ad.stack_rows([center, *(Tensor(r) for r in block)])
         z = ad.matmul(build_adjacency(weights), x)
-        loss = ad.add(ad.sum_all(ad.hadamard(z, ad.matmul(scatter, x))), ad.sum_all(center))
+        loss = ad.add(ops.sum_all(ad.hadamard(z, ad.matmul(scatter, x))), ops.sum_all(center))
         return values, tape.backward(loss)
 
     (got, got_grads), (want, want_grads) = run(True), run(False)
@@ -287,14 +289,14 @@ def test_adjacency_is_differentiable_in_the_weights():
     def f(values):
         tape = GradientTape()
         raw = tape.parameter("raw", values["raw"])
-        w1 = ad.sigmoid(ad.slice_rows(ad.matmul(ad.constant(np.array([[1.0]])), raw), 0, 1))
+        w1 = ops.sigmoid(ad.slice_rows(ad.matmul(ad.constant(np.array([[1.0]])), raw), 0, 1))
         # two weights derived from the same parameter row
-        w_a = ad.sigmoid(ad.dot(raw, ad.constant(np.array([[1.0, 2.0]]))))
-        w_b = ad.sigmoid(ad.dot(raw, ad.constant(np.array([[-1.0, 0.5]]))))
+        w_a = ops.sigmoid(ops.dot(raw, ad.constant(np.array([[1.0, 2.0]]))))
+        w_b = ops.sigmoid(ops.dot(raw, ad.constant(np.array([[-1.0, 0.5]]))))
         a = build_adjacency([w_a, w_b])
         x = ad.constant(np.arange(6.0).reshape(3, 2))
         z = graph_conv(a, x, GraphConvParams([tape.parameter("W", values["W"])], True, 2))
-        return ad.sum_all(z)
+        return ops.sum_all(z)
 
     report = finite_diff_check(f, {"raw": np.array([[0.3, -0.2]]), "W": np.eye(2) * 0.7})
     assert report.passed, report.to_dict()
@@ -360,10 +362,10 @@ def test_star_graph_bundle_and_validate():
     g = star_graph(Tensor([1.0, 2.0]), [Tensor([3.0, -1.0])], [_w(0.5)])
     assert g.a.shape == (2, 2)
     assert np.array_equal(g.x.data, [[1.0, 2.0], [3.0, -1.0]])
-    g.validate()
+    ops.validate_star_graph(g)
     g.a.data[0, 1] = 0.9  # break symmetry behind the builder's back
     with pytest.raises(ValueError, match="symmetric"):
-        g.validate()
+        ops.validate_star_graph(g)
     with pytest.raises(ValueError, match="weights"):
         star_graph(Tensor([1.0, 2.0]), [Tensor([3.0, -1.0])], [])
 

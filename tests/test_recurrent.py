@@ -5,6 +5,8 @@ import pytest
 
 from intent_graph import autodiff as ad
 from intent_graph.autodiff import GradientTape, Tensor, finite_diff_check
+from intent_graph.data import SynthConfig, generate_synthetic, split
+from intent_graph.model import ModelConfig, init_parameters
 from intent_graph.recurrent import (
     GRUCellParams,
     ReadoutParams,
@@ -13,6 +15,9 @@ from intent_graph.recurrent import (
     prediction_rollout,
     run_observation,
 )
+from intent_graph.training import scenario_loss_tensor
+
+import reference_ops as ops
 
 
 def _sigmoid(x):
@@ -105,10 +110,77 @@ def test_gru_gradients_through_three_steps():
         tape = GradientTape()
         cell = _lift(v, tape)
         last = run_observation(cell, [Tensor(x) for x in inputs])[-1]
-        return ad.bce_with_logits(ad.dot(last, ad.constant(np.ones((1, 3)))), 1)
+        return ad.bce_with_logits(ops.dot(last, ad.constant(np.ones((1, 3)))), 1)
 
     report = finite_diff_check(f, values)
     assert report.passed, report.to_dict()
+
+
+# -- one tape node per step ------------------------------------------------------
+
+
+def _unroll_on_tape(step, values, inputs, h0, weights):
+    """Run ``step`` over ``inputs`` on a fresh tape with every input, h0 and cell
+    weight a parameter; each state feeds a readout right after its step and a
+    sum over all states at the end, so h's three uses in the next step
+    interleave with consumers recorded before and after it."""
+    tape = GradientTape()
+    cell = _lift(values, tape)
+    xs = [tape.parameter(f"x{t}", x) for t, x in enumerate(inputs)]
+    h = tape.parameter("h0", h0)
+    readout = Tensor(weights[:, :1])
+    loss, states = None, []
+    for x in xs:
+        h = step(cell, x, h)
+        states.append(h)
+        term = ad.matmul(h, readout)
+        loss = term if loss is None else ad.add(loss, term)
+    for k, state in enumerate(states):
+        loss = ad.add(loss, ops.sum_all(ad.hadamard(state, Tensor(weights[:, k + 1 : k + 2].T))))
+    grads = tape.backward(loss)
+    return [st.data for st in states], grads
+
+
+@pytest.mark.parametrize("input_width", [0, 6, 10], ids=["I=0-rollout", "I=D-pedestrian", "I=2H-aggregation"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fused_step_is_bytewise_the_per_op_chain(input_width, seed):
+    rng = np.random.default_rng(seed)
+    hidden = 5
+    values = _cell_values(rng, input_width, hidden)
+    inputs = [rng.standard_normal((1, input_width)) * 2.0 for _ in range(4)]
+    h0 = rng.standard_normal((1, hidden)) * 0.5
+    weights = rng.standard_normal((hidden, 5))
+    fused_states, fused_grads = _unroll_on_tape(gru_step, values, inputs, h0, weights)
+    chain_states, chain_grads = _unroll_on_tape(ops.gru_step_chain, values, inputs, h0, weights)
+    for got, want in zip(fused_states, chain_states):
+        assert got.tobytes() == want.tobytes()
+    assert sorted(fused_grads) == sorted(chain_grads)
+    for name in chain_grads:
+        assert fused_grads[name].shape == chain_grads[name].shape, name
+        assert fused_grads[name].tobytes() == chain_grads[name].tobytes(), name
+
+
+def test_one_step_records_one_tape_node():
+    rng = np.random.default_rng(10)
+    tape = GradientTape()
+    cell = _lift(_cell_values(rng, 3, 4), tape)
+    x, h = Tensor(rng.standard_normal((1, 3))), tape.parameter("h", rng.standard_normal((1, 4)))
+    before = len(tape._nodes)
+    gru_step(cell, x, h)
+    assert len(tape._nodes) == before + 1
+
+
+def test_recipe_scenario_records_at_most_80_tape_nodes(learn_recipe):
+    data = generate_synthetic(SynthConfig(**learn_recipe["synth"]))
+    train_set, _ = split(data, **learn_recipe["split"])
+    cfg = ModelConfig(num_layers=2, **learn_recipe["model"])
+    values = init_parameters(cfg)
+    counts = []
+    for scenario in train_set:
+        tape = GradientTape()
+        scenario_loss_tensor(scenario, cfg, values, tape)
+        counts.append(len(tape._nodes))
+    assert max(counts) <= 80, counts
 
 
 # -- prediction rollout --------------------------------------------------------
