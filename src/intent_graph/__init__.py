@@ -53,12 +53,10 @@ from .model import (
 from .recurrent import GRUCellParams, TemporalConfig, gru_step, prediction_rollout
 from .scene import (
     BoundingBox,
-    FocusRegion,
     FrameObservation,
     ObjectCategory,
     ObjectObservation,
     Scenario,
-    in_focus_region,
     spatial_relation,
 )
 from .training import (
@@ -79,7 +77,6 @@ __all__ = [
     "EmptyDatasetError",
     "EvalReport",
     "FeatureWidthError",
-    "FocusRegion",
     "FrameObservation",
     "GradCheckReport",
     "GradientTape",
@@ -113,7 +110,6 @@ __all__ = [
     "generate_synthetic",
     "graph_conv",
     "gru_step",
-    "in_focus_region",
     "init_parameters",
     "label_prevalence",
     "load",

@@ -85,16 +85,10 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
+    def __mul__(self, c: float) -> "Tensor":
+        return scale(self, float(c))
 
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return hadamard(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return scale(self, float(other))
+    __rmul__ = __mul__
 
     def __neg__(self) -> "Tensor":
         return scale(self, -1.0)
@@ -225,18 +219,6 @@ def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
 def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape("add", a, b)
     return _emit(_joint_tape(a, b), (a, b), a.data + b.data, lambda g: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-    return _emit(_joint_tape(a, b), (a, b), a.data - b.data, lambda g: (g, -g))
-
-
-def hadamard(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    _require_same_shape("hadamard", a, b)
-    ad, bd = a.data, b.data
-    return _emit(_joint_tape(a, b), (a, b), ad * bd, lambda g: (g * bd, g * ad))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -422,7 +404,9 @@ def finite_diff_check(
     is floored at ``denom_floor`` so coordinates whose true gradient is ~0
     (where central differences bottom out in rounding noise around 1e-11)
     cannot dominate the report; any genuine backward bug still shows up far
-    above ``tol``.
+    above ``tol``. A NaN or infinite error (a NaN gradient or a NaN loss
+    difference) counts as infinite, so it fails the check and is the one
+    the report names.
     """
     base = {name: np.array(v, dtype=np.float64) for name, v in params.items()}
     loss = f(base)
@@ -450,6 +434,8 @@ def finite_diff_check(
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = float(grad[idx])
             rel = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
+            if not math.isfinite(rel):
+                rel = math.inf
             checked += 1
             if rel > worst:
                 worst, worst_param, worst_index = rel, name, (int(idx[0]), int(idx[1]))

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 from . import __version__
 from .autodiff import GradientTape, ShapeError, finite_diff_check
-from .configs import ConfigError
+from .configs import ConfigError, check_int, check_real
 from .data import (
     SequenceFileError,
     SynthConfig,
@@ -243,6 +243,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    check_real("--step", args.step, 0.0)
+    check_real("--tol", args.tol, 0.0)
     sections = _load_sections(args.config)
     mcfg = ModelConfig.from_dict(_section(sections, "model", args.seed, defaults=_GRADCHECK_MODEL))
     scfg = SynthConfig.from_dict(
@@ -450,6 +452,8 @@ def _internal(exc: Exception) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None:
+            check_int("--seed", args.seed, 0)
         return args.func(args)
     except ConfigError as exc:
         return _fail(2, "config", exc)

@@ -1,8 +1,8 @@
 """Star-graph construction and graph convolution.
 
-Node 0 is always the pedestrian (or the ego scene in the location-centric
-variant); nodes 1..N are scene objects. Pedestrian-object edge weights are
-learned from the pair (pedestrian feature, spatial relation, object feature):
+Node 0 is always the pedestrian; nodes 1..N are scene objects.
+Pedestrian-object edge weights are learned from the pair (pedestrian
+feature, spatial relation, object feature):
 
     v_i = [v_a, s_i]                  (1, D+8)
     w_i = sigmoid(ReLU(v_i @ proj_i) . ReLU(v_o @ proj_o))
@@ -45,7 +45,7 @@ _OPEN_UNIT_LO, _OPEN_UNIT_HI = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 class EdgeWeightParams:
     """Learned bias-free projections into the shared edge-scoring space."""
 
-    proj_i: Tensor  # (center width + 8 | center width) x D_e
+    proj_i: Tensor  # (pedestrian width + 8) x D_e
     proj_o: Tensor  # object feature width x D_e
 
     def __post_init__(self):
@@ -60,20 +60,9 @@ def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, p: EdgeWeightParams) -> T
     """Attention weights in (0,1) for a block of M edges, as one (M, 1) tape node.
 
     Row m is sigmoid(ReLU([src_m, rel_m] @ proj_i) . ReLU(tgt_m @ proj_o)).
-    ``src`` is one (1, Dc) row shared by every edge (a frame's center) or an
-    (M, Dc) block (fully_connected pair sources); ``rel`` holds the (M, 8)
+    ``src`` is one (1, Dc) row shared by every edge (a frame's pedestrian) or
+    an (M, Dc) block (fully_connected pair sources); ``rel`` holds the (M, 8)
     spatial relations and ``tgt`` the (M, Do) target rows, both constants.
-    """
-    return _edge_scores(src, rel, tgt, p)
-
-
-def location_centric_edge(center: Tensor, tgt: Tensor, p: EdgeWeightParams) -> Tensor:
-    """Edge weights with no spatial term and no ReLU: sigmoid of the embedded inner product."""
-    return _edge_scores(center, None, tgt, p)
-
-
-def _edge_scores(src: Tensor, rel: Tensor | None, tgt: Tensor, p: EdgeWeightParams) -> Tensor:
-    """Score M edges in one node; ``rel=None`` is the location-centric form.
 
     Every row is computed with stacked one-row products, so each weight and
     each gradient is bit for bit what a chain of single-edge ops would give
@@ -83,18 +72,17 @@ def _edge_scores(src: Tensor, rel: Tensor | None, tgt: Tensor, p: EdgeWeightPara
     edge in reverse edge order, so the tape sums them in that same order.
     """
     m = tgt.rows
-    if tgt.tape is not None or (rel is not None and rel.tape is not None):
+    if tgt.tape is not None or rel.tape is not None:
         raise ValueError("edge relation and target rows must be constants")
-    if src.rows not in (1, m) or (rel is not None and rel.shape != (m, 8)):
+    if src.rows not in (1, m) or rel.shape != (m, 8):
         raise ShapeError(
             f"edge block: {m} targets need a (1|{m}, Dc) source and ({m}, 8) relations, "
-            f"got {src.shape} and {None if rel is None else rel.shape}"
+            f"got {src.shape} and {rel.shape}"
         )
     dc = src.cols
-    v = np.empty((m, dc + (0 if rel is None else 8)))
+    v = np.empty((m, dc + 8))
     v[:, :dc] = src.data
-    if rel is not None:
-        v[:, dc:] = rel.data
+    v[:, dc:] = rel.data
     pi, po = p.proj_i.data, p.proj_o.data
     if v.shape[1] != pi.shape[0] or tgt.cols != po.shape[0]:
         raise ShapeError(
@@ -103,9 +91,8 @@ def _edge_scores(src: Tensor, rel: Tensor | None, tgt: Tensor, p: EdgeWeightPara
         )
     e_i = (v[:, None, :] @ pi)[:, 0, :]
     e_o = (tgt.data[:, None, :] @ po)[:, 0, :]
-    if rel is not None:  # ReLU on both embeddings
-        mask_i, mask_o = e_i > 0, e_o > 0
-        e_i, e_o = np.where(mask_i, e_i, 0.0), np.where(mask_o, e_o, 0.0)
+    mask_i, mask_o = e_i > 0, e_o > 0
+    e_i, e_o = np.where(mask_i, e_i, 0.0), np.where(mask_o, e_o, 0.0)
     s = sigmoid_values((e_i[:, None, :] @ e_o[:, :, None])[:, 0, :])
     shared_src = src.rows == 1
     src_inputs = () if src.tape is None else (src,) * (m if shared_src else 1)
@@ -113,9 +100,7 @@ def _edge_scores(src: Tensor, rel: Tensor | None, tgt: Tensor, p: EdgeWeightPara
 
     def bwd(g: Array):
         g_logit = g * s * (1.0 - s)
-        g_i, g_o = g_logit * e_o, g_logit * e_i
-        if rel is not None:
-            g_i, g_o = g_i * mask_i, g_o * mask_o
+        g_i, g_o = g_logit * e_o * mask_i, g_logit * e_i * mask_o
         # + 0.0: a BLAS outer product returns +0.0 where a plain multiply gives -0.0
         grads = [*(tgt.data[:, :, None] * g_o[:, None, :] + 0.0)[::-1]]
         grads += [*(v[:, :, None] * g_i[:, None, :] + 0.0)[::-1]]
@@ -240,8 +225,8 @@ def context_vector(z: Tensor) -> Tensor:
 class StarGraph:
     """One frame's graph: adjacency, node features, and the raw edge weights.
 
-    Row 0 of ``x`` is the center (pedestrian/ego) node; ``weights`` follow the
-    object order used for rows 1..N.
+    Row 0 of ``x`` is the pedestrian node; ``weights`` follow the object
+    order used for rows 1..N.
     """
 
     a: Tensor

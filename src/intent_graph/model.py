@@ -43,21 +43,10 @@ from .graph import (
     context_vector,
     edge_weight,
     graph_conv,
-    location_centric_edge,
     star_graph,
 )
 from .recurrent import GRUCellParams, ReadoutParams, TemporalConfig, gru_step, prediction_rollout, run_observation
-from .scene import (
-    CATEGORY_COUNT,
-    BoundingBox,
-    EgoScenario,
-    FocusRegion,
-    ObjectObservation,
-    Scenario,
-    category_one_hot,
-    region_crossing_labels,
-    spatial_relation,
-)
+from .scene import CATEGORY_COUNT, ObjectObservation, Scenario, category_one_hot, spatial_relation
 
 GRAPH_MODES = ("star", "fully_connected", "concat_baseline", "pedestrian_only")
 
@@ -76,6 +65,9 @@ class ModelConfig:
     hidden == D. spatial_scale multiplies the raw pixel deltas fed to edge
     scoring (1.0 keeps them raw; datasets in large pixel units should pass
     roughly 1/frame_width so the sigmoid scorer starts in its linear range).
+    location_centric must stay false: the location-centric variant was
+    removed, and the field remains only because every version-1 checkpoint
+    names it.
     """
 
     D: int = 32
@@ -112,8 +104,8 @@ class ModelConfig:
                 f"graph node rows mix the pedestrian stream (width hidden={self.hidden}) with raw "
                 f"object features (width D={self.D}); {self.graph_mode} mode needs hidden == D"
             )
-        if self.location_centric and self.graph_mode != "star":
-            raise ConfigError("location_centric applies to graph_mode 'star' only")
+        if self.location_centric:
+            raise ConfigError("location_centric: the location-centric variant was removed; set it to false")
 
     @classmethod
     def from_dict(cls, mapping: Mapping) -> "ModelConfig":
@@ -152,12 +144,10 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     h, d = cfg.hidden, cfg.D
     tc = cfg.temporal
     if tc.use_temporal and tc.use_ped_gru:
-        _gru_shapes(shapes, "ego_gru" if cfg.location_centric else "ped_gru", d, h)
+        _gru_shapes(shapes, "ped_gru", d, h)
     if cfg.graph_mode in ("star", "fully_connected"):
-        proj_i_rows = d if cfg.location_centric else d + 8
-        proj_o_rows = d + (CATEGORY_COUNT if cfg.include_object_class else 0)
-        shapes["edge.proj_i"] = (proj_i_rows, cfg.D_e)
-        shapes["edge.proj_o"] = (proj_o_rows, cfg.D_e)
+        shapes["edge.proj_i"] = (d + 8, cfg.D_e)
+        shapes["edge.proj_o"] = (d + (CATEGORY_COUNT if cfg.include_object_class else 0), cfg.D_e)
         if cfg.num_layers > 0:
             if cfg.shared_weights:
                 shapes["gcn.W"] = (h, h)
@@ -236,11 +226,11 @@ def _object_sort_key(obj: ObjectObservation):
     )
 
 
-def _edge_targets(cfg: ModelConfig, entities: list[ObjectObservation], feats: np.ndarray) -> np.ndarray:
+def _edge_targets(cfg: ModelConfig, objects: list[ObjectObservation], feats: np.ndarray) -> np.ndarray:
     """Edge-scoring target rows: the features, plus the class one-hot if configured."""
     if not cfg.include_object_class:
         return feats
-    classes = np.array([category_one_hot(e.category) for e in entities]).reshape(len(entities), CATEGORY_COUNT)
+    classes = np.array([category_one_hot(o.category) for o in objects]).reshape(len(objects), CATEGORY_COUNT)
     return np.concatenate([feats, classes], axis=1)
 
 
@@ -261,23 +251,33 @@ class PredictionOutput:
         return {"logits": list(self.logits), "probabilities": list(self.probabilities)}
 
 
-def _forward_core(
+def forward_logits(
+    scenario: Scenario,
     cfg: ModelConfig,
     values: Mapping[str, np.ndarray],
-    tape: GradientTape | None,
-    center_feats: list[np.ndarray],
-    center_boxes: list[BoundingBox] | None,
-    entity_lists: list[list[ObjectObservation]],
+    tape: GradientTape | None = None,
 ) -> list[Tensor]:
+    """Logit tensors for frames T+1..T+K, differentiable when given a tape."""
+    need = cfg.T + cfg.K
+    if len(scenario.frames) < need:
+        raise ScenarioError(
+            f"scenario {scenario.id!r} has {len(scenario.frames)} frames; "
+            f"config needs T+K = {need}"
+        )
+    if scenario.feature_width != cfg.D:
+        raise ScenarioError(
+            f"scenario {scenario.id!r} carries width-{scenario.feature_width} features; "
+            f"config expects D = {cfg.D}"
+        )
+    observed = scenario.frames[: cfg.T]
     tc, mode = cfg.temporal, cfg.graph_mode
     p = _lift_params(cfg, values, tape)
 
-    center_inputs = [Tensor(f.reshape(1, -1)) for f in center_feats]
+    ped_inputs = [Tensor(f.pedestrian_feature.reshape(1, -1)) for f in observed]
     if tc.use_temporal and tc.use_ped_gru:
-        prefix = "ego_gru" if cfg.location_centric else "ped_gru"
-        center_nodes = run_observation(_gru_bundle(p, prefix), center_inputs)
+        ped_nodes = run_observation(_gru_bundle(p, "ped_gru"), ped_inputs)
     else:
-        center_nodes = center_inputs
+        ped_nodes = ped_inputs
 
     uses_graph = mode in ("star", "fully_connected")
     edge_p = EdgeWeightParams(p["edge.proj_i"], p["edge.proj_o"]) if uses_graph else None
@@ -296,35 +296,32 @@ def _forward_core(
         h_ctxt = ad.zeros(1, cfg.hidden)
 
     frame_vecs: list[Tensor] = []
-    for t, entities in enumerate(entity_lists):
-        center = center_nodes[t]
+    for frame, ped in zip(observed, ped_nodes):
         if mode == "pedestrian_only":
-            frame_vecs.append(center)
+            frame_vecs.append(ped)
             continue
+        objects = sorted(frame.objects, key=_object_sort_key)
         if mode == "concat_baseline":
-            if entities:
-                pooled = np.mean([e.feature for e in entities], axis=0).reshape(1, -1)
+            if objects:
+                pooled = np.mean([o.feature for o in objects], axis=0).reshape(1, -1)
             else:
                 pooled = np.zeros((1, cfg.D))
-            frame_vecs.append(ad.concat_rows(center, Tensor(pooled)))
+            frame_vecs.append(ad.concat_rows(ped, Tensor(pooled)))
             continue
 
-        feats = np.array([ent.feature for ent in entities]).reshape(len(entities), cfg.D)
-        targets = Tensor(_edge_targets(cfg, entities, feats))
-        if cfg.location_centric:
-            weights = location_centric_edge(center, targets, edge_p)
-        else:
-            boxes = np.array([ent.aligned_box().as_list() for ent in entities], dtype=np.float64).reshape(-1, 4)
-            center_box = np.array([center_boxes[t].as_list()], dtype=np.float64)
-            rel = Tensor(spatial_relation(center_box, boxes) * cfg.spatial_scale)
-            weights = edge_weight(center, rel, targets, edge_p)
+        feats = np.array([o.feature for o in objects]).reshape(len(objects), cfg.D)
+        targets = Tensor(_edge_targets(cfg, objects, feats))
+        boxes = np.array([o.aligned_box().as_list() for o in objects], dtype=np.float64).reshape(-1, 4)
+        ped_box = np.array([frame.pedestrian_box.as_list()], dtype=np.float64)
+        rel = Tensor(spatial_relation(ped_box, boxes) * cfg.spatial_scale)
+        weights = edge_weight(ped, rel, targets, edge_p)
         pair_weights = None
         if mode == "fully_connected":
-            src, tgt = np.triu_indices(len(entities), 1)  # object pairs i < j, row-major
+            src, tgt = np.triu_indices(len(objects), 1)  # object pairs i < j, row-major
             rel = Tensor(spatial_relation(boxes[src], boxes[tgt]) * cfg.spatial_scale)
             pair_weights = [edge_weight(Tensor(feats[src]), rel, Tensor(targets.data[tgt]), edge_p)]
         g = star_graph(
-            center,
+            ped,
             [Tensor(row) for row in feats],
             [weights],
             mode=mode,
@@ -349,37 +346,6 @@ def _forward_core(
     return prediction_rollout(_gru_bundle(p, "pred_gru"), h_final, cfg.K, readout)
 
 
-def forward_logits(
-    scenario: Scenario,
-    cfg: ModelConfig,
-    values: Mapping[str, np.ndarray],
-    tape: GradientTape | None = None,
-) -> list[Tensor]:
-    """Logit tensors for frames T+1..T+K, differentiable when given a tape."""
-    if cfg.location_centric:
-        raise ConfigError("config is location-centric; use forward_location_centric")
-    need = cfg.T + cfg.K
-    if len(scenario.frames) < need:
-        raise ScenarioError(
-            f"scenario {scenario.id!r} has {len(scenario.frames)} frames; "
-            f"config needs T+K = {need}"
-        )
-    if scenario.feature_width != cfg.D:
-        raise ScenarioError(
-            f"scenario {scenario.id!r} carries width-{scenario.feature_width} features; "
-            f"config expects D = {cfg.D}"
-        )
-    observed = scenario.frames[: cfg.T]
-    return _forward_core(
-        cfg,
-        values,
-        tape,
-        center_feats=[f.pedestrian_feature for f in observed],
-        center_boxes=[f.pedestrian_box for f in observed],
-        entity_lists=[sorted(f.objects, key=_object_sort_key) for f in observed],
-    )
-
-
 def forward(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> PredictionOutput:
     """Inference-mode forward pass (no tape, parameters treated as constants)."""
     logits = forward_logits(scenario, cfg, values, tape=None)
@@ -392,61 +358,6 @@ def future_labels(scenario: Scenario, cfg: ModelConfig) -> list[int]:
     if len(scenario.frames) < need:
         raise ScenarioError(f"scenario {scenario.id!r} too short for T+K = {need}")
     return [f.crossing_label for f in scenario.frames[cfg.T : cfg.T + cfg.K]]
-
-
-def forward_location_logits(
-    scenario: EgoScenario,
-    cfg: ModelConfig,
-    values: Mapping[str, np.ndarray],
-    tape: GradientTape | None = None,
-) -> list[Tensor]:
-    if not cfg.location_centric:
-        raise ConfigError("config is pedestrian-centric; set location_centric=true")
-    need = cfg.T + cfg.K
-    if len(scenario.frames) < need:
-        raise ScenarioError(
-            f"ego scenario {scenario.id!r} has {len(scenario.frames)} frames; needs T+K = {need}"
-        )
-    observed = list(scenario.frames[: cfg.T])
-    for frame in observed:
-        if frame.ego_feature.size != cfg.D:
-            raise ScenarioError(f"ego feature width {frame.ego_feature.size} != D = {cfg.D}")
-        for ent in frame.entities:
-            if ent.feature_width != cfg.D:
-                raise ScenarioError(f"entity feature width {ent.feature_width} != D = {cfg.D}")
-    return _forward_core(
-        cfg,
-        values,
-        tape,
-        center_feats=[f.ego_feature for f in observed],
-        center_boxes=None,
-        entity_lists=[sorted(f.entities, key=_object_sort_key) for f in observed],
-    )
-
-
-def forward_location_centric(
-    scenario: EgoScenario,
-    region: FocusRegion,
-    cfg: ModelConfig,
-    values: Mapping[str, np.ndarray],
-) -> PredictionOutput:
-    """Predict future occupancy of ``region`` from the ego viewpoint.
-
-    The region defines the prediction target (see location_future_labels);
-    the forward math itself reads only the scene features and entities.
-    """
-    if not isinstance(region, FocusRegion):
-        raise ConfigError("region must be a FocusRegion")
-    logits = forward_location_logits(scenario, cfg, values, tape=None)
-    return PredictionOutput.from_logits([t.item() for t in logits])
-
-
-def location_future_labels(scenario: EgoScenario, region: FocusRegion, cfg: ModelConfig) -> list[int]:
-    """Any-pedestrian-in-region labels for the K predicted frames."""
-    labels = region_crossing_labels(scenario, region)
-    if len(labels) < cfg.T + cfg.K:
-        raise ScenarioError(f"ego scenario {scenario.id!r} too short for T+K")
-    return labels[cfg.T : cfg.T + cfg.K]
 
 
 CHECKPOINT_VERSION = 1

@@ -151,48 +151,6 @@ def spatial_relation(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return rel
 
 
-@dataclass(frozen=True)
-class FocusRegion:
-    """Trapezoid ahead of the ego vehicle, symmetric about ``center_x``.
-
-    ``near_y`` is the image row closest to the camera (larger y), ``far_y``
-    the row farthest ahead; the half width interpolates linearly between the
-    two rows. Membership is closed (boundary points are inside).
-    """
-
-    near_y: float
-    far_y: float
-    near_half_width: float
-    far_half_width: float
-    center_x: float
-
-    def __post_init__(self):
-        _require_finite(
-            "FocusRegion",
-            self.near_y,
-            self.far_y,
-            self.near_half_width,
-            self.far_half_width,
-            self.center_x,
-        )
-        if self.near_y <= self.far_y:
-            raise ValueError("near_y must be strictly below far_y in image coordinates")
-        if self.near_half_width <= 0 or self.far_half_width <= 0:
-            raise ValueError("half widths must be positive")
-
-    def half_width_at(self, y: float) -> float:
-        frac = (y - self.far_y) / (self.near_y - self.far_y)
-        return self.far_half_width + frac * (self.near_half_width - self.far_half_width)
-
-
-def in_focus_region(box: BoundingBox, region: FocusRegion) -> bool:
-    """True when the box's bottom-center point lies inside the trapezoid."""
-    x, y = box.bottom_center
-    if y < region.far_y or y > region.near_y:
-        return False
-    return abs(x - region.center_x) <= region.half_width_at(y)
-
-
 def _as_feature(name: str, values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64).reshape(-1)
     if arr.size == 0:
@@ -284,45 +242,3 @@ class Scenario:
 
     def labels(self) -> list[int]:
         return [f.crossing_label for f in self.frames]
-
-
-@dataclass(frozen=True, eq=False)
-class EgoFrameObservation:
-    """Ego-camera frame: whole-scene feature plus entity observations.
-
-    ``entities`` are the graph's peripheral nodes (vehicles, riders, signs,
-    pedestrians alike); ``pedestrian_boxes`` single out the pedestrians used
-    for region-occupancy labeling.
-    """
-
-    timestamp_index: int
-    ego_feature: np.ndarray
-    entities: tuple[ObjectObservation, ...]
-    pedestrian_boxes: tuple[BoundingBox, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "ego_feature", _as_feature("ego feature", self.ego_feature))
-        object.__setattr__(self, "entities", tuple(self.entities))
-        object.__setattr__(self, "pedestrian_boxes", tuple(self.pedestrian_boxes))
-
-
-@dataclass(frozen=True, eq=False)
-class EgoScenario:
-    id: str
-    frames: tuple[EgoFrameObservation, ...]
-    fps: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if not self.frames:
-            raise ValueError(f"ego scenario {self.id!r} has no frames")
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ValueError(f"ego scenario {self.id!r}: fps must be positive")
-
-
-def region_crossing_labels(scenario: EgoScenario, region: FocusRegion) -> list[int]:
-    """Per-frame label: 1 iff any pedestrian's ground point is in the region."""
-    return [
-        1 if any(in_focus_region(b, region) for b in frame.pedestrian_boxes) else 0
-        for frame in scenario.frames
-    ]

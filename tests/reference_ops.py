@@ -3,15 +3,28 @@
 The library records a GRU step and an edge block as one fused tape node each;
 the chains here rebuild them from single-op nodes so tests can compare the
 fused nodes against them byte for byte. The remaining ops (sigmoid, tanh,
-dot, sum_all, clamp_open_unit) build those chains and test losses.
+dot, sum_all, clamp_open_unit, sub, hadamard) build those chains and test
+losses.
 """
 
 import numpy as np
 
 from intent_graph import autodiff as ad
 from intent_graph.autodiff import Tensor, sigmoid_values
-from intent_graph.graph import _OPEN_UNIT_HI, _OPEN_UNIT_LO, StarGraph, _weight_count
+from intent_graph.graph import _OPEN_UNIT_HI, _OPEN_UNIT_LO, EdgeWeightParams, StarGraph, _weight_count
 from intent_graph.recurrent import GRUCellParams
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    ad._require_same_shape("sub", a, b)
+    return ad._emit(ad._joint_tape(a, b), (a, b), a.data - b.data, lambda g: (g, -g))
+
+
+def hadamard(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product of same-shape tensors."""
+    ad._require_same_shape("hadamard", a, b)
+    a_data, b_data = a.data, b.data
+    return ad._emit(ad._joint_tape(a, b), (a, b), a_data * b_data, lambda g: (g * b_data, g * a_data))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -53,10 +66,22 @@ def gru_step_chain(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
     xh = ad.concat_rows(x, h)
     z = sigmoid(ad.add(ad.matmul(xh, p.W_z), p.b_z))
     r = sigmoid(ad.add(ad.matmul(xh, p.W_r), p.b_r))
-    xrh = ad.concat_rows(x, ad.hadamard(r, h))
+    xrh = ad.concat_rows(x, hadamard(r, h))
     candidate = tanh(ad.add(ad.matmul(xrh, p.W_h), p.b_h))
-    keep = ad.sub(ad.constant(np.ones((1, p.hidden_width))), z)
-    return ad.add(ad.hadamard(keep, h), ad.hadamard(z, candidate))
+    keep = sub(ad.constant(np.ones((1, p.hidden_width))), z)
+    return ad.add(hadamard(keep, h), hadamard(z, candidate))
+
+
+def edge_weight_chain(
+    src_rows: list[Tensor], rel_rows: list[Tensor], tgt_rows: list[Tensor], p: EdgeWeightParams
+) -> list[Tensor]:
+    """One 1x1 weight per edge, as the per-op chain the fused ``edge_weight`` node must equal."""
+    out = []
+    for src, rel, tgt in zip(src_rows, rel_rows, tgt_rows):
+        e_i = ad.relu(ad.matmul(ad.concat_rows(src, rel), p.proj_i))
+        e_o = ad.relu(ad.matmul(tgt, p.proj_o))
+        out.append(clamp_open_unit(sigmoid(dot(e_i, e_o))))
+    return out
 
 
 def validate_star_graph(g: StarGraph) -> None:

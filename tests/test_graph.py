@@ -28,7 +28,6 @@ from intent_graph.graph import (
     context_vector,
     edge_weight,
     graph_conv,
-    location_centric_edge,
     star_graph,
 )
 from intent_graph.model import ModelConfig, init_parameters
@@ -73,43 +72,18 @@ def test_edge_weight_gradient_reaches_both_projections():
     assert report.passed, report.to_dict()
 
 
-def test_location_centric_edge_skips_relu_and_spatial_term():
-    # 0.7*0.5 + 0.2*0.7 = 0.49 on the embedded inner product of 1-vectors
-    p = EdgeWeightParams(Tensor([[0.7, 0.2]]), Tensor([[0.5, 0.7]]))
-    w = location_centric_edge(Tensor([1.0]), Tensor([1.0]), p)
-    expect = 1.0 / (1.0 + np.exp(-0.49))
-    assert w.item() == pytest.approx(expect, abs=1e-15)
-
-
-def _old_edge_chain(src_rows, rel_rows, tgt_rows, p):
-    """The per-edge op chain the fused node replaces (rel_rows=None: location-centric)."""
-    out = []
-    for m, (src, tgt) in enumerate(zip(src_rows, tgt_rows)):
-        if rel_rows is None:
-            e_i = ad.matmul(src, p.proj_i)
-            e_o = ad.matmul(tgt, p.proj_o)
-        else:
-            e_i = ad.relu(ad.matmul(ad.concat_rows(src, rel_rows[m]), p.proj_i))
-            e_o = ad.relu(ad.matmul(tgt, p.proj_o))
-        out.append(ops.clamp_open_unit(ops.sigmoid(ops.dot(e_i, e_o))))
-    return out
-
-
 def _rows(t: Tensor) -> list[Tensor]:
     return [Tensor(t.data[m : m + 1]) for m in range(t.rows)]
 
 
-@pytest.mark.parametrize(
-    "case", ["taped_center", "constant_block", "no_edges", "object_class", "location_centric"]
-)
+@pytest.mark.parametrize("case", ["taped_center", "constant_block", "no_edges", "object_class"])
 def test_fused_edge_scores_are_bytewise_the_per_edge_chain(case):
     rng = np.random.default_rng(7)
     m = 0 if case == "no_edges" else 6
     dc, de = 5, 4
     do = dc + (CATEGORY_COUNT if case == "object_class" else 0)
-    location = case == "location_centric"
     params = {
-        "proj_i": rng.standard_normal((dc if location else dc + 8, de)) * 0.6,
+        "proj_i": rng.standard_normal((dc + 8, de)) * 0.6,
         "proj_o": rng.standard_normal((do, de)) * 0.6,
         "center": rng.standard_normal((1, dc)),
     }
@@ -124,16 +98,16 @@ def test_fused_edge_scores_are_bytewise_the_per_edge_chain(case):
         center = tape.parameter("center", params["center"])
         src = Tensor(block) if case == "constant_block" else center
         if fused:
-            w = location_centric_edge(src, tgt, p) if location else edge_weight(src, rel, tgt, p)
+            w = edge_weight(src, rel, tgt, p)
             weights, values = [w], w.data
         else:
             src_rows = _rows(src) if src.rows == m else [src] * m
-            weights = _old_edge_chain(src_rows, None if location else _rows(rel), _rows(tgt), p)
+            weights = ops.edge_weight_chain(src_rows, _rows(rel), _rows(tgt), p)
             values = np.array([w.data[0] for w in weights]).reshape(m, 1)
         # the center also reaches the loss outside edge scoring, as in the model
         x = ad.stack_rows([center, *(Tensor(r) for r in block)])
         z = ad.matmul(build_adjacency(weights), x)
-        loss = ad.add(ops.sum_all(ad.hadamard(z, ad.matmul(scatter, x))), ops.sum_all(center))
+        loss = ad.add(ops.sum_all(ops.hadamard(z, ad.matmul(scatter, x))), ops.sum_all(center))
         return values, tape.backward(loss)
 
     (got, got_grads), (want, want_grads) = run(True), run(False)
@@ -375,9 +349,6 @@ def test_zero_projections_give_exactly_half():
     zero = EdgeWeightParams(Tensor(np.zeros((10, 2))), Tensor(np.zeros((2, 2))))
     w = edge_weight(Tensor(np.array([[1.0, -1.0]])), REL, Tensor(np.array([[0.5, 2.0]])), zero)
     assert w.data.item() == 0.5
-    zero_loc = EdgeWeightParams(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 2))))
-    lw = location_centric_edge(Tensor(np.array([[1.0, -1.0]])), Tensor(np.array([[0.5, 2.0]])), zero_loc)
-    assert lw.data.item() == 0.5
 
 
 def test_single_conv_layer_is_linear_in_the_features():

@@ -22,14 +22,11 @@ from intent_graph.model import (
     ScenarioError,
     _object_sort_key,
     forward,
-    forward_location_centric,
-    forward_location_logits,
     forward_logits,
     frame_vector_width,
     future_labels,
     init_parameters,
     load_checkpoint,
-    location_future_labels,
     parameter_count,
     parameter_shapes,
     save_checkpoint,
@@ -38,10 +35,6 @@ from intent_graph.recurrent import TemporalConfig
 from intent_graph.scene import (
     CATEGORY_COUNT,
     BoundingBox,
-    EgoFrameObservation,
-    EgoScenario,
-    FocusRegion,
-    ObjectCategory,
     ObjectObservation,
     category_one_hot,
 )
@@ -327,7 +320,9 @@ def test_config_validation():
         ModelConfig(graph_mode="ring")
     with pytest.raises(ConfigError):
         ModelConfig(spatial_scale=0.0)
-    with pytest.raises(ConfigError, match="star"):
+    with pytest.raises(ConfigError, match="removed"):
+        ModelConfig(location_centric=True)
+    with pytest.raises(ConfigError, match="removed"):
         ModelConfig(location_centric=True, graph_mode="fully_connected")
     with pytest.raises(ConfigError, match="unknown config key"):
         ModelConfig.from_dict({"d": 6})
@@ -563,125 +558,6 @@ def test_save_rejects_mismatched_parameters(tmp_path):
     values.pop("readout.b")
     with pytest.raises(CheckpointError):
         save_checkpoint(tmp_path / "m.json", cfg, values)
-
-
-# -- location-centric variant --------------------------------------------------------
-
-
-def _ego_scenario(D=6, frames=5, entities=2):
-    rng = np.random.default_rng(3)
-    frame_list = []
-    for t in range(frames):
-        ents = tuple(
-            ObjectObservation(
-                ObjectCategory.CAR,
-                BoundingBox(100.0 + 30 * j + 2 * t, 300.0, 160.0 + 30 * j + 2 * t, 340.0),
-                rng.standard_normal(D),
-            )
-            for j in range(entities)
-        )
-        peds = (BoundingBox(600.0 + 5 * t, 500.0, 640.0 + 5 * t, 690.0),)
-        frame_list.append(
-            EgoFrameObservation(
-                timestamp_index=t,
-                ego_feature=rng.standard_normal(D),
-                entities=ents,
-                pedestrian_boxes=peds,
-            )
-        )
-    return EgoScenario(id="ego-1", frames=tuple(frame_list), fps=10.0)
-
-
-def test_location_centric_forward_and_labels():
-    cfg = ModelConfig(
-        D=6, D_e=5, hidden=6, T=3, K=2, seed=2, location_centric=True,
-    )
-    shapes = parameter_shapes(cfg)
-    assert shapes["edge.proj_i"] == (6, 5)  # no spatial components here
-    assert "ego_gru.W_z" in shapes and "ped_gru.W_z" not in shapes
-    scenario = _ego_scenario(D=6)
-    values = init_parameters(cfg)
-    region = FocusRegion(near_y=700, far_y=400, near_half_width=300, far_half_width=60, center_x=640)
-    out = forward_location_centric(scenario, region, cfg, values)
-    assert len(out.logits) == 2 and all(np.isfinite(out.logits))
-    labels = location_future_labels(scenario, region, cfg)
-    assert len(labels) == 2 and set(labels) <= {0, 1}
-
-
-def test_location_centric_guards():
-    ped_cfg = ModelConfig(D=6, D_e=5, hidden=6, T=3, K=2)
-    loc_cfg = ModelConfig(D=6, D_e=5, hidden=6, T=3, K=2, location_centric=True)
-    with pytest.raises(ConfigError, match="location-centric"):
-        forward_logits(_scenario(D=6), loc_cfg, init_parameters(loc_cfg))
-    with pytest.raises(ConfigError, match="location_centric"):
-        forward_location_logits(_ego_scenario(D=6), ped_cfg, init_parameters(ped_cfg))
-    with pytest.raises(ScenarioError, match="width"):
-        forward_location_logits(_ego_scenario(D=9), loc_cfg, init_parameters(loc_cfg))
-
-
-def _mirror_location_forward(scenario, cfg, v):
-    """Tape-free rewrite of the location-centric pass (no ReLU on edges)."""
-    frames = scenario.frames[: cfg.T]
-    h = np.zeros((1, cfg.hidden))
-    centers = []
-    for f in frames:
-        x = f.ego_feature.reshape(1, -1)
-        if cfg.temporal.use_temporal and cfg.temporal.use_ped_gru:
-            h = _gru(v, "ego_gru", x, h)
-            centers.append(h)
-        else:
-            centers.append(x)
-
-    frame_vecs = []
-    for t, f in enumerate(frames):
-        ents = sorted(f.entities, key=_object_sort_key)
-        center = centers[t]
-        n = len(ents)
-        a = np.eye(n + 1)
-        for j, ent in enumerate(ents):
-            feat = ent.feature.reshape(1, -1)
-            if cfg.include_object_class:
-                feat = np.hstack([feat, category_one_hot(ent.category).reshape(1, -1)])
-            e_c = center @ v["edge.proj_i"]
-            e_o = feat @ v["edge.proj_o"]
-            w = np.clip(
-                _sig(np.array([[(e_c @ e_o.T).item()]])),
-                np.nextafter(0.0, 1.0),
-                np.nextafter(1.0, 0.0),
-            ).item()
-            a[0, j + 1] = a[j + 1, 0] = w
-        x = np.vstack([center] + [e.feature.reshape(1, -1) for e in ents])
-        z = x
-        for layer in range(cfg.num_layers):
-            w_mat = v["gcn.W"] if cfg.shared_weights else v[f"gcn.W{layer}"]
-            z = a @ z @ w_mat
-            if layer < cfg.num_layers - 1:
-                z = np.maximum(z, 0.0)
-        refined = z[0:1]
-        ctx = z[1:].mean(axis=0, keepdims=True) if n else np.zeros((1, cfg.hidden))
-        frame_vecs.append(np.hstack([refined, ctx]))
-
-    h_agg = np.zeros((1, cfg.hidden))
-    for vec in frame_vecs:
-        h_agg = _gru(v, "agg_gru", vec, h_agg)
-    logits = []
-    h = h_agg
-    for _ in range(cfg.K):
-        h = _gru(v, "pred_gru", np.zeros((1, 0)), h)
-        logits.append(float((h @ v["readout.w"] + v["readout.b"])[0, 0]))
-    return logits
-
-
-def test_location_forward_matches_numpy_mirror():
-    cfg = ModelConfig(
-        D=6, D_e=5, hidden=6, T=3, K=2, seed=11,
-        location_centric=True, include_object_class=True,
-    )
-    scenario = _ego_scenario(D=6, entities=3)
-    values = init_parameters(cfg)
-    got = [t.data.item() for t in forward_location_logits(scenario, cfg, values)]
-    want = _mirror_location_forward(scenario, cfg, values)
-    np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_forward_stays_finite_across_a_large_corpus():

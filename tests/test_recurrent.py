@@ -136,7 +136,7 @@ def _unroll_on_tape(step, values, inputs, h0, weights):
         term = ad.matmul(h, readout)
         loss = term if loss is None else ad.add(loss, term)
     for k, state in enumerate(states):
-        loss = ad.add(loss, ops.sum_all(ad.hadamard(state, Tensor(weights[:, k + 1 : k + 2].T))))
+        loss = ad.add(loss, ops.sum_all(ops.hadamard(state, Tensor(weights[:, k + 1 : k + 2].T))))
     grads = tape.backward(loss)
     return [st.data for st in states], grads
 

@@ -1,4 +1,4 @@
-"""Boxes, spatial relations, focus regions, and scenario validation."""
+"""Categories, boxes, spatial relations, and observation and scenario validation."""
 
 import numpy as np
 import pytest
@@ -11,16 +11,11 @@ from intent_graph.scene import (
     RIDER_CATEGORIES,
     VEHICLE_CATEGORIES,
     BoundingBox,
-    EgoFrameObservation,
-    EgoScenario,
-    FocusRegion,
     FrameObservation,
     ObjectCategory,
     ObjectObservation,
     Scenario,
     category_one_hot,
-    in_focus_region,
-    region_crossing_labels,
     spatial_relation,
 )
 
@@ -151,49 +146,6 @@ def test_union_extent_dominates_either_box(a, b):
 def test_relation_of_box_with_itself_is_zero_deltas():
     rel = spatial_relation(_rows(PED), _rows(PED))
     assert rel.tolist() == [[0, 0, 0, 0, 0, 0, PED.width, PED.height]]
-
-
-# -- focus region -------------------------------------------------------------
-
-
-REGION = FocusRegion(near_y=700.0, far_y=400.0, near_half_width=300.0, far_half_width=60.0, center_x=640.0)
-
-
-def test_region_validation():
-    with pytest.raises(ValueError):
-        FocusRegion(near_y=400, far_y=700, near_half_width=10, far_half_width=10, center_x=0)
-    with pytest.raises(ValueError):
-        FocusRegion(near_y=700, far_y=400, near_half_width=0, far_half_width=10, center_x=0)
-
-
-def test_region_half_width_interpolates():
-    assert REGION.half_width_at(400.0) == 60.0
-    assert REGION.half_width_at(700.0) == 300.0
-    assert REGION.half_width_at(550.0) == pytest.approx(180.0)
-
-
-def test_membership_uses_bottom_center_and_is_closed():
-    inside = BoundingBox(600, 500, 680, 700)  # ground point (640, 700), on the near edge
-    assert in_focus_region(inside, REGION)
-    on_side = BoundingBox(940 - 40, 500, 940 + 40, 700)  # x = 940 = 640 + 300 exactly
-    assert in_focus_region(on_side, REGION)
-    beyond = BoundingBox(941 - 40, 500, 941 + 40, 700)
-    assert not in_focus_region(beyond, REGION)
-    too_far = BoundingBox(600, 100, 680, 399)  # ground point above far_y
-    assert not in_focus_region(too_far, REGION)
-
-
-def test_region_crossing_labels():
-    feat = np.ones(4)
-    ped_in = BoundingBox(620, 600, 660, 690)
-    ped_out = BoundingBox(0, 600, 40, 690)
-    frames = [
-        EgoFrameObservation(0, feat, (), (ped_out,)),
-        EgoFrameObservation(1, feat, (), (ped_out, ped_in)),
-        EgoFrameObservation(2, feat, (), ()),
-    ]
-    scen = EgoScenario(id="e", frames=tuple(frames), fps=10.0)
-    assert region_crossing_labels(scen, REGION) == [0, 1, 0]
 
 
 # -- observations and scenarios ----------------------------------------------
