@@ -42,6 +42,7 @@ from .model import (
     PredictionOutput,
     ScenarioError,
     forward,
+    forward_batch,
     forward_logits,
     future_labels,
     init_parameters,
@@ -105,6 +106,7 @@ __all__ = [
     "evaluate",
     "finite_diff_check",
     "forward",
+    "forward_batch",
     "forward_logits",
     "future_labels",
     "generate_synthetic",

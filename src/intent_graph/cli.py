@@ -4,12 +4,12 @@ Subcommands: synth, train, eval, predict, gradcheck, ablate. Machine-readable
 JSON goes to stdout; human-readable progress and summaries go to stderr, so
 piping stdout into a file or ``jq`` always yields exactly one JSON document.
 
-Exit codes: 0 success, 2 configuration problem (bad flags, bad config file,
-bad checkpoint), 3 data problem (unreadable or malformed dataset, empty
-selection), 4 numeric problem (non-finite loss, failed gradient check), 5
-internal error (a bug in this program, not in its input: an engine
-ShapeError or any other unexpected exception; its traceback goes to stderr).
-On failure stdout still carries one JSON document:
+Exit codes: 0 success, 2 configuration problem (bad or unknown flags, bad
+config file, bad checkpoint), 3 data problem (unreadable or malformed
+dataset, empty selection), 4 numeric problem (non-finite loss, failed
+gradient check), 5 internal error (a bug in this program, not in its
+input: an engine ShapeError or any other unexpected exception; its traceback
+goes to stderr). On failure stdout still carries one JSON document:
 {"error": {"kind", "message"}}, with kind one of config, data, numeric,
 internal.
 
@@ -19,7 +19,9 @@ Config files are JSON with up to three sections, each feeding one dataclass:
      "synth": {...SynthConfig...}}
 
 Unknown sections or keys are hard errors, not warnings. ``--seed N``
-overrides the seed field of every section in play for that run.
+overrides the seed field of every section in play for that run. eval and
+predict take the model from the checkpoint, so they accept neither
+``--config`` nor ``--seed``.
 """
 
 from __future__ import annotations
@@ -47,8 +49,9 @@ from .data import (
 )
 from .model import (
     ModelConfig,
+    PredictionOutput,
     ScenarioError,
-    forward,
+    forward_batch,
     future_labels,
     init_parameters,
     load_checkpoint,
@@ -231,12 +234,10 @@ def _cmd_predict(args) -> int:
         dataset = [s for s in dataset if s.id == args.scenario]
         if not dataset:
             raise EmptyDatasetError(f"no scenario with id {args.scenario!r}")
-    results = []
-    for scenario in dataset:
-        output = forward(scenario, mcfg, params)
-        results.append(
-            {"id": scenario.id, **output.to_dict(), "labels": future_labels(scenario, mcfg)}
-        )
+    results = [
+        {"id": scenario.id, **PredictionOutput.from_logits(row).to_dict(), "labels": future_labels(scenario, mcfg)}
+        for scenario, row in zip(dataset, forward_batch(dataset, mcfg, params))
+    ]
     _emit({"command": "predict", "results": results})
     _say(f"predicted {len(results)} scenario(s), horizon {mcfg.K}")
     return 0
@@ -375,8 +376,15 @@ def _cmd_ablate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a config error, so it too yields one JSON document."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="intent-graph",
         description="Pedestrian crossing-intent prediction on spatiotemporal scene graphs.",
     )
@@ -384,8 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, data=False, model=False):
-        p.add_argument("--config", help="JSON config file with model/train/synth sections")
-        p.add_argument("--seed", type=int, help="override every seed in play for this run")
+        # eval and predict take everything from the checkpoint: no --config or --seed
+        if not model:
+            p.add_argument("--config", help="JSON config file with model/train/synth sections")
+            p.add_argument("--seed", type=int, help="override every seed in play for this run")
         if data:
             p.add_argument(
                 "--data",
@@ -450,9 +460,9 @@ def _internal(exc: Exception) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seed", None) is not None:
             check_int("--seed", args.seed, 0)
         return args.func(args)
     except ConfigError as exc:

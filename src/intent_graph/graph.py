@@ -89,11 +89,7 @@ def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, p: EdgeWeightParams) -> T
             f"edge block: rows of width {v.shape[1]} and {tgt.cols} do not fit "
             f"projections {pi.shape} and {po.shape}"
         )
-    e_i = (v[:, None, :] @ pi)[:, 0, :]
-    e_o = (tgt.data[:, None, :] @ po)[:, 0, :]
-    mask_i, mask_o = e_i > 0, e_o > 0
-    e_i, e_o = np.where(mask_i, e_i, 0.0), np.where(mask_o, e_o, 0.0)
-    s = sigmoid_values((e_i[:, None, :] @ e_o[:, :, None])[:, 0, :])
+    e_i, e_o, mask_i, mask_o, s = edge_values(v, tgt.data, pi, po)
     shared_src = src.rows == 1
     src_inputs = () if src.tape is None else (src,) * (m if shared_src else 1)
     inputs = (p.proj_o,) * m + (p.proj_i,) * m + src_inputs
@@ -109,12 +105,30 @@ def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, p: EdgeWeightParams) -> T
             grads += [*g_src[::-1]] if shared_src else [g_src[:, 0, :]]
         return grads
 
-    return ad._emit(
-        ad._joint_tape(src, p.proj_i, p.proj_o),
-        inputs,
-        np.clip(s, _OPEN_UNIT_LO, _OPEN_UNIT_HI),
-        bwd,
-    )
+    return ad._emit(ad._joint_tape(src, p.proj_i, p.proj_o), inputs, open_unit(s), bwd)
+
+
+def edge_values(v: Array, tgt: Array, proj_i: Array, proj_o: Array) -> tuple[Array, ...]:
+    """Score M edge rows on plain arrays: (e_i, e_o, mask_i, mask_o, s).
+
+    s is the (M, 1) column sigmoid(ReLU(v_m @ proj_i) . ReLU(tgt_m @ proj_o))
+    before the open-interval clip; the rest is what edge_weight's backward
+    reads. Every product is a stacked one-row product, so a row's score does
+    not depend on which other rows share the call: edge_weight scores one
+    frame's block with it, the batched inference forward every edge of a batch.
+    """
+    e_i = (v[:, None, :] @ proj_i)[:, 0, :]
+    e_o = (tgt[:, None, :] @ proj_o)[:, 0, :]
+    mask_i, mask_o = e_i > 0, e_o > 0
+    e_i[~mask_i] = 0.0  # ReLU in place: fewer temporaries when a batch scores many rows
+    e_o[~mask_o] = 0.0
+    s = sigmoid_values((e_i[:, None, :] @ e_o[:, :, None])[:, 0, :])
+    return e_i, e_o, mask_i, mask_o, s
+
+
+def open_unit(s: Array) -> Array:
+    """Clip edge scores one float64 step inside (0, 1); NaN stays NaN."""
+    return np.clip(s, _OPEN_UNIT_LO, _OPEN_UNIT_HI)
 
 
 def _weight_count(columns: Sequence[Tensor], what: str) -> int:
@@ -211,6 +225,38 @@ def graph_conv(a: Tensor, x: Tensor, params: GraphConvParams) -> Tensor:
         z = ad.matmul(ad.matmul(a, z), params.layer(layer_index))
         if layer_index < params.num_layers - 1:
             z = ad.relu(z)
+    return z
+
+
+def stacked_adjacency(spokes: Array, pair_weights: Array | None, row_normalize: bool) -> Array:
+    """The (m, N+1, N+1) adjacencies of m frames with N objects each, on plain arrays.
+
+    ``spokes`` is (m, N); ``pair_weights`` is (m, N(N-1)/2) in row-major
+    i < j order (fully_connected) or None (star). Each matrix is entry for
+    entry what build_adjacency writes, and row normalisation makes the same
+    A @ ones, then @ ones_row products, stacked, so every quotient matches.
+    """
+    m, n = spokes.shape
+    a = np.broadcast_to(np.eye(n + 1), (m, n + 1, n + 1)).copy()
+    a[:, 0, 1:] = spokes
+    a[:, 1:, 0] = spokes
+    if pair_weights is not None:
+        i, j = np.triu_indices(n, 1)
+        a[:, i + 1, j + 1] = pair_weights
+        a[:, j + 1, i + 1] = pair_weights
+    if row_normalize:
+        row_sums = a @ np.ones((n + 1, 1))
+        a = a / (row_sums @ np.ones((1, n + 1)))
+    return a
+
+
+def stacked_conv(a: Array, x: Array, layers: Sequence[Array]) -> Array:
+    """graph_conv on m stacked frames: (A @ Z) @ W per layer, ReLU between layers."""
+    z = x
+    for index, w in enumerate(layers):
+        z = (a @ z) @ w
+        if index < len(layers) - 1:
+            z = np.where(z > 0, z, 0.0)
     return z
 
 

@@ -94,20 +94,32 @@ class GRUCellParams:
         return self.W_z.rows - self.W_z.cols
 
 
+def gru_values(p: GRUCellParams, x: Array, h: Array) -> tuple[Array, tuple[Array, ...]]:
+    """One gated update on plain arrays; returns h' and the values its backward reads.
+
+    ``x`` is (..., 1, I) and ``h`` is (..., 1, H): one row per scenario, so B
+    cells advance as stacked one-row products, each bit for bit the product
+    of a lone (1, I+H) row. gru_step and the batched inference forward both
+    call this, so the gate math exists once.
+    """
+    xh = np.concatenate([x, h], axis=-1)
+    z = sigmoid_values(xh @ p.W_z.data + p.b_z.data)
+    r = sigmoid_values(xh @ p.W_r.data + p.b_r.data)
+    xrh = np.concatenate([x, r * h], axis=-1)
+    candidate = np.tanh(xrh @ p.W_h.data + p.b_h.data)
+    keep = 1.0 - z
+    return keep * h + z * candidate, (xh, z, r, xrh, candidate, keep)
+
+
 def gru_step(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
     """One gated update as one tape node; returns the next hidden state (1, H)."""
     if x.shape != (1, p.input_width):
         raise ValueError(f"input shape {x.shape} != (1, {p.input_width})")
     if h.shape != (1, p.hidden_width):
         raise ValueError(f"hidden shape {h.shape} != (1, {p.hidden_width})")
-    i, xd, hd = p.input_width, x.data, h.data
+    i, hd = p.input_width, h.data
     w_z, w_r, w_h = p.W_z.data, p.W_r.data, p.W_h.data
-    xh = np.concatenate([xd, hd], axis=1)
-    z = sigmoid_values(xh @ w_z + p.b_z.data)
-    r = sigmoid_values(xh @ w_r + p.b_r.data)
-    xrh = np.concatenate([xd, r * hd], axis=1)
-    candidate = np.tanh(xrh @ w_h + p.b_h.data)
-    keep = 1.0 - z
+    out, (xh, z, r, xrh, candidate, keep) = gru_values(p, x.data, hd)
 
     def bwd(g: Array):
         # each expression keeps the chain's operand order: float sums and
@@ -125,7 +137,7 @@ def gru_step(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
         )
 
     inputs = (h, p.b_h, p.W_h, x, h, p.b_r, p.W_r, p.b_z, p.W_z, x, h)
-    return ad._emit(ad._joint_tape(*inputs), inputs, keep * hd + z * candidate, bwd)
+    return ad._emit(ad._joint_tape(*inputs), inputs, out, bwd)
 
 
 def run_observation(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import GradientTape, Tensor, bce_with_logits, scale, sigmoid_values
 from .configs import check_int, check_real, from_mapping, to_plain_dict
-from .model import ModelConfig, forward_logits, future_labels, init_parameters
+from .model import ModelConfig, forward_batch, forward_logits, future_labels, init_parameters
 from .scene import Scenario
 
 
@@ -186,17 +186,19 @@ def evaluate(
     values: Mapping[str, np.ndarray],
     threshold: float = 0.5,
 ) -> EvalReport:
-    """Pure evaluation pass; repeated calls give bit-identical reports."""
+    """Pure evaluation pass, one batched forward over the dataset.
+
+    Repeated calls give bit-identical reports, equal to aggregating the
+    forward() outputs of each scenario.
+    """
     if not dataset:
         raise EmptyDatasetError("no scenarios to evaluate")
-
-    def one(scenario: Scenario):
-        logits = [t.item() for t in forward_logits(scenario, cfg, values, tape=None)]
+    logits = forward_batch(dataset, cfg, values)
+    per_scenario = []
+    for scenario, row, probs in zip(dataset, logits.tolist(), sigmoid_values(logits).tolist()):
         labels = future_labels(scenario, cfg)
-        probs = sigmoid_values(np.array(logits)).reshape(-1).tolist()
-        return probs, labels, loss_from_logits(logits, labels)
-
-    return aggregate_metrics([one(s) for s in dataset], threshold=threshold)
+        per_scenario.append((probs, labels, loss_from_logits(row, labels)))
+    return aggregate_metrics(per_scenario, threshold=threshold)
 
 
 def metrics_record(epoch: int, report: EvalReport) -> dict:

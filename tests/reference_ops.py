@@ -4,7 +4,8 @@ The library records a GRU step and an edge block as one fused tape node each;
 the chains here rebuild them from single-op nodes so tests can compare the
 fused nodes against them byte for byte. The remaining ops (sigmoid, tanh,
 dot, sum_all, clamp_open_unit, sub, hadamard) build those chains and test
-losses.
+losses. object_sort_key is the canonical object order as a Python sort key,
+the reference for the library's np.lexsort.
 """
 
 import numpy as np
@@ -93,3 +94,17 @@ def validate_star_graph(g: StarGraph) -> None:
         raise ValueError(f"feature rows {g.x.rows} != {n + 1}")
     if not np.array_equal(g.a.data, g.a.data.T):
         raise ValueError("adjacency is not symmetric")
+
+
+def object_sort_key(obj):
+    """Canonical object order: category value, raw box, camera offset, then feature."""
+    box = obj.box
+    return (
+        obj.category.value,
+        box.xmin,
+        box.ymin,
+        box.xmax,
+        box.ymax,
+        obj.camera_offset_x,
+        tuple(obj.feature.tolist()),
+    )

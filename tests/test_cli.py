@@ -5,6 +5,7 @@ stderr. Exit codes: 0 ok, 2 config, 3 data, 4 numeric, 5 internal.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from intent_graph.autodiff import ShapeError
 from intent_graph.cli import build_parser, main
 from intent_graph.data import SynthConfig, generate_synthetic, serialize, write_dataset
 from intent_graph.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
+from intent_graph.scene import BoundingBox, ObjectObservation
 
 
 def _run(capsys, argv):
@@ -380,6 +382,51 @@ def test_too_short_scenarios_rejected_at_load(tmp_path, capsys, cfg_path):
     assert code == 3 and "frames" in doc["error"]["message"]
 
 
+def _error_cases(tmp_path, cfg_path):
+    """One (data files, checkpoint, culprit) per way an eval or predict input can be wrong."""
+    sections = json.loads(Path(cfg_path).read_text())
+    mcfg = ModelConfig.from_dict(sections["model"])
+    model = str(tmp_path / "model.json")
+    save_checkpoint(model, mcfg, init_parameters(mcfg))
+    good = generate_synthetic(SynthConfig(**sections["synth"]))
+
+    def dataset(name, scenarios):
+        path = str(tmp_path / f"{name}.jsonl")
+        write_dataset(path, scenarios)
+        return path
+
+    short = generate_synthetic(SynthConfig(**dict(sections["synth"], frames_per_scenario=4, seed=8)))[0]
+    wide = generate_synthetic(SynthConfig(**dict(sections["synth"], D=9, seed=9)))[0]
+    frames = list(good[2].frames)
+    first = frames[1].objects[0]
+    huge = ObjectObservation(first.category, BoundingBox(-1.7e308, 0.0, 1.7e308, 10.0), first.feature)
+    frames[1] = dataclasses.replace(frames[1], objects=(huge, *frames[1].objects[1:]))
+    overflow = dataclasses.replace(good[2], frames=tuple(frames))
+    broken = json.loads(Path(model).read_text())
+    del broken["parameters"]["gcn.W"]
+    broken_model = str(tmp_path / "broken.json")
+    Path(broken_model).write_text(json.dumps(broken))
+    data = dataset("good", good)
+    return {
+        "short": ([data, dataset("short", [short])], model, short.id, (3, "data")),
+        "width": ([data, dataset("wide", [wide])], model, wide.id, (3, "data")),
+        "overflow": ([dataset("overflow", [good[0], overflow, good[3]])], model, overflow.id, (3, "data")),
+        "checkpoint": ([data], broken_model, "parameters", (2, "config")),
+    }
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("case", ["short", "width", "overflow", "checkpoint"])
+def test_bad_inputs_give_one_typed_error_naming_the_culprit(tmp_path, capsys, cfg_path, command, case):
+    paths, model, culprit, expected = _error_cases(tmp_path, cfg_path)[case]
+    argv = [command, "--model", model]
+    for path in paths:
+        argv += ["--data", path]
+    code, doc, _ = _run(capsys, argv)  # json.loads: exactly one document
+    assert (code, doc["error"]["kind"]) == expected
+    assert culprit in doc["error"]["message"]
+
+
 def test_predict_unknown_scenario_id(tmp_path, capsys, cfg_path):
     data = str(tmp_path / "data.jsonl")
     model = str(tmp_path / "model.json")
@@ -566,7 +613,7 @@ def test_program_bugs_are_internal_errors(tmp_path, capsys, cfg_path, monkeypatc
     def broken(*args, **kwargs):
         raise bug
 
-    monkeypatch.setattr(cli, "forward", broken)
+    monkeypatch.setattr(cli, "forward_batch", broken)
     code, doc, err = _run(capsys, ["predict", "--model", model, "--data", data])  # one JSON document
     assert code == 5
     assert doc == {"error": {"kind": "internal", "message": f"{type(bug).__name__}: {bug}"}}
@@ -581,9 +628,38 @@ def test_version_flag_and_missing_command(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "intent-graph" in capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+    code, doc, _ = _run(capsys, [])
+    assert (code, doc["error"]["kind"]) == (2, "config")
+    assert "command" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gradcheck", "--step", "abc"], "--step"),
+        (["train", "--data", "x.jsonl", "--seed", "1.5"], "--seed"),
+        (["eval", "--model", "m.json", "--data", "x.jsonl", "--seed", "1.5"], "--seed"),
+        (["predict", "--model", "m.json"], "--data"),
+        (["synth", "--out", "x.jsonl", "--bogus"], "--bogus"),
+        (["frobnicate"], "frobnicate"),
+    ],
+)
+def test_bad_command_lines_give_one_json_config_error(capsys, argv, flag):
+    code, doc, err = _run(capsys, argv)
+    assert (code, doc["error"]["kind"]) == (2, "config")
+    assert flag in doc["error"]["message"]
+    assert "usage:" not in err
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_eval_and_predict_reject_config_and_seed(tmp_path, capsys, cfg_path, command):
+    argv = _seed_argv(tmp_path, cfg_path)[command]
+    code, doc, _ = _run(capsys, argv)
+    assert code == 0
+    for extra in (["--config", "/nonexistent.json"], ["--seed", "7"]):
+        code, doc, _ = _run(capsys, argv + extra)
+        assert (code, doc["error"]["kind"]) == (2, "config")
+        assert extra[0] in doc["error"]["message"]
 
 
 def test_eval_on_empty_data_file_is_a_data_error(tmp_path, capsys, cfg_path):

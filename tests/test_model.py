@@ -20,8 +20,9 @@ from intent_graph.model import (
     CheckpointError,
     ModelConfig,
     ScenarioError,
-    _object_sort_key,
+    _object_rows,
     forward,
+    forward_batch,
     forward_logits,
     frame_vector_width,
     future_labels,
@@ -35,10 +36,14 @@ from intent_graph.recurrent import TemporalConfig
 from intent_graph.scene import (
     CATEGORY_COUNT,
     BoundingBox,
+    FrameObservation,
+    ObjectCategory,
     ObjectObservation,
     category_one_hot,
 )
-from intent_graph.training import TrainConfig, scenario_loss_tensor
+from intent_graph.training import TrainConfig, aggregate_metrics, evaluate, loss, scenario_loss_tensor
+
+from reference_ops import object_sort_key
 
 
 def _scenario(D=6, frames=5, seed=2, vehicles=(2, 2)):
@@ -111,7 +116,7 @@ def _mirror_forward(scenario, cfg, v):
     frame_vecs = []
     h_ctxt = np.zeros((1, cfg.hidden))
     for t, f in enumerate(frames):
-        objs = sorted(f.objects, key=_object_sort_key)
+        objs = sorted(f.objects, key=object_sort_key)
         center = centers[t]
         if cfg.graph_mode == "pedestrian_only":
             frame_vecs.append(center)
@@ -222,6 +227,180 @@ def test_forward_with_tape_matches_tape_free():
     tape = GradientTape()
     taped = [t.item() for t in forward_logits(scenario, cfg, values, tape=tape)]
     assert free == taped
+
+
+# -- batched inference: bit for bit the per-scenario forward -----------------------
+
+
+def _without_objects(scenario, frames):
+    """``scenario`` with the objects of the given frame indices removed."""
+    return type(scenario)(
+        id=scenario.id + "-bare",
+        frames=tuple(
+            type(f)(
+                timestamp_index=f.timestamp_index,
+                pedestrian_box=f.pedestrian_box,
+                pedestrian_feature=f.pedestrian_feature,
+                objects=() if t in frames else f.objects,
+                crossing_label=f.crossing_label,
+            )
+            for t, f in enumerate(scenario.frames)
+        ),
+        fps=scenario.fps,
+    )
+
+
+def _mixed_batch(D=6):
+    """Scenarios whose frames hold 0 to 6 objects, some frames of a scenario empty."""
+    data = generate_synthetic(
+        SynthConfig(n_scenarios=5, frames_per_scenario=7, D=D, seed=21, vehicle_count_range=(0, 5))
+    )
+    return [*data, _without_objects(data[0], {1}), _without_objects(data[1], {0, 1, 2, 3})]
+
+
+BATCH_TEMPORALS = {
+    "default": TemporalConfig(),
+    "ctxt": TemporalConfig(use_ctxt_gru=True),
+    "no-ped-gru": TemporalConfig(use_ped_gru=False),
+    "pooled": TemporalConfig(use_temporal=False, use_ped_gru=False),
+}
+BATCH_STACKS = {
+    "L2-shared": dict(num_layers=2),
+    "L3-unshared-norm-cls": dict(num_layers=3, shared_weights=False, normalize_adjacency=True, include_object_class=True),
+    "L0": dict(num_layers=0),
+}
+
+
+def _batch_cfg(mode, temporal, stack):
+    hidden = 6 if mode in ("star", "fully_connected") else 7
+    return ModelConfig(
+        D=6, D_e=5, hidden=hidden, T=4, K=3, spatial_scale=1 / 1280, seed=11,
+        graph_mode=mode, temporal=BATCH_TEMPORALS[temporal], **BATCH_STACKS[stack],
+    )
+
+
+def _unbatched_logits(scenario, cfg, values):
+    return np.array([t.item() for t in forward_logits(scenario, cfg, values)])
+
+
+@pytest.mark.parametrize("stack", sorted(BATCH_STACKS))
+@pytest.mark.parametrize("temporal", sorted(BATCH_TEMPORALS))
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_batched_logits_are_bit_identical_to_forward_logits(mode, temporal, stack):
+    cfg = _batch_cfg(mode, temporal, stack)
+    values = init_parameters(cfg)
+    batch = _mixed_batch()
+    counts = {len(f.objects) for s in batch for f in s.frames[: cfg.T]}
+    assert 0 in counts and len(counts) >= 4
+    got = forward_batch(batch, cfg, values)
+    assert got.shape == (len(batch), cfg.K)
+    for scenario, row in zip(batch, got):
+        assert row.tobytes() == _unbatched_logits(scenario, cfg, values).tobytes(), scenario.id
+    one = forward_batch(batch[-1:], cfg, values)
+    assert one.tobytes() == got[-1:].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected"])
+def test_batched_row_ignores_its_batch_mates_and_their_order(mode):
+    cfg = _batch_cfg(mode, "ctxt", "L3-unshared-norm-cls")
+    values = init_parameters(cfg)
+    batch = _mixed_batch()
+    base = forward_batch(batch, cfg, values)
+    order = np.random.default_rng(4).permutation(len(batch))
+    shuffled = forward_batch([batch[i] for i in order], cfg, values)
+    for row, i in zip(shuffled, order):
+        assert row.tobytes() == base[i].tobytes()
+    for i, scenario in enumerate(batch):
+        assert forward_batch([scenario], cfg, values).tobytes() == base[i : i + 1].tobytes()
+
+
+def test_canonical_object_order_matches_the_sort_key_even_on_ties():
+    box = BoundingBox(10.0, 20.0, 30.0, 40.0)
+    objects = [
+        ObjectObservation(ObjectCategory.CAR, box, np.array([1.0, 2.0, 3.0])),
+        ObjectObservation(ObjectCategory.CAR, box, np.array([1.0, 2.0, -3.0])),  # ties up to the last feature
+        ObjectObservation(ObjectCategory.CAR, box, np.array([1.0, 2.0, 3.0]), camera_offset_x=-5.0),
+        ObjectObservation(ObjectCategory.BUS, box, np.array([9.0, 9.0, 9.0])),
+        ObjectObservation(ObjectCategory.CROSSWALK_ZEBRA, BoundingBox(-0.0, 0.0, 5.0, 5.0), np.array([0.0, -0.0, 1.0])),
+        ObjectObservation(ObjectCategory.CROSSWALK_ZEBRA, BoundingBox(0.0, 0.0, 5.0, 5.0), np.array([-0.0, 0.0, 1.0])),
+        ObjectObservation(ObjectCategory.BIKE, BoundingBox(10.0, 0.0, 12.0, 5.0), np.ones(3), camera_offset_x=2.5),
+    ]
+    rng = np.random.default_rng(1)
+    frames = [
+        FrameObservation(
+            timestamp_index=t,
+            pedestrian_box=box,
+            pedestrian_feature=np.zeros(3),
+            objects=tuple(objects[i] for i in rng.permutation(len(objects))[: 7 - t]),
+            crossing_label=0,
+        )
+        for t in range(8)
+    ]
+    rows = _object_rows(frames, 3)
+    want = [o for f in frames for o in sorted(f.objects, key=object_sort_key)]
+    assert rows.counts.tolist() == [len(f.objects) for f in frames]
+    assert rows.feats.tobytes() == np.array([o.feature for o in want]).reshape(-1, 3).tobytes()
+    assert rows.boxes.tobytes() == np.array([o.aligned_box().as_list() for o in want]).reshape(-1, 4).tobytes()
+    assert rows.categories.tolist() == [o.category.index for o in want]
+
+
+def test_evaluate_equals_the_aggregation_of_forward_outputs():
+    # the eval-dense benchmark gate: one evaluate() report per chunk equals
+    # aggregate_metrics over that chunk's forward() outputs
+    data = generate_synthetic(
+        SynthConfig(n_scenarios=12, frames_per_scenario=8, D=8, seed=5, vehicle_count_range=(6, 8))
+    )
+    cfg = ModelConfig(D=8, D_e=8, hidden=8, T=4, K=4, spatial_scale=1 / 1280, seed=5)
+    values = init_parameters(cfg)
+    per_scenario = []
+    for scenario in data:
+        out = forward(scenario, cfg, values)
+        labels = future_labels(scenario, cfg)
+        per_scenario.append((list(out.probabilities), labels, loss(out, labels)))
+    assert evaluate(data, cfg, values) == aggregate_metrics(per_scenario)
+
+
+def test_batched_forward_keeps_every_check():
+    cfg = ModelConfig(D=6, D_e=5, hidden=6, T=4, K=1, spatial_scale=1 / 1280, seed=2)
+    values = init_parameters(cfg)
+    good = _scenario(D=6, frames=5)
+    with pytest.raises(ScenarioError, match="'short'.*frames"):
+        forward_batch([good, type(good)(id="short", frames=good.frames[:4], fps=good.fps)], cfg, values)
+    with pytest.raises(ScenarioError, match="width"):
+        forward_batch([good, _scenario(D=9, frames=5)], cfg, values)
+    missing = dict(values)
+    missing.pop("readout.b")
+    with pytest.raises(ConfigError, match="missing"):
+        forward_batch([good], cfg, missing)
+    wrong = dict(values, **{"readout.w": np.zeros((7, 1))})
+    with pytest.raises(ConfigError, match="shape"):
+        forward_batch([good], cfg, wrong)
+
+    # an edge score that is NaN (inf * 0 in the ReLU dot product) fails the open-interval check:
+    # the union width (relation column 6) is positive, so its inf weight makes e_i = +inf
+    proj_i = np.zeros((14, 5))
+    proj_i[6 + 6] = np.inf
+    blown = dict(values, **{"edge.proj_i": proj_i, "edge.proj_o": np.zeros((6, 5))})
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="open interval"):
+            forward_logits(good, cfg, blown)
+        with pytest.raises(ValueError, match=f"{good.id!r}: edge weight outside the open interval"):
+            forward_batch([good], cfg, blown)
+
+    huge = BoundingBox(-1.7e308, 0.0, 1.7e308, 10.0)
+    frames = list(good.frames)
+    frames[2] = type(frames[2])(
+        timestamp_index=frames[2].timestamp_index,
+        pedestrian_box=frames[2].pedestrian_box,
+        pedestrian_feature=frames[2].pedestrian_feature,
+        objects=(ObjectObservation(frames[2].objects[0].category, huge, np.ones(6)),),
+        crossing_label=frames[2].crossing_label,
+    )
+    overflow = type(good)(id="overflow", frames=tuple(frames), fps=good.fps)
+    with pytest.raises(ValueError, match="non-finite"):
+        forward_logits(overflow, cfg, values)
+    with pytest.raises(ValueError, match="'overflow': spatial_relation: non-finite"):
+        forward_batch([good, overflow, good], cfg, values)
 
 
 # -- parameter bookkeeping -------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from intent_graph import training
 from intent_graph.autodiff import GradientTape
 from intent_graph.configs import ConfigError
 from intent_graph.data import SynthConfig, generate_synthetic
@@ -251,6 +252,28 @@ def test_train_config_validation():
 def test_train_config_dict_roundtrip():
     cfg = TrainConfig(learning_rate=0.02, epochs=7, batch_size=3, seed=5)
     assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_train_re_evaluates_through_the_module_global(monkeypatch):
+    # the benchmark's training.epoch_eval span wraps training.evaluate, so
+    # train() must look it up there once per epoch
+    data = _dataset()
+    cfg = _mcfg()
+    tcfg = TrainConfig(epochs=3, learning_rate=0.01, seed=2)
+    plain = io.StringIO()
+    train(data, cfg, tcfg, metrics_out=plain)
+    calls = []
+    original = training.evaluate
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(training, "evaluate", counting)
+    counted = io.StringIO()
+    train(data, cfg, tcfg, metrics_out=counted)
+    assert calls == [len(data)] * 3
+    assert counted.getvalue() == plain.getvalue()
 
 
 def test_final_history_entry_matches_a_fresh_evaluation():
