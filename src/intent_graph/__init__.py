@@ -35,7 +35,7 @@ from .data import (
     splitmix64,
     write_dataset,
 )
-from .graph import StarGraph, build_adjacency, edge_weight, graph_conv, star_graph
+from .graph import build_adjacency, edge_weight, graph_conv, star_graph
 from .model import (
     CheckpointError,
     ModelConfig,
@@ -92,7 +92,6 @@ __all__ = [
     "ScenarioError",
     "SequenceFileError",
     "ShapeError",
-    "StarGraph",
     "SynthConfig",
     "TapeConsumedError",
     "TemporalConfig",

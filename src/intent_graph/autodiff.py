@@ -14,7 +14,6 @@ thread.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -227,64 +226,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _emit(a.tape, (a,), a.data * c, lambda g: (g * c,))
 
 
-def symmetric_scatter(
-    base: Tensor, pairs: Sequence[tuple[int, int]], weights: Sequence[Tensor]
-) -> Tensor:
-    """Add weight k to square ``base`` at (i, j) and (j, i) for ``pairs[k] = (i, j)``.
-
-    ``weights`` are (m, 1) columns (a 1x1 weight is a column of one) whose
-    rows, in order, line up with ``pairs``. Pairs must be off-diagonal and
-    each unordered pair may appear once, so no entry receives two weights
-    and the gradient of weight k is exactly g[i, j] + g[j, i].
-    """
-    n = base.rows
-    if base.cols != n:
-        raise ShapeError(f"symmetric_scatter: base must be square, got {base.shape}")
-    for w in weights:
-        if w.cols != 1:
-            raise ShapeError(f"symmetric_scatter: weights must be columns, got {w.shape}")
-    rows = [w.rows for w in weights]
-    if len(pairs) != sum(rows):
-        raise ShapeError(f"symmetric_scatter: {len(pairs)} pairs but {sum(rows)} weights")
-    values = [v for w in weights for v in w.data[:, 0].tolist()]
-    out = base.data.copy()
-    seen: set[tuple[int, int]] = set()
-    for (i, j), v in zip(pairs, values):
-        if i == j or not (0 <= i < n and 0 <= j < n):
-            raise ShapeError(f"symmetric_scatter: pair {(i, j)} is not off-diagonal in {base.shape}")
-        key = (min(i, j), max(i, j))
-        if key in seen:
-            raise ValueError(f"symmetric_scatter: pair {key} appears more than once")
-        seen.add(key)
-        out[i, j] += v
-        out[j, i] += v
-    ends = list(itertools.accumulate(rows))
-
-    def bwd(g: Array):
-        i, j = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-        flat = (g[i, j] + g[j, i]).reshape(-1, 1)
-        return (g, *(flat[end - r : end] for end, r in zip(ends, rows)))
-
-    return _emit(_joint_tape(base, *weights), (base, *weights), out, bwd)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise quotient of same-shape tensors."""
-    _require_same_shape("div", a, b)
-    ad, bd = a.data, b.data
-
-    def bwd(g: Array):
-        return g / bd, -g * ad / (bd * bd)
-
-    return _emit(_joint_tape(a, b), (a, b), ad / bd, bwd)
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is taken to be 0."""
-    mask = a.data > 0
-    return _emit(a.tape, (a,), np.where(mask, a.data, 0.0), lambda g: (g * mask,))
-
-
 def sigmoid_values(x: Array) -> Array:
     """Numerically stable elementwise logistic function on a plain array."""
     x = np.asarray(x, dtype=np.float64)
@@ -319,18 +260,23 @@ def stack_rows(rows: Sequence[Tensor]) -> Tensor:
     return _emit(_joint_tape(*rows), tuple(rows), np.vstack([r.data for r in rows]), bwd)
 
 
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    """Rows start:stop of ``a`` as a new tensor."""
-    if not (0 <= start <= stop <= a.rows):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] out of range for {a.shape}")
+def columns(a: Tensor, start: int, stop: int) -> Tensor:
+    """Columns start:stop of ``a`` as a new tensor.
+
+    The backward pads the other columns with -0.0, the one zero that adds
+    to every float without changing it (+0.0 turns -0.0 into +0.0), so the
+    gradients of cuts that split a row sum to exactly the cuts' gradients.
+    """
+    if not (0 <= start <= stop <= a.cols):
+        raise ShapeError(f"columns: [{start}:{stop}] out of range for {a.shape}")
     shape = a.shape
 
     def bwd(g: Array):
-        full = np.zeros(shape)
-        full[start:stop, :] = g
+        full = np.full(shape, -0.0)
+        full[:, start:stop] = g
         return (full,)
 
-    return _emit(a.tape, (a,), a.data[start:stop, :].copy(), bwd)
+    return _emit(a.tape, (a,), a.data[:, start:stop].copy(), bwd)
 
 
 def mean_rows(a: Tensor) -> Tensor:

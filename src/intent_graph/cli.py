@@ -6,8 +6,8 @@ piping stdout into a file or ``jq`` always yields exactly one JSON document.
 
 Exit codes: 0 success, 2 configuration problem (bad or unknown flags, bad
 config file, bad checkpoint), 3 data problem (unreadable or malformed
-dataset, empty selection), 4 numeric problem (non-finite loss, failed
-gradient check), 5 internal error (a bug in this program, not in its
+dataset, empty selection), 4 numeric problem (non-finite loss or logit,
+failed gradient check), 5 internal error (a bug in this program, not in its
 input: an engine ShapeError or any other unexpected exception; its traceback
 goes to stderr). On failure stdout still carries one JSON document:
 {"error": {"kind", "message"}}, with kind one of config, data, numeric,
@@ -62,6 +62,7 @@ from .training import (
     EmptyDatasetError,
     NumericError,
     TrainConfig,
+    check_finite_logits,
     evaluate,
     metrics_record,
     scenario_loss_tensor,
@@ -236,7 +237,7 @@ def _cmd_predict(args) -> int:
             raise EmptyDatasetError(f"no scenario with id {args.scenario!r}")
     results = [
         {"id": scenario.id, **PredictionOutput.from_logits(row).to_dict(), "labels": future_labels(scenario, mcfg)}
-        for scenario, row in zip(dataset, forward_batch(dataset, mcfg, params))
+        for scenario, row in zip(dataset, check_finite_logits(dataset, forward_batch(dataset, mcfg, params)))
     ]
     _emit({"command": "predict", "results": results})
     _say(f"predicted {len(results)} scenario(s), horizon {mcfg.K}")

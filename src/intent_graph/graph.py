@@ -16,17 +16,20 @@ A frame's edges are scored as blocks: edge_weight takes the M edges' rows at
 once and records one tape node with a hand-written backward, so a frame costs
 one scoring node in star mode and two in fully_connected mode, not eight per
 edge. Its rows and gradients are bit for bit those of the per-edge chain
-concat -> matmul -> ReLU -> dot -> sigmoid -> clamp. Star spokes (0, j+1) and
-object pairs (i+1, j+1) form one index list, and the whole adjacency is
-assembled from the weight columns by a single symmetric_scatter node.
+concat -> matmul -> ReLU -> dot -> sigmoid -> clamp.
 
 Graph convolution is Z = A @ X @ W per layer, ReLU between layers, none after
-the last; zero layers return X untouched.
+the last; zero layers return X untouched. The graph math exists once, as
+array kernels on m stacked frames: build_adjacency, graph_conv and the split
+frame_rows into [refined pedestrian row, object-context mean]. The batched
+inference forward calls them on every frame of a bucket; star_graph calls
+them on one frame and records the whole block as one tape node, whose
+backward is bit for bit that of the per-op chain the tests keep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -131,110 +134,18 @@ def open_unit(s: Array) -> Array:
     return np.clip(s, _OPEN_UNIT_LO, _OPEN_UNIT_HI)
 
 
-def _weight_count(columns: Sequence[Tensor], what: str) -> int:
-    """Total rows of ``columns``; each must be (k, 1) with every value in (0, 1)."""
-    count = 0
-    for w in columns:
-        if w.cols != 1:
-            raise ValueError(f"{what}s must be (k, 1) columns, got shape {w.shape}")
-        for k, value in enumerate(w.data[:, 0].tolist(), start=count):
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{what} {k} outside the open interval (0,1): {value!r}")
-        count += w.rows
-    return count
-
-
 def build_adjacency(
-    weights: Sequence[Tensor],
-    mode: str = "star",
-    pair_weights: Sequence[Tensor] | None = None,
-    row_normalize: bool = False,
-) -> Tensor:
-    """Assemble the (N+1)x(N+1) adjacency from columns of edge weights.
+    spokes: Array, pair_weights: Array | None = None, row_normalize: bool = False
+) -> tuple[Array, tuple[Array, Array] | None]:
+    """The (m, N+1, N+1) adjacencies of m frames with N objects each, and what a backward reads.
 
-    ``weights`` are (k, 1) columns (a 1x1 weight is a column of one); their
-    rows, in order, are the N spoke weights, and weight j connects the
-    center node 0 with object node j+1. In fully_connected mode
-    ``pair_weights`` holds one weight per object pair (i, j), i < j, in
-    row-major order, and fills both symmetric object-object entries. Every
-    weight is written into the identity by one symmetric_scatter node, so the
-    result stays differentiable with respect to every weight tensor. With
-    row_normalize each row is divided by its sum.
-    """
-    if mode not in ADJACENCY_MODES:
-        raise ValueError(f"unknown adjacency mode {mode!r}")
-    columns = list(weights)
-    n = _weight_count(columns, "edge weight")
-    pairs = [(0, j + 1) for j in range(n)]
-
-    if mode == "fully_connected":
-        pair_columns = list(pair_weights or [])
-        got = _weight_count(pair_columns, "object pair weight")
-        if got != n * (n - 1) // 2:
-            raise ValueError(
-                f"fully_connected needs one weight per object pair; "
-                f"{n} objects need {n * (n - 1) // 2}, got {got}"
-            )
-        pairs += [(i + 1, j + 1) for i in range(n) for j in range(i + 1, n)]
-        columns += pair_columns
-    elif pair_weights is not None:
-        raise ValueError("pair_weights are only meaningful in fully_connected mode")
-
-    a = ad.symmetric_scatter(ad.constant(np.eye(n + 1)), pairs, columns)
-    if row_normalize:
-        ones_col = ad.constant(np.ones((n + 1, 1)))
-        ones_row = ad.constant(np.ones((1, n + 1)))
-        row_sums = ad.matmul(a, ones_col)  # (n+1, 1)
-        a = ad.div(a, ad.matmul(row_sums, ones_row))
-    return a
-
-
-@dataclass
-class GraphConvParams:
-    """Per-layer transforms; a single matrix reused everywhere when shared."""
-
-    layers: list[Tensor]
-    shared: bool
-    num_layers: int
-
-    def __post_init__(self):
-        if not 0 <= self.num_layers <= 3:
-            raise ValueError(f"num_layers must be within 0..3, got {self.num_layers}")
-        expected = 0 if self.num_layers == 0 else (1 if self.shared else self.num_layers)
-        if len(self.layers) != expected:
-            raise ValueError(
-                f"expected {expected} layer matrices for shared={self.shared}, "
-                f"num_layers={self.num_layers}; got {len(self.layers)}"
-            )
-        for w in self.layers:
-            if w.rows != w.cols or (self.layers and w.shape != self.layers[0].shape):
-                raise ValueError("layer matrices must be square and equally sized")
-
-    def layer(self, index: int) -> Tensor:
-        return self.layers[0] if self.shared else self.layers[index]
-
-
-def graph_conv(a: Tensor, x: Tensor, params: GraphConvParams) -> Tensor:
-    """Stacked Z = A @ Z @ W with inter-layer ReLU; zero layers return X."""
-    if a.rows != a.cols:
-        raise ValueError(f"adjacency must be square, got {a.shape}")
-    if x.rows != a.rows:
-        raise ValueError(f"feature rows {x.rows} != adjacency size {a.rows}")
-    z = x
-    for layer_index in range(params.num_layers):
-        z = ad.matmul(ad.matmul(a, z), params.layer(layer_index))
-        if layer_index < params.num_layers - 1:
-            z = ad.relu(z)
-    return z
-
-
-def stacked_adjacency(spokes: Array, pair_weights: Array | None, row_normalize: bool) -> Array:
-    """The (m, N+1, N+1) adjacencies of m frames with N objects each, on plain arrays.
-
-    ``spokes`` is (m, N); ``pair_weights`` is (m, N(N-1)/2) in row-major
-    i < j order (fully_connected) or None (star). Each matrix is entry for
-    entry what build_adjacency writes, and row normalisation makes the same
-    A @ ones, then @ ones_row products, stacked, so every quotient matches.
+    ``spokes`` is (m, N): weight j links the pedestrian node 0 with object
+    node j+1. ``pair_weights`` is (m, N(N-1)/2), one weight per object pair
+    i < j in row-major order, and fills both symmetric entries
+    (fully_connected), or None (star). The diagonal is one. With
+    row_normalize each row is divided by its sum, made as A @ ones, then
+    @ ones_row; the second value is then (the raw adjacency, that row-sum
+    matrix), which the quotient's backward reads, and None otherwise.
     """
     m, n = spokes.shape
     a = np.broadcast_to(np.eye(n + 1), (m, n + 1, n + 1)).copy()
@@ -244,58 +155,122 @@ def stacked_adjacency(spokes: Array, pair_weights: Array | None, row_normalize: 
         i, j = np.triu_indices(n, 1)
         a[:, i + 1, j + 1] = pair_weights
         a[:, j + 1, i + 1] = pair_weights
-    if row_normalize:
-        row_sums = a @ np.ones((n + 1, 1))
-        a = a / (row_sums @ np.ones((1, n + 1)))
-    return a
+    if not row_normalize:
+        return a, None
+    den = (a @ np.ones((n + 1, 1))) @ np.ones((1, n + 1))
+    return a / den, (a, den)
 
 
-def stacked_conv(a: Array, x: Array, layers: Sequence[Array]) -> Array:
-    """graph_conv on m stacked frames: (A @ Z) @ W per layer, ReLU between layers."""
-    z = x
+def graph_conv(a: Array, x: Array, layers: Sequence[Array]) -> tuple[Array, list[tuple[Array, Array]]]:
+    """Z = (A @ Z) @ W per layer on m stacked frames, ReLU between layers, none after the last.
+
+    ``a`` is (m, N+1, N+1), ``x`` the (m, N+1, H) node rows and ``layers``
+    one (H, H) matrix per layer; zero layers return X itself. The second
+    value holds, per layer, its input Z and the product A @ Z: what a
+    backward reads (a ReLU mask is where the next layer's input is positive).
+    """
+    z, saved = x, []
     for index, w in enumerate(layers):
-        z = (a @ z) @ w
+        az = a @ z
+        saved.append((z, az))
+        z = az @ w
         if index < len(layers) - 1:
             z = np.where(z > 0, z, 0.0)
-    return z
+    return z, saved
 
 
-def context_vector(z: Tensor) -> Tensor:
-    """Mean of the object rows (rows 1..N); a zero row when there are none."""
-    if z.rows == 1:
-        return ad.constant(np.zeros((1, z.cols)))
-    return ad.mean_rows(ad.slice_rows(z, 1, z.rows))
+def frame_rows(z: Array) -> Array:
+    """(m, 2H) frame rows [refined pedestrian row, mean of the object rows] of m (N+1, H) outputs.
 
-
-@dataclass
-class StarGraph:
-    """One frame's graph: adjacency, node features, and the raw edge weights.
-
-    Row 0 of ``x`` is the pedestrian node; ``weights`` follow the object
-    order used for rows 1..N.
+    The mean over no objects is a zero row.
     """
+    m, rows, h = z.shape
+    out = np.zeros((m, 2 * h))
+    out[:, :h] = z[:, 0]
+    if rows > 1:
+        out[:, h:] = z[:, 1:].mean(axis=1)
+    return out
 
-    a: Tensor
-    x: Tensor
-    weights: list[Tensor] = field(default_factory=list)
+
+def _check_weights(w: Tensor, count: int, what: str) -> None:
+    if w.shape != (count, 1):
+        raise ValueError(f"{what}s must be a ({count}, 1) column here, got shape {w.shape}")
+    bad = np.flatnonzero(~((w.data > 0.0) & (w.data < 1.0)))
+    if bad.size:
+        raise ValueError(f"{what} {bad[0]} outside the open interval (0,1): {float(w.data[bad[0], 0])!r}")
 
 
 def star_graph(
-    center_node: Tensor,
-    object_features: Sequence[Tensor],
-    weights: Sequence[Tensor],
-    mode: str = "star",
-    pair_weights: Sequence[Tensor] | None = None,
+    center: Tensor,
+    objects: Array,
+    spokes: Tensor,
+    pair_weights: Tensor | None = None,
+    layers: Sequence[Tensor] = (),
     row_normalize: bool = False,
-) -> StarGraph:
-    """Bundle adjacency and stacked node features for one frame.
+) -> Tensor:
+    """One frame's graph block as one (1, 2H) tape node: [refined pedestrian row, object-context mean].
 
-    ``weights`` and ``pair_weights`` are weight columns as build_adjacency
-    takes them.
+    ``center`` is the (1, H) pedestrian row and ``objects`` the (N, H)
+    object rows (constants) beneath it. ``spokes`` is the (N, 1) column of
+    edge weights and ``pair_weights`` the (N(N-1)/2, 1) column of object
+    pair weights (fully_connected) or None (star), each value in (0, 1).
+    ``layers`` holds one (H, H) matrix per layer, the same tensor repeated
+    when the layers share one.
+
+    The forward is build_adjacency, graph_conv and frame_rows with m = 1.
+    The backward makes the NumPy calls of the per-op chain (scatter, row
+    normalisation, row stack, conv layers, row slices, mean, concat) and
+    returns one gradient per use, in the order that chain's reverse pass
+    reached them: each layer matrix in reverse layer order, then the spoke
+    column, the pair column and the pedestrian row. The zero-padded slice
+    gradients are added as the chain adds them, so even the sign of a zero
+    gradient is the chain's. With zero layers the adjacency feeds nothing,
+    and the weight columns get no gradient.
     """
-    n = sum(w.rows for w in weights)
-    if len(object_features) != n:
-        raise ValueError(f"{len(object_features)} object features but {n} edge weights")
-    a = build_adjacency(weights, mode=mode, pair_weights=pair_weights, row_normalize=row_normalize)
-    x = ad.stack_rows([center_node, *object_features])
-    return StarGraph(a=a, x=x, weights=list(weights))
+    n, h = len(objects), center.cols
+    if center.rows != 1 or objects.shape != (n, h):
+        raise ValueError(f"a (1, H) pedestrian row needs (N, H) object rows, got {center.shape} and {objects.shape}")
+    for w in layers:
+        if w.shape != (h, h):
+            raise ValueError(f"layer matrices must be ({h}, {h}), got {w.shape}")
+    _check_weights(spokes, n, "edge weight")
+    if pair_weights is not None:
+        _check_weights(pair_weights, n * (n - 1) // 2, "object pair weight")
+    x = np.empty((1, n + 1, h))
+    x[0, 0] = center.data[0]
+    x[0, 1:] = objects
+    a, norm = build_adjacency(spokes.data.T, None if pair_weights is None else pair_weights.data.T, row_normalize)
+    z, saved = graph_conv(a, x, [w.data for w in layers])
+    weight_inputs = (spokes,) if pair_weights is None else (spokes, pair_weights)
+    inputs = (*layers[::-1], *weight_inputs, center)
+
+    def bwd(g: Array):
+        g_z = np.zeros((n + 1, h))
+        g_z[0:1] = g[:, :h]
+        if n:
+            g_ctx = np.zeros((n + 1, h))
+            g_ctx[1:] = np.repeat(g[:, h:] / n, n, axis=0)
+            g_z = g_ctx + g_z
+        grads, g_a = [], None
+        for index in reversed(range(len(layers))):
+            z_in, az = saved[index]
+            if index < len(layers) - 1:
+                g_z = g_z * (saved[index + 1][0][0] > 0)
+            grads.append(az[0].T @ g_z)
+            g_az = g_z @ layers[index].data.T
+            g_a = g_az @ z_in[0].T if g_a is None else g_a + g_az @ z_in[0].T
+            g_z = a[0].T @ g_az
+        if g_a is None:
+            grads += [None] * len(weight_inputs)
+        else:
+            if norm is not None:
+                raw, den = norm[0][0], norm[1][0]
+                g_rows = (-g_a * raw / (den * den)) @ np.ones((1, n + 1)).T
+                g_a = g_a / den + g_rows @ np.ones((n + 1, 1)).T
+            grads.append((g_a[0, 1:] + g_a[1:, 0]).reshape(-1, 1))
+            if pair_weights is not None:
+                i, j = np.triu_indices(n, 1)
+                grads.append((g_a[i + 1, j + 1] + g_a[j + 1, i + 1]).reshape(-1, 1))
+        return (*grads, g_z[0:1, :])
+
+    return ad._emit(ad._joint_tape(*inputs), inputs, frame_rows(z), bwd)

@@ -22,15 +22,18 @@ before any arithmetic, so outputs are bit-identical under permutations of the
 input object lists; floating-point addition is not associative, so ordering
 is what makes that exact rather than approximate.
 
-Two forwards share the math. forward_logits builds one scenario on Tensors
-and is the taped training forward. forward_batch is the inference path
+There is one implementation of each stage, and two forwards call it.
+forward_logits builds one scenario on Tensors and is the taped training
+forward; each GRU step, edge block and frame's graph block is one tape node
+(gru_step, edge_weight, star_graph). forward_batch is the inference path
 (evaluate, forward as a batch of one, the CLI's eval, predict and ablate):
 one tape-free NumPy pass over B scenarios. It runs each GRU of all B
 scenarios as stacked one-row products, (B, 1, I+H) @ W, through the value
 kernel gru_step also calls; scores all spokes of a pass in one call of the
 stacked-row kernel edge_weight also calls (and all object pairs in a
-second); and groups frames by object count N, so each bucket's graph
-convolution is one stacked (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
+second); and groups frames by object count N, so each bucket's graph block
+is one call of the stacked kernels star_graph also calls:
+(m, N+1, N+1) @ (m, N+1, H) @ W per layer, then the split into frame rows.
 NumPy evaluates a stacked product one matrix at a time, with the call the
 lone product makes, so a batched logit equals forward_logits byte for byte
 whatever else shares the batch (tests/test_model.py checks this under
@@ -54,14 +57,12 @@ from .configs import ConfigError, check_bool_fields, check_int, check_real, fini
 from .data import write_text_atomic
 from .graph import (
     EdgeWeightParams,
-    GraphConvParams,
-    context_vector,
+    build_adjacency,
     edge_values,
     edge_weight,
+    frame_rows,
     graph_conv,
     open_unit,
-    stacked_adjacency,
-    stacked_conv,
     star_graph,
 )
 from .recurrent import (
@@ -335,21 +336,13 @@ def forward_logits(
     else:
         ped_nodes = ped_inputs
 
-    uses_graph = mode in ("star", "fully_connected")
-    edge_p = EdgeWeightParams(p["edge.proj_i"], p["edge.proj_o"]) if uses_graph else None
-    gcn_p = None
-    if uses_graph:
-        if cfg.num_layers == 0:
-            layer_tensors: list[Tensor] = []
-        elif cfg.shared_weights:
-            layer_tensors = [p["gcn.W"]]
-        else:
-            layer_tensors = [p[f"gcn.W{i}"] for i in range(cfg.num_layers)]
-        gcn_p = GraphConvParams(layers=layer_tensors, shared=cfg.shared_weights, num_layers=cfg.num_layers)
     ctxt_cell = None
-    if uses_graph and tc.use_temporal and tc.use_ctxt_gru:
-        ctxt_cell = _gru_bundle(p, "ctxt_gru")
-        h_ctxt = ad.zeros(1, cfg.hidden)
+    if mode in ("star", "fully_connected"):
+        edge_p = EdgeWeightParams(p["edge.proj_i"], p["edge.proj_o"])
+        layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
+        if tc.use_temporal and tc.use_ctxt_gru:
+            ctxt_cell = _gru_bundle(p, "ctxt_gru")
+            h_ctxt = ad.zeros(1, cfg.hidden)
 
     objs = None if mode == "pedestrian_only" else _object_rows(observed, cfg.D)
     if objs is not None:
@@ -376,22 +369,12 @@ def forward_logits(
         if mode == "fully_connected":
             src, tgt = np.triu_indices(len(feats), 1)  # object pairs i < j, row-major
             rel = Tensor(spatial_relation(boxes[src], boxes[tgt]) * cfg.spatial_scale)
-            pair_weights = [edge_weight(Tensor(feats[src]), rel, Tensor(targets[tgt]), edge_p)]
-        g = star_graph(
-            ped,
-            [Tensor(row) for row in feats],
-            [weights],
-            mode=mode,
-            pair_weights=pair_weights,
-            row_normalize=cfg.normalize_adjacency,
-        )
-        z = graph_conv(g.a, g.x, gcn_p)
-        refined = ad.slice_rows(z, 0, 1)
-        ctx = context_vector(z)
+            pair_weights = edge_weight(Tensor(feats[src]), rel, Tensor(targets[tgt]), edge_p)
+        vec = star_graph(ped, feats, weights, pair_weights, layers, cfg.normalize_adjacency)
         if ctxt_cell is not None:
-            h_ctxt = gru_step(ctxt_cell, ctx, h_ctxt)
-            ctx = h_ctxt
-        frame_vecs.append(ad.concat_rows(refined, ctx))
+            h_ctxt = gru_step(ctxt_cell, ad.columns(vec, cfg.hidden, 2 * cfg.hidden), h_ctxt)
+            vec = ad.concat_rows(ad.columns(vec, 0, cfg.hidden), h_ctxt)
+        frame_vecs.append(vec)
 
     if tc.use_temporal:
         h_final = run_observation(_gru_bundle(p, "agg_gru"), frame_vecs)[-1]
@@ -494,11 +477,11 @@ def _forward_chunk(scenarios: Sequence[Scenario], cfg: ModelConfig, p: Mapping[s
                 pooled[frames] = objs.feats[rows].mean(axis=1)
         vecs = np.concatenate([ped, pooled.reshape(b, t_obs, 1, cfg.D)], axis=-1)
     else:
-        refined, ctx = _graph_frames(scenarios, cfg, p, observed, ped.reshape(len(observed), cfg.hidden))
-        ctx = ctx.reshape(b, t_obs, 1, cfg.hidden)
+        vecs = _graph_frames(scenarios, cfg, p, observed, ped.reshape(len(observed), cfg.hidden))
+        vecs = vecs.reshape(b, t_obs, 1, 2 * cfg.hidden)
         if tc.use_temporal and tc.use_ctxt_gru:
-            ctx = np.stack(_run_cell(_gru_bundle(p, "ctxt_gru"), ctx, cfg.hidden), axis=1)
-        vecs = np.concatenate([refined.reshape(b, t_obs, 1, cfg.hidden), ctx], axis=-1)
+            ctx = vecs[..., cfg.hidden :]
+            ctx[:] = np.stack(_run_cell(_gru_bundle(p, "ctxt_gru"), ctx, cfg.hidden), axis=1)
 
     if tc.use_temporal:
         h = _run_cell(_gru_bundle(p, "agg_gru"), vecs, cfg.hidden)[-1]
@@ -515,8 +498,8 @@ def _forward_chunk(scenarios: Sequence[Scenario], cfg: ModelConfig, p: Mapping[s
 
 def _graph_frames(
     scenarios, cfg: ModelConfig, p: Mapping[str, Tensor], observed: list[FrameObservation], ped_rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Refined pedestrian rows and object-context means, (F, H) each, of F frames.
+) -> np.ndarray:
+    """The (F, 2H) frame rows [refined pedestrian row, object-context mean] of F frames.
 
     All spokes of the batch are scored in one stacked call (and in
     fully_connected mode all object pairs in a second); then the frames are
@@ -545,8 +528,7 @@ def _graph_frames(
         )
 
     layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"].data for i in range(cfg.num_layers)]
-    refined = np.empty((len(observed), cfg.hidden))
-    ctx = np.zeros((len(observed), cfg.hidden))
+    vecs = np.empty((len(observed), 2 * cfg.hidden))
     pair_at = 0
     for n, frames, rows in buckets:
         pairs = None
@@ -557,11 +539,9 @@ def _graph_frames(
         x = np.empty((len(frames), n + 1, cfg.hidden))
         x[:, 0] = ped_rows[frames]
         x[:, 1:] = feats[rows]
-        z = stacked_conv(stacked_adjacency(spokes[rows], pairs, cfg.normalize_adjacency), x, layers)
-        refined[frames] = z[:, 0]
-        if n:
-            ctx[frames] = z[:, 1:].mean(axis=1)
-    return refined, ctx
+        a, _ = build_adjacency(spokes[rows], pairs, cfg.normalize_adjacency)
+        vecs[frames] = frame_rows(graph_conv(a, x, layers)[0])
+    return vecs
 
 
 def forward(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> PredictionOutput:

@@ -27,7 +27,7 @@ from .scene import Scenario
 
 
 class NumericError(RuntimeError):
-    """Training hit a non-finite loss; aborted with diagnostics."""
+    """A loss or a logit came out non-finite; aborted with diagnostics."""
 
 
 class EmptyDatasetError(Exception):
@@ -189,16 +189,25 @@ def evaluate(
     """Pure evaluation pass, one batched forward over the dataset.
 
     Repeated calls give bit-identical reports, equal to aggregating the
-    forward() outputs of each scenario.
+    forward() outputs of each scenario. A non-finite logit raises
+    NumericError naming the first scenario that has one.
     """
     if not dataset:
         raise EmptyDatasetError("no scenarios to evaluate")
-    logits = forward_batch(dataset, cfg, values)
+    logits = check_finite_logits(dataset, forward_batch(dataset, cfg, values))
     per_scenario = []
     for scenario, row, probs in zip(dataset, logits.tolist(), sigmoid_values(logits).tolist()):
         labels = future_labels(scenario, cfg)
         per_scenario.append((probs, labels, loss_from_logits(row, labels)))
     return aggregate_metrics(per_scenario, threshold=threshold)
+
+
+def check_finite_logits(scenarios: Sequence[Scenario], logits: np.ndarray) -> np.ndarray:
+    """Return the (B, K) ``logits`` of ``scenarios``; raise NumericError naming the first non-finite row."""
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite logits for scenario {scenarios[bad[0]].id!r}")
+    return logits
 
 
 def metrics_record(epoch: int, report: EvalReport) -> dict:
@@ -257,7 +266,10 @@ def train(
             grads = {name: g / len(batch) for name, g in grad_sum.items()}
             grads, _ = clip_gradients(grads, tcfg.grad_clip_norm)
             values = optimizer.step(values, grads)
-        report = evaluate(dataset, cfg, values)
+        try:
+            report = evaluate(dataset, cfg, values)
+        except NumericError as exc:
+            raise NumericError(f"epoch {epoch}: {exc}") from None
         history.append(report)
         if metrics_out is not None:
             metrics_out.write(json.dumps(metrics_record(epoch, report)) + "\n")

@@ -15,7 +15,7 @@ import pytest
 from intent_graph import autodiff as ad
 from intent_graph.cli import main as cli_main
 from intent_graph.data import SynthConfig, generate_synthetic
-from intent_graph.graph import GraphConvParams, build_adjacency, graph_conv
+from intent_graph.graph import build_adjacency, graph_conv
 from intent_graph.model import (
     ModelConfig,
     forward_logits,
@@ -44,8 +44,7 @@ def test_criterion_02_star_adjacency_properties():
     for _ in range(1000):
         n = int(rng.integers(0, 11))
         values = rng.uniform(1e-9, 1.0 - 1e-9, size=n)
-        weights = [ad.constant(np.array([[w]])) for w in values]
-        a = build_adjacency(weights).data
+        a = build_adjacency(values.reshape(1, n))[0][0]
         assert a.shape == (n + 1, n + 1)
         assert np.array_equal(a, a.T)
         assert np.array_equal(np.diag(a), np.ones(n + 1))
@@ -79,15 +78,15 @@ def test_criterion_03_permutation_invariance(acceptance_notes):
 
 
 def test_criterion_04_hand_instance_conformance():
-    a = build_adjacency([ad.constant(np.array([[0.5]])), ad.constant(np.array([[0.25]]))])
+    a = ad.constant(build_adjacency(np.array([[0.5, 0.25]]))[0][0])
     want = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.0], [0.25, 0.0, 1.0]])
     assert np.max(np.abs(a.data - want)) <= 1e-12
 
     # N=1, one layer, w1=0.5: pedestrian row of Z must equal (x_ped + 0.5 x_obj) W
-    adj = build_adjacency([ad.constant(np.array([[0.5]]))])
+    adj = build_adjacency(np.array([[0.5]]))[0]
     x = ad.constant(np.array([[1.0, 2.0], [3.0, -1.0]]))
     w = ad.constant(np.array([[1.0, 0.0], [2.0, 1.0]]))
-    z = graph_conv(adj, x, GraphConvParams(layers=[w], shared=True, num_layers=1))
+    z = ad.constant(graph_conv(adj, x.data[None], [w.data])[0][0])
     hand = (np.array([1.0, 2.0]) + 0.5 * np.array([3.0, -1.0])) @ w.data
     assert np.max(np.abs(z.data[0] - hand)) <= 1e-12
     assert np.max(np.abs(z.data[0] - np.array([5.5, 1.5]))) <= 1e-12

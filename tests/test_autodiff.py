@@ -15,7 +15,7 @@ from intent_graph.autodiff import (
     Tensor,
     finite_diff_check,
 )
-from intent_graph.graph import EdgeWeightParams, edge_weight
+from intent_graph.graph import EdgeWeightParams, edge_weight, star_graph
 from intent_graph.recurrent import GRUCellParams, gru_step
 
 import reference_ops as ops
@@ -58,21 +58,21 @@ def test_elementwise_ops_values():
     assert np.array_equal(ops.sub(a, b).data, [[-2.0, -6.0]])
     assert np.array_equal(ops.hadamard(a, b).data, [[3.0, -8.0]])
     assert np.array_equal(ad.scale(a, -0.5).data, [[-0.5, 1.0]])
-    assert np.allclose(ad.div(a, b).data, [[1 / 3, -0.5]])
+    assert np.allclose(ops.div(a, b).data, [[1 / 3, -0.5]])
 
 
 def test_symmetric_scatter_values_gradient_and_checks():
     tape = GradientTape()
     u = tape.parameter("u", np.array([[0.25]]))
     v = tape.parameter("v", np.array([[0.5]]))
-    out = ad.symmetric_scatter(Tensor(np.eye(3)), [(0, 1), (2, 1)], [u, v])
+    out = ops.symmetric_scatter(Tensor(np.eye(3)), [(0, 1), (2, 1)], [u, v])
     assert np.array_equal(out.data, [[1.0, 0.25, 0.0], [0.25, 1.0, 0.5], [0.0, 0.5, 1.0]])
     g = np.arange(9.0).reshape(3, 3)
     grads = tape.backward(ops.sum_all(ops.hadamard(out, Tensor(g))))
     assert grads["u"].tolist() == [[g[0, 1] + g[1, 0]]]
     assert grads["v"].tolist() == [[g[2, 1] + g[1, 2]]]
     # no weights leaves the base untouched
-    assert np.array_equal(ad.symmetric_scatter(Tensor(np.eye(2)), [], []).data, np.eye(2))
+    assert np.array_equal(ops.symmetric_scatter(Tensor(np.eye(2)), [], []).data, np.eye(2))
     for base, pairs, weights in [
         (Tensor(np.ones((2, 3))), [(0, 1)], [Tensor(0.5)]),  # not square
         (Tensor(np.eye(3)), [(0, 1)], []),  # count mismatch
@@ -81,15 +81,15 @@ def test_symmetric_scatter_values_gradient_and_checks():
         (Tensor(np.eye(3)), [(0, 3)], [Tensor(0.5)]),  # out of range
     ]:
         with pytest.raises(ShapeError):
-            ad.symmetric_scatter(base, pairs, weights)
+            ops.symmetric_scatter(base, pairs, weights)
     with pytest.raises(ValueError, match="more than once"):
-        ad.symmetric_scatter(Tensor(np.eye(3)), [(0, 1), (1, 0)], [Tensor(0.5), Tensor(0.5)])
+        ops.symmetric_scatter(Tensor(np.eye(3)), [(0, 1), (1, 0)], [Tensor(0.5), Tensor(0.5)])
 
 
 def test_relu_subgradient_zero_at_zero():
     tape = GradientTape()
     x = tape.parameter("x", np.array([[-1.0, 0.0, 2.0]]))
-    y = ops.sum_all(ad.relu(x))
+    y = ops.sum_all(ops.relu(x))
     grads = tape.backward(y)
     assert np.array_equal(grads["x"], [[0.0, 0.0, 1.0]])
 
@@ -148,15 +148,32 @@ def test_concat_rows_and_width_zero():
     assert np.array_equal(ad.concat_rows(a, a).data, [[1.0, 2.0, 1.0, 2.0]])
 
 
+def test_columns_cut_a_row_and_pad_the_gradient():
+    tape = GradientTape()
+    x = tape.parameter("x", np.array([[1.0, 2.0, 3.0]]))
+    assert np.array_equal(ad.columns(x, 1, 3).data, [[2.0, 3.0]])
+    assert ad.columns(x, 2, 2).shape == (1, 0)  # empty cut is legal
+    with pytest.raises(ShapeError):
+        ad.columns(x, 2, 4)
+    grads = tape.backward(ops.sum_all(ops.hadamard(ad.columns(x, 1, 3), Tensor([[4.0, 5.0]]))))
+    assert np.array_equal(grads["x"], [[0.0, 4.0, 5.0]])
+    # cuts that split a row pass their gradients through exactly, even a zero's sign
+    tape = GradientTape()
+    x = tape.parameter("x", np.array([[1.0, 2.0, 3.0]]))
+    halves = ad.concat_rows(ad.columns(x, 2, 3), ad.columns(x, 0, 2))
+    g = tape.backward(ops.sum_all(ops.hadamard(halves, Tensor([[-0.0, 0.0, -0.0]]))))["x"]
+    assert g.tobytes() == np.array([[0.0, -0.0, -0.0]]).tobytes()
+
+
 def test_stack_slice_roundtrip():
     rows = [Tensor([1.0, 2.0]), Tensor([3.0, 4.0]), Tensor([5.0, 6.0])]
     stacked = ad.stack_rows(rows)
     assert stacked.shape == (3, 2)
-    mid = ad.slice_rows(stacked, 1, 2)
+    mid = ops.slice_rows(stacked, 1, 2)
     assert np.array_equal(mid.data, [[3.0, 4.0]])
-    assert ad.slice_rows(stacked, 2, 2).shape == (0, 2)  # empty slice is legal
+    assert ops.slice_rows(stacked, 2, 2).shape == (0, 2)  # empty slice is legal
     with pytest.raises(ShapeError):
-        ad.slice_rows(stacked, 1, 4)
+        ops.slice_rows(stacked, 1, 4)
 
 
 def test_dot_and_mean_rows_and_sum_all():
@@ -194,7 +211,7 @@ def test_backward_requires_scalar():
     tape = GradientTape()
     x = tape.parameter("x", np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        tape.backward(ad.relu(x))
+        tape.backward(ops.relu(x))
 
 
 def test_backward_twice_raises_then_reset_allows():
@@ -272,12 +289,36 @@ def _gru_loss(p):
         W_r=ad.matmul(_GRU_MIX[0], b),
         W_h=ad.matmul(_GRU_MIX[1], b),
         b_z=ad.mean_rows(b),
-        b_r=ad.slice_rows(b, 0, 1),
-        b_h=ad.slice_rows(b, 3, 4),
+        b_r=ops.slice_rows(b, 0, 1),
+        b_h=ops.slice_rows(b, 3, 4),
     )
     h = ad.matmul(ad.mean_rows(p["c"]), _GRU_H)
     out = gru_step(cell, ad.matmul(ad.mean_rows(p["a"]), _GRU_X), h)
     return ops.sum_all(ops.hadamard(out, h))
+
+
+# Constant operands for the star_graph row: three objects of width 4 under a
+# center read off "a"; spokes from "c" and the three pair weights from "a"
+# squashed into (0, 1); a layer matrix from "b" used twice around a second
+# one, with row normalisation, so every kind of use meets in one node.
+_SG = np.random.default_rng(13)
+_SG_OBJECTS = _SG.standard_normal((3, 4))
+_SG_COL = [Tensor(_SG.standard_normal((4, 1)) * 0.5) for _ in range(2)]
+_SG_MIX = [Tensor(_SG.standard_normal((3, 4)) * 0.5) for _ in range(2)]
+_SG_OUT = Tensor(_SG.standard_normal((1, 8)))
+
+
+def _star_graph_loss(p):
+    w = ad.matmul(p["b"], _SG_MIX[0])
+    out = star_graph(
+        ad.mean_rows(p["a"]),
+        _SG_OBJECTS,
+        ops.sigmoid(ad.matmul(p["c"], _SG_COL[0])),
+        ops.sigmoid(ad.matmul(p["a"], _SG_COL[1])),
+        [w, ad.matmul(p["b"], _SG_MIX[1]), w],
+        row_normalize=True,
+    )
+    return ops.sum_all(ops.hadamard(out, _SG_OUT))
 
 
 def _central(f, params, h=1e-6):
@@ -310,18 +351,18 @@ def _loss_value(build):
     [
         ("matmul", lambda p: ops.sum_all(ad.matmul(p["a"], p["b"]))),
         ("hadamard", lambda p: ops.sum_all(ops.hadamard(p["a"], p["a"]))),
-        ("div", lambda p: ops.sum_all(ad.div(p["a"], p["c"]))),
+        ("div", lambda p: ops.sum_all(ops.div(p["a"], p["c"]))),
         ("sigmoid", lambda p: ops.sum_all(ops.sigmoid(p["a"]))),
         ("tanh", lambda p: ops.sum_all(ops.tanh(p["a"]))),
         ("mean_rows", lambda p: ops.sum_all(ad.mean_rows(ad.matmul(p["b"], p["a"])))),
-        ("slice", lambda p: ops.sum_all(ad.slice_rows(ad.matmul(p["b"], p["a"]), 1, 3))),
+        ("slice", lambda p: ops.sum_all(ops.slice_rows(ad.matmul(p["b"], p["a"]), 1, 3))),
         ("dot", lambda p: ops.dot(ad.mean_rows(p["a"]), ad.mean_rows(p["c"]))),
         (
             "symmetric_scatter",
             lambda p: ops.sum_all(
                 ops.hadamard(
                     ad.matmul(p["a"], p["b"]),
-                    ad.symmetric_scatter(
+                    ops.symmetric_scatter(
                         ad.matmul(p["c"], p["b"]),
                         [(0, 1), (2, 1)],
                         [
@@ -345,6 +386,8 @@ def _loss_value(build):
             ),
         ),
         ("gru_step", lambda p: _gru_loss(p)),
+        ("columns", lambda p: ops.sum_all(ad.columns(ad.matmul(p["a"], p["b"]), 1, 3))),
+        ("star_graph", lambda p: _star_graph_loss(p)),
     ],
 )
 def test_op_gradients_match_central_differences(name, build):

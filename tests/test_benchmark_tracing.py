@@ -2,7 +2,8 @@
 
 ``benchmarks/tracing.py`` wraps every (module, attribute) pair in ``WRAPPED``
 and ``autodiff.GradientTape.record``. A rename in the library would only
-surface when ``benchmarks/run.py --trace 1`` runs, so it is checked here.
+surface when ``benchmarks/run.py --trace 1`` runs, so it is checked here,
+and so is what the graph spans count on a traced training scenario.
 """
 
 import importlib
@@ -36,3 +37,22 @@ def test_every_wrapped_attribute_resolves():
                 missing.append(f"{span}: intent_graph.{module_name}.{attr}")
     assert not missing, missing
     assert callable(importlib.import_module("intent_graph.autodiff").GradientTape.record)
+
+
+def test_graph_spans_count_one_node_per_frame():
+    from intent_graph.autodiff import GradientTape
+    from intent_graph.data import SynthConfig, generate_synthetic
+    from intent_graph.model import ModelConfig, init_parameters
+
+    tracing = _load_tracing()
+    names = ("autodiff", "data", "scene", "graph", "recurrent", "model", "training")
+    modules = {name: importlib.import_module(f"intent_graph.{name}") for name in names}
+    cfg = ModelConfig(D=8, D_e=6, hidden=8, T=4, K=2, num_layers=2, spatial_scale=1 / 1280, seed=1)
+    scenario = generate_synthetic(SynthConfig(n_scenarios=1, frames_per_scenario=6, D=8, seed=0))[0]
+    tracer = tracing.Tracer()
+    with tracing.instrumented(modules, tracer):
+        modules["training"].scenario_loss_tensor(scenario, cfg, init_parameters(cfg), GradientTape())
+    calls, _, _, nodes = tracer.stats["graph.star_graph"]
+    assert (calls, nodes) == (cfg.T, cfg.T)
+    assert tracer.stats["graph.build_adjacency"][0] == cfg.T
+    assert tracer.stats["graph.build_adjacency"][3] == 0  # the kernel records nothing itself

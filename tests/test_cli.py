@@ -17,10 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intent_graph import cli
-from intent_graph.autodiff import ShapeError
+from intent_graph.autodiff import GradientTape, ShapeError
 from intent_graph.cli import build_parser, main
-from intent_graph.data import SynthConfig, generate_synthetic, serialize, write_dataset
+from intent_graph.data import SynthConfig, generate_synthetic, load, serialize, write_dataset
 from intent_graph.model import ModelConfig, init_parameters, load_checkpoint, save_checkpoint
+from intent_graph.training import AdamOptimizer, TrainConfig, clip_gradients, scenario_loss_tensor
 from intent_graph.scene import BoundingBox, ObjectObservation
 
 
@@ -436,6 +437,65 @@ def test_predict_unknown_scenario_id(tmp_path, capsys, cfg_path):
         capsys, ["predict", "--model", model, "--data", data, "--scenario", "ghost"]
     )
     assert code == 3 and "ghost" in doc["error"]["message"]
+
+
+# -- non-finite logits (exit 4) ----------------------------------------------------
+
+# One epoch of one batch at learning rate 1e300 moves every weight by about
+# 1e300: the checkpoint stays finite, its logits do not.
+_BLOWN = {
+    "synth": {"n_scenarios": 4, "frames_per_scenario": 6, "D": 8, "seed": 0},
+    "model": {"D": 8, "D_e": 6, "hidden": 8, "T": 3, "K": 2, "spatial_scale": 0.00078125, "seed": 1},
+    "train": {"epochs": 1, "learning_rate": 1e300, "batch_size": 4, "seed": 1},
+}
+
+
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, as jq and other strict parsers do."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.fixture
+def blown(tmp_path, capsys):
+    """(config, dataset, checkpoint) paths; the checkpoint is one such step from its init."""
+    cfg, data, model = (str(tmp_path / name) for name in ("blown.json", "data.jsonl", "model.json"))
+    Path(cfg).write_text(json.dumps(_BLOWN))
+    assert main(["synth", "--config", cfg, "--out", data]) == 0
+    mcfg, tcfg = ModelConfig(**_BLOWN["model"]), TrainConfig(**_BLOWN["train"])
+    values, grads = init_parameters(mcfg), {}
+    for scenario in load(data):
+        tape = GradientTape()
+        for name, g in tape.backward(scenario_loss_tensor(scenario, mcfg, values, tape)).items():
+            grads[name] = grads.get(name, 0.0) + g / _BLOWN["synth"]["n_scenarios"]
+    grads, _ = clip_gradients(grads, tcfg.grad_clip_norm)
+    save_checkpoint(model, mcfg, AdamOptimizer(tcfg).step(values, grads))
+    capsys.readouterr()
+    return cfg, data, model
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_train_with_non_finite_logits_is_a_numeric_error(blown, capsys):
+    cfg, data, _ = blown
+    out = cfg + ".ckpt"
+    code = main(["train", "--config", cfg, "--data", data, "--out", out])
+    doc = _strict_json(capsys.readouterr().out)
+    assert (code, doc["error"]["kind"]) == (4, "numeric")
+    assert "epoch 1" in doc["error"]["message"] and "synth-0-0000" in doc["error"]["message"]
+    assert not Path(out).exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_non_finite_logits_are_a_numeric_error(blown, capsys, command):
+    _, data, model = blown
+    code = main([command, "--model", model, "--data", data])
+    doc = _strict_json(capsys.readouterr().out)
+    assert (code, doc["error"]["kind"]) == (4, "numeric")
+    assert "non-finite logits for scenario 'synth-0-0000" in doc["error"]["message"]
 
 
 # -- gradcheck (exit 0 or 4) ---------------------------------------------------------

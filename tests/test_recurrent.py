@@ -170,7 +170,8 @@ def test_one_step_records_one_tape_node():
     assert len(tape._nodes) == before + 1
 
 
-def test_recipe_scenario_records_at_most_80_tape_nodes(learn_recipe):
+def test_recipe_scenario_records_at_most_36_tape_nodes(learn_recipe):
+    # per frame: one GRU step, one edge block and one graph block
     data = generate_synthetic(SynthConfig(**learn_recipe["synth"]))
     train_set, _ = split(data, **learn_recipe["split"])
     cfg = ModelConfig(num_layers=2, **learn_recipe["model"])
@@ -180,7 +181,21 @@ def test_recipe_scenario_records_at_most_80_tape_nodes(learn_recipe):
         tape = GradientTape()
         scenario_loss_tensor(scenario, cfg, values, tape)
         counts.append(len(tape._nodes))
-    assert max(counts) <= 80, counts
+    assert max(counts) <= 36, counts
+
+
+def test_dense_fully_connected_scenario_records_at_most_40_tape_nodes(learn_recipe):
+    # the train-fc-dense shape: 8 objects per frame, so 28 object pairs
+    synth = dict(learn_recipe["synth"], n_scenarios=4, vehicle_count_range=(7, 7))
+    cfg = ModelConfig(num_layers=2, graph_mode="fully_connected", **learn_recipe["model"])
+    values = init_parameters(cfg)
+    counts = []
+    for scenario in generate_synthetic(SynthConfig(**synth)):
+        assert {len(f.objects) for f in scenario.frames} == {8}
+        tape = GradientTape()
+        scenario_loss_tensor(scenario, cfg, values, tape)
+        counts.append(len(tape._nodes))
+    assert max(counts) <= 40, counts
 
 
 # -- prediction rollout --------------------------------------------------------
