@@ -137,7 +137,7 @@ def _load_datasets(paths: Sequence[str], min_frames: int | None = None):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Exact invocation record, written next to --out before work starts."""
+    """Exact invocation record, written next to --out right after that output: a failed run leaves none."""
 
     command: str
     argv: list[str]
@@ -182,14 +182,6 @@ def _cmd_train(args) -> int:
     mcfg = ModelConfig.from_dict(_section(sections, "model", args.seed))
     tcfg = TrainConfig.from_dict(_section(sections, "train", args.seed))
     dataset = _load_datasets(args.data, min_frames=mcfg.T + mcfg.K)
-    if args.out:
-        RunManifest(
-            command="train",
-            argv=list(sys.argv[1:]),
-            config={"model": mcfg.to_dict(), "train": tcfg.to_dict()},
-            data=list(args.data),
-            out=args.out,
-        ).write()
     _say(f"training on {len(dataset)} scenarios for {tcfg.epochs} epochs")
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as handle:
@@ -198,6 +190,13 @@ def _cmd_train(args) -> int:
         result = train(dataset, mcfg, tcfg)
     if args.out:
         save_checkpoint(args.out, mcfg, result.params)
+        RunManifest(
+            command="train",
+            argv=list(sys.argv[1:]),
+            config={"model": mcfg.to_dict(), "train": tcfg.to_dict()},
+            data=list(args.data),
+            out=args.out,
+        ).write()
     final = result.history[-1]
     _emit(
         {
@@ -291,9 +290,10 @@ def _apply_override(section_dicts: dict, path: str, value) -> None:
     target = section_dicts[head]
     keys = rest.split(".")
     for key in keys[:-1]:
-        target = target.setdefault(key, {})
-        if not isinstance(target, dict):
+        child = target.get(key, {})
+        if not isinstance(child, dict):
             raise ConfigError(f"grid key {path!r} descends through a non-object value")
+        target[key] = target = dict(child)  # a copy, so the sections the manifest records stay as read
     target[keys[-1]] = value
 
 
@@ -318,15 +318,6 @@ def _cmd_ablate(args) -> int:
             f"split left {len(train_set)} train / {len(test_set)} test scenarios; "
             "adjust --train-fraction or add data"
         )
-
-    if args.out:
-        RunManifest(
-            command="ablate",
-            argv=list(sys.argv[1:]),
-            config={"sections": {k: dict(sections.get(k, {})) for k in _SECTIONS}, "grid": grid},
-            data=list(args.data),
-            out=args.out,
-        ).write()
 
     keys = sorted(grid)
     runs = []
@@ -373,6 +364,13 @@ def _cmd_ablate(args) -> int:
     }
     if args.out:  # before _emit, so a failed write still leaves one JSON document on stdout
         write_text_atomic(args.out, json.dumps(payload, indent=2) + "\n")
+        RunManifest(
+            command="ablate",
+            argv=list(sys.argv[1:]),
+            config={"sections": {k: dict(sections.get(k, {})) for k in _SECTIONS}, "grid": grid},
+            data=list(args.data),
+            out=args.out,
+        ).write()
     _emit(payload)
     return 0
 

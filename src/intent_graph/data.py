@@ -8,11 +8,22 @@ File format: one JSON object per line,
          "objects": [{"cat": str, "box": [...], "feat": [...], "cam_dx": float}],
          "label": 0 | 1}]}
 
-Records are parsed strictly: unknown keys, malformed values, and labels
-outside {0,1} raise RecordParseError with the line number; feature-width
-drift raises FeatureWidthError; non-increasing timestamps raise
-TimestampOrderError. Serialization is deterministic, so re-serializing a
-loaded file reproduces it byte for byte.
+This module owns every rule on a record; the ``scene`` types it fills are
+plain records that check nothing. ``load`` enforces, each in one place:
+
+  - the keys above, no more and no fewer (``cam_dx`` may be left out, 0.0);
+  - the number rule: every number is a JSON int or float, finite, within the
+    float range (``configs.finite_array``);
+  - a box has 4 corners with xmin <= xmax and ymin <= ymax;
+  - a feature is a non-empty array, and every feature in a file has one width;
+  - a label is 0 or 1, ``t`` is an integer, ``fps > 0`` and ``frames`` is
+    non-empty;
+  - ``t`` increases strictly from frame to frame.
+
+A broken rule raises FeatureWidthError for the width, TimestampOrderError for
+the order and RecordParseError for the rest, each with the line number.
+Serialization is deterministic, so re-serializing a loaded file reproduces it
+byte for byte. ``generate_synthetic`` checks only that its draw is finite.
 
 Synthetic scenarios and the labeling rule
 -----------------------------------------
@@ -56,7 +67,6 @@ from .scene import (
     ObjectCategory,
     ObjectObservation,
     Scenario,
-    category_one_hot,
 )
 
 
@@ -105,10 +115,9 @@ def _numbers(value, what: str, line: int) -> np.ndarray:
 def _box(value, what: str, line: int) -> BoundingBox:
     corners = _numbers(value, what, line)
     _require(corners.size == 4, f"{what} must have 4 entries, got {corners.size}", line)
-    try:
-        return BoundingBox(*corners.tolist())
-    except ValueError as exc:
-        raise RecordParseError(f"{what}: {exc}", line) from exc
+    xmin, ymin, xmax, ymax = corners.tolist()
+    _require(xmin <= xmax and ymin <= ymax, f"{what}: degenerate box: ({xmin}, {ymin}, {xmax}, {ymax})", line)
+    return BoundingBox(xmin, ymin, xmax, ymax)
 
 
 def _parse_frame(obj, line: int, width: list[int | None]) -> FrameObservation:
@@ -174,10 +183,9 @@ def _parse_record(text: str, line: int, width: list[int | None]) -> Scenario:
     for prev, frame in zip(frames, frames[1:]):
         t0, t1 = prev.timestamp_index, frame.timestamp_index
         _require(t0 < t1, f"timestamps must increase strictly ({t0} then {t1})", line, TimestampOrderError)
-    try:
-        return Scenario(id=obj["id"], frames=tuple(frames), fps=fps)
-    except ValueError as exc:
-        raise RecordParseError(str(exc), line) from exc
+    _require(frames, f"scenario {obj['id']!r} has no frames", line)
+    _require(fps > 0, f"scenario {obj['id']!r}: fps must be positive, got {fps!r}", line)
+    return Scenario(id=obj["id"], frames=tuple(frames), fps=fps)
 
 
 def load(path, min_frames: int | None = None) -> list[Scenario]:
@@ -541,11 +549,21 @@ def _generate_one(cfg: SynthConfig, index: int, p_obj: np.ndarray, p_ped: np.nda
     return Scenario(id=f"synth-{cfg.seed}-{index:05d}", frames=tuple(frames), fps=cfg.fps)
 
 
+def _require_finite_draw(scenario: Scenario) -> Scenario:
+    """Raise ValueError if a config at the float range's edge drew a non-finite box or feature."""
+    frames = scenario.frames
+    boxes = np.array([b.as_list() for f in frames for b in (f.pedestrian_box, *(o.box for o in f.objects))])
+    feats = np.array([x for f in frames for x in (f.pedestrian_feature, *(o.feature for o in f.objects))])
+    if not (np.isfinite(boxes).all() and np.isfinite(feats).all()):
+        raise ValueError(f"scenario {scenario.id!r}: non-finite box or feature; the synth geometry overflows")
+    return scenario
+
+
 def generate_synthetic(cfg: SynthConfig) -> list[Scenario]:
-    """Draw cfg.n_scenarios labeled scenarios (see module docstring)."""
+    """Draw cfg.n_scenarios labeled scenarios (see module docstring); ValueError if a draw overflows."""
     p_obj = _embedding(cfg, _OBJ_PROJ_TAG)
     p_ped = _embedding(cfg, _PED_PROJ_TAG)
-    return [_generate_one(cfg, i, p_obj, p_ped) for i in range(cfg.n_scenarios)]
+    return [_require_finite_draw(_generate_one(cfg, i, p_obj, p_ped)) for i in range(cfg.n_scenarios)]
 
 
 def label_prevalence(scenarios: Sequence[Scenario]) -> float:

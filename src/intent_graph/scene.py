@@ -10,13 +10,15 @@ where every delta is target minus source and the union terms are the
 width/height of the smallest box containing both, all in raw pixels.
 ``spatial_relation`` computes a block of such rows at once.
 
-The scene dataclasses use slots: a loaded dataset holds one instance per
-box, object and frame, and slots take about a tenth off its memory.
+The scene dataclasses are plain frozen records with slots: they check
+nothing. ``data.load`` fills them from a file and owns every rule on a record
+(see the ``data`` module docstring); the synthetic generator fills them from a
+config and checks that its draw stayed finite. A loaded dataset holds one
+instance per box, object and frame, and slots take about a tenth off its memory.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,12 +86,6 @@ def category_one_hot(category: ObjectCategory) -> np.ndarray:
     return vec
 
 
-def _require_finite(name: str, *values: float) -> None:
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"{name}: non-finite value {v!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box; corners in pixels, xmin <= xmax and ymin <= ymax."""
@@ -98,13 +94,6 @@ class BoundingBox:
     ymin: float
     xmax: float
     ymax: float
-
-    def __post_init__(self):
-        _require_finite("BoundingBox", self.xmin, self.ymin, self.xmax, self.ymax)
-        if self.xmin > self.xmax or self.ymin > self.ymax:
-            raise ValueError(
-                f"degenerate box: ({self.xmin}, {self.ymin}, {self.xmax}, {self.ymax})"
-            )
 
     @property
     def width(self) -> float:
@@ -154,17 +143,6 @@ def spatial_relation(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
     return rel
 
 
-def _as_feature(name: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:  # a no-op reshape would still keep a second array object per feature
-        arr = arr.reshape(-1)
-    if arr.size == 0:
-        raise ValueError(f"{name}: feature vector is empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: feature vector has non-finite entries")
-    return arr
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class ObjectObservation:
     """One detected scene object in one frame."""
@@ -173,14 +151,6 @@ class ObjectObservation:
     box: BoundingBox
     feature: np.ndarray
     camera_offset_x: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "feature", _as_feature("object feature", self.feature))
-        _require_finite("camera_offset_x", self.camera_offset_x)
-
-    @property
-    def feature_width(self) -> int:
-        return int(self.feature.size)
 
     def aligned_box(self) -> BoundingBox:
         """Box shifted into the reference camera frame by camera_offset_x."""
@@ -199,14 +169,6 @@ class FrameObservation:
     objects: tuple[ObjectObservation, ...]
     crossing_label: int
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "pedestrian_feature", _as_feature("pedestrian feature", self.pedestrian_feature)
-        )
-        object.__setattr__(self, "objects", tuple(self.objects))
-        if self.crossing_label not in (0, 1):
-            raise ValueError(f"crossing_label must be 0 or 1, got {self.crossing_label!r}")
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Scenario:
@@ -215,31 +177,6 @@ class Scenario:
     id: str
     frames: tuple[FrameObservation, ...]
     fps: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
-        if not self.frames:
-            raise ValueError(f"scenario {self.id!r} has no frames")
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ValueError(f"scenario {self.id!r}: fps must be positive, got {self.fps!r}")
-        last = None
-        for frame in self.frames:
-            if last is not None and frame.timestamp_index <= last:
-                raise ValueError(
-                    f"scenario {self.id!r}: timestamps must increase strictly "
-                    f"({last} then {frame.timestamp_index})"
-                )
-            last = frame.timestamp_index
-        width = self.frames[0].pedestrian_feature.size
-        for frame in self.frames:
-            if frame.pedestrian_feature.size != width:
-                raise ValueError(f"scenario {self.id!r}: pedestrian feature width varies")
-            for obj in frame.objects:
-                if obj.feature_width != width:
-                    raise ValueError(
-                        f"scenario {self.id!r}: object feature width {obj.feature_width} "
-                        f"!= pedestrian width {width}"
-                    )
 
     @property
     def feature_width(self) -> int:

@@ -486,6 +486,7 @@ def test_train_with_non_finite_logits_is_a_numeric_error(blown, capsys):
     assert (code, doc["error"]["kind"]) == (4, "numeric")
     assert "epoch 1" in doc["error"]["message"] and "synth-0-0000" in doc["error"]["message"]
     assert not Path(out).exists()
+    assert not Path(out + ".manifest.json").exists()  # a manifest only for a run that finished
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -496,6 +497,31 @@ def test_non_finite_logits_are_a_numeric_error(blown, capsys, command):
     doc = _strict_json(capsys.readouterr().out)
     assert (code, doc["error"]["kind"]) == (4, "numeric")
     assert "non-finite logits for scenario 'synth-0-0000" in doc["error"]["message"]
+
+
+# -- synth geometry past the float range (exit 3) ----------------------------------
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+@pytest.mark.parametrize(
+    "command,synth",
+    [
+        ("synth", {"frame_height": 1.7e308}),
+        ("synth", {"frame_width": 5e-324}),
+        ("synth", {"ped_speed_range": [1, 1.7e308]}),
+        ("gradcheck", {"frame_height": 1.7e308}),
+    ],
+)
+def test_synth_config_that_overflows_is_a_data_error(tmp_path, capsys, command, synth):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": {"n_scenarios": 4, "frames_per_scenario": 6, "D": 8, "seed": 0, **synth}}))
+    out = tmp_path / "data.jsonl"
+    argv = ["synth", "--config", str(cfg), "--out", str(out)] if command == "synth" else ["gradcheck", "--config", str(cfg)]
+    code = main(argv)
+    doc = _strict_json(capsys.readouterr().out)
+    assert (code, doc["error"]["kind"]) == (3, "data")
+    assert "non-finite" in doc["error"]["message"] and "feature" in doc["error"]["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # no dataset, sidecar or .tmp file
 
 
 # -- gradcheck (exit 0 or 4) ---------------------------------------------------------
@@ -596,6 +622,24 @@ def test_ablate_grid_runs_and_reports(tmp_path, capsys, cfg_path):
         assert set(run) == {"overrides", "parameters", "train", "test"}
     assert json.loads(out.read_text()) == doc
     assert (tmp_path / "ablate.json.manifest.json").exists()
+
+
+def test_ablate_manifest_records_the_config_sections_as_read(tmp_path, capsys, cfg_path):
+    data = str(tmp_path / "data.jsonl")
+    _run(capsys, ["synth", "--config", cfg_path, "--out", data])
+    sections = json.loads(Path(cfg_path).read_text())
+    sections["model"]["temporal"] = {"use_ctxt_gru": False}
+    sections["train"]["epochs"] = 1
+    Path(cfg_path).write_text(json.dumps(sections))
+    out = str(tmp_path / "ablate.json")
+    code, doc, _ = _run(
+        capsys,
+        ["ablate", "--config", cfg_path, "--data", data,
+         "--grid", '{"model.temporal.use_ctxt_gru": [true]}', "--out", out],
+    )
+    assert code == 0
+    manifest = json.loads(Path(out + ".manifest.json").read_text())
+    assert manifest["config"]["sections"]["model"] == sections["model"]  # not the override
 
 
 @pytest.mark.parametrize("target", ["model.json.manifest.json", "ablate.json"])

@@ -139,6 +139,12 @@ def test_serialize_then_load_is_byte_identical(tmp_path):
         pytest.param(_set("frames.0.ped.feat.0", 10**400), RecordParseError, "number", id="feat-400-digit-int"),
         pytest.param(_set("fps", -(10**400)), RecordParseError, "fps", id="fps-400-digit-int"),
         pytest.param(_set("frames.0.objects.0.cam_dx", True), RecordParseError, "cam_dx", id="cam_dx-bool"),
+        pytest.param(_set("frames.0.objects.0.cam_dx", _raw("NaN")), RecordParseError, "cam_dx", id="cam_dx-NaN"),
+        # rules that data.load owns alone: the scene records check nothing
+        pytest.param(_set("frames.0.objects.0.box.0", 70.0), RecordParseError, "degenerate", id="object-box-xmin-above-xmax"),
+        pytest.param(_set("frames.0.ped.box.1", 25.0), RecordParseError, "degenerate", id="ped-box-ymin-above-ymax"),
+        pytest.param(_set("fps", -1.0), RecordParseError, "fps", id="fps-negative"),
+        pytest.param(_set("frames.0.objects.0.feat", []), RecordParseError, "non-empty", id="object-feat-empty"),
         # json.loads itself refuses integer literals of more than 4300 digits
         pytest.param(_set("frames.0.ped.feat.0", _raw("1" * 5000)), RecordParseError, "JSON", id="feat-5000-digit-int"),
     ],

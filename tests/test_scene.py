@@ -1,4 +1,4 @@
-"""Categories, boxes, spatial relations, and observation and scenario validation."""
+"""Categories, boxes, spatial relations, and the plain observation and scenario records."""
 
 import numpy as np
 import pytest
@@ -44,10 +44,6 @@ def test_box_basics():
     assert PED.center == (20.0, 40.0)
     assert PED.bottom_center == (20.0, 60.0)
     assert PED.shift_x(5).as_list() == [15, 20, 35, 60]
-    with pytest.raises(ValueError):
-        BoundingBox(10, 0, 5, 10)
-    with pytest.raises(ValueError):
-        BoundingBox(0, 0, float("nan"), 1)
 
 
 def _rows(*boxes):
@@ -162,10 +158,6 @@ def _frame(t, width=3, label=0, objects=()):
 
 
 def test_object_observation_validation():
-    with pytest.raises(ValueError):
-        ObjectObservation(ObjectCategory.CAR, OBJ, np.array([1.0, float("inf")]))
-    with pytest.raises(ValueError):
-        ObjectObservation(ObjectCategory.CAR, OBJ, np.array([]))
     obs = ObjectObservation(ObjectCategory.CAR, OBJ, np.array([1.0]), camera_offset_x=-3.0)
     assert obs.aligned_box() == OBJ.shift_x(-3.0)
     zero = ObjectObservation(ObjectCategory.CAR, OBJ, np.array([1.0]))
@@ -173,20 +165,12 @@ def test_object_observation_validation():
 
 
 def test_frame_label_validation():
-    with pytest.raises(ValueError):
-        _frame(0, label=2)
+    # the 0/1 rule belongs to data.load (the "label" rows of test_data.py); a frame keeps its label
+    frames = (_frame(0, label=1), _frame(1, label=0))
+    assert Scenario(id="s", frames=frames, fps=10.0).labels() == [1, 0]
 
 
 def test_scenario_timestamp_and_width_validation():
-    with pytest.raises(ValueError, match="increase strictly"):
-        Scenario(id="s", frames=(_frame(0), _frame(0)), fps=10.0)
-    with pytest.raises(ValueError, match="width"):
-        Scenario(id="s", frames=(_frame(0, width=3), _frame(1, width=4)), fps=10.0)
-    bad_obj = ObjectObservation(ObjectCategory.CAR, OBJ, np.ones(5))
-    with pytest.raises(ValueError, match="width"):
-        Scenario(id="s", frames=(_frame(0, objects=(bad_obj,)),), fps=10.0)
-    with pytest.raises(ValueError, match="fps"):
-        Scenario(id="s", frames=(_frame(0),), fps=0.0)
     ok = Scenario(id="s", frames=(_frame(0), _frame(2), _frame(5)), fps=10.0)
     assert ok.feature_width == 3
     assert ok.labels() == [0, 0, 0]
