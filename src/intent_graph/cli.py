@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 import traceback
 from dataclasses import dataclass
@@ -137,7 +138,10 @@ def _load_datasets(paths: Sequence[str], min_frames: int | None = None):
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Exact invocation record, written next to --out right after that output: a failed run leaves none."""
+    """Exact invocation record, written next to --out right after that output.
+
+    A failed run leaves none; if the manifest cannot be written, the fresh output is removed.
+    """
 
     command: str
     argv: list[str]
@@ -155,7 +159,11 @@ class RunManifest:
             "out": self.out,
             "version": self.version,
         }
-        write_text_atomic(self.out + ".manifest.json", json.dumps(payload, indent=2) + "\n")
+        try:
+            write_text_atomic(self.out + ".manifest.json", json.dumps(payload, indent=2) + "\n")
+        except BaseException:
+            os.remove(self.out)
+            raise
 
 
 def _cmd_synth(args) -> int:

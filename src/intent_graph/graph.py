@@ -25,11 +25,14 @@ frame_rows into [refined pedestrian row, object-context mean]. The batched
 inference forward calls them on every frame of a bucket; star_graph calls
 them on one frame and records the whole block as one tape node, whose
 backward is bit for bit that of the per-op chain the tests keep.
+
+The array kernels (edge_values, build_adjacency, graph_conv, frame_rows)
+never see a Tensor. model.check_parameters owns the parameter shapes;
+edge_weight and star_graph check only that their operands fit together.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,28 +47,15 @@ ADJACENCY_MODES = ("star", "fully_connected")
 _OPEN_UNIT_LO, _OPEN_UNIT_HI = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
 
 
-@dataclass
-class EdgeWeightParams:
-    """Learned bias-free projections into the shared edge-scoring space."""
-
-    proj_i: Tensor  # (pedestrian width + 8) x D_e
-    proj_o: Tensor  # object feature width x D_e
-
-    def __post_init__(self):
-        if self.proj_i.cols != self.proj_o.cols:
-            raise ValueError(
-                f"projections must share the edge space width, got "
-                f"{self.proj_i.cols} and {self.proj_o.cols}"
-            )
-
-
-def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, p: EdgeWeightParams) -> Tensor:
+def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, proj_i: Tensor, proj_o: Tensor) -> Tensor:
     """Attention weights in (0,1) for a block of M edges, as one (M, 1) tape node.
 
     Row m is sigmoid(ReLU([src_m, rel_m] @ proj_i) . ReLU(tgt_m @ proj_o)).
     ``src`` is one (1, Dc) row shared by every edge (a frame's pedestrian) or
     an (M, Dc) block (fully_connected pair sources); ``rel`` holds the (M, 8)
     spatial relations and ``tgt`` the (M, Do) target rows, both constants.
+    ``proj_i`` (Dc+8, D_e) and ``proj_o`` (Do, D_e) are the learned bias-free
+    projections into the shared edge space.
 
     Every row is computed with stacked one-row products, so each weight and
     each gradient is bit for bit what a chain of single-edge ops would give
@@ -86,16 +76,16 @@ def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, p: EdgeWeightParams) -> T
     v = np.empty((m, dc + 8))
     v[:, :dc] = src.data
     v[:, dc:] = rel.data
-    pi, po = p.proj_i.data, p.proj_o.data
-    if v.shape[1] != pi.shape[0] or tgt.cols != po.shape[0]:
+    pi, po = proj_i.data, proj_o.data
+    if v.shape[1] != pi.shape[0] or tgt.cols != po.shape[0] or pi.shape[1] != po.shape[1]:
         raise ShapeError(
             f"edge block: rows of width {v.shape[1]} and {tgt.cols} do not fit "
-            f"projections {pi.shape} and {po.shape}"
+            f"projections {pi.shape} and {po.shape} into one edge space"
         )
     e_i, e_o, mask_i, mask_o, s = edge_values(v, tgt.data, pi, po)
     shared_src = src.rows == 1
     src_inputs = () if src.tape is None else (src,) * (m if shared_src else 1)
-    inputs = (p.proj_o,) * m + (p.proj_i,) * m + src_inputs
+    inputs = (proj_o,) * m + (proj_i,) * m + src_inputs
 
     def bwd(g: Array):
         g_logit = g * s * (1.0 - s)
@@ -108,7 +98,7 @@ def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, p: EdgeWeightParams) -> T
             grads += [*g_src[::-1]] if shared_src else [g_src[:, 0, :]]
         return grads
 
-    return ad._emit(ad._joint_tape(src, p.proj_i, p.proj_o), inputs, open_unit(s), bwd)
+    return ad._emit(ad._joint_tape(src, proj_i, proj_o), inputs, open_unit(s), bwd)
 
 
 def edge_values(v: Array, tgt: Array, proj_i: Array, proj_o: Array) -> tuple[Array, ...]:

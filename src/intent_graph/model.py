@@ -22,18 +22,22 @@ before any arithmetic, so outputs are bit-identical under permutations of the
 input object lists; floating-point addition is not associative, so ordering
 is what makes that exact rather than approximate.
 
+check_parameters, which both forwards and save_checkpoint call, is the one
+check of parameter names and shapes; nothing downstream checks them again.
+
 There is one implementation of each stage, and two forwards call it.
 forward_logits builds one scenario on Tensors and is the taped training
 forward; each GRU step, edge block and frame's graph block is one tape node
 (gru_step, edge_weight, star_graph). forward_batch is the inference path
 (evaluate, forward as a batch of one, the CLI's eval, predict and ablate):
-one tape-free NumPy pass over B scenarios. It runs each GRU of all B
-scenarios as stacked one-row products, (B, 1, I+H) @ W, through the value
-kernel gru_step also calls; scores all spokes of a pass in one call of the
-stacked-row kernel edge_weight also calls (and all object pairs in a
-second); and groups frames by object count N, so each bucket's graph block
-is one call of the stacked kernels star_graph also calls:
-(m, N+1, N+1) @ (m, N+1, H) @ W per layer, then the split into frame rows.
+one tape-free NumPy pass over B scenarios that never builds a Tensor. It
+runs each GRU of all B scenarios as stacked one-row products,
+(B, 1, I+H) @ W, through the value kernel gru_step also calls; scores all
+spokes of a pass in one call of the stacked-row kernel edge_weight also
+calls (and all object pairs in a second); and groups frames by object count
+N, so each bucket's graph block is one call of the stacked kernels
+star_graph also calls: (m, N+1, N+1) @ (m, N+1, H) @ W per layer, then the
+split into frame rows.
 NumPy evaluates a stacked product one matrix at a time, with the call the
 lone product makes, so a batched logit equals forward_logits byte for byte
 whatever else shares the batch (tests/test_model.py checks this under
@@ -56,7 +60,6 @@ from .autodiff import GradientTape, Tensor, sigmoid_values
 from .configs import ConfigError, check_bool_fields, check_int, check_real, finite_array, from_mapping, to_plain_dict
 from .data import write_text_atomic
 from .graph import (
-    EdgeWeightParams,
     build_adjacency,
     edge_values,
     edge_weight,
@@ -67,7 +70,6 @@ from .graph import (
 )
 from .recurrent import (
     GRUCellParams,
-    ReadoutParams,
     TemporalConfig,
     gru_step,
     gru_values,
@@ -215,30 +217,22 @@ def parameter_count(cfg: ModelConfig) -> int:
     return sum(r * c for r, c in parameter_shapes(cfg).values())
 
 
-def _lift_params(cfg: ModelConfig, values: Mapping[str, np.ndarray], tape: GradientTape | None) -> dict[str, Tensor]:
+def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The parameters as float64 arrays, once their names and shapes match the config (else ConfigError)."""
     shapes = parameter_shapes(cfg)
     if set(values) != set(shapes):
         missing = sorted(set(shapes) - set(values))
         extra = sorted(set(values) - set(shapes))
         raise ConfigError(f"parameter names do not match the config (missing {missing}, unexpected {extra})")
-    lifted: dict[str, Tensor] = {}
+    checked = {name: np.asarray(values[name], dtype=np.float64) for name in shapes}
     for name, shape in shapes.items():
-        arr = np.asarray(values[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise ConfigError(f"parameter {name} has shape {arr.shape}, config expects {shape}")
-        lifted[name] = tape.parameter(name, arr) if tape is not None else Tensor(arr)
-    return lifted
+        if checked[name].shape != shape:
+            raise ConfigError(f"parameter {name} has shape {checked[name].shape}, config expects {shape}")
+    return checked
 
 
-def _gru_bundle(p: Mapping[str, Tensor], prefix: str) -> GRUCellParams:
-    return GRUCellParams(
-        W_z=p[f"{prefix}.W_z"],
-        W_r=p[f"{prefix}.W_r"],
-        W_h=p[f"{prefix}.W_h"],
-        b_z=p[f"{prefix}.b_z"],
-        b_r=p[f"{prefix}.b_r"],
-        b_h=p[f"{prefix}.b_h"],
-    )
+def _gru_bundle(p: Mapping, prefix: str) -> GRUCellParams:
+    return GRUCellParams(*(p[f"{prefix}.{gate}"] for gate in ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h")))
 
 
 # Categories in the order of their values, which the canonical object order
@@ -328,7 +322,8 @@ def forward_logits(
     _check_scenario(scenario, cfg)
     observed = scenario.frames[: cfg.T]
     tc, mode = cfg.temporal, cfg.graph_mode
-    p = _lift_params(cfg, values, tape)
+    checked = check_parameters(cfg, values)
+    p = {name: Tensor(a) if tape is None else tape.parameter(name, a) for name, a in checked.items()}
 
     ped_inputs = [Tensor(f.pedestrian_feature.reshape(1, -1)) for f in observed]
     if tc.use_temporal and tc.use_ped_gru:
@@ -338,7 +333,7 @@ def forward_logits(
 
     ctxt_cell = None
     if mode in ("star", "fully_connected"):
-        edge_p = EdgeWeightParams(p["edge.proj_i"], p["edge.proj_o"])
+        proj = p["edge.proj_i"], p["edge.proj_o"]
         layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
         if tc.use_temporal and tc.use_ctxt_gru:
             ctxt_cell = _gru_bundle(p, "ctxt_gru")
@@ -364,12 +359,12 @@ def forward_logits(
         targets, boxes = targets_all[rows], objs.boxes[rows]
         ped_box = np.array([frame.pedestrian_box.as_list()], dtype=np.float64)
         rel = Tensor(spatial_relation(ped_box, boxes) * cfg.spatial_scale)
-        weights = edge_weight(ped, rel, Tensor(targets), edge_p)
+        weights = edge_weight(ped, rel, Tensor(targets), *proj)
         pair_weights = None
         if mode == "fully_connected":
             src, tgt = np.triu_indices(len(feats), 1)  # object pairs i < j, row-major
             rel = Tensor(spatial_relation(boxes[src], boxes[tgt]) * cfg.spatial_scale)
-            pair_weights = edge_weight(Tensor(feats[src]), rel, Tensor(targets[tgt]), edge_p)
+            pair_weights = edge_weight(Tensor(feats[src]), rel, Tensor(targets[tgt]), *proj)
         vec = star_graph(ped, feats, weights, pair_weights, layers, cfg.normalize_adjacency)
         if ctxt_cell is not None:
             h_ctxt = gru_step(ctxt_cell, ad.columns(vec, cfg.hidden, 2 * cfg.hidden), h_ctxt)
@@ -382,8 +377,7 @@ def forward_logits(
         pooled = ad.mean_rows(ad.stack_rows(frame_vecs))
         h_final = ad.matmul(pooled, p["temporal_pool.proj"])
 
-    readout = ReadoutParams(w=p["readout.w"], b=p["readout.b"])
-    return prediction_rollout(_gru_bundle(p, "pred_gru"), h_final, cfg.K, readout)
+    return prediction_rollout(_gru_bundle(p, "pred_gru"), h_final, cfg.K, p["readout.w"], p["readout.b"])
 
 
 # Scenarios per stacked pass. It bounds the batch arrays whatever the dataset
@@ -403,7 +397,7 @@ def forward_batch(
     """
     for scenario in scenarios:
         _check_scenario(scenario, cfg)
-    p = _lift_params(cfg, values, None)
+    p = check_parameters(cfg, values)
     chunks = [_forward_chunk(scenarios[i : i + _CHUNK], cfg, p) for i in range(0, len(scenarios), _CHUNK)]
     return np.concatenate(chunks) if chunks else np.zeros((0, cfg.K))
 
@@ -427,7 +421,7 @@ def _buckets(counts: np.ndarray):
 
 
 def _score_edges(
-    scenarios, cfg: ModelConfig, p: Mapping[str, Tensor], what: str,
+    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], what: str,
     src: np.ndarray, src_boxes: np.ndarray, tgt_boxes: np.ndarray, targets: np.ndarray, frames: np.ndarray,
 ) -> np.ndarray:
     """Clipped (M,) weights of M edges drawn from many frames of ``scenarios``.
@@ -449,7 +443,7 @@ def _score_edges(
                 raise ValueError(f"scenario {scenario.id!r}: {exc}") from None
         raise
     v = np.concatenate([src, rel * cfg.spatial_scale], axis=1)
-    weights = open_unit(edge_values(v, targets, p["edge.proj_i"].data, p["edge.proj_o"].data)[4])[:, 0]
+    weights = open_unit(edge_values(v, targets, p["edge.proj_i"], p["edge.proj_o"])[4])[:, 0]
     bad = np.flatnonzero(~((weights > 0.0) & (weights < 1.0)))
     if bad.size:
         first = bad[np.argmin(frames[bad])]
@@ -460,7 +454,7 @@ def _score_edges(
     return weights
 
 
-def _forward_chunk(scenarios: Sequence[Scenario], cfg: ModelConfig, p: Mapping[str, Tensor]) -> np.ndarray:
+def _forward_chunk(scenarios: Sequence[Scenario], cfg: ModelConfig, p: Mapping[str, np.ndarray]) -> np.ndarray:
     tc, mode, b, t_obs = cfg.temporal, cfg.graph_mode, len(scenarios), cfg.T
     observed = [f for s in scenarios for f in s.frames[:t_obs]]  # frame index b * T + t
     ped = np.array([f.pedestrian_feature for f in observed]).reshape(b, t_obs, 1, cfg.D)
@@ -486,18 +480,18 @@ def _forward_chunk(scenarios: Sequence[Scenario], cfg: ModelConfig, p: Mapping[s
     if tc.use_temporal:
         h = _run_cell(_gru_bundle(p, "agg_gru"), vecs, cfg.hidden)[-1]
     else:
-        h = vecs.mean(axis=1) @ p["temporal_pool.proj"].data
+        h = vecs.mean(axis=1) @ p["temporal_pool.proj"]
 
     cell, empty = _gru_bundle(p, "pred_gru"), np.zeros((b, 1, 0))
     logits = np.empty((b, cfg.K))
     for k in range(cfg.K):
         h, _ = gru_values(cell, empty, h)
-        logits[:, k] = (h @ p["readout.w"].data + p["readout.b"].data)[:, 0, 0]
+        logits[:, k] = (h @ p["readout.w"] + p["readout.b"])[:, 0, 0]
     return logits
 
 
 def _graph_frames(
-    scenarios, cfg: ModelConfig, p: Mapping[str, Tensor], observed: list[FrameObservation], ped_rows: np.ndarray
+    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], observed: list[FrameObservation], ped_rows: np.ndarray
 ) -> np.ndarray:
     """The (F, 2H) frame rows [refined pedestrian row, object-context mean] of F frames.
 
@@ -527,7 +521,7 @@ def _graph_frames(
             scenarios, cfg, p, "object pair weight", feats[i], boxes[i], boxes[j], targets[j], owner[i]
         )
 
-    layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"].data for i in range(cfg.num_layers)]
+    layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
     vecs = np.empty((len(observed), 2 * cfg.hidden))
     pair_at = 0
     for n, frames, rows in buckets:
@@ -565,19 +559,16 @@ class CheckpointError(ConfigError):
 
 
 def save_checkpoint(path, cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> None:
-    """Write config plus parameters (shape + row-major values) as JSON."""
-    shapes = parameter_shapes(cfg)
-    if set(values) != set(shapes):
-        raise CheckpointError("parameter names do not match the config")
+    """Write config plus parameters (shape + row-major values) as JSON; bad parameters write nothing."""
+    try:
+        checked = check_parameters(cfg, values)
+    except ConfigError as exc:
+        raise CheckpointError(str(exc)) from None
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "model": cfg.to_dict(),
         "parameters": {
-            name: {
-                "shape": list(shapes[name]),
-                "values": np.asarray(values[name], dtype=np.float64).reshape(-1).tolist(),
-            }
-            for name in shapes
+            name: {"shape": list(arr.shape), "values": arr.reshape(-1).tolist()} for name, arr in checked.items()
         },
     }
     write_text_atomic(path, json.dumps(doc))

@@ -11,7 +11,11 @@ row concatenation [x, h]:
 W_* are (I+H, H), biases (1, H). Hidden state starts at zero unless given.
 The prediction rollout feeds a width-0 input each future step (the zero-input
 degenerate cell), so its gate matrices are (H, H), and reads a scalar logit
-off each hidden state through a linear readout.
+off each hidden state through a linear readout (w, b).
+
+model.check_parameters owns these shapes: GRUCellParams is a plain record,
+and gru_step checks only the activations it is handed. The gate math is
+gru_values, an array kernel that never sees a Tensor.
 
 One step records one tape node. Its forward makes the NumPy calls of the
 per-op chain concat -> matmul -> add -> sigmoid -> ... -> add, in the same
@@ -64,34 +68,14 @@ class TemporalConfig:
 
 @dataclass
 class GRUCellParams:
-    W_z: Tensor
-    W_r: Tensor
-    W_h: Tensor
-    b_z: Tensor
-    b_r: Tensor
-    b_h: Tensor
+    """One cell's gate parameters: Tensors for gru_step, arrays for gru_values."""
 
-    def __post_init__(self):
-        hidden = self.W_z.cols
-        rows = self.W_z.rows
-        if rows < hidden:
-            raise ValueError(f"gate matrix rows {rows} smaller than hidden width {hidden}")
-        for name in ("W_z", "W_r", "W_h"):
-            w = getattr(self, name)
-            if w.shape != (rows, hidden):
-                raise ValueError(f"{name} shape {w.shape} != ({rows}, {hidden})")
-        for name in ("b_z", "b_r", "b_h"):
-            b = getattr(self, name)
-            if b.shape != (1, hidden):
-                raise ValueError(f"{name} shape {b.shape} != (1, {hidden})")
-
-    @property
-    def hidden_width(self) -> int:
-        return self.W_z.cols
-
-    @property
-    def input_width(self) -> int:
-        return self.W_z.rows - self.W_z.cols
+    W_z: Tensor | Array
+    W_r: Tensor | Array
+    W_h: Tensor | Array
+    b_z: Tensor | Array
+    b_r: Tensor | Array
+    b_h: Tensor | Array
 
 
 def gru_values(p: GRUCellParams, x: Array, h: Array) -> tuple[Array, tuple[Array, ...]]:
@@ -99,27 +83,29 @@ def gru_values(p: GRUCellParams, x: Array, h: Array) -> tuple[Array, tuple[Array
 
     ``x`` is (..., 1, I) and ``h`` is (..., 1, H): one row per scenario, so B
     cells advance as stacked one-row products, each bit for bit the product
-    of a lone (1, I+H) row. gru_step and the batched inference forward both
-    call this, so the gate math exists once.
+    of a lone (1, I+H) row. ``p`` holds arrays. gru_step and the batched
+    inference forward both call this, so the gate math exists once.
     """
     xh = np.concatenate([x, h], axis=-1)
-    z = sigmoid_values(xh @ p.W_z.data + p.b_z.data)
-    r = sigmoid_values(xh @ p.W_r.data + p.b_r.data)
+    z = sigmoid_values(xh @ p.W_z + p.b_z)
+    r = sigmoid_values(xh @ p.W_r + p.b_r)
     xrh = np.concatenate([x, r * h], axis=-1)
-    candidate = np.tanh(xrh @ p.W_h.data + p.b_h.data)
+    candidate = np.tanh(xrh @ p.W_h + p.b_h)
     keep = 1.0 - z
     return keep * h + z * candidate, (xh, z, r, xrh, candidate, keep)
 
 
 def gru_step(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
     """One gated update as one tape node; returns the next hidden state (1, H)."""
-    if x.shape != (1, p.input_width):
-        raise ValueError(f"input shape {x.shape} != (1, {p.input_width})")
-    if h.shape != (1, p.hidden_width):
-        raise ValueError(f"hidden shape {h.shape} != (1, {p.hidden_width})")
-    i, hd = p.input_width, h.data
-    w_z, w_r, w_h = p.W_z.data, p.W_r.data, p.W_h.data
-    out, (xh, z, r, xrh, candidate, keep) = gru_values(p, x.data, hd)
+    rows, hidden = p.W_z.shape
+    i = rows - hidden
+    if x.shape != (1, i):
+        raise ValueError(f"input shape {x.shape} != (1, {i})")
+    if h.shape != (1, hidden):
+        raise ValueError(f"hidden shape {h.shape} != (1, {hidden})")
+    hd, w_z, w_r, w_h = h.data, p.W_z.data, p.W_r.data, p.W_h.data
+    cell = GRUCellParams(w_z, w_r, w_h, p.b_z.data, p.b_r.data, p.b_h.data)
+    out, (xh, z, r, xrh, candidate, keep) = gru_values(cell, x.data, hd)
 
     def bwd(g: Array):
         # each expression keeps the chain's operand order: float sums and
@@ -144,7 +130,7 @@ def run_observation(
     p: GRUCellParams, inputs: Sequence[Tensor], h0: Tensor | None = None
 ) -> list[Tensor]:
     """Unroll the cell over ``inputs``; returns every hidden state in order."""
-    h = h0 if h0 is not None else ad.zeros(1, p.hidden_width)
+    h = h0 if h0 is not None else ad.zeros(1, p.W_z.cols)
     states: list[Tensor] = []
     for x in inputs:
         h = gru_step(p, x, h)
@@ -152,30 +138,16 @@ def run_observation(
     return states
 
 
-@dataclass
-class ReadoutParams:
-    """Linear hidden -> logit map."""
-
-    w: Tensor  # (H, 1)
-    b: Tensor  # (1, 1)
-
-    def __post_init__(self):
-        if self.w.cols != 1 or self.b.shape != (1, 1):
-            raise ValueError(f"readout needs (H,1) weights and (1,1) bias, got {self.w.shape} and {self.b.shape}")
-
-
-def prediction_rollout(
-    p: GRUCellParams, h_init: Tensor, horizon: int, readout: ReadoutParams
-) -> list[Tensor]:
-    """Roll the zero-input cell ``horizon`` steps; one scalar logit per step."""
+def prediction_rollout(p: GRUCellParams, h_init: Tensor, horizon: int, w: Tensor, b: Tensor) -> list[Tensor]:
+    """Roll the zero-input cell ``horizon`` steps; one scalar logit h @ w + b per step."""
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    if p.input_width != 0:
-        raise ValueError(f"rollout cell takes width-0 inputs, got width {p.input_width}")
+    if p.W_z.rows != p.W_z.cols:
+        raise ValueError(f"rollout cell takes width-0 inputs, got width {p.W_z.rows - p.W_z.cols}")
     empty = ad.zeros(1, 0)
     h = h_init
     logits: list[Tensor] = []
     for _ in range(horizon):
         h = gru_step(p, empty, h)
-        logits.append(ad.add(ad.matmul(h, readout.w), readout.b))
+        logits.append(ad.add(ad.matmul(h, w), b))
     return logits

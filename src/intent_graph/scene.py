@@ -80,12 +80,6 @@ CROSSWALK_CATEGORIES = frozenset(
 )
 
 
-def category_one_hot(category: ObjectCategory) -> np.ndarray:
-    vec = np.zeros(CATEGORY_COUNT)
-    vec[category.index] = 1.0
-    return vec
-
-
 @dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box; corners in pixels, xmin <= xmax and ymin <= ymax."""

@@ -6,7 +6,8 @@ so tests can compare the fused nodes against them byte for byte. The
 remaining ops (sigmoid, tanh, dot, sum_all, clamp_open_unit, sub, hadamard,
 div, relu, slice_rows, symmetric_scatter) build those chains and test
 losses. object_sort_key is the canonical object order as a Python sort key,
-the reference for the library's np.lexsort.
+the reference for the library's np.lexsort, and category_one_hot the class
+encoding the model appends to an edge target row.
 """
 
 import itertools
@@ -15,8 +16,9 @@ import numpy as np
 
 from intent_graph import autodiff as ad
 from intent_graph.autodiff import Tensor, sigmoid_values
-from intent_graph.graph import _OPEN_UNIT_HI, _OPEN_UNIT_LO, EdgeWeightParams
+from intent_graph.graph import _OPEN_UNIT_HI, _OPEN_UNIT_LO
 from intent_graph.recurrent import GRUCellParams
+from intent_graph.scene import CATEGORY_COUNT
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -72,18 +74,18 @@ def gru_step_chain(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
     r = sigmoid(ad.add(ad.matmul(xh, p.W_r), p.b_r))
     xrh = ad.concat_rows(x, hadamard(r, h))
     candidate = tanh(ad.add(ad.matmul(xrh, p.W_h), p.b_h))
-    keep = sub(ad.constant(np.ones((1, p.hidden_width))), z)
+    keep = sub(ad.constant(np.ones((1, p.W_z.cols))), z)
     return ad.add(hadamard(keep, h), hadamard(z, candidate))
 
 
 def edge_weight_chain(
-    src_rows: list[Tensor], rel_rows: list[Tensor], tgt_rows: list[Tensor], p: EdgeWeightParams
+    src_rows: list[Tensor], rel_rows: list[Tensor], tgt_rows: list[Tensor], proj_i: Tensor, proj_o: Tensor
 ) -> list[Tensor]:
     """One 1x1 weight per edge, as the per-op chain the fused ``edge_weight`` node must equal."""
     out = []
     for src, rel, tgt in zip(src_rows, rel_rows, tgt_rows):
-        e_i = relu(ad.matmul(ad.concat_rows(src, rel), p.proj_i))
-        e_o = relu(ad.matmul(tgt, p.proj_o))
+        e_i = relu(ad.matmul(ad.concat_rows(src, rel), proj_i))
+        e_o = relu(ad.matmul(tgt, proj_o))
         out.append(clamp_open_unit(sigmoid(dot(e_i, e_o))))
     return out
 
@@ -212,3 +214,10 @@ def object_sort_key(obj):
         obj.camera_offset_x,
         tuple(obj.feature.tolist()),
     )
+
+
+def category_one_hot(category) -> np.ndarray:
+    """The (CATEGORY_COUNT,) one-hot row of an ObjectCategory, at its declaration index."""
+    vec = np.zeros(CATEGORY_COUNT)
+    vec[category.index] = 1.0
+    return vec

@@ -15,7 +15,7 @@ from intent_graph.autodiff import (
     Tensor,
     finite_diff_check,
 )
-from intent_graph.graph import EdgeWeightParams, edge_weight, star_graph
+from intent_graph.graph import edge_weight, star_graph
 from intent_graph.recurrent import GRUCellParams, gru_step
 
 import reference_ops as ops
@@ -381,7 +381,8 @@ def _loss_value(build):
                     ad.mean_rows(p["a"]),
                     _EDGE_REL,
                     _EDGE_TGT,
-                    EdgeWeightParams(ad.matmul(_EDGE_MIX_I, p["a"]), ad.matmul(_EDGE_MIX_O, p["c"])),
+                    ad.matmul(_EDGE_MIX_I, p["a"]),
+                    ad.matmul(_EDGE_MIX_O, p["c"]),
                 )
             ),
         ),

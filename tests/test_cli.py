@@ -667,6 +667,29 @@ def test_interrupted_output_write_keeps_the_old_file(tmp_path, capsys, cfg_path,
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_failed_manifest_write_leaves_no_fresh_output(tmp_path, capsys, cfg_path, monkeypatch, command):
+    data = str(tmp_path / "data.jsonl")
+    _run(capsys, ["synth", "--config", cfg_path, "--out", data])
+    out = tmp_path / f"{command}.json"
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name == out.name + ".manifest.json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    argv = [command, "--config", cfg_path, "--data", data, "--out", str(out)]
+    if command == "ablate":
+        argv += ["--grid", '{"model.num_layers": [0]}']
+    code = main(argv)
+    doc = _strict_json(capsys.readouterr().out)
+    assert (code, doc["error"]["kind"]) == (3, "data")
+    assert "disk full" in doc["error"]["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "data.jsonl", "data.jsonl.meta.json"]
+
+
 @pytest.mark.parametrize(
     "grid,fraction",
     [

@@ -24,7 +24,6 @@ from intent_graph import model
 from intent_graph.autodiff import GradientTape, ShapeError, Tensor, finite_diff_check
 from intent_graph.data import SynthConfig, generate_synthetic
 from intent_graph.graph import (
-    EdgeWeightParams,
     build_adjacency,
     edge_weight,
     frame_rows,
@@ -40,12 +39,13 @@ import reference_ops as ops
 SIGMOID_1_8 = 0.8581489350995123
 
 
-def _edge_params(tape=None):
-    proj_i = np.hstack([np.full((10, 1), 0.1), np.full((10, 1), -0.1)])
-    proj_o = np.array([[1.0, 1.0], [0.5, -1.0]])
-    if tape is None:
-        return EdgeWeightParams(Tensor(proj_i), Tensor(proj_o))
-    return EdgeWeightParams(tape.parameter("proj_i", proj_i), tape.parameter("proj_o", proj_o))
+PROJ_I = np.hstack([np.full((10, 1), 0.1), np.full((10, 1), -0.1)])
+PROJ_O = np.array([[1.0, 1.0], [0.5, -1.0]])
+
+
+def _edge_params():
+    """The frozen hand projections (proj_i, proj_o) as constant tensors."""
+    return Tensor(PROJ_I), Tensor(PROJ_O)
 
 
 # the frozen hand instance as a block of one edge: the relation of box
@@ -54,7 +54,7 @@ REL = Tensor([[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 3.0, 3.0]])
 
 
 def test_edge_weight_frozen_value():
-    w = edge_weight(Tensor([1.0, -1.0]), REL, Tensor([0.5, 2.0]), _edge_params())
+    w = edge_weight(Tensor([1.0, -1.0]), REL, Tensor([0.5, 2.0]), *_edge_params())
     assert w.shape == (1, 1)
     assert w.item() == pytest.approx(SIGMOID_1_8, abs=1e-15)
 
@@ -62,15 +62,10 @@ def test_edge_weight_frozen_value():
 def test_edge_weight_gradient_reaches_both_projections():
     def f(values):
         tape = GradientTape()
-        p = EdgeWeightParams(
-            tape.parameter("proj_i", values["proj_i"]),
-            tape.parameter("proj_o", values["proj_o"]),
-        )
-        return edge_weight(Tensor([1.0, -1.0]), REL, Tensor([0.5, 2.0]), p)
+        proj = tape.parameter("proj_i", values["proj_i"]), tape.parameter("proj_o", values["proj_o"])
+        return edge_weight(Tensor([1.0, -1.0]), REL, Tensor([0.5, 2.0]), *proj)
 
-    report = finite_diff_check(
-        f, {"proj_i": _edge_params().proj_i.data, "proj_o": _edge_params().proj_o.data}
-    )
+    report = finite_diff_check(f, {"proj_i": PROJ_I, "proj_o": PROJ_O})
     assert report.passed, report.to_dict()
 
 
@@ -96,15 +91,15 @@ def test_fused_edge_scores_are_bytewise_the_per_edge_chain(case):
 
     def run(fused: bool):
         tape = GradientTape()
-        p = EdgeWeightParams(tape.parameter("proj_i", params["proj_i"]), tape.parameter("proj_o", params["proj_o"]))
+        p = tape.parameter("proj_i", params["proj_i"]), tape.parameter("proj_o", params["proj_o"])
         center = tape.parameter("center", params["center"])
         src = Tensor(block) if case == "constant_block" else center
         if fused:
-            w = edge_weight(src, rel, tgt, p)
+            w = edge_weight(src, rel, tgt, *p)
             weights, values = [w], w.data
         else:
             src_rows = _rows(src) if src.rows == m else [src] * m
-            weights = ops.edge_weight_chain(src_rows, _rows(rel), _rows(tgt), p)
+            weights = ops.edge_weight_chain(src_rows, _rows(rel), _rows(tgt), *p)
             values = np.array([w.data[0] for w in weights]).reshape(m, 1)
         # the center also reaches the loss outside edge scoring, as in the model
         x = ad.stack_rows([center, *(Tensor(r) for r in block)])
@@ -126,14 +121,14 @@ def test_edge_block_rejects_bad_shapes_and_taped_targets():
     p = _edge_params()
     two = Tensor(np.ones((2, 2)))
     with pytest.raises(ShapeError):
-        edge_weight(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 8))), two, p)  # 3 sources, 2 targets
+        edge_weight(Tensor(np.ones((3, 2))), Tensor(np.ones((2, 8))), two, *p)  # 3 sources, 2 targets
     with pytest.raises(ShapeError):
-        edge_weight(Tensor([1.0, -1.0]), Tensor(np.ones((2, 7))), two, p)
+        edge_weight(Tensor([1.0, -1.0]), Tensor(np.ones((2, 7))), two, *p)
     with pytest.raises(ShapeError):
-        edge_weight(Tensor([1.0, -1.0, 0.0]), Tensor(np.ones((2, 8))), two, p)
+        edge_weight(Tensor([1.0, -1.0, 0.0]), Tensor(np.ones((2, 8))), two, *p)
     tape = GradientTape()
     with pytest.raises(ValueError, match="constants"):
-        edge_weight(Tensor([1.0, -1.0]), Tensor(np.ones((2, 8))), tape.parameter("t", np.ones((2, 2))), p)
+        edge_weight(Tensor([1.0, -1.0]), Tensor(np.ones((2, 8))), tape.parameter("t", np.ones((2, 2))), *p)
 
 
 @pytest.mark.parametrize("mode,per_frame", [("star", 1), ("fully_connected", 2)])
@@ -159,15 +154,16 @@ def test_one_scoring_node_per_edge_block(monkeypatch, mode, per_frame):
 
 
 def test_edge_params_width_mismatch():
-    with pytest.raises(ValueError):
-        EdgeWeightParams(Tensor(np.ones((10, 2))), Tensor(np.ones((2, 3))))
+    # projections into edge spaces of different widths (2 and 3) cannot be paired
+    with pytest.raises(ShapeError, match="one edge space"):
+        edge_weight(Tensor([1.0, -1.0]), REL, Tensor([0.5, 2.0]), Tensor(np.ones((10, 2))), Tensor(np.ones((2, 3))))
 
 
 def test_saturating_edge_score_still_yields_a_valid_weight():
     # a huge inner product would round sigmoid to exactly 1.0; the weight
     # must stay strictly inside (0,1) so adjacency assembly accepts it
-    p = EdgeWeightParams(Tensor(np.full((10, 2), 50.0)), Tensor(np.full((2, 2), 50.0)))
-    w = edge_weight(Tensor([1.0, 1.0]), REL, Tensor([1.0, 1.0]), p)
+    big = Tensor(np.full((10, 2), 50.0)), Tensor(np.full((2, 2), 50.0))
+    w = edge_weight(Tensor([1.0, 1.0]), REL, Tensor([1.0, 1.0]), *big)
     assert 0.0 < w.item() < 1.0
     star_graph(Tensor([1.0, 1.0]), np.ones((1, 2)), w)  # accepts it
 
@@ -350,8 +346,8 @@ def test_star_graph_bundle_and_validate():
 
 def test_zero_projections_give_exactly_half():
     # both embeddings collapse to zero, sigmoid(0) is exactly 0.5
-    zero = EdgeWeightParams(Tensor(np.zeros((10, 2))), Tensor(np.zeros((2, 2))))
-    w = edge_weight(Tensor(np.array([[1.0, -1.0]])), REL, Tensor(np.array([[0.5, 2.0]])), zero)
+    zero = Tensor(np.zeros((10, 2))), Tensor(np.zeros((2, 2)))
+    w = edge_weight(Tensor(np.array([[1.0, -1.0]])), REL, Tensor(np.array([[0.5, 2.0]])), *zero)
     assert w.data.item() == 0.5
 
 

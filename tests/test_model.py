@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intent_graph.autodiff import GradientTape, sigmoid_values
+from intent_graph.autodiff import GradientTape, Tensor, sigmoid_values
 from intent_graph.configs import ConfigError, finite_array, is_finite_real
 from intent_graph.data import SynthConfig, generate_synthetic
 from intent_graph.model import (
@@ -39,11 +39,10 @@ from intent_graph.scene import (
     FrameObservation,
     ObjectCategory,
     ObjectObservation,
-    category_one_hot,
 )
 from intent_graph.training import TrainConfig, aggregate_metrics, evaluate, loss, scenario_loss_tensor
 
-from reference_ops import object_sort_key
+from reference_ops import category_one_hot, object_sort_key
 
 
 def _scenario(D=6, frames=5, seed=2, vehicles=(2, 2)):
@@ -358,6 +357,32 @@ def test_evaluate_equals_the_aggregation_of_forward_outputs():
         labels = future_labels(scenario, cfg)
         per_scenario.append((list(out.probabilities), labels, loss(out, labels)))
     assert evaluate(data, cfg, values) == aggregate_metrics(per_scenario)
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_tape_free_path_builds_no_tensor(monkeypatch, mode):
+    # inference runs on the checked parameter arrays alone
+    batch = _mixed_batch()
+    for temporal, stack in [("default", "L2-shared"), ("ctxt", "L3-unshared-norm-cls")]:
+        cfg = _batch_cfg(mode, temporal, stack)
+        values = init_parameters(cfg)
+        want = forward_batch(batch, cfg, values)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a Tensor was built")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(Tensor, "__init__", refuse)
+            got = forward_batch(batch, cfg, values)
+            one = forward(batch[0], cfg, values)
+            report = evaluate(batch, cfg, values)
+        assert got.tobytes() == want.tobytes()
+        assert one.logits == tuple(want[0].tolist())
+        assert report == evaluate(batch, cfg, values)
+        with pytest.raises(AssertionError, match="Tensor"):  # the patch does bite
+            with monkeypatch.context() as patched:
+                patched.setattr(Tensor, "__init__", refuse)
+                forward_logits(batch[0], cfg, values)
 
 
 def test_batched_forward_keeps_every_check():
@@ -737,6 +762,23 @@ def test_save_rejects_mismatched_parameters(tmp_path):
     values.pop("readout.b")
     with pytest.raises(CheckpointError):
         save_checkpoint(tmp_path / "m.json", cfg, values)
+
+
+@pytest.mark.parametrize("name", ["edge.proj_i", "readout.b"])
+def test_save_rejects_misshapen_parameters_and_keeps_the_old_file(tmp_path, name):
+    # a transposed (3, 12) edge.proj_i would load back as a different (12, 3)
+    # matrix; a wrong-size readout.b would save and then fail on load
+    cfg = ModelConfig(D=4, D_e=3, hidden=4)
+    values = init_parameters(cfg)
+    path = tmp_path / "m.json"
+    save_checkpoint(path, cfg, values)
+    before = path.read_bytes()
+    bad = values[name].T if name == "edge.proj_i" else np.zeros((1, 2))
+    assert bad.shape != values[name].shape
+    with pytest.raises(CheckpointError, match=f"parameter {name} has shape"):
+        save_checkpoint(path, cfg, dict(values, **{name: bad}))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.json"]
 
 
 def test_forward_stays_finite_across_a_large_corpus():

@@ -9,7 +9,6 @@ from intent_graph.data import SynthConfig, generate_synthetic, split
 from intent_graph.model import ModelConfig, init_parameters
 from intent_graph.recurrent import (
     GRUCellParams,
-    ReadoutParams,
     TemporalConfig,
     gru_step,
     prediction_rollout,
@@ -86,15 +85,10 @@ def test_hidden_starts_at_zero_unless_given():
 
 
 def test_cell_shape_validation():
+    # wrong-shaped cells are check_parameters' to reject (test_model); the
+    # step still checks the activations it is handed
     rng = np.random.default_rng(3)
-    values = _cell_values(rng, 2, 3)
-    bad = dict(values, W_r=np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        _lift(bad)
-    bad = dict(values, b_h=np.zeros((1, 2)))
-    with pytest.raises(ValueError):
-        _lift(bad)
-    cell = _lift(values)
+    cell = _lift(_cell_values(rng, 2, 3))
     with pytest.raises(ValueError):
         gru_step(cell, Tensor(np.ones((1, 3))), Tensor(np.ones((1, 3))))
     with pytest.raises(ValueError):
@@ -203,18 +197,18 @@ def test_dense_fully_connected_scenario_records_at_most_40_tape_nodes(learn_reci
 
 def test_rollout_requires_zero_input_cell():
     rng = np.random.default_rng(5)
-    readout = ReadoutParams(Tensor(np.ones((3, 1))), Tensor(np.zeros((1, 1))))
+    readout = Tensor(np.ones((3, 1))), Tensor(np.zeros((1, 1)))
     wide = _lift(_cell_values(rng, 2, 3))
     with pytest.raises(ValueError, match="width-0"):
-        prediction_rollout(wide, Tensor(np.zeros((1, 3))), 2, readout)
+        prediction_rollout(wide, Tensor(np.zeros((1, 3))), 2, *readout)
 
 
 def test_rollout_horizon_validation():
     rng = np.random.default_rng(6)
     cell = _lift(_cell_values(rng, 0, 3))
-    readout = ReadoutParams(Tensor(np.ones((3, 1))), Tensor(np.zeros((1, 1))))
+    readout = Tensor(np.ones((3, 1))), Tensor(np.zeros((1, 1)))
     with pytest.raises(ValueError):
-        prediction_rollout(cell, Tensor(np.zeros((1, 3))), 0, readout)
+        prediction_rollout(cell, Tensor(np.zeros((1, 3))), 0, *readout)
 
 
 def test_rollout_matches_reference_and_evolves():
@@ -224,9 +218,7 @@ def test_rollout_matches_reference_and_evolves():
     readout_w = rng.standard_normal((3, 1))
     readout_b = np.array([[0.25]])
     cell = _lift(values)
-    logits = prediction_rollout(
-        cell, Tensor(h0), 4, ReadoutParams(Tensor(readout_w), Tensor(readout_b))
-    )
+    logits = prediction_rollout(cell, Tensor(h0), 4, Tensor(readout_w), Tensor(readout_b))
     assert len(logits) == 4
     h = h0
     empty = np.zeros((1, 0))
@@ -249,8 +241,7 @@ def test_rollout_gradients():
     def f(v):
         tape = GradientTape()
         cell = GRUCellParams(**{k: tape.parameter(k, v[k]) for k in ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h")})
-        readout = ReadoutParams(tape.parameter("w", v["w"]), tape.parameter("b", v["b"]))
-        logits = prediction_rollout(cell, Tensor(h0), 3, readout)
+        logits = prediction_rollout(cell, Tensor(h0), 3, tape.parameter("w", v["w"]), tape.parameter("b", v["b"]))
         total = ad.bce_with_logits(logits[0], 1)
         for z in logits[1:]:
             total = total + ad.bce_with_logits(z, 0)

@@ -15,9 +15,10 @@ from intent_graph.scene import (
     ObjectCategory,
     ObjectObservation,
     Scenario,
-    category_one_hot,
     spatial_relation,
 )
+
+from reference_ops import category_one_hot
 
 # Hand-derived reference: ped (10,20,30,60), obj (40,25,70,55).
 # deltas object-minus-ped: corners (30,5,40,-5); centers (55,40)-(20,40)=(35,0);
