@@ -4,8 +4,10 @@ The model encodes each frame as a star graph around the pedestrian, scores
 edges from appearance and spatial relations, refines node features with
 graph convolution, summarizes the frame sequence with gated recurrent
 units, and rolls a zero-input recurrence forward to classify the next K
-frames. Everything is plain float64 numpy under a small reverse-mode
-autodiff tape, so gradients are finite-difference checkable end to end.
+frames. Everything is plain float64 numpy with hand-written backwards that
+train a whole minibatch in one stacked pass; a small reverse-mode autodiff
+tape remains as their test oracle, and every gradient is
+finite-difference checkable end to end.
 """
 
 __version__ = "0.1.0"

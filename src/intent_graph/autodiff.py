@@ -6,6 +6,14 @@ node list in reverse and accumulates gradients into every named parameter
 registered on the tape. Parameters the loss never touched come back with an
 all-zero gradient.
 
+The library no longer trains through the tape: training runs the tape-free
+stacked backward of model.backward_chunk. Tensor, GradientTape and their ops
+remain as the oracle the tests compare that backward against byte for byte
+(model.forward_logits and training.scenario_loss_tensor build a scenario on
+them), and benchmarks/tracing.py wraps them. finite_diff_check takes any
+function returning (loss, gradients); tests/reference_ops.taped adapts a
+taped loss to it.
+
 All arithmetic is 64-bit; the finite-difference tolerances used by
 finite_diff_check are not reliable in 32-bit. Forward ops are pure functions
 of their inputs. A tape and the tensors recorded on it belong to a single
@@ -313,7 +321,7 @@ def bce_with_logits(logit: Tensor, label: int) -> Tensor:
 
 @dataclass
 class GradCheckReport:
-    """Outcome of comparing tape gradients against central differences."""
+    """Outcome of comparing analytic gradients against central differences."""
 
     max_rel_error: float
     worst_param: str | None
@@ -336,16 +344,16 @@ class GradCheckReport:
 
 
 def finite_diff_check(
-    f: Callable[[Mapping[str, Array]], Tensor],
+    f: Callable[[Mapping[str, Array]], tuple[float, Mapping[str, Array]]],
     params: Mapping[str, Array],
     h: float = 1e-5,
     tol: float = 1e-4,
     denom_floor: float = 1e-3,
 ) -> GradCheckReport:
-    """Compare tape gradients of ``f`` against central finite differences.
+    """Compare the gradients ``f`` returns against central finite differences.
 
-    ``f`` maps a {name: array} parameter assignment to a scalar loss tensor
-    built on a fresh tape with those same names registered. Every coordinate
+    ``f`` maps a {name: array} parameter assignment to (scalar loss,
+    {name: gradient}) with every name of ``params`` present. Every coordinate
     of every parameter is perturbed by +/- h. The relative error denominator
     is floored at ``denom_floor`` so coordinates whose true gradient is ~0
     (where central differences bottom out in rounding noise around 1e-11)
@@ -355,13 +363,10 @@ def finite_diff_check(
     the report names.
     """
     base = {name: np.array(v, dtype=np.float64) for name, v in params.items()}
-    loss = f(base)
-    if loss.tape is None:
-        raise ValueError("f must build its loss on a GradientTape")
-    analytic = loss.tape.backward(loss)
+    analytic = f(base)[1]
     missing = set(base) - set(analytic)
     if missing:
-        raise ValueError(f"f did not register parameters: {sorted(missing)}")
+        raise ValueError(f"f returned no gradient for parameters: {sorted(missing)}")
 
     worst = 0.0
     worst_param: str | None = None
@@ -373,9 +378,9 @@ def finite_diff_check(
         for idx in np.ndindex(*values.shape):
             orig = values[idx]
             values[idx] = orig + h
-            f_plus = f(base).item()
+            f_plus = float(f(base)[0])
             values[idx] = orig - h
-            f_minus = f(base).item()
+            f_minus = float(f(base)[0])
             values[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = float(grad[idx])

@@ -27,6 +27,7 @@ predict take the model from the checkpoint, so they accept neither
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import os
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import __version__
-from .autodiff import GradientTape, ShapeError, finite_diff_check
+from .autodiff import ShapeError, finite_diff_check
 from .configs import ConfigError, check_int, check_real
 from .data import (
     SequenceFileError,
@@ -66,7 +67,7 @@ from .training import (
     check_finite_logits,
     evaluate,
     metrics_record,
-    scenario_loss_tensor,
+    scenario_gradients,
     train,
 )
 
@@ -140,7 +141,9 @@ def _load_datasets(paths: Sequence[str], min_frames: int | None = None):
 class RunManifest:
     """Exact invocation record, written next to --out right after that output.
 
-    A failed run leaves none; if the manifest cannot be written, the fresh output is removed.
+    A failed run leaves none; if the manifest cannot be written, the fresh
+    output is removed, and so is any older manifest, which would describe an
+    output that is gone.
     """
 
     command: str
@@ -159,10 +162,13 @@ class RunManifest:
             "out": self.out,
             "version": self.version,
         }
+        manifest = self.out + ".manifest.json"
         try:
-            write_text_atomic(self.out + ".manifest.json", json.dumps(payload, indent=2) + "\n")
+            write_text_atomic(manifest, json.dumps(payload, indent=2) + "\n")
         except BaseException:
             os.remove(self.out)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(manifest)
             raise
 
 
@@ -274,10 +280,7 @@ def _cmd_gradcheck(args) -> int:
     params = init_parameters(mcfg)
     _say(f"checking {parameter_count(mcfg)} parameters with step {args.step:g}")
 
-    def loss_fn(values):
-        return scenario_loss_tensor(scenario, mcfg, values, GradientTape())
-
-    report = finite_diff_check(loss_fn, params, h=args.step, tol=args.tol)
+    report = finite_diff_check(lambda values: scenario_gradients(scenario, mcfg, values), params, h=args.step, tol=args.tol)
     if report.passed:
         _emit({"command": "gradcheck", **report.to_dict()})
         _say(f"gradient check passed: max rel error {report.max_rel_error:.3e}")

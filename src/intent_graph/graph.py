@@ -21,14 +21,17 @@ concat -> matmul -> ReLU -> dot -> sigmoid -> clamp.
 Graph convolution is Z = A @ X @ W per layer, ReLU between layers, none after
 the last; zero layers return X untouched. The graph math exists once, as
 array kernels on m stacked frames: build_adjacency, graph_conv and the split
-frame_rows into [refined pedestrian row, object-context mean]. The batched
-inference forward calls them on every frame of a bucket; star_graph calls
-them on one frame and records the whole block as one tape node, whose
-backward is bit for bit that of the per-op chain the tests keep.
+frame_rows into [refined pedestrian row, object-context mean], and its
+backward graph_backward. The batched forward and the training backward call
+them on every frame of a bucket; star_graph calls them on one frame and
+records the whole block as one tape node, whose backward is bit for bit that
+of the per-op chain the tests keep. An edge block's backward is
+edge_backward, with outer_rows for its per-edge projection gradients.
 
-The array kernels (edge_values, build_adjacency, graph_conv, frame_rows)
-never see a Tensor. model.check_parameters owns the parameter shapes;
-edge_weight and star_graph check only that their operands fit together.
+The array kernels (edge_values, edge_backward, outer_rows, build_adjacency,
+graph_conv, graph_backward, frame_rows) never see a Tensor.
+model.check_parameters owns the parameter shapes; edge_weight and
+star_graph check only that their operands fit together.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Array, ShapeError, Tensor, sigmoid_values
-
-ADJACENCY_MODES = ("star", "fully_connected")
 
 # Edge weights are clipped one float64 step inside (0, 1), which a sigmoid leaves
 # once |logit| passes roughly 37/745; the clip passes the gradient unchanged.
@@ -82,23 +83,20 @@ def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, proj_i: Tensor, proj_o: T
             f"edge block: rows of width {v.shape[1]} and {tgt.cols} do not fit "
             f"projections {pi.shape} and {po.shape} into one edge space"
         )
-    e_i, e_o, mask_i, mask_o, s = edge_values(v, tgt.data, pi, po)
+    saved = edge_values(v, tgt.data, pi, po)
     shared_src = src.rows == 1
     src_inputs = () if src.tape is None else (src,) * (m if shared_src else 1)
     inputs = (proj_o,) * m + (proj_i,) * m + src_inputs
 
     def bwd(g: Array):
-        g_logit = g * s * (1.0 - s)
-        g_i, g_o = g_logit * e_o * mask_i, g_logit * e_i * mask_o
-        # + 0.0: a BLAS outer product returns +0.0 where a plain multiply gives -0.0
-        grads = [*(tgt.data[:, :, None] * g_o[:, None, :] + 0.0)[::-1]]
-        grads += [*(v[:, :, None] * g_i[:, None, :] + 0.0)[::-1]]
+        g_i, g_o = edge_backward(saved, g)
+        grads = [*outer_rows(tgt.data, g_o)[::-1], *outer_rows(v, g_i)[::-1]]
         if src_inputs:
             g_src = (g_i[:, None, :] @ pi.T)[:, :, :dc]
             grads += [*g_src[::-1]] if shared_src else [g_src[:, 0, :]]
         return grads
 
-    return ad._emit(ad._joint_tape(src, proj_i, proj_o), inputs, open_unit(s), bwd)
+    return ad._emit(ad._joint_tape(src, proj_i, proj_o), inputs, open_unit(saved[4]), bwd)
 
 
 def edge_values(v: Array, tgt: Array, proj_i: Array, proj_o: Array) -> tuple[Array, ...]:
@@ -117,6 +115,27 @@ def edge_values(v: Array, tgt: Array, proj_i: Array, proj_o: Array) -> tuple[Arr
     e_o[~mask_o] = 0.0
     s = sigmoid_values((e_i[:, None, :] @ e_o[:, :, None])[:, 0, :])
     return e_i, e_o, mask_i, mask_o, s
+
+
+def edge_backward(saved: tuple[Array, ...], g: Array) -> tuple[Array, Array]:
+    """Gradients (g_i, g_o) at the two (M, D_e) projected rows of M edges, given the (M, 1) gradient ``g`` of their weights.
+
+    ``saved`` is edge_values' (e_i, e_o, mask_i, mask_o, s); the open-interval
+    clip passes the gradient unchanged.
+    """
+    e_i, e_o, mask_i, mask_o, s = saved
+    g_logit = g * s * (1.0 - s)
+    return g_logit * e_o * mask_i, g_logit * e_i * mask_o
+
+
+def outer_rows(rows: Array, g: Array) -> Array:
+    """(M, K, D_e) outer products of M rows with M gate rows: one projection gradient per edge.
+
+    + 0.0: a BLAS outer product returns +0.0 where a plain multiply gives -0.0.
+    """
+    out = rows[:, :, None] * g[:, None, :]
+    out += 0.0
+    return out
 
 
 def open_unit(s: Array) -> Array:
@@ -182,6 +201,56 @@ def frame_rows(z: Array) -> Array:
     return out
 
 
+def graph_backward(
+    a: Array,
+    norm: tuple[Array, Array] | None,
+    saved: list[tuple[Array, Array]],
+    layers: Sequence[Array],
+    g: Array,
+    pairs: bool,
+) -> tuple[list[Array], Array | None, Array | None, Array]:
+    """The backward of frame_rows(graph_conv(a, x, layers)) on m stacked frames at their (m, 2H) gradient ``g``.
+
+    ``a`` and ``norm`` are build_adjacency's values, ``saved`` graph_conv's.
+    Returns the (m, H, H) layer gradients in reverse layer order, the
+    (m, N) spoke and (m, N(N-1)/2) pair gradients (pairs only when
+    ``pairs``; both None with zero layers, where the adjacency feeds
+    nothing) and the (m, H) gradient of the pedestrian rows. It makes
+    the NumPy calls of the per-op chain's reverse pass (mean, row slices,
+    conv layers, row stack, row normalisation, scatter) on stacked
+    matrices; the zero-padded slice gradients are added as the chain adds
+    them, so even the sign of a zero gradient is the chain's.
+    """
+    m, rows, h = a.shape[0], a.shape[1], g.shape[1] // 2
+    n = rows - 1
+    g_z = np.zeros((m, rows, h))
+    g_z[:, 0] = g[:, :h]
+    if n:
+        g_ctx = np.zeros((m, rows, h))
+        g_ctx[:, 1:] = (g[:, h:] / n)[:, None, :]
+        g_z = g_ctx + g_z
+    layer_grads, g_a = [], None
+    for index in reversed(range(len(layers))):
+        z_in, az = saved[index]
+        if index < len(layers) - 1:
+            g_z = g_z * (saved[index + 1][0] > 0)
+        layer_grads.append(np.swapaxes(az, 1, 2) @ g_z)
+        g_az = g_z @ layers[index].T
+        g_a = g_az @ np.swapaxes(z_in, 1, 2) if g_a is None else g_a + g_az @ np.swapaxes(z_in, 1, 2)
+        g_z = np.swapaxes(a, 1, 2) @ g_az
+    if g_a is None:
+        return layer_grads, None, None, g_z[:, 0]
+    if norm is not None:
+        raw, den = norm
+        g_rows = (-g_a * raw / (den * den)) @ np.ones((1, rows)).T
+        g_a = g_a / den + g_rows @ np.ones((rows, 1)).T
+    g_pairs = None
+    if pairs:
+        i, j = np.triu_indices(n, 1)
+        g_pairs = g_a[:, i + 1, j + 1] + g_a[:, j + 1, i + 1]
+    return layer_grads, g_a[:, 0, 1:] + g_a[:, 1:, 0], g_pairs, g_z[:, 0]
+
+
 def _check_weights(w: Tensor, count: int, what: str) -> None:
     if w.shape != (count, 1):
         raise ValueError(f"{what}s must be a ({count}, 1) column here, got shape {w.shape}")
@@ -235,32 +304,14 @@ def star_graph(
     inputs = (*layers[::-1], *weight_inputs, center)
 
     def bwd(g: Array):
-        g_z = np.zeros((n + 1, h))
-        g_z[0:1] = g[:, :h]
-        if n:
-            g_ctx = np.zeros((n + 1, h))
-            g_ctx[1:] = np.repeat(g[:, h:] / n, n, axis=0)
-            g_z = g_ctx + g_z
-        grads, g_a = [], None
-        for index in reversed(range(len(layers))):
-            z_in, az = saved[index]
-            if index < len(layers) - 1:
-                g_z = g_z * (saved[index + 1][0][0] > 0)
-            grads.append(az[0].T @ g_z)
-            g_az = g_z @ layers[index].data.T
-            g_a = g_az @ z_in[0].T if g_a is None else g_a + g_az @ z_in[0].T
-            g_z = a[0].T @ g_az
-        if g_a is None:
+        layer_grads, g_spokes, g_pairs, g_center = graph_backward(
+            a, norm, saved, [w.data for w in layers], g, pair_weights is not None
+        )
+        grads = [w[0] for w in layer_grads]
+        if g_spokes is None:
             grads += [None] * len(weight_inputs)
         else:
-            if norm is not None:
-                raw, den = norm[0][0], norm[1][0]
-                g_rows = (-g_a * raw / (den * den)) @ np.ones((1, n + 1)).T
-                g_a = g_a / den + g_rows @ np.ones((n + 1, 1)).T
-            grads.append((g_a[0, 1:] + g_a[1:, 0]).reshape(-1, 1))
-            if pair_weights is not None:
-                i, j = np.triu_indices(n, 1)
-                grads.append((g_a[i + 1, j + 1] + g_a[j + 1, i + 1]).reshape(-1, 1))
-        return (*grads, g_z[0:1, :])
+            grads += [w.reshape(-1, 1) for w in (g_spokes, g_pairs) if w is not None]
+        return (*grads, g_center)
 
     return ad._emit(ad._joint_tape(*inputs), inputs, frame_rows(z), bwd)

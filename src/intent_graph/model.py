@@ -26,23 +26,31 @@ check_parameters, which both forwards and save_checkpoint call, is the one
 check of parameter names and shapes; nothing downstream checks them again.
 
 There is one implementation of each stage, and two forwards call it.
-forward_logits builds one scenario on Tensors and is the taped training
-forward; each GRU step, edge block and frame's graph block is one tape node
-(gru_step, edge_weight, star_graph). forward_batch is the inference path
-(evaluate, forward as a batch of one, the CLI's eval, predict and ablate):
-one tape-free NumPy pass over B scenarios that never builds a Tensor. It
+forward_chunk is the tape-free pass over up to CHUNK scenarios that both
+inference (forward_batch: evaluate, forward as a batch of one, the CLI's
+eval, predict and ablate) and training use; it never builds a Tensor. It
 runs each GRU of all B scenarios as stacked one-row products,
-(B, 1, I+H) @ W, through the value kernel gru_step also calls; scores all
-spokes of a pass in one call of the stacked-row kernel edge_weight also
-calls (and all object pairs in a second); and groups frames by object count
-N, so each bucket's graph block is one call of the stacked kernels
-star_graph also calls: (m, N+1, N+1) @ (m, N+1, H) @ W per layer, then the
-split into frame rows.
+(B, 1, I+H) @ W, through the value kernel gru_values; scores all spokes of
+a pass in one call of the stacked-row kernel edge_values (and all object
+pairs in a second); and groups frames by object count N, so each bucket's
+graph block is one call of the stacked kernels: (m, N+1, N+1) @ (m, N+1, H)
+@ W per layer, then the split into frame rows. For training it keeps what
+a backward reads, and backward_chunk walks the stages in reverse over the same
+layout, through the stacked backward kernels gru_backward, graph_backward
+and edge_backward, returning each scenario's gradients.
 NumPy evaluates a stacked product one matrix at a time, with the call the
 lone product makes, so a batched logit equals forward_logits byte for byte
 whatever else shares the batch (tests/test_model.py checks this under
 tobytes()). A block-diagonal union of the frames, as in PyTorch Geometric,
-would add zero terms to the sums and change their rounding.
+would add zero terms to the sums and change their rounding. For the
+gradients, backward_chunk adds every term in the order GradientTape.backward
+adds it for forward_logits, so they too are the tape's byte for byte.
+
+forward_logits builds one scenario on Tensors, each GRU step, edge block
+and frame's graph block one tape node (gru_step, edge_weight, star_graph)
+whose backward calls the same kernels. Nothing under src/ trains through
+it any more: it is the oracle the tests compare the tape-free pass against,
+and benchmarks/tracing.py wraps it.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -61,16 +70,20 @@ from .configs import ConfigError, check_bool_fields, check_int, check_real, fini
 from .data import write_text_atomic
 from .graph import (
     build_adjacency,
+    edge_backward,
     edge_values,
     edge_weight,
     frame_rows,
+    graph_backward,
     graph_conv,
     open_unit,
+    outer_rows,
     star_graph,
 )
 from .recurrent import (
     GRUCellParams,
     TemporalConfig,
+    gru_backward,
     gru_step,
     gru_values,
     prediction_rollout,
@@ -384,7 +397,20 @@ def forward_logits(
 # size. Larger passes amortise more Python overhead but hold more temporaries:
 # on the eval-dense benchmark (2-core Xeon), passes of 32 ran 1.25x as many
 # scenarios per second as passes of 16, for 2 MB (3%) more peak RSS.
-_CHUNK = 16
+CHUNK = 16
+
+
+class EdgeCheckError(ValueError):
+    """A spatial relation overflowed or an edge weight left (0, 1) in a stacked pass.
+
+    The message names the first failing scenario of the pass. ``detail`` is
+    the message forward_logits gives for that scenario alone, which train()
+    raises.
+    """
+
+    def __init__(self, message: str, detail: str):
+        super().__init__(message)
+        self.detail = detail
 
 
 def forward_batch(
@@ -395,20 +421,29 @@ def forward_batch(
     Row b is bit for bit forward_logits(scenarios[b]) and does not depend on
     which other scenarios share the batch or in what order.
     """
-    for scenario in scenarios:
-        _check_scenario(scenario, cfg)
     p = check_parameters(cfg, values)
-    chunks = [_forward_chunk(scenarios[i : i + _CHUNK], cfg, p) for i in range(0, len(scenarios), _CHUNK)]
+    chunks = [forward_chunk(scenarios[i : i + CHUNK], cfg, p)[0] for i in range(0, len(scenarios), CHUNK)]
     return np.concatenate(chunks) if chunks else np.zeros((0, cfg.K))
 
 
-def _run_cell(cell: GRUCellParams, inputs: np.ndarray, hidden: int) -> list[np.ndarray]:
-    """Unroll a cell over (B, T, 1, I) inputs from zero; every (B, 1, H) state in order."""
-    h = np.zeros((inputs.shape[0], 1, hidden))
+def _slot(kept: dict | None, name: str) -> list | None:
+    """The list stored under ``name`` in ``kept`` (new and empty), or None when nothing is kept."""
+    return None if kept is None else kept.setdefault(name, [])
+
+
+def _run_cell(cell: GRUCellParams, inputs: np.ndarray, h: np.ndarray, steps: list | None = None) -> list[np.ndarray]:
+    """Unroll a cell over (B, T, 1, I) inputs from the (B, 1, H) state ``h``; every (B, 1, H) state in order.
+
+    Given a ``steps`` list, appends per step its input state and the values
+    gru_values saved for a backward.
+    """
     states = []
     for t in range(inputs.shape[1]):
-        h, _ = gru_values(cell, inputs[:, t], h)
-        states.append(h)
+        h_next, saved = gru_values(cell, inputs[:, t], h)
+        if steps is not None:
+            steps.append((h, saved))
+        states.append(h_next)
+        h = h_next
     return states
 
 
@@ -420,46 +455,92 @@ def _buckets(counts: np.ndarray):
         yield n, frames, starts[frames][:, None] + np.arange(n)
 
 
+@dataclass(frozen=True)
+class _Edges:
+    """M scored edges drawn from many frames, and what their backward reads."""
+
+    frames: np.ndarray  # (M,) frame index of each edge; a frame's edges are adjacent, in order
+    v: np.ndarray  # (M, Dc+8) source rows and scaled relations
+    targets: np.ndarray  # (M, Do)
+    saved: tuple  # edge_values' (e_i, e_o, mask_i, mask_o, s)
+    weights: np.ndarray  # (M,) clipped weights
+    overflow: np.ndarray  # frames whose relation overflowed (their rows are NaN)
+    message: str | None  # spatial_relation's error, when one did
+
+
 def _score_edges(
-    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], what: str,
+    cfg: ModelConfig, p: Mapping[str, np.ndarray],
     src: np.ndarray, src_boxes: np.ndarray, tgt_boxes: np.ndarray, targets: np.ndarray, frames: np.ndarray,
-) -> np.ndarray:
-    """Clipped (M,) weights of M edges drawn from many frames of ``scenarios``.
+) -> _Edges:
+    """Score M edges drawn from many frames; no check raises here (see _check_edges).
 
     The rows of ``src`` (M, Dc), ``src_boxes`` and ``tgt_boxes`` (M, 4) and
     ``targets`` (M, Do) describe the edges; ``frames`` holds each edge's
-    frame index. The checks of the per-scenario forward hold: a relation
-    that overflows and a weight outside (0, 1) raise ValueError, naming the
-    first scenario concerned.
+    frame index.
     """
+    overflow, message = np.zeros(0, dtype=np.intp), None
     try:
         rel = spatial_relation(src_boxes, tgt_boxes)
     except ValueError as exc:
-        for index, scenario in enumerate(scenarios):
-            rows = frames // cfg.T == index
+        rel, failed, message = np.full((len(frames), 8), np.nan), [], str(exc)
+        for frame in np.unique(frames):
+            rows = frames == frame
             try:
-                spatial_relation(src_boxes[rows], tgt_boxes[rows])
+                rel[rows] = spatial_relation(src_boxes[rows], tgt_boxes[rows])
             except ValueError:
-                raise ValueError(f"scenario {scenario.id!r}: {exc}") from None
-        raise
+                failed.append(frame)
+        overflow = np.array(failed, dtype=np.intp)
     v = np.concatenate([src, rel * cfg.spatial_scale], axis=1)
-    weights = open_unit(edge_values(v, targets, p["edge.proj_i"], p["edge.proj_o"])[4])[:, 0]
-    bad = np.flatnonzero(~((weights > 0.0) & (weights < 1.0)))
-    if bad.size:
-        first = bad[np.argmin(frames[bad])]
-        raise ValueError(
-            f"scenario {scenarios[frames[first] // cfg.T].id!r}: {what} outside "
-            f"the open interval (0,1): {float(weights[first])!r}"
-        )
-    return weights
+    saved = edge_values(v, targets, p["edge.proj_i"], p["edge.proj_o"])
+    return _Edges(frames, v, targets, saved, open_unit(saved[4])[:, 0], overflow, message)
 
 
-def _forward_chunk(scenarios: Sequence[Scenario], cfg: ModelConfig, p: Mapping[str, np.ndarray]) -> np.ndarray:
+def _check_edges(scenarios, cfg: ModelConfig, blocks: Sequence[tuple[str, _Edges]]) -> None:
+    """Raise EdgeCheckError for the first failing check, in forward_logits' order.
+
+    forward_logits checks frame by frame: the spoke relations, the pair
+    relations, the spoke weights, then the pair weights, each weight in
+    (0, 1). ``blocks`` holds (what, edges) for the spokes and, in
+    fully_connected mode, the pairs.
+    """
+    failures = []  # (frame, check, message, detail)
+    for rank, (what, edges) in enumerate(blocks):
+        if edges.overflow.size:
+            failures.append((int(edges.overflow.min()), rank, edges.message, edges.message))
+        bad = np.flatnonzero(~((edges.weights > 0.0) & (edges.weights < 1.0)))
+        if bad.size:
+            edge = bad[np.argmin(edges.frames[bad])]
+            frame, value = int(edges.frames[edge]), float(edges.weights[edge])
+            index = edge - np.flatnonzero(edges.frames == frame)[0]
+            tail = f"outside the open interval (0,1): {value!r}"
+            failures.append((frame, len(blocks) + rank, f"{what} {tail}", f"{what} {index} {tail}"))
+    if failures:
+        frame, _, message, detail = min(failures, key=lambda failure: failure[:2])
+        raise EdgeCheckError(f"scenario {scenarios[frame // cfg.T].id!r}: {message}", detail)
+
+
+def forward_chunk(
+    scenarios: Sequence[Scenario], cfg: ModelConfig, p: Mapping[str, np.ndarray], keep: bool = False
+) -> tuple[np.ndarray, dict | None]:
+    """(B, K) logits of at most CHUNK scenarios and, with ``keep``, what backward_chunk reads.
+
+    ``p`` holds the arrays check_parameters returns. The second value maps
+    each GRU ("ped_gru", "ctxt_gru", "agg_gru", "rollout") to its steps as
+    _run_cell appends them, "readout" to the rollout's states, "pooled" to
+    the (B, 1, W) mean frame vector of a run without temporal cells, and
+    "edges" and "buckets" to what _graph_frames keeps. Inference keeps
+    nothing: held to the end of a pass, those arrays slowed evaluate() on
+    dense scenes by about a tenth.
+    """
+    for scenario in scenarios:
+        _check_scenario(scenario, cfg)
     tc, mode, b, t_obs = cfg.temporal, cfg.graph_mode, len(scenarios), cfg.T
+    kept = {} if keep else None
     observed = [f for s in scenarios for f in s.frames[:t_obs]]  # frame index b * T + t
     ped = np.array([f.pedestrian_feature for f in observed]).reshape(b, t_obs, 1, cfg.D)
+    zero = np.zeros((b, 1, cfg.hidden))
     if tc.use_temporal and tc.use_ped_gru:
-        ped = np.stack(_run_cell(_gru_bundle(p, "ped_gru"), ped, cfg.hidden), axis=1)
+        ped = np.stack(_run_cell(_gru_bundle(p, "ped_gru"), ped, zero, _slot(kept, "ped_gru")), axis=1)
 
     if mode == "pedestrian_only":
         vecs = ped
@@ -471,43 +552,49 @@ def _forward_chunk(scenarios: Sequence[Scenario], cfg: ModelConfig, p: Mapping[s
                 pooled[frames] = objs.feats[rows].mean(axis=1)
         vecs = np.concatenate([ped, pooled.reshape(b, t_obs, 1, cfg.D)], axis=-1)
     else:
-        vecs = _graph_frames(scenarios, cfg, p, observed, ped.reshape(len(observed), cfg.hidden))
+        vecs = _graph_frames(scenarios, cfg, p, observed, ped.reshape(len(observed), cfg.hidden), kept)
         vecs = vecs.reshape(b, t_obs, 1, 2 * cfg.hidden)
         if tc.use_temporal and tc.use_ctxt_gru:
             ctx = vecs[..., cfg.hidden :]
-            ctx[:] = np.stack(_run_cell(_gru_bundle(p, "ctxt_gru"), ctx, cfg.hidden), axis=1)
+            ctx[:] = np.stack(_run_cell(_gru_bundle(p, "ctxt_gru"), ctx, zero, _slot(kept, "ctxt_gru")), axis=1)
 
     if tc.use_temporal:
-        h = _run_cell(_gru_bundle(p, "agg_gru"), vecs, cfg.hidden)[-1]
+        h = _run_cell(_gru_bundle(p, "agg_gru"), vecs, zero, _slot(kept, "agg_gru"))[-1]
     else:
-        h = vecs.mean(axis=1) @ p["temporal_pool.proj"]
+        pooled = vecs.mean(axis=1)
+        h = pooled @ p["temporal_pool.proj"]
+        if kept is not None:
+            kept["pooled"] = pooled
 
-    cell, empty = _gru_bundle(p, "pred_gru"), np.zeros((b, 1, 0))
+    states = _run_cell(_gru_bundle(p, "pred_gru"), np.zeros((b, cfg.K, 1, 0)), h, _slot(kept, "rollout"))
+    if kept is not None:
+        kept["readout"] = states
     logits = np.empty((b, cfg.K))
-    for k in range(cfg.K):
-        h, _ = gru_values(cell, empty, h)
+    for k, h in enumerate(states):
         logits[:, k] = (h @ p["readout.w"] + p["readout.b"])[:, 0, 0]
-    return logits
+    return logits, kept
 
 
 def _graph_frames(
-    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], observed: list[FrameObservation], ped_rows: np.ndarray
+    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], observed: list[FrameObservation], ped_rows: np.ndarray,
+    kept: dict | None,
 ) -> np.ndarray:
     """The (F, 2H) frame rows [refined pedestrian row, object-context mean] of F frames.
 
     All spokes of the batch are scored in one stacked call (and in
     fully_connected mode all object pairs in a second); then the frames are
     bucketed by object count N, and each bucket runs graph convolution as
-    one stacked (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
+    one stacked (m, N+1, N+1) @ (m, N+1, H) @ W per layer. Into ``kept``,
+    when given, go the scored edge blocks ("edges": spokes, then pairs) and
+    per bucket (N, frames, object rows, slice of the pair block, adjacency,
+    build_adjacency's and graph_conv's saved values) ("buckets").
     """
     objs = _object_rows(observed, cfg.D)
     feats, boxes = objs.feats, objs.boxes
     targets = _edge_targets(cfg, objs.categories, feats)
     owner = np.repeat(np.arange(len(observed)), objs.counts)  # frame of each object row
     ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
-    spokes = _score_edges(
-        scenarios, cfg, p, "edge weight", ped_rows[owner], ped_boxes[owner], boxes, targets, owner
-    )
+    blocks = [("edge weight", _score_edges(cfg, p, ped_rows[owner], ped_boxes[owner], boxes, targets, owner))]
     buckets = list(_buckets(objs.counts))
     if cfg.graph_mode == "fully_connected":
         # the object pairs i < j of every frame, row-major, bucket by bucket
@@ -517,25 +604,185 @@ def _graph_frames(
             src_rows.append(rows[:, i].reshape(-1))
             tgt_rows.append(rows[:, j].reshape(-1))
         i, j = np.concatenate(src_rows), np.concatenate(tgt_rows)
-        pair_weights = _score_edges(
-            scenarios, cfg, p, "object pair weight", feats[i], boxes[i], boxes[j], targets[j], owner[i]
-        )
+        blocks.append(("object pair weight", _score_edges(cfg, p, feats[i], boxes[i], boxes[j], targets[j], owner[i])))
+    _check_edges(scenarios, cfg, blocks)
+    spokes, *pair_block = [edges.weights for _, edges in blocks]
+    if kept is not None:
+        kept["edges"] = [edges for _, edges in blocks]
+    del blocks  # unless kept, the edges' saved values go before the graph work
 
     layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
     vecs = np.empty((len(observed), 2 * cfg.hidden))
+    buckets_kept = _slot(kept, "buckets")
     pair_at = 0
     for n, frames, rows in buckets:
         pairs = None
         if cfg.graph_mode == "fully_connected":
             count = len(frames) * (n * (n - 1) // 2)
-            pairs = pair_weights[pair_at : pair_at + count].reshape(len(frames), -1)
+            pairs = slice(pair_at, pair_at + count)
             pair_at += count
         x = np.empty((len(frames), n + 1, cfg.hidden))
         x[:, 0] = ped_rows[frames]
         x[:, 1:] = feats[rows]
-        a, _ = build_adjacency(spokes[rows], pairs, cfg.normalize_adjacency)
-        vecs[frames] = frame_rows(graph_conv(a, x, layers)[0])
+        pair_weights = None if pairs is None else pair_block[0][pairs].reshape(len(frames), -1)
+        a, norm = build_adjacency(spokes[rows], pair_weights, cfg.normalize_adjacency)
+        z, saved = graph_conv(a, x, layers)
+        vecs[frames] = frame_rows(z)
+        if buckets_kept is not None:
+            buckets_kept.append((n, frames, rows, pairs, a, norm, saved))
     return vecs
+
+
+# gru_backward's order of a cell's parameter gradients
+_GRU_GRADS = ("b_h", "W_h", "b_r", "W_r", "b_z", "W_z")
+
+
+def _fold(stack: np.ndarray) -> np.ndarray:
+    """Left fold over the first axis, ((s0 + s1) + s2) + ..., the order in which a tape adds gradients.
+
+    np.sum over the first axis adds the terms in that order once each term
+    holds more than one entry (a one-entry stack it sums pairwise), but it
+    starts from +0.0, which turns a -0.0 of s0 into +0.0. Those stacks go
+    through np.add.accumulate, which is exact but several times slower.
+    """
+    first = stack[0]
+    if first.size > 1 and not (np.signbit(first) & (first == 0.0)).any():
+        return np.sum(stack, axis=0)
+    return np.add.accumulate(stack, axis=0)[-1]
+
+
+def _cell_backward(grads: dict, p: Mapping[str, np.ndarray], prefix: str, steps, first=None, last=None):
+    """Reverse a stacked GRU unroll; stores its six (B, ., .) parameter gradients in ``grads``.
+
+    The gradient of step t's output state is the sum, in this order, of
+    first[t], the next step's three h terms and last[t] (a None list or
+    entry adds nothing): the order in which the tape reaches them. Each
+    parameter sums its steps' terms from the last step back. Returns each
+    step's input gradient (the two input terms summed) and the three terms
+    of the initial state.
+    """
+    cell = _gru_bundle(p, prefix)
+    first, last = first or [None] * len(steps), last or [None] * len(steps)
+    totals, g_inputs, carry = None, [None] * len(steps), ()
+    for t in reversed(range(len(steps))):
+        terms = [term for term in (first[t], *carry, last[t]) if term is not None]
+        h, saved = steps[t]
+        params, (x0, x1), carry = gru_backward(cell, saved, h, reduce(np.add, terms))
+        totals = params if totals is None else tuple(a + b for a, b in zip(totals, params))
+        g_inputs[t] = x0 + x1
+    grads.update((f"{prefix}.{gate}", total) for gate, total in zip(_GRU_GRADS, totals))
+    return g_inputs, carry
+
+
+def backward_chunk(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g_logits: np.ndarray) -> dict[str, np.ndarray]:
+    """Every parameter's (B, rows, cols) gradients, one per scenario, at the (B, K) logit gradients.
+
+    ``kept`` is forward_chunk's. The stages run in reverse over the stacked
+    layout: rollout, aggregation (or the pooled projection), context GRU,
+    graph blocks per object-count bucket, edges and pedestrian GRU, each
+    through the array backward its taped node calls (gru_backward,
+    graph_backward, edge_backward). Every term is added to a scenario's
+    gradient in the order GradientTape.backward adds it for
+    forward_logits, so each row is bit for bit that scenario's tape
+    gradient, whatever else shares the chunk.
+    """
+    tc, mode, h_width = cfg.temporal, cfg.graph_mode, cfg.hidden
+    b, t_obs = g_logits.shape[0], cfg.T
+    grads: dict[str, np.ndarray] = {}
+
+    # rollout: a state takes the next step's three terms, then its readout's
+    states, steps = kept["readout"], kept["rollout"]
+    g = g_logits.reshape(b, cfg.K, 1, 1)
+    visit = range(cfg.K - 1, -1, -1)
+    grads["readout.b"] = reduce(np.add, (g[:, k] for k in visit))
+    grads["readout.w"] = reduce(np.add, (np.swapaxes(states[k], 1, 2) @ g[:, k] for k in visit))
+    readout = [g[:, k] @ p["readout.w"].T for k in range(cfg.K)]
+    g_final = reduce(np.add, _cell_backward(grads, p, "pred_gru", steps, last=readout)[1])
+
+    if tc.use_temporal:
+        last = [None] * (t_obs - 1) + [g_final]
+        g_vecs = np.stack(_cell_backward(grads, p, "agg_gru", kept["agg_gru"], last=last)[0], axis=1)
+    else:
+        grads["temporal_pool.proj"] = np.swapaxes(kept["pooled"], 1, 2) @ g_final
+        g_pooled = g_final @ p["temporal_pool.proj"].T / t_obs
+        g_vecs = np.repeat(g_pooled[:, None], t_obs, axis=1)
+
+    if mode == "pedestrian_only":
+        g_ped = g_vecs
+    elif mode == "concat_baseline":
+        g_ped = g_vecs[..., : _ped_stream_width(cfg)]
+    else:
+        if tc.use_temporal and tc.use_ctxt_gru:
+            # a context state takes the next step's three terms, then the frame vector's
+            last = [g_vecs[:, t, :, h_width:] for t in range(t_obs)]
+            g_cols = _cell_backward(grads, p, "ctxt_gru", kept["ctxt_gru"], last=last)[0]
+            g_vecs = np.concatenate([g_vecs[..., :h_width], np.stack(g_cols, axis=1)], axis=-1)
+        g_ped = _graph_backward(cfg, p, kept, g_vecs.reshape(b * t_obs, 2 * h_width), grads)
+        g_ped = g_ped.reshape(b, t_obs, 1, h_width)
+
+    if tc.use_temporal and tc.use_ped_gru:
+        # a pedestrian state takes its frame's terms, then the next step's three
+        _cell_backward(grads, p, "ped_gru", kept["ped_gru"], first=[g_ped[:, t] for t in range(t_obs)])
+    for name, shape in parameter_shapes(cfg).items():
+        grads.setdefault(name, np.zeros((b, *shape)))  # the tape's zeros for a parameter the loss never reached
+    return grads
+
+
+def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g_rows: np.ndarray, grads: dict) -> np.ndarray:
+    """Backward of _graph_frames at the (F, 2H) frame-row gradients; stores the gcn and edge gradients in ``grads``.
+
+    Returns the (F, H) gradient of each frame's pedestrian row: the graph
+    block's term, then one term per spoke in reverse object order.
+    """
+    n_layers, h_width, t_obs = cfg.num_layers, cfg.hidden, cfg.T
+    b = len(g_rows) // t_obs
+    layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(n_layers)]
+    blocks = kept["edges"]
+    pairs = len(blocks) == 2
+    layer_grads = np.empty((len(g_rows), n_layers, h_width, h_width))
+    center = np.empty((len(g_rows), h_width))
+    g_weights = [np.empty(len(edges.frames)) for edges in blocks]
+    for n, frames, rows, pair_rows, a, norm, saved in kept["buckets"]:
+        by_layer, g_spokes, g_pairs, g_center = graph_backward(a, norm, saved, layers, g_rows[frames], pairs)
+        center[frames] = g_center
+        if n_layers:
+            layer_grads[frames] = np.stack(by_layer, axis=1)
+            g_weights[0][rows] = g_spokes
+            if pairs:
+                g_weights[1][pair_rows] = g_pairs.reshape(-1)
+    if not n_layers:
+        return center  # the weights feed nothing, and the edges get no gradient
+
+    # a frame's layers are reached last layer first, a scenario's frames last frame first
+    visit = layer_grads.reshape(b, t_obs, n_layers, h_width, h_width)[:, ::-1]
+    if cfg.shared_weights:
+        grads["gcn.W"] = _fold(visit.reshape(b, t_obs * n_layers, h_width, h_width).swapaxes(0, 1))
+    else:
+        for layer in range(n_layers):
+            grads[f"gcn.W{layer}"] = _fold(visit[:, :, n_layers - 1 - layer].swapaxes(0, 1))
+
+    by_block = [edge_backward(edges.saved, g[:, None]) for edges, g in zip(blocks, g_weights)]
+    g_i = np.concatenate([g_in for g_in, _ in by_block])
+    g_o = np.concatenate([g_out for _, g_out in by_block])
+    # forward_logits scores a scenario frame by frame, a frame's spokes before
+    # its pairs; the tape adds the per-edge terms in exactly the reverse order
+    frames = np.concatenate([edges.frames for edges in blocks])
+    order = np.lexsort((np.repeat(np.arange(len(blocks)), [len(edges.frames) for edges in blocks]), frames))
+    bounds = np.searchsorted(frames[order], np.arange(b + 1) * t_obs)
+    v = np.concatenate([edges.v for edges in blocks])
+    targets = np.concatenate([edges.targets for edges in blocks])
+    for name, rows, g in (("edge.proj_i", v, g_i), ("edge.proj_o", targets, g_o)):
+        grads[name] = np.zeros((b, *p[name].shape))
+        for s in range(b):
+            visit = order[bounds[s] : bounds[s + 1]][::-1]
+            if visit.size:  # one scenario's stack at a time bounds the memory
+                grads[name][s] = _fold(outer_rows(rows[visit], g[visit]))
+
+    g_src = (g_i[: len(blocks[0].frames), None, :] @ p["edge.proj_i"].T)[:, 0, :h_width]
+    g_ped = np.empty_like(center)
+    for n, frames, rows, *_ in kept["buckets"]:
+        g_ped[frames] = reduce(np.add, [center[frames], *(g_src[rows[:, k]] for k in reversed(range(n)))])
+    return g_ped
 
 
 def forward(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> PredictionOutput:

@@ -15,7 +15,9 @@ off each hidden state through a linear readout (w, b).
 
 model.check_parameters owns these shapes: GRUCellParams is a plain record,
 and gru_step checks only the activations it is handed. The gate math is
-gru_values, an array kernel that never sees a Tensor.
+gru_values and its backward gru_backward, array kernels on stacked rows
+that never see a Tensor: the tape-free training backward runs them over B
+scenarios at once, and gru_step over one.
 
 One step records one tape node. Its forward makes the NumPy calls of the
 per-op chain concat -> matmul -> add -> sigmoid -> ... -> add, in the same
@@ -32,8 +34,8 @@ Here keep = 1 - z; g_ah, g_ar and g_az are the gradients at the candidate,
 reset and update pre-activations; g_xrh = g_ah @ W_h.T, g_rh = g_xrh[:, I:]
 and g_xh = g_ar @ W_r.T + g_az @ W_z.T. The tape then adds h's three
 contributions (and x's two) in the chain's order, so every gradient, and so
-every trained model, is bit for bit the chain's. The tests keep the chain as
-the reference.
+every trained model, is bit for bit the chain's; the training backward adds
+them in the same order. The tests keep the chain as the reference.
 """
 
 from __future__ import annotations
@@ -95,6 +97,33 @@ def gru_values(p: GRUCellParams, x: Array, h: Array) -> tuple[Array, tuple[Array
     return keep * h + z * candidate, (xh, z, r, xrh, candidate, keep)
 
 
+def gru_backward(p: GRUCellParams, saved: tuple[Array, ...], h: Array, g: Array):
+    """The backward of gru_values at the gradient ``g`` of h', on the same stacked rows.
+
+    ``saved`` is what gru_values returned beside h' for the input state
+    ``h``. Returns three tuples, each in the order the per-op chain's
+    reverse pass reaches them: the gradients of (b_h, W_h, b_r, W_r, b_z,
+    W_z), the input's two terms (g_xrh[..., :I], g_xh[..., :I]) and h's
+    three (g*keep, g_rh*r, g_xh[..., I:]). A weight gradient is the stacked
+    outer product of a row and a gate gradient. gru_step and the batched
+    training backward both call this, so the backward math exists once.
+    """
+    xh, z, r, xrh, candidate, keep = saved
+    i = xh.shape[-1] - h.shape[-1]
+    # each expression keeps the chain's operand order: float sums and
+    # products are not associative
+    g_z = g * candidate + -(g * h)
+    g_ah = g * z * (1.0 - candidate * candidate)
+    g_xrh = g_ah @ p.W_h.T
+    g_rh = g_xrh[..., i:]
+    g_ar = g_rh * h * r * (1.0 - r)
+    g_az = g_z * z * (1.0 - z)
+    g_xh = g_ar @ p.W_r.T + g_az @ p.W_z.T
+    xh_t = np.swapaxes(xh, -1, -2)
+    params = (g_ah, np.swapaxes(xrh, -1, -2) @ g_ah, g_ar, xh_t @ g_ar, g_az, xh_t @ g_az)
+    return params, (g_xrh[..., :i], g_xh[..., :i]), (g * keep, g_rh * r, g_xh[..., i:])
+
+
 def gru_step(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
     """One gated update as one tape node; returns the next hidden state (1, H)."""
     rows, hidden = p.W_z.shape
@@ -103,24 +132,12 @@ def gru_step(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
         raise ValueError(f"input shape {x.shape} != (1, {i})")
     if h.shape != (1, hidden):
         raise ValueError(f"hidden shape {h.shape} != (1, {hidden})")
-    hd, w_z, w_r, w_h = h.data, p.W_z.data, p.W_r.data, p.W_h.data
-    cell = GRUCellParams(w_z, w_r, w_h, p.b_z.data, p.b_r.data, p.b_h.data)
-    out, (xh, z, r, xrh, candidate, keep) = gru_values(cell, x.data, hd)
+    cell = GRUCellParams(p.W_z.data, p.W_r.data, p.W_h.data, p.b_z.data, p.b_r.data, p.b_h.data)
+    out, saved = gru_values(cell, x.data, h.data)
 
     def bwd(g: Array):
-        # each expression keeps the chain's operand order: float sums and
-        # products are not associative
-        g_z = g * candidate + -(g * hd)
-        g_ah = g * z * (1.0 - candidate * candidate)
-        g_xrh = g_ah @ w_h.T
-        g_rh = g_xrh[:, i:]
-        g_ar = g_rh * hd * r * (1.0 - r)
-        g_az = g_z * z * (1.0 - z)
-        g_xh = g_ar @ w_r.T + g_az @ w_z.T
-        return (
-            g * keep, g_ah, xrh.T @ g_ah, g_xrh[:, :i], g_rh * r, g_ar,
-            xh.T @ g_ar, g_az, xh.T @ g_az, g_xh[:, :i], g_xh[:, i:],
-        )
+        (b_h, w_h, b_r, w_r, b_z, w_z), (x0, x1), (h0, h1, h2) = gru_backward(cell, saved, h.data, g)
+        return (h0, b_h, w_h, x0, h1, b_r, w_r, b_z, w_z, x1, h2)
 
     inputs = (h, p.b_h, p.W_h, x, h, p.b_r, p.W_r, p.b_z, p.W_z, x, h)
     return ad._emit(ad._joint_tape(*inputs), inputs, out, bwd)

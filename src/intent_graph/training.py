@@ -9,6 +9,16 @@ The per-scenario loss is the mean binary cross-entropy of the K future-frame
 logits against the stored labels. Evaluation thresholds probabilities at 0.5
 (>= predicts crossing) and reports average accuracy over all predicted
 frames, accuracy at the final step, mean per-step confidence, and mean loss.
+
+Training builds no tape. Each minibatch runs model.forward_chunk and
+model.backward_chunk once per CHUNK scenarios, which give every scenario's
+gradients bit for bit as GradientTape.backward gives them for
+scenario_loss_tensor; train() adds them in batch order, as it did when it
+ran one tape per scenario. The parameter values, the gradients and Adam's
+two moments live in one (4, P) float64 buffer, each parameter a view into
+it: Adam updates the whole buffer in one pass, and clip_gradients keeps one
+np.sum per parameter so the norm keeps its bits. scenario_loss_tensor stays
+as the taped oracle for the tests, and benchmarks/tracing.py wraps it.
 """
 
 from __future__ import annotations
@@ -16,13 +26,27 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import GradientTape, Tensor, bce_with_logits, scale, sigmoid_values
 from .configs import check_int, check_real, from_mapping, to_plain_dict
-from .model import ModelConfig, forward_batch, forward_logits, future_labels, init_parameters
+from .model import (
+    CHUNK,
+    EdgeCheckError,
+    ModelConfig,
+    ScenarioError,
+    backward_chunk,
+    check_parameters,
+    forward_batch,
+    forward_chunk,
+    forward_logits,
+    future_labels,
+    init_parameters,
+    parameter_shapes,
+)
 from .scene import Scenario
 
 
@@ -112,40 +136,41 @@ def scenario_loss_tensor(
     return scale(total, 1.0 / len(labels))
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> tuple[dict[str, np.ndarray], float]:
-    """Scale all gradients so the global L2 norm is at most max_norm."""
+def clip_gradients(grads: Mapping[str, np.ndarray], max_norm: float) -> float:
+    """Scale all gradients in place so the global L2 norm is at most max_norm; returns the norm before.
+
+    The norm adds one np.sum per parameter, in the mapping's order.
+    """
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     if total > max_norm and total > 0:
         factor = max_norm / total
-        grads = {name: g * factor for name, g in grads.items()}
-    return grads, total
+        for g in grads.values():
+            g *= factor
+    return total
 
 
 class AdamOptimizer:
-    """Adaptive-moment estimation with bias correction."""
+    """Adaptive-moment estimation with bias correction, over one flat buffer."""
 
     def __init__(self, tcfg: TrainConfig):
         self.tcfg = tcfg
         self.step_count = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
 
-    def step(self, values: dict[str, np.ndarray], grads: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    def step(self, buffer: np.ndarray) -> None:
+        """One update, in place, of the (4, P) buffer [values, gradients, first moments, second moments]."""
         t = self.tcfg
         self.step_count += 1
         k = self.step_count
-        out = {}
-        for name, value in values.items():
-            g = grads[name]
-            m = self._m.get(name)
-            v = self._v.get(name)
-            m = (1 - t.beta1) * g if m is None else t.beta1 * m + (1 - t.beta1) * g
-            v = (1 - t.beta2) * g * g if v is None else t.beta2 * v + (1 - t.beta2) * g * g
-            self._m[name], self._v[name] = m, v
-            m_hat = m / (1 - t.beta1**k)
-            v_hat = v / (1 - t.beta2**k)
-            out[name] = value - t.learning_rate * m_hat / (np.sqrt(v_hat) + t.epsilon)
-        return out
+        value, g, m, v = buffer
+        if k == 1:
+            m[:] = (1 - t.beta1) * g
+            v[:] = (1 - t.beta2) * g * g
+        else:
+            m[:] = t.beta1 * m + (1 - t.beta1) * g
+            v[:] = t.beta2 * v + (1 - t.beta2) * g * g
+        m_hat = m / (1 - t.beta1**k)
+        v_hat = v / (1 - t.beta2**k)
+        value -= t.learning_rate * m_hat / (np.sqrt(v_hat) + t.epsilon)
 
 
 def aggregate_metrics(per_scenario: Sequence[tuple[Sequence[float], Sequence[int], float]], threshold: float = 0.5) -> EvalReport:
@@ -220,6 +245,71 @@ def metrics_record(epoch: int, report: EvalReport) -> dict:
     }
 
 
+def _scenario_loss(logits: Sequence[float], labels: Sequence[int]) -> float:
+    """scenario_loss_tensor's value: the BCE terms summed in order, times 1/K."""
+    total = None
+    for z, y in zip(logits, labels):
+        if y not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {y!r}")
+        term = max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
+        total = term if total is None else total + term
+    return total * (1.0 / len(labels))
+
+
+def _chunk_gradients(
+    chunk: Sequence[Scenario], cfg: ModelConfig, p: Mapping[str, np.ndarray], epoch: int | None = None
+) -> tuple[list[float], dict[str, np.ndarray]]:
+    """Losses and (B, rows, cols) gradients of at most CHUNK scenarios from one stacked pass.
+
+    ``p`` holds check_parameters' arrays. A failing scenario raises what
+    scenario_loss_tensor raises for it; given an ``epoch``, so does a
+    non-finite loss (NumericError naming the epoch and the scenario). When
+    several fail, the first in order raises, as a loop over the scenarios
+    one at a time would.
+    """
+    try:
+        logits, kept = forward_chunk(chunk, cfg, p, keep=True)
+    except (ScenarioError, EdgeCheckError) as exc:
+        if len(chunk) > 1:
+            for scenario in chunk:
+                _chunk_gradients([scenario], cfg, p, epoch)  # the first failing scenario raises
+        if isinstance(exc, EdgeCheckError):
+            raise ValueError(exc.detail) from None
+        raise
+    labels = np.array([future_labels(scenario, cfg) for scenario in chunk])
+    losses = []
+    for scenario, row, row_labels in zip(chunk, logits.tolist(), labels.tolist()):
+        losses.append(_scenario_loss(row, row_labels))
+        if epoch is not None and not math.isfinite(losses[-1]):
+            raise NumericError(f"non-finite loss {losses[-1]!r} at epoch {epoch}, scenario {scenario.id!r}")
+    g_logits = (1.0 / cfg.K) * (sigmoid_values(logits) - labels)
+    return losses, backward_chunk(cfg, p, kept, g_logits)
+
+
+def scenario_gradients(
+    scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.ndarray]
+) -> tuple[float, dict[str, np.ndarray]]:
+    """The loss of one scenario and its gradient by every parameter, from the tape-free pass train() uses.
+
+    Bit for bit the value of scenario_loss_tensor and the gradients
+    GradientTape.backward returns for it; a non-finite loss is returned,
+    not raised.
+    """
+    losses, grads = _chunk_gradients([scenario], cfg, check_parameters(cfg, values))
+    return losses[0], {name: g[0] for name, g in grads.items()}
+
+
+def _parameter_buffer(shapes: Mapping[str, tuple[int, int]]) -> tuple[np.ndarray, dict, dict]:
+    """A zeroed (4, P) buffer [values, gradients, Adam's two moments] and {name: view} of its first two rows."""
+    ends = np.cumsum([r * c for r, c in shapes.values()])
+    buffer = np.zeros((4, int(ends[-1])))
+
+    def views(row):
+        return {name: row[end - r * c : end].reshape(r, c) for (name, (r, c)), end in zip(shapes.items(), ends)}
+
+    return buffer, views(buffer[0]), views(buffer[1])
+
+
 @dataclass
 class TrainResult:
     params: dict[str, np.ndarray]
@@ -241,7 +331,10 @@ def train(
     """
     if not dataset:
         raise EmptyDatasetError("no scenarios to train on")
-    values = {name: np.array(v, dtype=np.float64) for name, v in (initial or init_parameters(cfg)).items()}
+    shapes = parameter_shapes(cfg)
+    buffer, values, grads = _parameter_buffer(shapes)
+    for name, value in check_parameters(cfg, initial or init_parameters(cfg)).items():
+        values[name][...] = value
     optimizer = AdamOptimizer(tcfg)
     rng = np.random.default_rng(tcfg.seed)
     history: list[EvalReport] = []
@@ -249,23 +342,14 @@ def train(
     for epoch in range(1, tcfg.epochs + 1):
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), tcfg.batch_size):
-            batch = order[start : start + tcfg.batch_size]
-            grad_sum: dict[str, np.ndarray] = {}
-            for idx in batch:
-                scenario = dataset[int(idx)]
-                tape = GradientTape()
-                loss_t = scenario_loss_tensor(scenario, cfg, values, tape)
-                if not math.isfinite(loss_t.item()):
-                    raise NumericError(
-                        f"non-finite loss {loss_t.item()!r} at epoch {epoch}, "
-                        f"scenario {scenario.id!r}"
-                    )
-                for name, g in tape.backward(loss_t).items():
-                    prev = grad_sum.get(name)
-                    grad_sum[name] = g if prev is None else prev + g
-            grads = {name: g / len(batch) for name, g in grad_sum.items()}
-            grads, _ = clip_gradients(grads, tcfg.grad_clip_norm)
-            values = optimizer.step(values, grads)
+            batch = [dataset[int(i)] for i in order[start : start + tcfg.batch_size]]
+            rows = []  # per scenario, one flat row of every gradient
+            for first in range(0, len(batch), CHUNK):
+                chunk = _chunk_gradients(batch[first : first + CHUNK], cfg, values, epoch)[1]
+                rows.extend(np.concatenate([chunk[name].reshape(len(chunk[name]), -1) for name in shapes], axis=1))
+            buffer[1] = reduce(np.add, rows) / len(batch)  # added in batch order, as the tape's loop did
+            clip_gradients(grads, tcfg.grad_clip_norm)
+            optimizer.step(buffer)
         try:
             report = evaluate(dataset, cfg, values)
         except NumericError as exc:
@@ -273,4 +357,5 @@ def train(
         history.append(report)
         if metrics_out is not None:
             metrics_out.write(json.dumps(metrics_record(epoch, report)) + "\n")
-    return TrainResult(params=values, history=history)
+    # copies: views would keep the gradient and moment rows alive with the result
+    return TrainResult(params={name: value.copy() for name, value in values.items()}, history=history)

@@ -1,4 +1,4 @@
-"""Per-op reference chains and the small ops only tests use.
+"""Per-op reference chains, the taped training loop, and the small ops only tests use.
 
 The library records a GRU step, an edge block and a frame's graph block as
 one fused tape node each; the chains here rebuild them from single-op nodes
@@ -8,17 +8,26 @@ div, relu, slice_rows, symmetric_scatter) build those chains and test
 losses. object_sort_key is the canonical object order as a Python sort key,
 the reference for the library's np.lexsort, and category_one_hot the class
 encoding the model appends to an edge target row.
+
+reference_train is the training loop as it ran on the tape, one scenario
+per tape with dict-based clipping and Adam; train() must match it byte for
+byte. taped adapts a loss built on a GradientTape to finite_diff_check's
+(loss, gradients) contract.
 """
 
 import itertools
+import json
+import math
 
 import numpy as np
 
 from intent_graph import autodiff as ad
-from intent_graph.autodiff import Tensor, sigmoid_values
+from intent_graph.autodiff import GradientTape, Tensor, sigmoid_values
 from intent_graph.graph import _OPEN_UNIT_HI, _OPEN_UNIT_LO
 from intent_graph.recurrent import GRUCellParams
+from intent_graph.model import init_parameters
 from intent_graph.scene import CATEGORY_COUNT
+from intent_graph.training import NumericError, TrainResult, evaluate, metrics_record, scenario_loss_tensor
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -221,3 +230,80 @@ def category_one_hot(category) -> np.ndarray:
     vec = np.zeros(CATEGORY_COUNT)
     vec[category.index] = 1.0
     return vec
+
+
+def taped(f):
+    """finite_diff_check's (loss, gradients) function for ``f``, which builds a loss Tensor on a fresh tape."""
+
+    def loss_and_gradients(values):
+        loss = f(values)
+        if loss.tape is None:
+            raise ValueError("f must build its loss on a GradientTape")
+        return loss.item(), loss.tape.backward(loss)
+
+    return loss_and_gradients
+
+
+def reference_clip(grads, max_norm):
+    """Scaled copies of ``grads`` with global L2 norm at most max_norm, and the norm before."""
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    if total > max_norm and total > 0:
+        factor = max_norm / total
+        grads = {name: g * factor for name, g in grads.items()}
+    return grads, total
+
+
+class ReferenceAdam:
+    """Bias-corrected Adam over {name: array} dicts, one parameter at a time."""
+
+    def __init__(self, tcfg):
+        self.tcfg, self.step_count, self._m, self._v = tcfg, 0, {}, {}
+
+    def step(self, values, grads):
+        t = self.tcfg
+        self.step_count += 1
+        k = self.step_count
+        out = {}
+        for name, value in values.items():
+            g = grads[name]
+            m, v = self._m.get(name), self._v.get(name)
+            m = (1 - t.beta1) * g if m is None else t.beta1 * m + (1 - t.beta1) * g
+            v = (1 - t.beta2) * g * g if v is None else t.beta2 * v + (1 - t.beta2) * g * g
+            self._m[name], self._v[name] = m, v
+            out[name] = value - t.learning_rate * (m / (1 - t.beta1**k)) / (np.sqrt(v / (1 - t.beta2**k)) + t.epsilon)
+        return out
+
+
+def taped_gradients(scenario, cfg, values):
+    """(loss, {name: gradient}) of one scenario from scenario_loss_tensor and GradientTape.backward."""
+    tape = GradientTape()
+    loss = scenario_loss_tensor(scenario, cfg, values, tape)
+    return loss.item(), tape.backward(loss)
+
+
+def reference_train(dataset, cfg, tcfg, initial=None, metrics_out=None):
+    """train() as a loop of taped scenarios: each batch's gradients summed in batch order, clipped, one Adam step."""
+    values = {name: np.array(v, dtype=np.float64) for name, v in (initial or init_parameters(cfg)).items()}
+    optimizer = ReferenceAdam(tcfg)
+    rng = np.random.default_rng(tcfg.seed)
+    history = []
+    for epoch in range(1, tcfg.epochs + 1):
+        order = rng.permutation(len(dataset))
+        for start in range(0, len(order), tcfg.batch_size):
+            batch = order[start : start + tcfg.batch_size]
+            grad_sum = {}
+            for idx in batch:
+                scenario = dataset[int(idx)]
+                loss, grads = taped_gradients(scenario, cfg, values)
+                if not math.isfinite(loss):
+                    raise NumericError(f"non-finite loss {loss!r} at epoch {epoch}, scenario {scenario.id!r}")
+                for name, g in grads.items():
+                    prev = grad_sum.get(name)
+                    grad_sum[name] = g if prev is None else prev + g
+            grads, _ = reference_clip({name: g / len(batch) for name, g in grad_sum.items()}, tcfg.grad_clip_norm)
+            values = optimizer.step(values, grads)
+        report = evaluate(dataset, cfg, values)
+        history.append(report)
+        if metrics_out is not None:
+            metrics_out.write(json.dumps(metrics_record(epoch, report)) + "\n")
+    return TrainResult(params=values, history=history)

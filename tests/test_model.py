@@ -6,6 +6,7 @@ on real generated scenarios for every graph mode. Everything else covers
 parameter bookkeeping, invariances, checkpointing, and input validation.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -20,6 +21,7 @@ from intent_graph.model import (
     CheckpointError,
     ModelConfig,
     ScenarioError,
+    _fold,
     _object_rows,
     forward,
     forward_batch,
@@ -40,9 +42,17 @@ from intent_graph.scene import (
     ObjectCategory,
     ObjectObservation,
 )
-from intent_graph.training import TrainConfig, aggregate_metrics, evaluate, loss, scenario_loss_tensor
+from intent_graph.training import (
+    TrainConfig,
+    _chunk_gradients,
+    aggregate_metrics,
+    evaluate,
+    loss,
+    scenario_gradients,
+    scenario_loss_tensor,
+)
 
-from reference_ops import category_one_hot, object_sort_key
+from reference_ops import category_one_hot, object_sort_key, taped_gradients
 
 
 def _scenario(D=6, frames=5, seed=2, vehicles=(2, 2)):
@@ -311,6 +321,56 @@ def test_batched_row_ignores_its_batch_mates_and_their_order(mode):
         assert row.tobytes() == base[i].tobytes()
     for i, scenario in enumerate(batch):
         assert forward_batch([scenario], cfg, values).tobytes() == base[i : i + 1].tobytes()
+
+
+# -- tape-free training pass: bit for bit the tape's gradients ----------------------
+
+
+@pytest.mark.parametrize("stack", sorted(BATCH_STACKS))
+@pytest.mark.parametrize("temporal", sorted(BATCH_TEMPORALS))
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_tape_free_gradients_are_bit_identical_to_the_tape(mode, temporal, stack):
+    cfg = _batch_cfg(mode, temporal, stack)
+    values = init_parameters(cfg)
+    for scenario in _mixed_batch():
+        got_loss, grads = scenario_gradients(scenario, cfg, values)
+        want_loss, want = taped_gradients(scenario, cfg, values)
+        assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes(), scenario.id
+        assert set(grads) == set(want)
+        for name, g in want.items():
+            assert grads[name].shape == g.shape and grads[name].tobytes() == g.tobytes(), (scenario.id, name)
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_scenario_gradients_ignore_their_batch_mates_and_their_order(mode):
+    cfg = _batch_cfg(mode, "ctxt", "L3-unshared-norm-cls")
+    values = init_parameters(cfg)
+    batch = _mixed_batch()
+    losses, grads = _chunk_gradients(batch, cfg, values)
+    order = np.random.default_rng(4).permutation(len(batch))
+    shuffled_losses, shuffled = _chunk_gradients([batch[i] for i in order], cfg, values)
+    for row, i in enumerate(order):
+        assert shuffled_losses[row] == losses[i]
+        for name in grads:
+            assert shuffled[name][row].tobytes() == grads[name][i].tobytes(), (batch[i].id, name)
+    for i, scenario in enumerate(batch):
+        loss, alone = scenario_gradients(scenario, cfg, values)
+        assert loss == losses[i]
+        for name in grads:
+            assert alone[name].tobytes() == grads[name][i].tobytes(), (scenario.id, name)
+
+
+def test_fold_adds_left_to_right_whatever_the_stack():
+    rng = np.random.default_rng(6)
+    stacks = [rng.standard_normal((n, *inner)) * 10.0 ** rng.uniform(-8, 8, (n, *[1] * len(inner)))
+              for n, inner in [(9, (1, 1)), (40, (1, 1)), (3, (2, 5)), (150, (24, 16)), (12, (3, 16, 16))]]
+    stacks.append(rng.standard_normal((4, 6, 16, 16)).swapaxes(0, 1))  # a strided view
+    signed = np.full((5, 2, 3), -0.0)
+    signed[3, 0, 0] = 1.0  # -0.0 everywhere but one entry, which a fold from +0.0 would also keep
+    stacks += [signed, np.full((1, 4, 4), -0.0)]
+    for stack in stacks:
+        want = functools.reduce(np.add, stack)
+        assert _fold(stack).tobytes() == want.tobytes(), stack.shape
 
 
 def test_canonical_object_order_matches_the_sort_key_even_on_ties():

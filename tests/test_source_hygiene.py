@@ -3,7 +3,10 @@
 No module may import a name it never uses (``__init__`` re-exports count as
 uses through ``__all__``), and no private (``_``-prefixed) module-level name
 may go unreferenced by the package's own code. A private name that only tests
-read belongs in tests/reference_ops.py.
+read belongs in tests/reference_ops.py. A public module-level name must be
+read somewhere in src/, tests/ or benchmarks/ (a dotted string such as
+benchmarks/tracing.py's "GradientTape.backward" counts), or be exported
+through ``__all__``.
 """
 
 import ast
@@ -11,8 +14,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "intent_graph"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "intent_graph"
 MODULES = sorted(SRC.glob("*.py"))
+# this file names the names it checks, so it reads none of them
+READERS = sorted(
+    {*MODULES, *(ROOT / "tests").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")} - {Path(__file__).resolve()}
+)
 
 
 def _tree(path: Path) -> ast.Module:
@@ -58,8 +66,8 @@ def _imported(tree: ast.Module):
                 yield (alias.asname or alias.name), node.lineno
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, line) of every ``_``-prefixed, non-dunder name bound at module level."""
+def _definitions(tree: ast.Module):
+    """(name, line) of every name bound at module level by a def, a class or an assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -70,8 +78,36 @@ def _private_definitions(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node.lineno
+            yield name, node.lineno
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of every ``_``-prefixed, non-dunder name bound at module level."""
+    return [(name, line) for name, line in _definitions(tree) if name.startswith("_") and not name.startswith("__")]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """_used_names, plus names imported from elsewhere and the parts of dotted identifier strings."""
+    read = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                read.update(parts)
+    return read
+
+
+def _unread_public(defined: dict[str, ast.Module], readers: list[ast.Module]) -> list[str]:
+    """``module:line name`` of each public module-level name in ``defined`` that no reader reads or exports."""
+    read = set().union(*(_read_names(tree) for tree in readers))
+    return [
+        f"{module}:{line} {name}"
+        for module, tree in defined.items()
+        for name, line in _definitions(tree)
+        if not name.startswith("_") and name not in read
+    ]
 
 
 def test_the_package_has_modules():
@@ -100,6 +136,24 @@ def test_every_private_module_level_name_is_referenced():
         if private not in used
     ]
     assert not unreferenced, unreferenced
+
+
+def test_every_public_module_level_name_is_read_or_exported():
+    defined = {path.name: _tree(path) for path in MODULES}
+    unread = _unread_public(defined, [_tree(path) for path in READERS])
+    assert not unread, unread
+
+
+def test_an_unread_public_constant_is_caught():
+    # graph.ADJACENCY_MODES, put back as it was before nothing read it
+    graph = SRC / "graph.py"
+    text = graph.read_text(encoding="utf-8")
+    anchor = "\n# Edge weights are clipped"
+    restored = text.replace(anchor, '\nADJACENCY_MODES = ("star", "fully_connected")\n' + anchor, 1)
+    assert restored != text
+    readers = [_tree(path) for path in READERS if path != graph] + [ast.parse(restored)]
+    unread = _unread_public({"graph.py": ast.parse(restored)}, readers)
+    assert [entry.split()[-1] for entry in unread] == ["ADJACENCY_MODES"]
 
 
 def test_the_checks_catch_what_they_look_for():

@@ -1,14 +1,16 @@
 """Optimizer math, loss reductions, the train loop, and evaluation metrics."""
 
+import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from intent_graph import training
-from intent_graph.autodiff import GradientTape
+from intent_graph.autodiff import GradientTape, Tensor
 from intent_graph.configs import ConfigError
 from intent_graph.data import SynthConfig, generate_synthetic
 from intent_graph.model import ModelConfig, forward_logits, future_labels, init_parameters
@@ -25,6 +27,12 @@ from intent_graph.training import (
     scenario_loss_tensor,
     train,
 )
+
+from intent_graph.model import CHUNK
+from intent_graph.scene import BoundingBox
+
+from reference_ops import ReferenceAdam, reference_clip, reference_train
+from test_model import _batch_cfg, _mixed_batch
 
 
 def _dataset(n=3, frames=8, seed=4):
@@ -53,22 +61,54 @@ def _reference_adam(w, grads_seq, lr, b1=0.9, b2=0.999, eps=1e-8):
     return w
 
 
+def _adam_buffer(w0):
+    buffer = np.zeros((4, w0.size))
+    buffer[0] = w0.reshape(-1)
+    return buffer
+
+
 def test_adam_steps_match_hand_formula():
     w0 = np.array([[1.0, -2.0], [0.5, 3.0]])
     g1 = np.array([[0.5, -1.0], [0.0, 2.0]])
     g2 = np.array([[-0.25, 0.75], [1.0, -0.5]])
     opt = AdamOptimizer(TrainConfig(learning_rate=0.1))
-    values = opt.step({"w": w0}, {"w": g1})
-    values = opt.step(values, {"w": g2})
+    buffer = _adam_buffer(w0)
+    for g in (g1, g2):
+        buffer[1] = g.reshape(-1)
+        opt.step(buffer)
     want = _reference_adam(w0, [g1, g2], lr=0.1)
-    assert np.allclose(values["w"], want, atol=1e-15)
+    assert np.allclose(buffer[0].reshape(2, 2), want, atol=1e-15)
 
 
 def test_first_adam_step_is_signed_step():
     # with zero moment history the bias-corrected update is lr * g/(|g|+eps)
     opt = AdamOptimizer(TrainConfig(learning_rate=0.01))
-    out = opt.step({"w": np.array([[2.0]])}, {"w": np.array([[123.0]])})
-    assert out["w"][0, 0] == pytest.approx(2.0 - 0.01, rel=1e-7)
+    buffer = _adam_buffer(np.array([[2.0]]))
+    buffer[1] = 123.0
+    opt.step(buffer)
+    assert buffer[0, 0] == pytest.approx(2.0 - 0.01, rel=1e-7)
+
+
+def test_flat_adam_is_bit_identical_to_the_per_parameter_update():
+    # signed zeros included: a -0.0 gradient keeps its sign through the first moment
+    rng = np.random.default_rng(3)
+    shapes = {"a": (3, 2), "b": (1, 4), "c": (2, 2)}
+    values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    values["b"][0, 1] = -0.0
+    tcfg = TrainConfig(learning_rate=0.02)
+    buffer, views, grad_views = training._parameter_buffer(shapes)
+    for name, value in values.items():
+        views[name][...] = value
+    flat, reference = AdamOptimizer(tcfg), ReferenceAdam(tcfg)
+    for step in range(4):
+        grads = {name: rng.standard_normal(shape) * 10.0 ** (step - 2) for name, shape in shapes.items()}
+        grads["b"][0, 1] = -0.0
+        for name, g in grads.items():
+            grad_views[name][...] = g
+        flat.step(buffer)
+        values = reference.step(values, grads)
+        for name in shapes:
+            assert views[name].tobytes() == values[name].tobytes(), (step, name)
 
 
 def test_zero_learning_rate_is_a_no_op():
@@ -85,16 +125,25 @@ def test_zero_learning_rate_is_a_no_op():
 
 def test_clip_gradients_norm_math():
     grads = {"a": np.array([[3.0]]), "b": np.array([[4.0]])}
-    same, norm = clip_gradients(dict(grads), max_norm=10.0)
-    assert norm == 5.0
-    assert np.array_equal(same["a"], grads["a"])
-    clipped, norm = clip_gradients(dict(grads), max_norm=2.0)
-    assert norm == 5.0  # reports the pre-clip norm
-    assert np.allclose(clipped["a"], [[1.2]]) and np.allclose(clipped["b"], [[1.6]])
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in clipped.values()))
+    assert clip_gradients(grads, max_norm=10.0) == 5.0
+    assert grads["a"][0, 0] == 3.0 and grads["b"][0, 0] == 4.0
+    assert clip_gradients(grads, max_norm=2.0) == 5.0  # reports the pre-clip norm, scales in place
+    assert np.allclose(grads["a"], [[1.2]]) and np.allclose(grads["b"], [[1.6]])
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert total == pytest.approx(2.0)
-    zeros, norm = clip_gradients({"a": np.zeros((2, 2))}, max_norm=1.0)
-    assert norm == 0.0 and np.all(zeros["a"] == 0.0)
+    zeros = {"a": np.zeros((2, 2))}
+    assert clip_gradients(zeros, max_norm=1.0) == 0.0 and np.all(zeros["a"] == 0.0)
+
+
+def test_clip_gradients_keeps_the_per_parameter_norm_and_scaling():
+    rng = np.random.default_rng(5)
+    shapes = {"a": (7, 5), "b": (1, 9), "c": (16, 16)}
+    grads = {name: rng.standard_normal(shape) * 3.0 for name, shape in shapes.items()}
+    want, want_norm = reference_clip(grads, 5.0)
+    copies = {name: g.copy() for name, g in grads.items()}
+    assert clip_gradients(copies, 5.0) == want_norm
+    for name in grads:
+        assert copies[name].tobytes() == want[name].tobytes()
 
 
 # -- losses -----------------------------------------------------------------------
@@ -217,6 +266,135 @@ def test_empty_dataset_rejected():
         train([], cfg, TrainConfig())
     with pytest.raises(EmptyDatasetError):
         evaluate([], cfg, init_parameters(cfg))
+
+
+# -- tape-free training: bit for bit the taped loop ----------------------------------
+
+
+def _training_set():
+    """20 scenarios whose frames hold 0 to 6 objects, some frames empty: batch 3 and 8 leave a
+    ragged last batch, and batch 20 spans two stacked passes of CHUNK scenarios."""
+    extra = generate_synthetic(
+        SynthConfig(n_scenarios=13, frames_per_scenario=7, D=6, seed=22, vehicle_count_range=(0, 5))
+    )
+    return [*_mixed_batch(), *extra]
+
+
+TRAIN_CASES = [
+    ("star", "default", "L2-shared"),
+    ("fully_connected", "ctxt", "L3-unshared-norm-cls"),
+    ("star", "pooled", "L0"),
+    ("fully_connected", "no-ped-gru", "L2-shared"),
+    ("concat_baseline", "default", "L2-shared"),
+    ("pedestrian_only", "pooled", "L2-shared"),
+]
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 8, 20])
+@pytest.mark.parametrize("case", TRAIN_CASES, ids="-".join)
+def test_train_matches_the_taped_reference_loop(case, batch_size):
+    data = _training_set()
+    assert CHUNK < 20 == len(data)
+    cfg = _batch_cfg(*case)
+    tcfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=batch_size, seed=1)
+    got_lines, want_lines = io.StringIO(), io.StringIO()
+    got = train(data, cfg, tcfg, metrics_out=got_lines)
+    want = reference_train(data, cfg, tcfg, metrics_out=want_lines)
+    assert got_lines.getvalue() == want_lines.getvalue()
+    assert list(got.params) == list(want.params)
+    for name, value in want.params.items():
+        assert got.params[name].tobytes() == value.tobytes(), name
+
+
+def test_train_and_gradcheck_gradients_build_no_tensor(monkeypatch):
+    data = _training_set()[:5]
+    cfg = _batch_cfg("fully_connected", "ctxt", "L3-unshared-norm-cls")
+    tcfg = TrainConfig(epochs=1, learning_rate=0.05, batch_size=3)
+    want = train(data, cfg, tcfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Tensor was built")
+
+    monkeypatch.setattr(Tensor, "__init__", refuse)
+    got = train(data, cfg, tcfg)
+    training.scenario_gradients(data[0], cfg, init_parameters(cfg))
+    assert got.history == want.history
+    with pytest.raises(AssertionError, match="Tensor"):  # the patch does bite
+        training.scenario_loss_tensor(data[0], cfg, init_parameters(cfg), GradientTape())
+
+
+def _with_frame(scenario, t, **changes):
+    frames = list(scenario.frames)
+    frames[t] = dataclasses.replace(frames[t], **changes)
+    return dataclasses.replace(scenario, id=f"{scenario.id}-{len(changes)}{t}", frames=tuple(frames))
+
+
+def _with_boxes(scenario, t, *boxes):
+    objects = scenario.frames[t].objects
+    moved = tuple(dataclasses.replace(o, box=box) for o, box in zip(objects, boxes))
+    return _with_frame(scenario, t, objects=moved + objects[len(boxes) :])
+
+
+def _failing_set(cfg):
+    """(scenarios, parameters) where every scenario fails, first at different checks and frames.
+
+    With an infinite relation weight in edge.proj_i and a zero edge.proj_o,
+    every edge weight is NaN (inf * 0). So a scenario fails at the first
+    frame with objects, at its relation if that overflows, else at its
+    weights; a scenario without objects reaches the loss, which a NaN
+    pedestrian feature makes NaN. Without edges (concat_baseline) the
+    losses are what fails.
+    """
+    good = generate_synthetic(
+        SynthConfig(n_scenarios=6, frames_per_scenario=7, D=6, seed=23, vehicle_count_range=(2, 4))
+    )
+    values = init_parameters(cfg)
+    if cfg.graph_mode == "concat_baseline":  # an object mean that overflows
+        huge = tuple(dataclasses.replace(o, feature=np.full(6, 1.7e308)) for o in good[1].frames[2].objects)
+        return [good[0], _with_frame(good[1], 2, objects=huge), good[2], _with_frame(good[3], 0, objects=huge)], values
+    values["edge.proj_i"] = np.zeros_like(values["edge.proj_i"])
+    values["edge.proj_i"][cfg.hidden + 6] = np.inf  # the union width, which is positive
+    values["edge.proj_o"] = np.zeros_like(values["edge.proj_o"])
+    huge = BoundingBox(-1.7e308, 0.0, 1.7e308, 10.0)
+    bare = good[5]
+    for t in range(cfg.T):
+        bare = _with_frame(bare, t, objects=())
+    scenarios = [
+        good[0],  # edge weight 0 of frame 0
+        _with_boxes(good[1], 0, huge),  # the relation of frame 0, checked before its weights
+        _with_boxes(_with_frame(good[2], 0, objects=()), 2, huge),  # frame 1's weights before frame 2's relation
+        _with_boxes(_with_frame(_with_frame(good[3], 0, objects=()), 1, objects=()), 2, huge),  # frame 2's relation
+        # only the pair union overflows: in fully_connected mode, before the spoke weights fail
+        _with_boxes(
+            good[4], 0, BoundingBox(8.98e307, 0.0, 8.99e307, 10.0), BoundingBox(-8.99e307, 0.0, -8.98e307, 10.0)
+        ),
+        _with_frame(bare, 1, pedestrian_feature=np.full(6, np.nan)),  # no edges; a NaN loss
+    ]
+    return scenarios, values
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline"])
+def test_a_failing_minibatch_raises_what_the_taped_loop_raises(mode):
+    cfg = _batch_cfg(mode, "default", "L0")  # a ReLU between layers would turn a NaN row into zeros
+    data, values = _failing_set(cfg)
+    seen = set()
+    for seed in range(8):
+        for batch_size in (1, 3, len(data)):
+            tcfg = TrainConfig(epochs=1, learning_rate=0.05, batch_size=batch_size, seed=seed)
+            with pytest.raises(Exception) as want:
+                reference_train(data, cfg, tcfg, initial=values)
+            with pytest.raises(want.type, match="^" + re.escape(str(want.value)) + "$"):
+                train(data, cfg, tcfg, initial=values)
+            seen.add(re.sub(r"scenario '.*'", "scenario", str(want.value)))
+    if mode == "concat_baseline":
+        assert seen == {"non-finite loss nan at epoch 1, scenario"}
+    else:
+        assert seen == {
+            "spatial_relation: non-finite entry",
+            "edge weight 0 outside the open interval (0,1): nan",
+            "non-finite loss nan at epoch 1, scenario",
+        }
 
 
 # -- evaluation -------------------------------------------------------------------
