@@ -10,9 +10,9 @@ The library no longer trains through the tape: training runs the tape-free
 stacked backward of model.backward_chunk. Tensor, GradientTape and their ops
 remain as the oracle the tests compare that backward against byte for byte
 (model.forward_logits and training.scenario_loss_tensor build a scenario on
-them), and benchmarks/tracing.py wraps them. finite_diff_check takes any
-function returning (loss, gradients); tests/reference_ops.taped adapts a
-taped loss to it.
+them), and benchmarks/tracing.py wraps them. finite_diff_check takes a
+function returning (loss, gradients) and one returning the loss alone, for
+the perturbed calls; tests/reference_ops.taped adapts a taped loss to both.
 
 All arithmetic is 64-bit; the finite-difference tolerances used by
 finite_diff_check are not reliable in 32-bit. Forward ops are pure functions
@@ -238,7 +238,8 @@ def sigmoid_values(x: Array) -> Array:
     """Numerically stable elementwise logistic function on a plain array."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:
@@ -345,6 +346,7 @@ class GradCheckReport:
 
 def finite_diff_check(
     f: Callable[[Mapping[str, Array]], tuple[float, Mapping[str, Array]]],
+    loss: Callable[[Mapping[str, Array]], float],
     params: Mapping[str, Array],
     h: float = 1e-5,
     tol: float = 1e-4,
@@ -353,8 +355,10 @@ def finite_diff_check(
     """Compare the gradients ``f`` returns against central finite differences.
 
     ``f`` maps a {name: array} parameter assignment to (scalar loss,
-    {name: gradient}) with every name of ``params`` present. Every coordinate
-    of every parameter is perturbed by +/- h. The relative error denominator
+    {name: gradient}) with every name of ``params`` present; it runs once, at
+    ``params``. ``loss`` maps an assignment to the same scalar loss without
+    computing gradients; it runs twice per coordinate, since every
+    coordinate of every parameter is perturbed by +/- h. The relative error denominator
     is floored at ``denom_floor`` so coordinates whose true gradient is ~0
     (where central differences bottom out in rounding noise around 1e-11)
     cannot dominate the report; any genuine backward bug still shows up far
@@ -378,9 +382,9 @@ def finite_diff_check(
         for idx in np.ndindex(*values.shape):
             orig = values[idx]
             values[idx] = orig + h
-            f_plus = float(f(base)[0])
+            f_plus = float(loss(base))
             values[idx] = orig - h
-            f_minus = float(f(base)[0])
+            f_minus = float(loss(base))
             values[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = float(grad[idx])

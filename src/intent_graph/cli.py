@@ -68,6 +68,7 @@ from .training import (
     evaluate,
     metrics_record,
     scenario_gradients,
+    scenario_loss,
     train,
 )
 
@@ -280,7 +281,13 @@ def _cmd_gradcheck(args) -> int:
     params = init_parameters(mcfg)
     _say(f"checking {parameter_count(mcfg)} parameters with step {args.step:g}")
 
-    report = finite_diff_check(lambda values: scenario_gradients(scenario, mcfg, values), params, h=args.step, tol=args.tol)
+    report = finite_diff_check(
+        lambda values: scenario_gradients(scenario, mcfg, values),
+        lambda values: scenario_loss(scenario, mcfg, values),
+        params,
+        h=args.step,
+        tol=args.tol,
+    )
     if report.passed:
         _emit({"command": "gradcheck", **report.to_dict()})
         _say(f"gradient check passed: max rel error {report.max_rel_error:.3e}")

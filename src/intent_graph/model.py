@@ -46,11 +46,22 @@ would add zero terms to the sums and change their rounding. For the
 gradients, backward_chunk adds every term in the order GradientTape.backward
 adds it for forward_logits, so they too are the tape's byte for byte.
 
+forward_chunk reads no frame or object record after a scenario's first
+pass. _window packs the scenario's first T frames once, after
+_check_scenario, into one read-only float block (pedestrian features and
+boxes, then _object_rows' canonically ordered object rows) and keeps it on
+the record's window slot under the key T; a pass at another T repacks, and
+a build that raises keeps nothing. Each pass then concatenates its
+scenarios' blocks. The records are frozen and the loader hands out
+read-only feature arrays, so the block cannot go stale.
+
 forward_logits builds one scenario on Tensors, each GRU step, edge block
 and frame's graph block one tape node (gru_step, edge_weight, star_graph)
 whose backward calls the same kernels. Nothing under src/ trains through
 it any more: it is the oracle the tests compare the tape-free pass against,
-and benchmarks/tracing.py wraps it.
+and benchmarks/tracing.py wraps it. It calls _object_rows on the records
+itself and never reads a window, so those byte-for-byte tests compare the
+packed path with an unpacked one.
 """
 
 from __future__ import annotations
@@ -282,6 +293,47 @@ def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
     boxes[shifted, 0] += dx[shifted]
     boxes[shifted, 2] += dx[shifted]
     return _ObjectRows(counts, feats, boxes, _RANK_INDEX[keys[:, 0].astype(np.intp)])
+
+
+def _window(scenario: Scenario, cfg: ModelConfig) -> np.ndarray:
+    """The scenario's first T frames as one read-only (T + M, D + 5) block, packed once and kept on the record.
+
+    Row t < T is frame t's [pedestrian feature, pedestrian box, object count];
+    the M rows after them are _object_rows' [feature, aligned box, category
+    index]. The record keeps (T, block), so a pass at another T repacks, and
+    a build that raises keeps nothing.
+    """
+    if scenario.window is not None and scenario.window[0] == cfg.T:
+        return scenario.window[1]
+    observed, t_obs, d = scenario.frames[: cfg.T], cfg.T, cfg.D
+    objs = _object_rows(observed, d)
+    block = np.empty((t_obs + len(objs.feats), d + 5))
+    block[:t_obs, :d] = [f.pedestrian_feature for f in observed]
+    block[:t_obs, d:-1] = [f.pedestrian_box.as_list() for f in observed]
+    block[:t_obs, -1] = objs.counts
+    block[t_obs:, :d] = objs.feats
+    block[t_obs:, d:-1] = objs.boxes
+    block[t_obs:, -1] = objs.categories
+    block.flags.writeable = False
+    object.__setattr__(scenario, "window", (t_obs, block))  # the record is frozen; its window is not data
+    return block
+
+
+def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, _ObjectRows]:
+    """(F, D) pedestrian features, (F, 4) pedestrian boxes and the _ObjectRows of the F = B * T observed frames.
+
+    Frame b * T + t is frame t of scenarios[b]; every array is a fresh copy
+    gathered from the scenarios' windows.
+    """
+    blocks = [_window(scenario, cfg) for scenario in scenarios]
+    rows = np.concatenate(blocks)
+    sizes = np.array([len(block) for block in blocks])
+    ped = ((np.cumsum(sizes) - sizes)[:, None] + np.arange(cfg.T)).reshape(-1)
+    objects = np.ones(len(rows), dtype=bool)
+    objects[ped] = False
+    d = cfg.D
+    counts, categories = rows[ped, -1].astype(np.intp), rows[objects, -1].astype(np.intp)
+    return rows[ped, :d], rows[ped, d:-1], _ObjectRows(counts, rows[objects, :d], rows[objects, d:-1], categories)
 
 
 def _edge_targets(cfg: ModelConfig, categories: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -536,8 +588,8 @@ def forward_chunk(
         _check_scenario(scenario, cfg)
     tc, mode, b, t_obs = cfg.temporal, cfg.graph_mode, len(scenarios), cfg.T
     kept = {} if keep else None
-    observed = [f for s in scenarios for f in s.frames[:t_obs]]  # frame index b * T + t
-    ped = np.array([f.pedestrian_feature for f in observed]).reshape(b, t_obs, 1, cfg.D)
+    ped, ped_boxes, objs = _packed(scenarios, cfg)  # frame index b * T + t
+    ped = ped.reshape(b, t_obs, 1, cfg.D)
     zero = np.zeros((b, 1, cfg.hidden))
     if tc.use_temporal and tc.use_ped_gru:
         ped = np.stack(_run_cell(_gru_bundle(p, "ped_gru"), ped, zero, _slot(kept, "ped_gru")), axis=1)
@@ -545,14 +597,13 @@ def forward_chunk(
     if mode == "pedestrian_only":
         vecs = ped
     elif mode == "concat_baseline":
-        objs = _object_rows(observed, cfg.D)
-        pooled = np.zeros((len(observed), cfg.D))
+        pooled = np.zeros((b * t_obs, cfg.D))
         for n, frames, rows in _buckets(objs.counts):
             if n:
                 pooled[frames] = objs.feats[rows].mean(axis=1)
         vecs = np.concatenate([ped, pooled.reshape(b, t_obs, 1, cfg.D)], axis=-1)
     else:
-        vecs = _graph_frames(scenarios, cfg, p, observed, ped.reshape(len(observed), cfg.hidden), kept)
+        vecs = _graph_frames(scenarios, cfg, p, objs, ped_boxes, ped.reshape(b * t_obs, cfg.hidden), kept)
         vecs = vecs.reshape(b, t_obs, 1, 2 * cfg.hidden)
         if tc.use_temporal and tc.use_ctxt_gru:
             ctx = vecs[..., cfg.hidden :]
@@ -576,10 +627,13 @@ def forward_chunk(
 
 
 def _graph_frames(
-    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], observed: list[FrameObservation], ped_rows: np.ndarray,
-    kept: dict | None,
+    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], objs: _ObjectRows, ped_boxes: np.ndarray,
+    ped_rows: np.ndarray, kept: dict | None,
 ) -> np.ndarray:
     """The (F, 2H) frame rows [refined pedestrian row, object-context mean] of F frames.
+
+    ``objs``, ``ped_boxes`` and ``ped_rows`` are _packed's object rows and
+    pedestrian boxes and the (F, H) pedestrian stream.
 
     All spokes of the batch are scored in one stacked call (and in
     fully_connected mode all object pairs in a second); then the frames are
@@ -589,11 +643,9 @@ def _graph_frames(
     per bucket (N, frames, object rows, slice of the pair block, adjacency,
     build_adjacency's and graph_conv's saved values) ("buckets").
     """
-    objs = _object_rows(observed, cfg.D)
     feats, boxes = objs.feats, objs.boxes
     targets = _edge_targets(cfg, objs.categories, feats)
-    owner = np.repeat(np.arange(len(observed)), objs.counts)  # frame of each object row
-    ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
+    owner = np.repeat(np.arange(len(ped_rows)), objs.counts)  # frame of each object row
     blocks = [("edge weight", _score_edges(cfg, p, ped_rows[owner], ped_boxes[owner], boxes, targets, owner))]
     buckets = list(_buckets(objs.counts))
     if cfg.graph_mode == "fully_connected":
@@ -612,7 +664,7 @@ def _graph_frames(
     del blocks  # unless kept, the edges' saved values go before the graph work
 
     layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
-    vecs = np.empty((len(observed), 2 * cfg.hidden))
+    vecs = np.empty((len(ped_rows), 2 * cfg.hidden))
     buckets_kept = _slot(kept, "buckets")
     pair_at = 0
     for n, frames, rows in buckets:

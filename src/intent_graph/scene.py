@@ -15,11 +15,19 @@ nothing. ``data.load`` fills them from a file and owns every rule on a record
 (see the ``data`` module docstring); the synthetic generator fills them from a
 config and checks that its draw stayed finite. A loaded dataset holds one
 instance per box, object and frame, and slots take about a tenth off its memory.
+
+A Scenario also has one slot that is not data: ``window``, where ``model``
+keeps the scenario's observed frames packed into one array on its first
+forward pass, so that later passes skip the walk over frames and objects.
+The loader and the generator hand out read-only feature arrays, so a packed
+window cannot go stale behind a frozen record; a hand-built record's arrays
+must not change after its first forward either. ``dataclasses.replace``
+gives a record with an empty window.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -171,6 +179,8 @@ class Scenario:
     id: str
     frames: tuple[FrameObservation, ...]
     fps: float
+    # model's packed observed window, (T, block); see model._window
+    window: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def feature_width(self) -> int:

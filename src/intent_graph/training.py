@@ -19,6 +19,8 @@ two moments live in one (4, P) float64 buffer, each parameter a view into
 it: Adam updates the whole buffer in one pass, and clip_gradients keeps one
 np.sum per parameter so the norm keeps its bits. scenario_loss_tensor stays
 as the taped oracle for the tests, and benchmarks/tracing.py wraps it.
+scenario_loss is scenario_gradients' loss without the backward, for the
+perturbed calls of the gradient check.
 """
 
 from __future__ import annotations
@@ -297,6 +299,11 @@ def scenario_gradients(
     """
     losses, grads = _chunk_gradients([scenario], cfg, check_parameters(cfg, values))
     return losses[0], {name: g[0] for name, g in grads.items()}
+
+
+def scenario_loss(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> float:
+    """scenario_gradients' loss bit for bit, from forward_batch alone: no gradient is computed."""
+    return _scenario_loss(forward_batch([scenario], cfg, values)[0].tolist(), future_labels(scenario, cfg))
 
 
 def _parameter_buffer(shapes: Mapping[str, tuple[int, int]]) -> tuple[np.ndarray, dict, dict]:

@@ -12,7 +12,7 @@ encoding the model appends to an edge target row.
 reference_train is the training loop as it ran on the tape, one scenario
 per tape with dict-based clipping and Adam; train() must match it byte for
 byte. taped adapts a loss built on a GradientTape to finite_diff_check's
-(loss, gradients) contract.
+two functions: (loss, gradients), and the loss alone.
 """
 
 import itertools
@@ -233,7 +233,7 @@ def category_one_hot(category) -> np.ndarray:
 
 
 def taped(f):
-    """finite_diff_check's (loss, gradients) function for ``f``, which builds a loss Tensor on a fresh tape."""
+    """finite_diff_check's (loss, gradients) and loss-only functions for ``f``, which builds a loss Tensor on a fresh tape."""
 
     def loss_and_gradients(values):
         loss = f(values)
@@ -241,7 +241,7 @@ def taped(f):
             raise ValueError("f must build its loss on a GradientTape")
         return loss.item(), loss.tape.backward(loss)
 
-    return loss_and_gradients
+    return loss_and_gradients, lambda values: f(values).item()
 
 
 def reference_clip(grads, max_norm):

@@ -422,7 +422,7 @@ def test_random_mlp_passes_finite_diff_check(seed):
         h = ops.tanh(ad.matmul(p["x"], p["w1"]))
         return ad.bce_with_logits(ad.matmul(h, p["w2"]), 1)
 
-    report = finite_diff_check(ops.taped(f), params)
+    report = finite_diff_check(*ops.taped(f), params)
     assert report.passed, report.to_dict()
     assert report.checked == 3 * 5 + 5 * 1 + 3
     assert report.max_rel_error <= report.tolerance
@@ -430,9 +430,9 @@ def test_random_mlp_passes_finite_diff_check(seed):
 
 def test_finite_diff_check_requires_taped_loss():
     with pytest.raises(ValueError, match="GradientTape"):
-        finite_diff_check(ops.taped(lambda v: Tensor(1.0)), {"w": np.ones((1, 1))})
+        finite_diff_check(*ops.taped(lambda v: Tensor(1.0)), {"w": np.ones((1, 1))})
     with pytest.raises(ValueError, match=r"no gradient for parameters: \['w'\]"):
-        finite_diff_check(lambda v: (1.0, {}), {"w": np.ones((1, 1))})
+        finite_diff_check(lambda v: (1.0, {}), lambda v: 1.0, {"w": np.ones((1, 1))})
 
 
 def _nan_gradient_loss(values):
@@ -454,7 +454,7 @@ def _nan_difference_loss(values):
     "f,where", [(_nan_gradient_loss, (0, 0)), (_nan_difference_loss, (0, 1))], ids=["nan_gradient", "nan_difference"]
 )
 def test_finite_diff_check_fails_on_nan(f, where):
-    report = finite_diff_check(ops.taped(f), {"w": np.ones((1, 3))})
+    report = finite_diff_check(*ops.taped(f), {"w": np.ones((1, 3))})
     assert not report.passed
     assert report.max_rel_error == math.inf
     assert (report.worst_param, report.worst_index) == ("w", where)

@@ -112,6 +112,28 @@ def test_serialize_then_load_is_byte_identical(tmp_path):
         assert all(o.feature.dtype == np.float64 for o in frame.objects)
 
 
+def _features(scenarios):
+    return [x for s in scenarios for f in s.frames for x in (f.pedestrian_feature, *(o.feature for o in f.objects))]
+
+
+def test_loaded_and_generated_features_are_read_only(tmp_path):
+    # the model keeps a packed copy of a record's arrays, which a write would leave stale
+    generated = generate_synthetic(SynthConfig(n_scenarios=3, frames_per_scenario=4, D=6, seed=2))
+    path = tmp_path / "x.jsonl"
+    text = serialize(generated)
+    path.write_text(text, encoding="utf-8")
+    loaded = load(path)
+    for scenarios in (generated, loaded):
+        features = _features(scenarios)
+        assert features and not any(x.flags.writeable for x in features)
+        with pytest.raises(ValueError, match="read-only"):
+            scenarios[0].frames[0].pedestrian_feature[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            scenarios[0].frames[1].objects[0].feature[:] = 0.0
+    assert serialize(loaded) == text
+    assert path.read_text(encoding="utf-8") == text
+
+
 @pytest.mark.parametrize(
     "mutate,kind,fragment",
     [

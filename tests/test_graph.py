@@ -65,7 +65,7 @@ def test_edge_weight_gradient_reaches_both_projections():
         proj = tape.parameter("proj_i", values["proj_i"]), tape.parameter("proj_o", values["proj_o"])
         return edge_weight(Tensor([1.0, -1.0]), REL, Tensor([0.5, 2.0]), *proj)
 
-    report = finite_diff_check(ops.taped(f), {"proj_i": PROJ_I, "proj_o": PROJ_O})
+    report = finite_diff_check(*ops.taped(f), {"proj_i": PROJ_I, "proj_o": PROJ_O})
     assert report.passed, report.to_dict()
 
 
@@ -270,7 +270,7 @@ def test_adjacency_is_differentiable_in_the_weights():
         out = star_graph(Tensor([[0.0, 1.0]]), np.arange(2.0, 6.0).reshape(2, 2), spokes, None, [w, w])
         return ops.sum_all(out)
 
-    report = finite_diff_check(ops.taped(f), {"raw": np.array([[0.3], [-0.2]]), "W": np.eye(2) * 0.7})
+    report = finite_diff_check(*ops.taped(f), {"raw": np.array([[0.3], [-0.2]]), "W": np.eye(2) * 0.7})
     assert report.passed, report.to_dict()
 
 

@@ -6,6 +6,7 @@ on real generated scenarios for every graph mode. Everything else covers
 parameter bookkeeping, invariances, checkpointing, and input validation.
 """
 
+import dataclasses
 import functools
 import json
 
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intent_graph import model
 from intent_graph.autodiff import GradientTape, Tensor, sigmoid_values
 from intent_graph.configs import ConfigError, finite_array, is_finite_real
 from intent_graph.data import SynthConfig, generate_synthetic
@@ -49,6 +51,7 @@ from intent_graph.training import (
     evaluate,
     loss,
     scenario_gradients,
+    scenario_loss,
     scenario_loss_tensor,
 )
 
@@ -417,6 +420,119 @@ def test_evaluate_equals_the_aggregation_of_forward_outputs():
         labels = future_labels(scenario, cfg)
         per_scenario.append((list(out.probabilities), labels, loss(out, labels)))
     assert evaluate(data, cfg, values) == aggregate_metrics(per_scenario)
+
+
+# -- packed windows: each scenario's observed frames packed once ---------------------
+
+
+def _fresh(batch):
+    """Copies of ``batch`` with empty windows."""
+    return [dataclasses.replace(scenario) for scenario in batch]
+
+
+def _passes(batch, cfg, values):
+    """The bytes of forward_batch, evaluate and each scenario's loss and gradients, in one pass over ``batch``."""
+    out = [forward_batch(batch, cfg, values).tobytes(), repr(evaluate(batch, cfg, values))]
+    for scenario in batch:
+        loss, grads = scenario_gradients(scenario, cfg, values)
+        out += [np.float64(loss).tobytes(), *(grads[name].tobytes() for name in sorted(grads))]
+    return out
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
+    cfg = _batch_cfg(mode, "ctxt", "L3-unshared-norm-cls")
+    values = init_parameters(cfg)
+    batch = _mixed_batch()
+    assert all(scenario.window is None for scenario in batch)
+    cold = _passes(batch, cfg, values)
+    assert all(scenario.window[0] == cfg.T for scenario in batch)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_object_rows was called")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(model, "_object_rows", refuse)
+        assert _passes(batch, cfg, values) == cold
+        assert forward(batch[0], cfg, values).logits == tuple(np.frombuffer(cold[0])[: cfg.K].tolist())
+        with pytest.raises(AssertionError, match="_object_rows"):  # the patch does bite
+            forward_batch(_fresh(batch[:1]), cfg, values)
+    assert _passes(_fresh(batch), cfg, values) == cold
+
+
+def test_a_pass_at_another_T_repacks():
+    cfg4 = _batch_cfg("fully_connected", "default", "L2-shared")
+    cfg3 = dataclasses.replace(cfg4, T=3)
+    values = init_parameters(cfg4)
+    batch = _mixed_batch()
+    for cfg in (cfg3, cfg4, cfg3):
+        got = forward_batch(batch, cfg, values)
+        assert all(scenario.window[0] == cfg.T for scenario in batch)
+        assert got.tobytes() == forward_batch(_fresh(batch), cfg, values).tobytes()
+        assert got[0].tobytes() == _unbatched_logits(batch[0], cfg, values).tobytes()
+
+
+def test_replace_gives_an_empty_window_and_the_window_is_read_only():
+    cfg = _batch_cfg("star", "default", "L2-shared")
+    scenario = _mixed_batch()[0]
+    forward_batch([scenario], cfg, init_parameters(cfg))
+    t_obs, block = scenario.window
+    assert t_obs == cfg.T and not block.flags.writeable
+    objects = sum(len(f.objects) for f in scenario.frames[: cfg.T])
+    assert block.shape == (cfg.T + objects, cfg.D + 5)
+    assert dataclasses.replace(scenario).window is None
+    assert dataclasses.replace(scenario, id="other").window is None
+    assert "window" not in repr(scenario)
+
+
+def test_a_failing_scenario_leaves_no_window():
+    cfg = ModelConfig(D=6, D_e=5, hidden=6, T=4, K=1, spatial_scale=1 / 1280, seed=2)
+    values = init_parameters(cfg)
+    good, wide = _scenario(D=6, frames=5), _scenario(D=9, frames=5)
+    with pytest.raises(ScenarioError, match="width-9 features; config expects D = 6"):
+        forward_batch([good, wide], cfg, values)
+    assert good.window is None and wide.window is None
+
+    # an object feature of the wrong width fails the packing itself, as it failed _object_rows
+    frames = list(good.frames)
+    obj = frames[1].objects[0]
+    frames[1] = dataclasses.replace(frames[1], objects=(*frames[1].objects[1:], dataclasses.replace(obj, feature=np.ones(9))))
+    ragged = dataclasses.replace(good, frames=tuple(frames))
+    with pytest.raises(ValueError):
+        _object_rows(ragged.frames[: cfg.T], cfg.D)
+    with pytest.raises(ValueError):
+        forward_batch([ragged], cfg, values)
+    assert ragged.window is None
+    forward_batch([good], cfg, values)
+    assert good.window is not None
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected"])
+def test_object_permutation_leaves_warm_batched_logits_bit_identical(mode):
+    cfg = _batch_cfg(mode, "ctxt", "L3-unshared-norm-cls")
+    values = init_parameters(cfg)
+    batch = _mixed_batch()
+    rng = np.random.default_rng(0)
+    shuffled = [
+        dataclasses.replace(
+            s, frames=tuple(dataclasses.replace(f, objects=tuple(f.objects[i] for i in rng.permutation(len(f.objects)))) for f in s.frames)
+        )
+        for s in batch
+    ]
+    base = forward_batch(batch, cfg, values)
+    forward_batch(shuffled, cfg, values)
+    assert all(s.window is not None for s in batch + shuffled)
+    assert forward_batch(shuffled, cfg, values).tobytes() == base.tobytes()
+    assert forward_batch(batch, cfg, values).tobytes() == base.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_scenario_loss_is_the_loss_of_scenario_gradients(mode):
+    cfg = _batch_cfg(mode, "ctxt", "L3-unshared-norm-cls")
+    values = init_parameters(cfg)
+    for scenario in _mixed_batch():
+        want = scenario_gradients(scenario, cfg, values)[0]
+        assert np.float64(scenario_loss(scenario, cfg, values)).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])

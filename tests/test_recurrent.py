@@ -106,7 +106,7 @@ def test_gru_gradients_through_three_steps():
         last = run_observation(cell, [Tensor(x) for x in inputs])[-1]
         return ad.bce_with_logits(ops.dot(last, ad.constant(np.ones((1, 3)))), 1)
 
-    report = finite_diff_check(ops.taped(f), values)
+    report = finite_diff_check(*ops.taped(f), values)
     assert report.passed, report.to_dict()
 
 
@@ -247,7 +247,7 @@ def test_rollout_gradients():
             total = total + ad.bce_with_logits(z, 0)
         return total
 
-    report = finite_diff_check(ops.taped(f), values)
+    report = finite_diff_check(*ops.taped(f), values)
     assert report.passed, report.to_dict()
 
 
