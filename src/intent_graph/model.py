@@ -47,13 +47,15 @@ gradients, backward_chunk adds every term in the order GradientTape.backward
 adds it for forward_logits, so they too are the tape's byte for byte.
 
 forward_chunk reads no frame or object record after a scenario's first
-pass. _window packs the scenario's first T frames once, after
-_check_scenario, into one read-only float block (pedestrian features and
-boxes, then _object_rows' canonically ordered object rows) and keeps it on
-the record's window slot under the key T; a pass at another T repacks, and
-a build that raises keeps nothing. Each pass then concatenates its
-scenarios' blocks. The records are frozen and the loader hands out
-read-only feature arrays, so the block cannot go stale.
+pass. _pack walks the observed frames of a pass's new scenarios once,
+after _check_scenario, as every pass did before: pedestrian features and
+boxes and _object_rows' canonically ordered object rows. It keeps each
+scenario's share on the record's window slot as read-only views under the
+key T; a pass at another T repacks, pedestrian_only packs no objects (the
+taped forward reads none either), and a build that raises keeps nothing.
+Later passes concatenate their scenarios' windows field by field. The
+records are frozen, and the loader and _pack itself make the feature
+arrays read-only, so a window cannot go stale: a write raises instead.
 
 forward_logits builds one scenario on Tensors, each GRU step, edge block
 and frame's graph block one tape node (gru_step, edge_weight, star_graph)
@@ -71,7 +73,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,14 +262,15 @@ def _gru_bundle(p: Mapping, prefix: str) -> GRUCellParams:
 
 
 # Categories in the order of their values, which the canonical object order
-# compares first.
+# compares first. _VALUE_RANK is keyed by the value itself: a member's hash
+# runs Enum.__hash__ in Python, a str's is cached, and a chunk looks up
+# thousands of objects.
 _BY_VALUE = sorted(ObjectCategory, key=lambda c: c.value)
-_VALUE_RANK = {c: rank for rank, c in enumerate(_BY_VALUE)}
+_VALUE_RANK = {c._value_: rank for rank, c in enumerate(_BY_VALUE)}
 _RANK_INDEX = np.array([c.index for c in _BY_VALUE], dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class _ObjectRows:
+class _ObjectRows(NamedTuple):
     """The objects of F frames as M rows, grouped by frame, each frame's in canonical order."""
 
     counts: np.ndarray  # (F,) objects per frame
@@ -281,7 +284,7 @@ def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
     counts = np.array([len(f.objects) for f in frames], dtype=np.intp)
     feats = np.array([o.feature for o in flat]).reshape(len(flat), width)
     keys = np.array(
-        [(_VALUE_RANK[o.category], o.box.xmin, o.box.ymin, o.box.xmax, o.box.ymax, o.camera_offset_x) for o in flat]
+        [(_VALUE_RANK[o.category._value_], o.box.xmin, o.box.ymin, o.box.xmax, o.box.ymax, o.camera_offset_x) for o in flat]
     ).reshape(len(flat), 6)
     # np.lexsort is stable and sorts by its last key first: frame, then
     # category value, raw box corners, camera offset and feature, like sorted()
@@ -295,45 +298,60 @@ def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
     return _ObjectRows(counts, feats, boxes, _RANK_INDEX[keys[:, 0].astype(np.intp)])
 
 
-def _window(scenario: Scenario, cfg: ModelConfig) -> np.ndarray:
-    """The scenario's first T frames as one read-only (T + M, D + 5) block, packed once and kept on the record.
+def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig, objects: bool) -> tuple:
+    """Pack the first T frames of ``scenarios`` from their records and keep each scenario's share on it.
 
-    Row t < T is frame t's [pedestrian feature, pedestrian box, object count];
-    the M rows after them are _object_rows' [feature, aligned box, category
-    index]. The record keeps (T, block), so a pass at another T repacks, and
-    a build that raises keeps nothing.
+    One walk over all B * T frames, as a pass made before windows were kept:
+    (F, D) pedestrian features, (F, 4) pedestrian boxes and, with
+    ``objects``, the frames' _ObjectRows (else None). Only once that build
+    succeeds does each scenario get its window, (T, features, boxes, object
+    rows) as read-only views of these arrays, and do the feature arrays it
+    was built from become read-only, so writing to one raises instead of
+    leaving the window stale.
     """
-    if scenario.window is not None and scenario.window[0] == cfg.T:
-        return scenario.window[1]
-    observed, t_obs, d = scenario.frames[: cfg.T], cfg.T, cfg.D
-    objs = _object_rows(observed, d)
-    block = np.empty((t_obs + len(objs.feats), d + 5))
-    block[:t_obs, :d] = [f.pedestrian_feature for f in observed]
-    block[:t_obs, d:-1] = [f.pedestrian_box.as_list() for f in observed]
-    block[:t_obs, -1] = objs.counts
-    block[t_obs:, :d] = objs.feats
-    block[t_obs:, d:-1] = objs.boxes
-    block[t_obs:, -1] = objs.categories
-    block.flags.writeable = False
-    object.__setattr__(scenario, "window", (t_obs, block))  # the record is frozen; its window is not data
-    return block
+    t_obs, d = cfg.T, cfg.D
+    observed = [f for s in scenarios for f in s.frames[:t_obs]]  # frame index b * T + t
+    ped = np.array([f.pedestrian_feature for f in observed]).reshape(len(observed), d)
+    ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
+    objs = _object_rows(observed, d) if objects else None
+    sources = [f.pedestrian_feature for f in observed]
+    if objs is not None:
+        sources += [o.feature for f in observed for o in f.objects]
+        ends = np.cumsum(objs.counts.reshape(len(scenarios), t_obs).sum(axis=1)).tolist()
+        starts = [0, *ends[:-1]]
+    for arr in (*sources, ped, ped_boxes, *(objs or ())):
+        try:
+            if arr.flags.writeable:  # reading the flag costs a third of setting it, and a loaded record's is clear
+                arr.setflags(write=False)
+        except AttributeError:  # a feature held as a list has no flag to set
+            pass
+    for b, scenario in enumerate(scenarios):
+        frames, rows = slice(b * t_obs, (b + 1) * t_obs), None
+        if objs is not None:
+            at = slice(starts[b], ends[b])
+            rows = _ObjectRows(objs.counts[frames], objs.feats[at], objs.boxes[at], objs.categories[at])
+        object.__setattr__(scenario, "window", (t_obs, ped[frames], ped_boxes[frames], rows))  # not data; see scene
+    return ped, ped_boxes, objs
 
 
-def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray, _ObjectRows]:
-    """(F, D) pedestrian features, (F, 4) pedestrian boxes and the _ObjectRows of the F = B * T observed frames.
+def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig, objects: bool) -> tuple:
+    """(F, D) pedestrian features, (F, 4) pedestrian boxes and, with ``objects``, the _ObjectRows of the F = B * T observed frames.
 
-    Frame b * T + t is frame t of scenarios[b]; every array is a fresh copy
-    gathered from the scenarios' windows.
+    Frame b * T + t is frame t of scenarios[b]. A scenario whose window
+    was packed at another T, or without objects when they are asked for,
+    is packed again; when every scenario needs packing, _pack's arrays are
+    the result, and otherwise the windows are concatenated field by field.
     """
-    blocks = [_window(scenario, cfg) for scenario in scenarios]
-    rows = np.concatenate(blocks)
-    sizes = np.array([len(block) for block in blocks])
-    ped = ((np.cumsum(sizes) - sizes)[:, None] + np.arange(cfg.T)).reshape(-1)
-    objects = np.ones(len(rows), dtype=bool)
-    objects[ped] = False
-    d = cfg.D
-    counts, categories = rows[ped, -1].astype(np.intp), rows[objects, -1].astype(np.intp)
-    return rows[ped, :d], rows[ped, d:-1], _ObjectRows(counts, rows[objects, :d], rows[objects, d:-1], categories)
+    cold = [s for s in scenarios if s.window is None or s.window[0] != cfg.T or (objects and s.window[3] is None)]
+    if len(cold) == len(scenarios):
+        return _pack(scenarios, cfg, objects)
+    if cold:
+        _pack(cold, cfg, objects)
+    windows = [s.window for s in scenarios]
+    ped, ped_boxes = (np.concatenate([w[i] for w in windows]) for i in (1, 2))
+    if not objects:
+        return ped, ped_boxes, None
+    return ped, ped_boxes, _ObjectRows(*map(np.concatenate, zip(*(w[3] for w in windows))))
 
 
 def _edge_targets(cfg: ModelConfig, categories: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -588,7 +606,7 @@ def forward_chunk(
         _check_scenario(scenario, cfg)
     tc, mode, b, t_obs = cfg.temporal, cfg.graph_mode, len(scenarios), cfg.T
     kept = {} if keep else None
-    ped, ped_boxes, objs = _packed(scenarios, cfg)  # frame index b * T + t
+    ped, ped_boxes, objs = _packed(scenarios, cfg, mode != "pedestrian_only")  # frame index b * T + t
     ped = ped.reshape(b, t_obs, 1, cfg.D)
     zero = np.zeros((b, 1, cfg.hidden))
     if tc.use_temporal and tc.use_ped_gru:

@@ -17,12 +17,13 @@ config and checks that its draw stayed finite. A loaded dataset holds one
 instance per box, object and frame, and slots take about a tenth off its memory.
 
 A Scenario also has one slot that is not data: ``window``, where ``model``
-keeps the scenario's observed frames packed into one array on its first
+keeps the scenario's observed frames packed into arrays on its first
 forward pass, so that later passes skip the walk over frames and objects.
-The loader and the generator hand out read-only feature arrays, so a packed
-window cannot go stale behind a frozen record; a hand-built record's arrays
-must not change after its first forward either. ``dataclasses.replace``
-gives a record with an empty window.
+The loader and the generator hand out read-only feature arrays, and that
+first pass makes a hand-built record's packed feature arrays read-only, so
+a packed window cannot go stale behind a frozen record: writing to one of
+those arrays raises. ``dataclasses.replace`` gives a record with an empty
+window.
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ class Scenario:
     id: str
     frames: tuple[FrameObservation, ...]
     fps: float
-    # model's packed observed window, (T, block); see model._window
+    # model's packed observed window, (T, features, boxes, object rows); see model._pack
     window: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property

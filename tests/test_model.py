@@ -455,9 +455,24 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
         patched.setattr(model, "_object_rows", refuse)
         assert _passes(batch, cfg, values) == cold
         assert forward(batch[0], cfg, values).logits == tuple(np.frombuffer(cold[0])[: cfg.K].tolist())
-        with pytest.raises(AssertionError, match="_object_rows"):  # the patch does bite
-            forward_batch(_fresh(batch[:1]), cfg, values)
+        if mode == "pedestrian_only":  # packs no objects, cold or warm
+            assert forward_batch(_fresh(batch), cfg, values).tobytes() == cold[0]
+        else:
+            with pytest.raises(AssertionError, match="_object_rows"):  # the patch does bite
+                forward_batch(_fresh(batch[:1]), cfg, values)
     assert _passes(_fresh(batch), cfg, values) == cold
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_a_batch_of_warm_and_cold_scenarios_gives_the_cold_bytes(mode):
+    cfg = _batch_cfg(mode, "ctxt", "L3-unshared-norm-cls")
+    values = init_parameters(cfg)
+    batch = _mixed_batch()
+    want = forward_batch(_fresh(batch), cfg, values).tobytes()
+    forward_batch(batch[1::2], cfg, values)  # warms every other scenario
+    assert [s.window is not None for s in batch] == [i % 2 == 1 for i in range(len(batch))]
+    assert forward_batch(batch, cfg, values).tobytes() == want
+    assert forward_batch(batch[::-1], cfg, values)[::-1].tobytes() == want
 
 
 def test_a_pass_at_another_T_repacks():
@@ -476,13 +491,69 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
     cfg = _batch_cfg("star", "default", "L2-shared")
     scenario = _mixed_batch()[0]
     forward_batch([scenario], cfg, init_parameters(cfg))
-    t_obs, block = scenario.window
-    assert t_obs == cfg.T and not block.flags.writeable
+    t_obs, ped, ped_boxes, objs = scenario.window
     objects = sum(len(f.objects) for f in scenario.frames[: cfg.T])
-    assert block.shape == (cfg.T + objects, cfg.D + 5)
+    assert t_obs == cfg.T and ped.shape == (cfg.T, cfg.D) and ped_boxes.shape == (cfg.T, 4)
+    assert objs.counts.tolist() == [len(f.objects) for f in scenario.frames[: cfg.T]]
+    assert objs.feats.shape == (objects, cfg.D) and objs.boxes.shape == (objects, 4) and objs.categories.shape == (objects,)
+    assert not any(arr.flags.writeable for arr in (ped, ped_boxes, *objs))
     assert dataclasses.replace(scenario).window is None
     assert dataclasses.replace(scenario, id="other").window is None
     assert "window" not in repr(scenario)
+
+
+def _writable(scenario):
+    """A hand-built copy of ``scenario`` whose feature arrays are writable."""
+    frames = tuple(
+        dataclasses.replace(
+            f,
+            pedestrian_feature=f.pedestrian_feature.copy(),
+            objects=tuple(dataclasses.replace(o, feature=o.feature.copy()) for o in f.objects),
+        )
+        for f in scenario.frames
+    )
+    return dataclasses.replace(scenario, frames=frames)
+
+
+@pytest.mark.parametrize("mode", ["star", "pedestrian_only"])
+def test_a_first_pass_makes_the_packed_features_of_a_hand_built_record_read_only(mode):
+    cfg = _batch_cfg(mode, "default", "L2-shared")
+    values = init_parameters(cfg)
+    scenario = _writable(_mixed_batch()[0])
+    observed, later = scenario.frames[: cfg.T], scenario.frames[cfg.T]
+    obj = next(o for f in observed for o in f.objects)
+    assert observed[0].pedestrian_feature.flags.writeable and obj.feature.flags.writeable
+    before = forward_batch([scenario], cfg, values).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        observed[0].pedestrian_feature[0] += 1.0
+    if mode == "pedestrian_only":  # its window holds no objects, so their arrays stay as they were
+        obj.feature[0] += 1.0
+    else:
+        with pytest.raises(ValueError, match="read-only"):
+            obj.feature[0] += 1.0
+    later.pedestrian_feature[0] += 1.0  # beyond T: not packed, so still writable
+    assert forward_batch([scenario], cfg, values).tobytes() == before
+
+
+def test_pedestrian_only_packs_no_objects_and_reads_malformed_ones_as_the_taped_forward_does():
+    cfg = _batch_cfg("pedestrian_only", "default", "L2-shared")
+    values = init_parameters(cfg)
+    good = _mixed_batch()[0]
+    frames = list(good.frames)
+    obj = frames[1].objects[0]
+    frames[1] = dataclasses.replace(frames[1], objects=(*frames[1].objects[1:], dataclasses.replace(obj, feature=np.ones(9))))
+    ragged = dataclasses.replace(good, frames=tuple(frames))
+    got = forward_batch([ragged, good], cfg, values)
+    assert got[0].tobytes() == _unbatched_logits(ragged, cfg, values).tobytes()
+    assert got[0].tobytes() == got[1].tobytes()  # objects do not reach pedestrian_only's logits
+    assert ragged.window[3] is None and good.window[3] is None
+    star = dataclasses.replace(cfg, graph_mode="star", hidden=6)
+    with pytest.raises(ValueError):  # a mode that reads objects packs them, and this one fails
+        forward_batch([ragged], star, init_parameters(star))
+    assert ragged.window[3] is None  # the failed build kept nothing
+    forward_batch([good], star, init_parameters(star))
+    assert good.window[3] is not None
+    assert forward_batch([good], cfg, values).tobytes() == got[1].tobytes()  # a window with objects serves pedestrian_only
 
 
 def test_a_failing_scenario_leaves_no_window():
