@@ -238,8 +238,7 @@ def sigmoid_values(x: Array) -> Array:
     """Numerically stable elementwise logistic function on a plain array."""
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:

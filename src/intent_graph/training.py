@@ -9,18 +9,23 @@ The per-scenario loss is the mean binary cross-entropy of the K future-frame
 logits against the stored labels. Evaluation thresholds probabilities at 0.5
 (>= predicts crossing) and reports average accuracy over all predicted
 frames, accuracy at the final step, mean per-step confidence, and mean loss.
+evaluate() runs one forward_batch pass per CHUNK (64) scenarios and reduces
+the report over (n, K) arrays; aggregate_metrics turns its triples into the
+same arrays, so the two agree by construction. Each loss stays a Python
+loop in math, as loss_from_logits computes it.
 
 Training builds no tape. Each minibatch runs model.forward_chunk and
-model.backward_chunk once per CHUNK scenarios, which give every scenario's
-gradients bit for bit as GradientTape.backward gives them for
-scenario_loss_tensor; train() adds them in batch order, as it did when it
-ran one tape per scenario. The parameter values, the gradients and Adam's
-two moments live in one (4, P) float64 buffer, each parameter a view into
-it: Adam updates the whole buffer in one pass, and clip_gradients keeps one
-np.sum per parameter so the norm keeps its bits. scenario_loss_tensor stays
-as the taped oracle for the tests, and benchmarks/tracing.py wraps it.
-scenario_loss is scenario_gradients' loss without the backward, for the
-perturbed calls of the gradient check.
+model.backward_chunk once per CHUNK scenarios (one pass for a minibatch of
+at most 64), which give every scenario's gradients bit for bit as
+GradientTape.backward gives them for scenario_loss_tensor; train() adds
+them in batch order, as it did when it ran one tape per scenario. The
+parameter values, the gradients and Adam's two moments live in one (4, P)
+float64 buffer, each parameter a view into it: Adam updates the whole
+buffer in one pass, and clip_gradients keeps one np.sum per parameter so
+the norm keeps its bits. scenario_loss_tensor stays as the taped oracle
+for the tests, and benchmarks/tracing.py wraps it. scenario_loss is
+scenario_gradients' loss without the backward, for the perturbed calls of
+the gradient check.
 """
 
 from __future__ import annotations
@@ -175,6 +180,29 @@ class AdamOptimizer:
         value -= t.learning_rate * m_hat / (np.sqrt(v_hat) + t.epsilon)
 
 
+def _report(probs: np.ndarray, labels: np.ndarray, losses: Sequence[float], threshold: float) -> EvalReport:
+    """The EvalReport of n scenarios from their (n, K) probabilities and labels and their n losses.
+
+    Each sum adds the scenarios in order from +0.0, as a loop over them
+    would: np.add.accumulate runs down the rows one at a time, where np.sum
+    over the first axis of an (n, 1) array would add pairwise. A prediction
+    is compared with its label as an int, so a label outside {0, 1} is a
+    miss.
+    """
+    n, horizon = probs.shape
+    hits = (probs >= threshold).astype(np.intp) == labels
+    final_hits = int(hits[:, -1].sum())  # before any division: a horizon of 0 raises IndexError, as the loop did
+    loss_sum = 0.0
+    for scenario_loss in losses:
+        loss_sum += scenario_loss
+    return EvalReport(
+        avg_accuracy_1_to_K=int(hits.sum()) / (n * horizon),
+        accuracy_at_K=final_hits / n,
+        mean_confidence_per_step=tuple((np.add.accumulate(probs + 0.0, axis=0)[-1] / n).tolist()),
+        loss=loss_sum / n,
+    )
+
+
 def aggregate_metrics(per_scenario: Sequence[tuple[Sequence[float], Sequence[int], float]], threshold: float = 0.5) -> EvalReport:
     """Reduce (probabilities, labels, loss) triples into an EvalReport.
 
@@ -184,27 +212,10 @@ def aggregate_metrics(per_scenario: Sequence[tuple[Sequence[float], Sequence[int
     if not per_scenario:
         raise EmptyDatasetError("no scenarios to evaluate")
     horizon = len(per_scenario[0][0])
-    correct_all = 0
-    correct_final = 0
-    total_steps = 0
-    conf_sums = np.zeros(horizon)
-    loss_sum = 0.0
-    for probs, labels, scenario_loss in per_scenario:
-        if len(probs) != horizon or len(labels) != horizon:
-            raise ValueError("inconsistent horizons across scenarios")
-        preds = [1 if p >= threshold else 0 for p in probs]
-        correct_all += sum(1 for p, y in zip(preds, labels) if p == y)
-        correct_final += 1 if preds[-1] == labels[-1] else 0
-        total_steps += horizon
-        conf_sums += np.asarray(probs, dtype=np.float64)
-        loss_sum += scenario_loss
-    n = len(per_scenario)
-    return EvalReport(
-        avg_accuracy_1_to_K=correct_all / total_steps,
-        accuracy_at_K=correct_final / n,
-        mean_confidence_per_step=tuple((conf_sums / n).tolist()),
-        loss=loss_sum / n,
-    )
+    if any(len(probs) != horizon or len(labels) != horizon for probs, labels, _ in per_scenario):
+        raise ValueError("inconsistent horizons across scenarios")
+    probs, labels, losses = zip(*per_scenario)
+    return _report(np.array(probs, dtype=np.float64), np.array(labels), losses, threshold)
 
 
 def evaluate(
@@ -216,17 +227,16 @@ def evaluate(
     """Pure evaluation pass, one batched forward over the dataset.
 
     Repeated calls give bit-identical reports, equal to aggregating the
-    forward() outputs of each scenario. A non-finite logit raises
-    NumericError naming the first scenario that has one.
+    forward() outputs of each scenario: both reduce through _report. A
+    non-finite logit raises NumericError naming the first scenario that has
+    one.
     """
     if not dataset:
         raise EmptyDatasetError("no scenarios to evaluate")
     logits = check_finite_logits(dataset, forward_batch(dataset, cfg, values))
-    per_scenario = []
-    for scenario, row, probs in zip(dataset, logits.tolist(), sigmoid_values(logits).tolist()):
-        labels = future_labels(scenario, cfg)
-        per_scenario.append((probs, labels, loss_from_logits(row, labels)))
-    return aggregate_metrics(per_scenario, threshold=threshold)
+    labels = [future_labels(scenario, cfg) for scenario in dataset]
+    losses = [loss_from_logits(row, row_labels) for row, row_labels in zip(logits.tolist(), labels)]
+    return _report(sigmoid_values(logits), np.array(labels), losses, threshold)
 
 
 def check_finite_logits(scenarios: Sequence[Scenario], logits: np.ndarray) -> np.ndarray:

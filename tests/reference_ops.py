@@ -11,7 +11,8 @@ encoding the model appends to an edge target row.
 
 reference_train is the training loop as it ran on the tape, one scenario
 per tape with dict-based clipping and Adam; train() must match it byte for
-byte. taped adapts a loss built on a GradientTape to finite_diff_check's
+byte. reference_aggregate_metrics is the metric reduction as a loop over
+the scenarios, the reference for the library's reduction over arrays. taped adapts a loss built on a GradientTape to finite_diff_check's
 two functions: (loss, gradients), and the loss alone.
 """
 
@@ -27,7 +28,15 @@ from intent_graph.graph import _OPEN_UNIT_HI, _OPEN_UNIT_LO
 from intent_graph.recurrent import GRUCellParams
 from intent_graph.model import init_parameters
 from intent_graph.scene import CATEGORY_COUNT
-from intent_graph.training import NumericError, TrainResult, evaluate, metrics_record, scenario_loss_tensor
+from intent_graph.training import (
+    EmptyDatasetError,
+    EvalReport,
+    NumericError,
+    TrainResult,
+    evaluate,
+    metrics_record,
+    scenario_loss_tensor,
+)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -307,3 +316,31 @@ def reference_train(dataset, cfg, tcfg, initial=None, metrics_out=None):
         if metrics_out is not None:
             metrics_out.write(json.dumps(metrics_record(epoch, report)) + "\n")
     return TrainResult(params=values, history=history)
+
+
+def reference_aggregate_metrics(per_scenario, threshold=0.5):
+    """aggregate_metrics as a loop over (probabilities, labels, loss) triples, one scenario at a time."""
+    if not per_scenario:
+        raise EmptyDatasetError("no scenarios to evaluate")
+    horizon = len(per_scenario[0][0])
+    correct_all = 0
+    correct_final = 0
+    total_steps = 0
+    conf_sums = np.zeros(horizon)
+    loss_sum = 0.0
+    for probs, labels, scenario_loss in per_scenario:
+        if len(probs) != horizon or len(labels) != horizon:
+            raise ValueError("inconsistent horizons across scenarios")
+        preds = [1 if p >= threshold else 0 for p in probs]
+        correct_all += sum(1 for p, y in zip(preds, labels) if p == y)
+        correct_final += 1 if preds[-1] == labels[-1] else 0
+        total_steps += horizon
+        conf_sums += np.asarray(probs, dtype=np.float64)
+        loss_sum += scenario_loss
+    n = len(per_scenario)
+    return EvalReport(
+        avg_accuracy_1_to_K=correct_all / total_steps,
+        accuracy_at_K=correct_final / n,
+        mean_confidence_per_step=tuple((conf_sums / n).tolist()),
+        loss=loss_sum / n,
+    )

@@ -113,12 +113,20 @@ def _masked_sigmoid(x):
     return out
 
 
+def _two_quotient_sigmoid(x):
+    """The form with one quotient per branch that sigmoid_values replaced, as a byte reference."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 @pytest.mark.parametrize(
     "x",
     [
         np.random.default_rng(0).standard_normal((64, 33)) * 4.0,
         np.random.default_rng(1).standard_normal((1, 2000)) * 300.0,
-        np.array([[0.0, -0.0, 745.5, -745.5, 1e308, -1e308, 37.0, -37.0, 5e-324, -5e-324]]),
+        np.array([[0.0, -0.0, 745.5, -745.5, 1e308, -1e308, 37.0, -37.0, 5e-324, -5e-324, np.nan, -np.nan, np.inf, -np.inf]]),
         np.zeros((1, 0)),
         np.zeros((0, 3)),
     ],
@@ -127,7 +135,11 @@ def _masked_sigmoid(x):
 def test_sigmoid_values_is_bytewise_the_masked_form(x):
     got, want = ad.sigmoid_values(x), _masked_sigmoid(x)
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    # a NaN comes out NaN; its sign bit follows exp(-|x|) here and exp(x) in the masked form
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert got.tobytes() == _two_quotient_sigmoid(x).tobytes()
 
 
 def test_clamp_open_unit_values_and_identity_gradient():

@@ -55,7 +55,7 @@ from intent_graph.training import (
     scenario_loss_tensor,
 )
 
-from reference_ops import category_one_hot, object_sort_key, taped_gradients
+from reference_ops import category_one_hot, object_sort_key, reference_aggregate_metrics, taped_gradients
 
 
 def _scenario(D=6, frames=5, seed=2, vehicles=(2, 2)):
@@ -419,7 +419,33 @@ def test_evaluate_equals_the_aggregation_of_forward_outputs():
         out = forward(scenario, cfg, values)
         labels = future_labels(scenario, cfg)
         per_scenario.append((list(out.probabilities), labels, loss(out, labels)))
-    assert evaluate(data, cfg, values) == aggregate_metrics(per_scenario)
+    report = evaluate(data, cfg, values)
+    assert report == aggregate_metrics(per_scenario)
+    assert repr(report) == repr(reference_aggregate_metrics(per_scenario))
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_several_passes_give_the_bytes_of_one_scenario_at_a_time(monkeypatch, mode):
+    # 7 scenarios in passes of 3: two full passes and a ragged last one
+    cfg = _batch_cfg(mode, "default", "L2-shared")
+    values = init_parameters(cfg)
+    batch = _mixed_batch()
+    one_pass = forward_batch(_fresh(batch), cfg, values)
+    monkeypatch.setattr(model, "CHUNK", 3)
+    sizes, chunk = [], model.forward_chunk
+    monkeypatch.setattr(model, "forward_chunk", lambda scenarios, *rest: sizes.append(len(scenarios)) or chunk(scenarios, *rest))
+    got = forward_batch(_fresh(batch), cfg, values)
+    assert sizes == [3, 3, 1]
+    assert got.tobytes() == one_pass.tobytes()
+    per_scenario = []
+    for scenario, row in zip(batch, got):
+        out = forward(scenario, cfg, values)
+        assert row.tobytes() == np.array(out.logits).tobytes(), scenario.id
+        labels = future_labels(scenario, cfg)
+        per_scenario.append((list(out.probabilities), labels, loss(out, labels)))
+    sizes.clear()
+    assert evaluate(_fresh(batch), cfg, values) == aggregate_metrics(per_scenario)
+    assert sizes == [3, 3, 1]
 
 
 # -- packed windows: each scenario's observed frames packed once ---------------------

@@ -28,10 +28,9 @@ from intent_graph.training import (
     train,
 )
 
-from intent_graph.model import CHUNK
 from intent_graph.scene import BoundingBox
 
-from reference_ops import ReferenceAdam, reference_clip, reference_train
+from reference_ops import ReferenceAdam, reference_aggregate_metrics, reference_clip, reference_train
 from test_model import _batch_cfg, _mixed_batch
 
 
@@ -195,10 +194,57 @@ def test_aggregate_metrics_hand_case():
 
 
 def test_aggregate_metrics_rejects_mixed_horizons():
-    with pytest.raises(ValueError):
-        aggregate_metrics([([0.9], [1], 0.0), ([0.9, 0.1], [1, 0], 0.0)])
-    with pytest.raises(EmptyDatasetError):
-        aggregate_metrics([])
+    mixed = [([0.9], [1], 0.0), ([0.9, 0.1], [1, 0], 0.0)]
+    short_labels = [([0.9, 0.1], [1, 0], 0.0), ([0.9, 0.1], [1], 0.0)]
+    for aggregate in (aggregate_metrics, reference_aggregate_metrics):
+        for per in (mixed, short_labels):
+            with pytest.raises(ValueError, match="inconsistent horizons"):
+                aggregate(per)
+        with pytest.raises(EmptyDatasetError):
+            aggregate([])
+        with pytest.raises(IndexError):  # a horizon of 0 has no final step
+            aggregate([([], [], 0.0)])
+
+
+def _report_bits(report):
+    """Every float of an EvalReport, so that -0.0 and +0.0 differ."""
+    floats = [report.avg_accuracy_1_to_K, report.accuracy_at_K, *report.mean_confidence_per_step, report.loss]
+    return np.array(floats).tobytes()
+
+
+def _random_triples(rng, n, horizon):
+    scale = rng.choice([1.0, 1e-8, 1e8], size=(n, horizon))  # mixed magnitudes, so the order of the sums shows
+    probs = (rng.random((n, horizon)) * scale).tolist()
+    labels = rng.integers(0, 2, (n, horizon)).tolist()
+    return list(zip(probs, labels, (rng.random(n) * 3.0).tolist()))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 4])
+@pytest.mark.parametrize("n", [9, 64, 257])
+def test_aggregate_metrics_matches_the_loop_on_random_triples(n, horizon):
+    # at horizon 1, np.sum over the scenarios would add pairwise and differ from the loop
+    per = _random_triples(np.random.default_rng(n * horizon), n, horizon)
+    for threshold in (0.5, 0.25):
+        got, want = aggregate_metrics(per, threshold), reference_aggregate_metrics(per, threshold)
+        assert got == want
+        assert _report_bits(got) == _report_bits(want)
+
+
+@pytest.mark.parametrize(
+    "per",
+    [
+        [([0.5, 0.4999999999999999], [1, 0], 0.2), ([0.5, 0.5], [0, 1], 0.1)],  # 0.5 predicts crossing
+        [([-0.0, 0.3], [0, 0], 0.1)],  # the sum starts at +0.0: the mean is +0.0, not -0.0
+        [([-0.0, -0.0], [0, 1], -0.0), ([0.0, 0.7], [0, 1], 0.0)],
+        [([0.9, 0.1], [2, 0], 0.3), ([0.1, 0.9], [-1, 1.0], 0.4)],  # labels outside {0, 1} are misses
+        [([0.9, 0.1], [True, False], 0.3)],
+    ],
+    ids=["half", "negative-zero", "negative-zero-loss", "stray-labels", "bool-labels"],
+)
+def test_aggregate_metrics_matches_the_loop_on_edge_cases(per):
+    got, want = aggregate_metrics(per), reference_aggregate_metrics(per)
+    assert got == want
+    assert _report_bits(got) == _report_bits(want)
 
 
 # -- train loop -------------------------------------------------------------------
@@ -273,7 +319,7 @@ def test_empty_dataset_rejected():
 
 def _training_set():
     """20 scenarios whose frames hold 0 to 6 objects, some frames empty: batch 3 and 8 leave a
-    ragged last batch, and batch 20 spans two stacked passes of CHUNK scenarios."""
+    ragged last batch, and at CHUNK 8 batch 20 spans three stacked passes, the last ragged."""
     extra = generate_synthetic(
         SynthConfig(n_scenarios=13, frames_per_scenario=7, D=6, seed=22, vehicle_count_range=(0, 5))
     )
@@ -292,9 +338,10 @@ TRAIN_CASES = [
 
 @pytest.mark.parametrize("batch_size", [1, 3, 8, 20])
 @pytest.mark.parametrize("case", TRAIN_CASES, ids="-".join)
-def test_train_matches_the_taped_reference_loop(case, batch_size):
+def test_train_matches_the_taped_reference_loop(monkeypatch, case, batch_size):
+    monkeypatch.setattr(training, "CHUNK", 8)
     data = _training_set()
-    assert CHUNK < 20 == len(data)
+    assert training.CHUNK < 20 == len(data)
     cfg = _batch_cfg(*case)
     tcfg = TrainConfig(epochs=2, learning_rate=0.05, batch_size=batch_size, seed=1)
     got_lines, want_lines = io.StringIO(), io.StringIO()
