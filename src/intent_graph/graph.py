@@ -26,7 +26,17 @@ backward graph_backward. The batched forward and the training backward call
 them on every frame of a bucket; star_graph calls them on one frame and
 records the whole block as one tape node, whose backward is bit for bit that
 of the per-op chain the tests keep. An edge block's backward is
-edge_backward, with outer_rows for its per-edge projection gradients.
+edge_backward; edge_weight hands the tape one outer_rows product per edge
+as its projection gradients, and the tape adds them one by one. outer_rows
+is the tape's: the tape-free training backward contracts each scenario's
+edges in one einsum instead, with the same sums (model._outer_sum), and
+uses outer_rows only for the one shape einsum adds in another order.
+
+In fully_connected mode an object is the target of its spoke and of every
+pair that ends at it, and its projected target row is the same in all of
+them, so edge_values takes that row when a caller has it already
+(projected_targets). pair_indices caches the object pairs of each object
+count.
 
 The array kernels (edge_values, edge_backward, outer_rows, build_adjacency,
 graph_conv, graph_backward, frame_rows) never see a Tensor.
@@ -36,6 +46,7 @@ star_graph check only that their operands fit together.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -99,7 +110,9 @@ def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, proj_i: Tensor, proj_o: T
     return ad._emit(ad._joint_tape(src, proj_i, proj_o), inputs, open_unit(saved[4]), bwd)
 
 
-def edge_values(v: Array, tgt: Array, proj_i: Array, proj_o: Array) -> tuple[Array, ...]:
+def edge_values(
+    v: Array, tgt: Array, proj_i: Array, proj_o: Array, projected_targets: tuple[Array, Array] | None = None
+) -> tuple[Array, ...]:
     """Score M edge rows on plain arrays: (e_i, e_o, mask_i, mask_o, s).
 
     s is the (M, 1) column sigmoid(ReLU(v_m @ proj_i) . ReLU(tgt_m @ proj_o))
@@ -107,12 +120,19 @@ def edge_values(v: Array, tgt: Array, proj_i: Array, proj_o: Array) -> tuple[Arr
     reads. Every product is a stacked one-row product, so a row's score does
     not depend on which other rows share the call: edge_weight scores one
     frame's block with it, the batched inference forward every edge of a batch.
+    ``projected_targets``, when given, is the (e_o, mask_o) of ``tgt`` already
+    projected and ReLU'd (by an earlier call on the same target rows), and
+    ``tgt`` is not read.
     """
     e_i = (v[:, None, :] @ proj_i)[:, 0, :]
-    e_o = (tgt[:, None, :] @ proj_o)[:, 0, :]
-    mask_i, mask_o = e_i > 0, e_o > 0
+    mask_i = e_i > 0
     e_i[~mask_i] = 0.0  # ReLU in place: fewer temporaries when a batch scores many rows
-    e_o[~mask_o] = 0.0
+    if projected_targets is None:
+        e_o = (tgt[:, None, :] @ proj_o)[:, 0, :]
+        mask_o = e_o > 0
+        e_o[~mask_o] = 0.0
+    else:
+        e_o, mask_o = projected_targets
     s = sigmoid_values((e_i[:, None, :] @ e_o[:, :, None])[:, 0, :])
     return e_i, e_o, mask_i, mask_o, s
 
@@ -131,6 +151,8 @@ def edge_backward(saved: tuple[Array, ...], g: Array) -> tuple[Array, Array]:
 def outer_rows(rows: Array, g: Array) -> Array:
     """(M, K, D_e) outer products of M rows with M gate rows: one projection gradient per edge.
 
+    edge_weight's backward hands these to the tape one by one; the tape-free
+    backward contracts them in one einsum instead (model._outer_sum).
     + 0.0: a BLAS outer product returns +0.0 where a plain multiply gives -0.0.
     """
     out = rows[:, :, None] * g[:, None, :]
@@ -141,6 +163,19 @@ def outer_rows(rows: Array, g: Array) -> Array:
 def open_unit(s: Array) -> Array:
     """Clip edge scores one float64 step inside (0, 1); NaN stays NaN."""
     return np.clip(s, _OPEN_UNIT_LO, _OPEN_UNIT_HI)
+
+
+@lru_cache(maxsize=64)
+def pair_indices(n: int) -> tuple[Array, Array]:
+    """The object pairs i < j of a frame with n objects, row-major, as two read-only index arrays.
+
+    Cached, and read-only because every caller shares them: each pass asks
+    again for the few object counts its frames have.
+    """
+    i, j = np.triu_indices(n, 1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def build_adjacency(
@@ -161,7 +196,7 @@ def build_adjacency(
     a[:, 0, 1:] = spokes
     a[:, 1:, 0] = spokes
     if pair_weights is not None:
-        i, j = np.triu_indices(n, 1)
+        i, j = pair_indices(n)
         a[:, i + 1, j + 1] = pair_weights
         a[:, j + 1, i + 1] = pair_weights
     if not row_normalize:
@@ -246,7 +281,7 @@ def graph_backward(
         g_a = g_a / den + g_rows @ np.ones((rows, 1)).T
     g_pairs = None
     if pairs:
-        i, j = np.triu_indices(n, 1)
+        i, j = pair_indices(n)
         g_pairs = g_a[:, i + 1, j + 1] + g_a[:, j + 1, i + 1]
     return layer_grads, g_a[:, 0, 1:] + g_a[:, 1:, 0], g_pairs, g_z[:, 0]
 

@@ -32,9 +32,10 @@ CLI's eval, predict and ablate) and training use; it never builds a Tensor.
 It runs each GRU of all B scenarios as stacked one-row products,
 (B, 1, I+H) @ W, through the value kernel gru_values; scores all spokes of
 a pass in one call of the stacked-row kernel edge_values (and all object
-pairs in a second); and groups frames by object count N, so each bucket's
-graph block is one call of the stacked kernels: (m, N+1, N+1) @ (m, N+1, H)
-@ W per layer, then the split into frame rows. For training it keeps what
+pairs in a second, which takes each pair's projected target row from the
+spoke to the same object); and groups frames by object count N, so each
+bucket's graph block is one call of the stacked kernels:
+(m, N+1, N+1) @ (m, N+1, H) @ W per layer, then the split into frame rows. For training it keeps what
 a backward reads, and backward_chunk walks the stages in reverse over the same
 layout, through the stacked backward kernels gru_backward, graph_backward
 and edge_backward, returning each scenario's gradients.
@@ -45,6 +46,14 @@ tobytes()). A block-diagonal union of the frames, as in PyTorch Geometric,
 would add zero terms to the sums and change their rounding. For the
 gradients, backward_chunk adds every term in the order GradientTape.backward
 adds it for forward_logits, so they too are the tape's byte for byte.
+The tape adds a scenario's edge.proj_i and edge.proj_o gradients as one
+outer product per edge; _outer_sum gives that sum from one
+np.einsum("mr,mc->rc") per scenario and parameter. Without optimize (its
+default), einsum runs m as its outer loop for these shapes and adds each
+exact product to an output that starts at +0.0, which is the tape's fold;
+optimize=True would hand the product to BLAS, which sums in blocks. Only
+when R * C == 1 (D = 1 without the object class, and D_e = 1) does einsum
+make m its unrolled inner loop; that shape folds outer_rows' stack instead.
 
 forward_chunk reads no frame or object record after a scenario's first
 pass. _pack walks the observed frames of a pass's new scenarios once,
@@ -53,6 +62,9 @@ boxes and _object_rows' canonically ordered object rows. It keeps each
 scenario's share on the record's window slot as read-only views under the
 key T; a pass at another T repacks, pedestrian_only packs no objects (the
 taped forward reads none either), and a build that raises keeps nothing.
+The build refuses a non-finite feature or box (_check_finite, ScenarioError
+naming the scenario), as forward_logits does; a ReLU would turn a NaN into
+zeros and train on it. A warm pass reads a window and checks nothing again.
 Later passes concatenate their scenarios' windows field by field. The
 records are frozen, and the loader and _pack itself make the feature
 arrays read-only, so a window cannot go stale: a write raises instead.
@@ -91,6 +103,7 @@ from .graph import (
     graph_conv,
     open_unit,
     outer_rows,
+    pair_indices,
     star_graph,
 )
 from .recurrent import (
@@ -298,6 +311,33 @@ def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
     return _ObjectRows(counts, feats, boxes, _RANK_INDEX[keys[:, 0].astype(np.intp)])
 
 
+def _check_finite(
+    scenarios: Sequence[Scenario], t_obs: int, ped: np.ndarray, ped_boxes: np.ndarray, objs: _ObjectRows | None
+) -> None:
+    """Raise ScenarioError naming the first scenario with a non-finite feature or box in its observed frames.
+
+    Frame b * T + t of the (F, D) features ``ped``, the (F, 4) boxes
+    ``ped_boxes`` and the _ObjectRows ``objs`` (or None) is frame t of
+    scenarios[b]. The ReLUs would turn a NaN into zeros and train on it, so
+    a hand-built record that holds one is refused; data.load refuses them
+    in a file.
+    """
+    fields = [("pedestrian feature", ped, False), ("pedestrian box", ped_boxes, False)]
+    if objs is not None:
+        fields += [("object feature", objs.feats, True), ("object box", objs.boxes, True)]
+    failures = []  # (frame, what), the first bad row of each field
+    for what, arr, per_object in fields:
+        finite = np.isfinite(arr)
+        if not finite.all():  # only then look for the row and its frame
+            row = int(np.flatnonzero(~finite.all(axis=1))[0])
+            frame = int(np.searchsorted(np.cumsum(objs.counts), row, side="right")) if per_object else row
+            failures.append((frame, what))
+    if failures:
+        frame, what = min(failures, key=lambda failure: failure[0])  # on a tie, the first field
+        scenario = scenarios[frame // t_obs]
+        raise ScenarioError(f"scenario {scenario.id!r}: non-finite {what} in observed frame {frame % t_obs}")
+
+
 def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig, objects: bool) -> tuple:
     """Pack the first T frames of ``scenarios`` from their records and keep each scenario's share on it.
 
@@ -314,6 +354,7 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig, objects: bool) -> tup
     ped = np.array([f.pedestrian_feature for f in observed]).reshape(len(observed), d)
     ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
     objs = _object_rows(observed, d) if objects else None
+    _check_finite(scenarios, t_obs, ped, ped_boxes, objs)
     sources = [f.pedestrian_feature for f in observed]
     if objs is not None:
         sources += [o.feature for f in observed for o in f.objects]
@@ -409,6 +450,9 @@ def forward_logits(
     p = {name: Tensor(a) if tape is None else tape.parameter(name, a) for name, a in checked.items()}
 
     ped_inputs = [Tensor(f.pedestrian_feature.reshape(1, -1)) for f in observed]
+    ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
+    objs = None if mode == "pedestrian_only" else _object_rows(observed, cfg.D)
+    _check_finite([scenario], cfg.T, np.concatenate([x.data for x in ped_inputs]), ped_boxes, objs)
     if tc.use_temporal and tc.use_ped_gru:
         ped_nodes = run_observation(_gru_bundle(p, "ped_gru"), ped_inputs)
     else:
@@ -422,12 +466,11 @@ def forward_logits(
             ctxt_cell = _gru_bundle(p, "ctxt_gru")
             h_ctxt = ad.zeros(1, cfg.hidden)
 
-    objs = None if mode == "pedestrian_only" else _object_rows(observed, cfg.D)
     if objs is not None:
         targets_all = _edge_targets(cfg, objs.categories, objs.feats)
     frame_vecs: list[Tensor] = []
     end = 0
-    for t, (frame, ped) in enumerate(zip(observed, ped_nodes)):
+    for t, ped in enumerate(ped_nodes):
         if objs is None:
             frame_vecs.append(ped)
             continue
@@ -440,12 +483,11 @@ def forward_logits(
             continue
 
         targets, boxes = targets_all[rows], objs.boxes[rows]
-        ped_box = np.array([frame.pedestrian_box.as_list()], dtype=np.float64)
-        rel = Tensor(spatial_relation(ped_box, boxes) * cfg.spatial_scale)
+        rel = Tensor(spatial_relation(ped_boxes[t : t + 1], boxes) * cfg.spatial_scale)
         weights = edge_weight(ped, rel, Tensor(targets), *proj)
         pair_weights = None
         if mode == "fully_connected":
-            src, tgt = np.triu_indices(len(feats), 1)  # object pairs i < j, row-major
+            src, tgt = pair_indices(len(feats))  # object pairs i < j, row-major
             rel = Tensor(spatial_relation(boxes[src], boxes[tgt]) * cfg.spatial_scale)
             pair_weights = edge_weight(Tensor(feats[src]), rel, Tensor(targets[tgt]), *proj)
         vec = star_graph(ped, feats, weights, pair_weights, layers, cfg.normalize_adjacency)
@@ -545,12 +587,13 @@ class _Edges:
 def _score_edges(
     cfg: ModelConfig, p: Mapping[str, np.ndarray],
     src: np.ndarray, src_boxes: np.ndarray, tgt_boxes: np.ndarray, targets: np.ndarray, frames: np.ndarray,
+    projected_targets: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> _Edges:
     """Score M edges drawn from many frames; no check raises here (see _check_edges).
 
     The rows of ``src`` (M, Dc), ``src_boxes`` and ``tgt_boxes`` (M, 4) and
     ``targets`` (M, Do) describe the edges; ``frames`` holds each edge's
-    frame index.
+    frame index. ``projected_targets`` is passed on to edge_values.
     """
     overflow, message = np.zeros(0, dtype=np.intp), None
     try:
@@ -565,8 +608,29 @@ def _score_edges(
                 failed.append(frame)
         overflow = np.array(failed, dtype=np.intp)
     v = np.concatenate([src, rel * cfg.spatial_scale], axis=1)
-    saved = edge_values(v, targets, p["edge.proj_i"], p["edge.proj_o"])
+    saved = edge_values(v, targets, p["edge.proj_i"], p["edge.proj_o"], projected_targets)
     return _Edges(frames, v, targets, saved, open_unit(saved[4])[:, 0], overflow, message)
+
+
+def _pair_edges(
+    cfg: ModelConfig, p: Mapping[str, np.ndarray], objs: _ObjectRows, targets: np.ndarray, owner: np.ndarray,
+    buckets: list, spokes: _Edges,
+) -> _Edges:
+    """Score the object pairs i < j of every frame, row-major, bucket by bucket.
+
+    ``targets`` and ``owner`` are each object row's edge-target row and
+    frame, ``spokes`` the scored spokes. Spoke k's target is object row k,
+    so its ReLU'd projected target is, bit for bit, that of every pair
+    ending at row k: the pairs gather theirs from the spokes.
+    """
+    src_rows, tgt_rows = [], []
+    for n, _, rows in buckets:
+        i, j = pair_indices(n)
+        src_rows.append(rows[:, i].reshape(-1))
+        tgt_rows.append(rows[:, j].reshape(-1))
+    i, j = np.concatenate(src_rows), np.concatenate(tgt_rows)
+    feats, boxes, (_, e_o, _, mask_o, _) = objs.feats, objs.boxes, spokes.saved
+    return _score_edges(cfg, p, feats[i], boxes[i], boxes[j], targets[j], owner[i], (e_o[j], mask_o[j]))
 
 
 def _check_edges(scenarios, cfg: ModelConfig, blocks: Sequence[tuple[str, _Edges]]) -> None:
@@ -671,14 +735,7 @@ def _graph_frames(
     blocks = [("edge weight", _score_edges(cfg, p, ped_rows[owner], ped_boxes[owner], boxes, targets, owner))]
     buckets = list(_buckets(objs.counts))
     if cfg.graph_mode == "fully_connected":
-        # the object pairs i < j of every frame, row-major, bucket by bucket
-        src_rows, tgt_rows = [], []
-        for n, _, rows in buckets:
-            i, j = np.triu_indices(n, 1)
-            src_rows.append(rows[:, i].reshape(-1))
-            tgt_rows.append(rows[:, j].reshape(-1))
-        i, j = np.concatenate(src_rows), np.concatenate(tgt_rows)
-        blocks.append(("object pair weight", _score_edges(cfg, p, feats[i], boxes[i], boxes[j], targets[j], owner[i])))
+        blocks.append(("object pair weight", _pair_edges(cfg, p, objs, targets, owner, buckets, blocks[0][1])))
     _check_edges(scenarios, cfg, blocks)
     spokes, *pair_block = [edges.weights for _, edges in blocks]
     if kept is not None:
@@ -723,6 +780,22 @@ def _fold(stack: np.ndarray) -> np.ndarray:
     if first.size > 1 and not (np.signbit(first) & (first == 0.0)).any():
         return np.sum(stack, axis=0)
     return np.add.accumulate(stack, axis=0)[-1]
+
+
+def _outer_sum(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The (R, C) sum of the M outer products rows[m] x g[m], added in order: _fold(outer_rows(rows, g)) bit for bit.
+
+    einsum without optimize (its default) loops over m outermost for these
+    shapes and adds each exact one-term product to an output that starts at
+    +0.0, which is the tape's left fold with outer_rows' + 0.0, in about a
+    third of the time and without the (M, R, C) stack; optimize=True would hand the
+    sum to BLAS, which adds in its own order. When R * C == 1, einsum makes
+    m its unrolled inner loop and adds in another order, so that shape folds
+    the stack.
+    """
+    if rows.shape[1] * g.shape[1] == 1:
+        return _fold(outer_rows(rows, g))
+    return np.einsum("mr,mc->rc", rows, g)
 
 
 def _cell_backward(grads: dict, p: Mapping[str, np.ndarray], prefix: str, steps, first=None, last=None):
@@ -849,8 +922,8 @@ def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g
         grads[name] = np.zeros((b, *p[name].shape))
         for s in range(b):
             visit = order[bounds[s] : bounds[s + 1]][::-1]
-            if visit.size:  # one scenario's stack at a time bounds the memory
-                grads[name][s] = _fold(outer_rows(rows[visit], g[visit]))
+            if visit.size:  # one scenario at a time: small gathers, and no (M, R, C) stack
+                grads[name][s] = _outer_sum(rows.take(visit, axis=0), g.take(visit, axis=0))
 
     g_src = (g_i[: len(blocks[0].frames), None, :] @ p["edge.proj_i"].T)[:, 0, :h_width]
     g_ped = np.empty_like(center)

@@ -21,9 +21,10 @@ GradientTape.backward gives them for scenario_loss_tensor; train() adds
 them in batch order, as it did when it ran one tape per scenario. The
 parameter values, the gradients and Adam's two moments live in one (4, P)
 float64 buffer, each parameter a view into it: Adam updates the whole
-buffer in one pass, and clip_gradients keeps one np.sum per parameter so
-the norm keeps its bits. scenario_loss_tensor stays as the taped oracle
-for the tests, and benchmarks/tracing.py wraps it. scenario_loss is
+buffer in one pass, and clip_gradients squares the gradient row once and
+sums each parameter's slice with its own reduction, so the norm keeps the
+bits of one np.sum per parameter. scenario_loss_tensor stays as the taped
+oracle for the tests, and benchmarks/tracing.py wraps it. scenario_loss is
 scenario_gradients' loss without the backward, for the perturbed calls of
 the gradient check.
 """
@@ -143,16 +144,19 @@ def scenario_loss_tensor(
     return scale(total, 1.0 / len(labels))
 
 
-def clip_gradients(grads: Mapping[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so the global L2 norm is at most max_norm; returns the norm before.
+def clip_gradients(flat: np.ndarray, sizes: Sequence[int], max_norm: float) -> float:
+    """Scale the flat gradient row in place so its global L2 norm is at most max_norm; returns the norm before.
 
-    The norm adds one np.sum per parameter, in the mapping's order.
+    ``sizes`` splits ``flat`` into its parameters, in order. The row is
+    squared once, and each parameter's slice is summed with one
+    np.add.reduce, then the sums are added in order: the bits of one
+    np.sum(g * g) per (rows, cols) parameter.
     """
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    squares = flat * flat
+    ends = np.cumsum(sizes).tolist()
+    total = math.sqrt(sum(float(np.add.reduce(squares[end - size : end])) for size, end in zip(sizes, ends)))
     if total > max_norm and total > 0:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        flat *= max_norm / total
     return total
 
 
@@ -181,7 +185,7 @@ class AdamOptimizer:
 
 
 def _report(probs: np.ndarray, labels: np.ndarray, losses: Sequence[float], threshold: float) -> EvalReport:
-    """The EvalReport of n scenarios from their (n, K) probabilities and labels and their n losses.
+    """The EvalReport of n >= 1 scenarios from their (n, K >= 1) probabilities and labels and their n losses.
 
     Each sum adds the scenarios in order from +0.0, as a loop over them
     would: np.add.accumulate runs down the rows one at a time, where np.sum
@@ -191,13 +195,12 @@ def _report(probs: np.ndarray, labels: np.ndarray, losses: Sequence[float], thre
     """
     n, horizon = probs.shape
     hits = (probs >= threshold).astype(np.intp) == labels
-    final_hits = int(hits[:, -1].sum())  # before any division: a horizon of 0 raises IndexError, as the loop did
     loss_sum = 0.0
     for scenario_loss in losses:
         loss_sum += scenario_loss
     return EvalReport(
         avg_accuracy_1_to_K=int(hits.sum()) / (n * horizon),
-        accuracy_at_K=final_hits / n,
+        accuracy_at_K=int(hits[:, -1].sum()) / n,
         mean_confidence_per_step=tuple((np.add.accumulate(probs + 0.0, axis=0)[-1] / n).tolist()),
         loss=loss_sum / n,
     )
@@ -207,13 +210,15 @@ def aggregate_metrics(per_scenario: Sequence[tuple[Sequence[float], Sequence[int
     """Reduce (probabilities, labels, loss) triples into an EvalReport.
 
     A probability >= threshold predicts crossing. All scenarios must share
-    the same horizon K.
+    the same horizon K, and K must be at least 1 (else ValueError).
     """
     if not per_scenario:
         raise EmptyDatasetError("no scenarios to evaluate")
     horizon = len(per_scenario[0][0])
     if any(len(probs) != horizon or len(labels) != horizon for probs, labels, _ in per_scenario):
         raise ValueError("inconsistent horizons across scenarios")
+    if horizon == 0:
+        raise ValueError("empty horizon: the scenarios carry no predicted frames")
     probs, labels, losses = zip(*per_scenario)
     return _report(np.array(probs, dtype=np.float64), np.array(labels), losses, threshold)
 
@@ -316,15 +321,11 @@ def scenario_loss(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.
     return _scenario_loss(forward_batch([scenario], cfg, values)[0].tolist(), future_labels(scenario, cfg))
 
 
-def _parameter_buffer(shapes: Mapping[str, tuple[int, int]]) -> tuple[np.ndarray, dict, dict]:
-    """A zeroed (4, P) buffer [values, gradients, Adam's two moments] and {name: view} of its first two rows."""
+def _parameter_buffer(shapes: Mapping[str, tuple[int, int]]) -> tuple[np.ndarray, dict]:
+    """A zeroed (4, P) buffer [values, gradients, Adam's two moments] and {name: view} of its first row."""
     ends = np.cumsum([r * c for r, c in shapes.values()])
     buffer = np.zeros((4, int(ends[-1])))
-
-    def views(row):
-        return {name: row[end - r * c : end].reshape(r, c) for (name, (r, c)), end in zip(shapes.items(), ends)}
-
-    return buffer, views(buffer[0]), views(buffer[1])
+    return buffer, {name: buffer[0, end - r * c : end].reshape(r, c) for (name, (r, c)), end in zip(shapes.items(), ends)}
 
 
 @dataclass
@@ -349,7 +350,8 @@ def train(
     if not dataset:
         raise EmptyDatasetError("no scenarios to train on")
     shapes = parameter_shapes(cfg)
-    buffer, values, grads = _parameter_buffer(shapes)
+    sizes = [r * c for r, c in shapes.values()]
+    buffer, values = _parameter_buffer(shapes)
     for name, value in check_parameters(cfg, initial or init_parameters(cfg)).items():
         values[name][...] = value
     optimizer = AdamOptimizer(tcfg)
@@ -365,7 +367,7 @@ def train(
                 chunk = _chunk_gradients(batch[first : first + CHUNK], cfg, values, epoch)[1]
                 rows.extend(np.concatenate([chunk[name].reshape(len(chunk[name]), -1) for name in shapes], axis=1))
             buffer[1] = reduce(np.add, rows) / len(batch)  # added in batch order, as the tape's loop did
-            clip_gradients(grads, tcfg.grad_clip_norm)
+            clip_gradients(buffer[1], sizes, tcfg.grad_clip_norm)
             optimizer.step(buffer)
         try:
             report = evaluate(dataset, cfg, values)

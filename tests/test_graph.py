@@ -28,6 +28,7 @@ from intent_graph.graph import (
     edge_weight,
     frame_rows,
     graph_conv,
+    pair_indices,
     star_graph,
 )
 from intent_graph.model import ModelConfig, init_parameters
@@ -212,6 +213,17 @@ def test_fully_connected_needs_every_pair():
     a = _adjacency([0.5, 0.5, 0.5], [0.3, 0.3, 0.9])
     assert a[2, 3] == a[3, 2] == 0.9
     assert a[1, 2] == a[2, 1] == 0.3
+
+
+def test_pair_indices_are_the_cached_read_only_upper_triangle():
+    for n in range(9):
+        i, j = pair_indices(n)
+        want_i, want_j = np.triu_indices(n, 1)
+        assert i.tolist() == want_i.tolist() and j.tolist() == want_j.tolist()
+        assert not i.flags.writeable and not j.flags.writeable
+        assert pair_indices(n)[0] is i
+    with pytest.raises(ValueError, match="read-only"):
+        pair_indices(4)[0][0] = 1
 
 
 def test_row_normalized_rows_sum_to_one():

@@ -19,12 +19,14 @@ from intent_graph import model
 from intent_graph.autodiff import GradientTape, Tensor, sigmoid_values
 from intent_graph.configs import ConfigError, finite_array, is_finite_real
 from intent_graph.data import SynthConfig, generate_synthetic
+from intent_graph.graph import edge_values, outer_rows
 from intent_graph.model import (
     CheckpointError,
     ModelConfig,
     ScenarioError,
     _fold,
     _object_rows,
+    _outer_sum,
     forward,
     forward_batch,
     forward_logits,
@@ -53,6 +55,7 @@ from intent_graph.training import (
     scenario_gradients,
     scenario_loss,
     scenario_loss_tensor,
+    train,
 )
 
 from reference_ops import category_one_hot, object_sort_key, reference_aggregate_metrics, taped_gradients
@@ -333,9 +336,21 @@ def test_batched_row_ignores_its_batch_mates_and_their_order(mode):
 @pytest.mark.parametrize("temporal", sorted(BATCH_TEMPORALS))
 @pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
 def test_tape_free_gradients_are_bit_identical_to_the_tape(mode, temporal, stack):
-    cfg = _batch_cfg(mode, temporal, stack)
+    _assert_tape_gradients(_batch_cfg(mode, temporal, stack), _mixed_batch())
+
+
+@pytest.mark.parametrize("stack", ["L2-shared", "L3-unshared-norm-cls"])
+def test_tape_free_gradients_are_bit_identical_to_the_tape_at_width_one(stack):
+    # D = D_e = 1: without the object class edge.proj_o is (1, 1), the one shape _outer_sum folds
+    # instead of contracting; with it, (16, 1). At seed 17 enough one-wide edge rows stay positive
+    # that einsum's own sum would differ from the tape's in most scenarios.
+    cfg = dataclasses.replace(_batch_cfg("fully_connected", "default", stack), D=1, D_e=1, hidden=1, seed=17)
+    _assert_tape_gradients(cfg, _mixed_batch(D=1))
+
+
+def _assert_tape_gradients(cfg, batch):
     values = init_parameters(cfg)
-    for scenario in _mixed_batch():
+    for scenario in batch:
         got_loss, grads = scenario_gradients(scenario, cfg, values)
         want_loss, want = taped_gradients(scenario, cfg, values)
         assert np.float64(got_loss).tobytes() == np.float64(want_loss).tobytes(), scenario.id
@@ -374,6 +389,45 @@ def test_fold_adds_left_to_right_whatever_the_stack():
     for stack in stacks:
         want = functools.reduce(np.add, stack)
         assert _fold(stack).tobytes() == want.tobytes(), stack.shape
+
+
+def _outer_sum_cases(rng):
+    """(rows, g) pairs: random sizes, mixed magnitudes and signed zeros; products that overflow; M = 1; R * C = 1."""
+    def draw(m, r, c, spread):
+        pair = []
+        for width in (r, c):
+            x = rng.standard_normal((m, width)) * 10.0 ** rng.uniform(-spread, spread, (m, 1))
+            x[rng.random(x.shape) < 0.15] = 0.0
+            x[rng.random(x.shape) < 0.15] = -0.0
+            pair.append(x)
+        return pair
+
+    for _ in range(150):
+        m, r, c = int(rng.integers(1, 200)), int(rng.choice([1, 2, 7, 14, 24])), int(rng.choice([1, 5, 16]))
+        if r * c > 1:
+            yield draw(m, r, c, 8)
+    for _ in range(20):
+        yield draw(int(rng.integers(1, 50)), 14, 5, 200)  # products beyond the float range: inf, NaN, 0
+        yield draw(1, int(rng.choice([1, 14])), int(rng.choice([1, 16])), 8)
+        yield draw(int(rng.integers(1, 200)), 1, 1, 8)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the extreme draws overflow
+def test_outer_sum_adds_the_edges_in_order_like_the_tape():
+    # pins einsum's loop order: the tape adds one outer product per edge, left to right
+    for rows, g in _outer_sum_cases(np.random.default_rng(7)):
+        want = functools.reduce(np.add, outer_rows(rows, g))
+        assert _outer_sum(rows, g).tobytes() == want.tobytes(), (rows.shape, g.shape)
+
+
+def test_pair_edges_reuse_the_spokes_projected_targets():
+    cfg = _batch_cfg("fully_connected", "default", "L3-unshared-norm-cls")
+    p = model.check_parameters(cfg, init_parameters(cfg))
+    spokes, pairs = model.forward_chunk(_mixed_batch(), cfg, p, keep=True)[1]["edges"]
+    assert len(pairs.frames) > len(spokes.frames)
+    fresh = edge_values(pairs.v, pairs.targets, p["edge.proj_i"], p["edge.proj_o"])
+    for got, want in zip(pairs.saved, fresh):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_canonical_object_order_matches_the_sort_key_even_on_ties():
@@ -699,6 +753,47 @@ def test_batched_forward_keeps_every_check():
         forward_logits(overflow, cfg, values)
     with pytest.raises(ValueError, match="'overflow': spatial_relation: non-finite"):
         forward_batch([good, overflow, good], cfg, values)
+
+
+def _with_first_object(frame, **changes):
+    return dataclasses.replace(frame, objects=(dataclasses.replace(frame.objects[0], **changes), *frame.objects[1:]))
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_a_non_finite_value_in_a_hand_built_record_is_refused_by_both_forwards(mode):
+    # a ReLU would turn the NaN into zeros and train on it; a mode refuses only what it packs
+    cfg = _batch_cfg(mode, "default", "L2-shared")
+    values = init_parameters(cfg)
+    good = _mixed_batch()[0]
+    frame = good.frames[2]
+    assert frame.objects
+    nan_feature = np.array(frame.pedestrian_feature)
+    nan_feature[3] = np.nan
+    changed = [
+        ("pedestrian feature", dataclasses.replace(frame, pedestrian_feature=nan_feature)),
+        ("pedestrian box", dataclasses.replace(frame, pedestrian_box=BoundingBox(0.0, np.nan, 10.0, 20.0))),
+        ("object feature", _with_first_object(frame, feature=np.full(6, -np.inf))),
+        # the first category in canonical order: the frame's first object row
+        ("object feature", _with_first_object(frame, category=ObjectCategory.BICYCLIST, feature=np.full(6, np.nan))),
+        ("object box", _with_first_object(frame, box=BoundingBox(np.nan, 0.0, 10.0, 20.0))),
+        ("object box", _with_first_object(frame, camera_offset_x=np.inf)),  # the aligned box is what is read
+    ]
+    for case, (what, bad_frame) in enumerate(changed):
+        bad = dataclasses.replace(good, id=f"bad-{case}", frames=(*good.frames[:2], bad_frame, *good.frames[3:]))
+        if mode == "pedestrian_only" and what.startswith("object"):  # objects are neither packed nor read
+            assert forward_batch([bad], cfg, values)[0].tobytes() == _unbatched_logits(bad, cfg, values).tobytes()
+            continue
+        message = f"^scenario {bad.id!r}: non-finite {what} in observed frame 2$"
+        mate = dataclasses.replace(good)
+        with pytest.raises(ScenarioError, match=message):
+            forward_batch([mate, bad], cfg, values)
+        assert bad.window is None and mate.window is None
+        with pytest.raises(ScenarioError, match=message):
+            forward_logits(bad, cfg, values)
+        with pytest.raises(ScenarioError, match=message):
+            scenario_gradients(bad, cfg, values)
+        with pytest.raises(ScenarioError, match=message):
+            train([mate, bad], cfg, TrainConfig(epochs=1, batch_size=2), initial=values)
 
 
 # -- parameter bookkeeping -------------------------------------------------------

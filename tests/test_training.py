@@ -13,7 +13,8 @@ from intent_graph import training
 from intent_graph.autodiff import GradientTape, Tensor
 from intent_graph.configs import ConfigError
 from intent_graph.data import SynthConfig, generate_synthetic
-from intent_graph.model import ModelConfig, forward_logits, future_labels, init_parameters
+from intent_graph.model import ModelConfig, forward_logits, future_labels, init_parameters, parameter_shapes
+from intent_graph.recurrent import TemporalConfig
 from intent_graph.training import (
     AdamOptimizer,
     EmptyDatasetError,
@@ -95,15 +96,14 @@ def test_flat_adam_is_bit_identical_to_the_per_parameter_update():
     values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
     values["b"][0, 1] = -0.0
     tcfg = TrainConfig(learning_rate=0.02)
-    buffer, views, grad_views = training._parameter_buffer(shapes)
+    buffer, views = training._parameter_buffer(shapes)
     for name, value in values.items():
         views[name][...] = value
     flat, reference = AdamOptimizer(tcfg), ReferenceAdam(tcfg)
     for step in range(4):
         grads = {name: rng.standard_normal(shape) * 10.0 ** (step - 2) for name, shape in shapes.items()}
         grads["b"][0, 1] = -0.0
-        for name, g in grads.items():
-            grad_views[name][...] = g
+        buffer[1] = np.concatenate([g.reshape(-1) for g in grads.values()])
         flat.step(buffer)
         values = reference.step(values, grads)
         for name in shapes:
@@ -123,26 +123,40 @@ def test_zero_learning_rate_is_a_no_op():
 
 
 def test_clip_gradients_norm_math():
-    grads = {"a": np.array([[3.0]]), "b": np.array([[4.0]])}
-    assert clip_gradients(grads, max_norm=10.0) == 5.0
-    assert grads["a"][0, 0] == 3.0 and grads["b"][0, 0] == 4.0
-    assert clip_gradients(grads, max_norm=2.0) == 5.0  # reports the pre-clip norm, scales in place
-    assert np.allclose(grads["a"], [[1.2]]) and np.allclose(grads["b"], [[1.6]])
-    total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    assert total == pytest.approx(2.0)
-    zeros = {"a": np.zeros((2, 2))}
-    assert clip_gradients(zeros, max_norm=1.0) == 0.0 and np.all(zeros["a"] == 0.0)
+    flat = np.array([3.0, 4.0])
+    assert clip_gradients(flat, [1, 1], max_norm=10.0) == 5.0
+    assert flat.tolist() == [3.0, 4.0]
+    assert clip_gradients(flat, [1, 1], max_norm=2.0) == 5.0  # reports the pre-clip norm, scales in place
+    assert np.allclose(flat, [1.2, 1.6])
+    assert math.sqrt(float(np.sum(flat * flat))) == pytest.approx(2.0)
+    zeros = np.zeros(4)
+    assert clip_gradients(zeros, [4], max_norm=1.0) == 0.0 and np.all(zeros == 0.0)
+
+
+def _clip_case(rng, shapes):
+    """{name: gradient} of the given shapes, mixed magnitudes and signed zeros, and the flat row holding them."""
+    grads = {name: rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape) for name, shape in shapes.items()}
+    for g in grads.values():
+        g[rng.random(g.shape) < 0.1] = -0.0
+    return grads, np.concatenate([g.reshape(-1) for g in grads.values()])
 
 
 def test_clip_gradients_keeps_the_per_parameter_norm_and_scaling():
-    rng = np.random.default_rng(5)
-    shapes = {"a": (7, 5), "b": (1, 9), "c": (16, 16)}
-    grads = {name: rng.standard_normal(shape) * 3.0 for name, shape in shapes.items()}
-    want, want_norm = reference_clip(grads, 5.0)
-    copies = {name: g.copy() for name, g in grads.items()}
-    assert clip_gradients(copies, 5.0) == want_norm
-    for name in grads:
-        assert copies[name].tobytes() == want[name].tobytes()
+    # the flat row's norm has the bits of one np.sum per parameter: every parameter shape of the
+    # batch configs and of the benchmark's, at norms either side of the bound
+    rng = np.random.default_rng(9)
+    stacks = ("L2-shared", "L3-unshared-norm-cls")
+    for mode in ("star", "fully_connected", "concat_baseline", "pedestrian_only"):
+        configs = [_batch_cfg(mode, temporal, stack) for temporal in ("default", "ctxt", "pooled") for stack in stacks]
+        configs.append(ModelConfig(D=16, D_e=16, hidden=16, graph_mode=mode, temporal=TemporalConfig(use_ctxt_gru=True)))
+        for cfg in configs:
+            shapes = parameter_shapes(cfg)
+            for _ in range(10):
+                grads, flat = _clip_case(rng, shapes)
+                max_norm = float(rng.choice([1e-3, 5.0, 1e9]))
+                want, want_norm = reference_clip(grads, max_norm)
+                assert clip_gradients(flat, [r * c for r, c in shapes.values()], max_norm) == want_norm
+                assert flat.tobytes() == np.concatenate([want[name].reshape(-1) for name in shapes]).tobytes()
 
 
 # -- losses -----------------------------------------------------------------------
@@ -202,8 +216,12 @@ def test_aggregate_metrics_rejects_mixed_horizons():
                 aggregate(per)
         with pytest.raises(EmptyDatasetError):
             aggregate([])
-        with pytest.raises(IndexError):  # a horizon of 0 has no final step
-            aggregate([([], [], 0.0)])
+    with pytest.raises(ValueError, match="empty horizon"):
+        aggregate_metrics([([], [], 0.0)])
+    with pytest.raises(ValueError, match="inconsistent horizons"):  # not empty: one scenario has frames
+        aggregate_metrics([([], [], 0.0), ([0.9], [1], 0.0)])
+    with pytest.raises(IndexError):  # the loop kept as the reference has no final step to read
+        reference_aggregate_metrics([([], [], 0.0)])
 
 
 def _report_bits(report):
@@ -388,9 +406,9 @@ def _failing_set(cfg):
     With an infinite relation weight in edge.proj_i and a zero edge.proj_o,
     every edge weight is NaN (inf * 0). So a scenario fails at the first
     frame with objects, at its relation if that overflows, else at its
-    weights; a scenario without objects reaches the loss, which a NaN
-    pedestrian feature makes NaN. Without edges (concat_baseline) the
-    losses are what fails.
+    weights; a scenario without objects but with a NaN pedestrian feature
+    is refused before any of that, by the check of a record's values.
+    Without edges (concat_baseline) the losses are what fails.
     """
     good = generate_synthetic(
         SynthConfig(n_scenarios=6, frames_per_scenario=7, D=6, seed=23, vehicle_count_range=(2, 4))
@@ -415,7 +433,7 @@ def _failing_set(cfg):
         _with_boxes(
             good[4], 0, BoundingBox(8.98e307, 0.0, 8.99e307, 10.0), BoundingBox(-8.99e307, 0.0, -8.98e307, 10.0)
         ),
-        _with_frame(bare, 1, pedestrian_feature=np.full(6, np.nan)),  # no edges; a NaN loss
+        _with_frame(bare, 1, pedestrian_feature=np.full(6, np.nan)),  # no edges; a non-finite input
     ]
     return scenarios, values
 
@@ -423,7 +441,7 @@ def _failing_set(cfg):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 @pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline"])
 def test_a_failing_minibatch_raises_what_the_taped_loop_raises(mode):
-    cfg = _batch_cfg(mode, "default", "L0")  # a ReLU between layers would turn a NaN row into zeros
+    cfg = _batch_cfg(mode, "default", "L0")
     data, values = _failing_set(cfg)
     seen = set()
     for seed in range(8):
@@ -440,7 +458,7 @@ def test_a_failing_minibatch_raises_what_the_taped_loop_raises(mode):
         assert seen == {
             "spatial_relation: non-finite entry",
             "edge weight 0 outside the open interval (0,1): nan",
-            "non-finite loss nan at epoch 1, scenario",
+            "scenario: non-finite pedestrian feature in observed frame 1",
         }
 
 
