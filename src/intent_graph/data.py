@@ -23,7 +23,8 @@ plain records that check nothing. ``load`` enforces, each in one place:
 A broken rule raises FeatureWidthError for the width, TimestampOrderError for
 the order and RecordParseError for the rest, each with the line number.
 Serialization is deterministic, so re-serializing a loaded file reproduces it
-byte for byte. ``generate_synthetic`` checks only that its draw is finite.
+byte for byte. ``generate_synthetic`` checks only that its draw is finite
+and that each scenario found a draw clear of the label margins.
 Both hand out read-only feature arrays: ``model`` packs a record's arrays
 once and keeps the packed copy on the record (see ``scene``).
 
@@ -517,6 +518,11 @@ def _generate_one(cfg: SynthConfig, index: int, p_obj: np.ndarray, p_ped: np.nda
             vy = 0.0
         if _margins_ok(cfg, cw_cx, vehicles, pcx, pcy, vx, vy):
             break
+    else:
+        raise ValueError(
+            f"synthetic scenario {index}: none of 200 draws kept every label clear of its threshold margins "
+            f"(vehicle_count_range {cfg.vehicle_count_range})"
+        )
 
     frames = []
     for t in range(cfg.frames_per_scenario):
@@ -567,7 +573,11 @@ def _require_finite_draw(scenario: Scenario) -> Scenario:
 
 
 def generate_synthetic(cfg: SynthConfig) -> list[Scenario]:
-    """Draw cfg.n_scenarios labeled scenarios (see module docstring); ValueError if a draw overflows."""
+    """Draw cfg.n_scenarios labeled scenarios (see module docstring).
+
+    ValueError if a draw overflows, or if 200 draws of one scenario all put
+    a label within its margin of a threshold (a crowded vehicle_count_range).
+    """
     p_obj = _embedding(cfg, _OBJ_PROJ_TAG)
     p_ped = _embedding(cfg, _PED_PROJ_TAG)
     return [_require_finite_draw(_generate_one(cfg, i, p_obj, p_ped)) for i in range(cfg.n_scenarios)]

@@ -30,16 +30,17 @@ edge_backward; edge_weight hands the tape one outer_rows product per edge
 as its projection gradients, and the tape adds them one by one. outer_rows
 is the tape's: the tape-free training backward contracts each scenario's
 edges in one einsum instead, with the same sums (model._outer_sum), and
-uses outer_rows only for the one shape einsum adds in another order.
+uses outer_rows only for the one shape einsum adds in another order. Its
+edge block is in the order the taped forward scores the edges, so the
+tape's order is a scenario's rows of that block reversed.
 
-In fully_connected mode an object is the target of its spoke and of every
-pair that ends at it, and its projected target row is the same in all of
-them, so edge_values takes that row when a caller has it already
-(projected_targets). pair_indices caches the object pairs of each object
-count.
+project_targets projects edge target rows and edge_values scores edges on
+them: an object's projected row is the same for its spoke and every pair
+that ends at it, so the batched pass projects each object row once.
+pair_indices caches the object pairs of each object count.
 
-The array kernels (edge_values, edge_backward, outer_rows, build_adjacency,
-graph_conv, graph_backward, frame_rows) never see a Tensor.
+The array kernels (project_targets, edge_values, edge_backward, outer_rows,
+build_adjacency, graph_conv, graph_backward, frame_rows) never see a Tensor.
 model.check_parameters owns the parameter shapes; edge_weight and
 star_graph check only that their operands fit together.
 """
@@ -94,7 +95,7 @@ def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, proj_i: Tensor, proj_o: T
             f"edge block: rows of width {v.shape[1]} and {tgt.cols} do not fit "
             f"projections {pi.shape} and {po.shape} into one edge space"
         )
-    saved = edge_values(v, tgt.data, pi, po)
+    saved = edge_values(v, *project_targets(tgt.data, po), pi)
     shared_src = src.rows == 1
     src_inputs = () if src.tape is None else (src,) * (m if shared_src else 1)
     inputs = (proj_o,) * m + (proj_i,) * m + src_inputs
@@ -110,29 +111,26 @@ def edge_weight(src: Tensor, rel: Tensor, tgt: Tensor, proj_i: Tensor, proj_o: T
     return ad._emit(ad._joint_tape(src, proj_i, proj_o), inputs, open_unit(saved[4]), bwd)
 
 
-def edge_values(
-    v: Array, tgt: Array, proj_i: Array, proj_o: Array, projected_targets: tuple[Array, Array] | None = None
-) -> tuple[Array, ...]:
-    """Score M edge rows on plain arrays: (e_i, e_o, mask_i, mask_o, s).
+def project_targets(tgt: Array, proj_o: Array) -> tuple[Array, Array]:
+    """(e_o, mask_o) of M edge target rows: ReLU(tgt_m @ proj_o) by stacked one-row products, and where it is positive."""
+    e_o = (tgt[:, None, :] @ proj_o)[:, 0, :]
+    mask_o = e_o > 0
+    e_o[~mask_o] = 0.0  # ReLU in place: fewer temporaries when a batch scores many rows
+    return e_o, mask_o
 
-    s is the (M, 1) column sigmoid(ReLU(v_m @ proj_i) . ReLU(tgt_m @ proj_o))
-    before the open-interval clip; the rest is what edge_weight's backward
-    reads. Every product is a stacked one-row product, so a row's score does
-    not depend on which other rows share the call: edge_weight scores one
-    frame's block with it, the batched inference forward every edge of a batch.
-    ``projected_targets``, when given, is the (e_o, mask_o) of ``tgt`` already
-    projected and ReLU'd (by an earlier call on the same target rows), and
-    ``tgt`` is not read.
+
+def edge_values(v: Array, e_o: Array, mask_o: Array, proj_i: Array) -> tuple[Array, ...]:
+    """Score M edge rows on plain arrays, given project_targets' (e_o, mask_o): (e_i, e_o, mask_i, mask_o, s).
+
+    s is the (M, 1) column sigmoid(ReLU(v_m @ proj_i) . e_o_m) before the
+    open-interval clip; the rest is what edge_weight's backward reads. Every
+    product is a stacked one-row product, so a row's score does not depend
+    on which other rows share the call: edge_weight scores one frame's
+    block with it, the batched forward every edge of a pass.
     """
     e_i = (v[:, None, :] @ proj_i)[:, 0, :]
     mask_i = e_i > 0
-    e_i[~mask_i] = 0.0  # ReLU in place: fewer temporaries when a batch scores many rows
-    if projected_targets is None:
-        e_o = (tgt[:, None, :] @ proj_o)[:, 0, :]
-        mask_o = e_o > 0
-        e_o[~mask_o] = 0.0
-    else:
-        e_o, mask_o = projected_targets
+    e_i[~mask_i] = 0.0
     s = sigmoid_values((e_i[:, None, :] @ e_o[:, :, None])[:, 0, :])
     return e_i, e_o, mask_i, mask_o, s
 

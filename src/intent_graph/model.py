@@ -2,12 +2,12 @@
 
 Per observed frame the forward pass (a) updates the pedestrian stream cell on
 the frame's pedestrian feature (or passes the raw feature through), (b) scores
-one edge weight per scene object, all of them in one block (and in
-fully_connected mode all object pairs in a second block), (c) runs graph
-convolution over the star graph and splits the result into the refined
-pedestrian row and the mean object context, and (d) feeds the concatenated
-frame vector to the aggregation cell. The last aggregated hidden state seeds a zero-input rollout
-that emits one crossing logit per future frame.
+one edge weight per scene object (and in fully_connected mode one per object
+pair), (c) runs graph convolution over the star graph and splits the result
+into the refined pedestrian row and the mean object context, and (d) feeds
+the concatenated frame vector to the aggregation cell. The last aggregated
+hidden state seeds a zero-input rollout that emits one crossing logit per
+future frame.
 
 graph_mode variants:
   star             full model (pedestrian hub, object spokes)
@@ -23,22 +23,23 @@ input object lists; floating-point addition is not associative, so ordering
 is what makes that exact rather than approximate.
 
 check_parameters, which both forwards and save_checkpoint call, is the one
-check of parameter names and shapes; nothing downstream checks them again.
+check of parameter names and shapes, and of the NaNs a ReLU would hide;
+nothing downstream checks them again.
 
 There is one implementation of each stage, and two forwards call it.
 forward_chunk is the tape-free pass over up to CHUNK (64) scenarios that
 both inference (forward_batch: evaluate, forward as a batch of one, the
 CLI's eval, predict and ablate) and training use; it never builds a Tensor.
 It runs each GRU of all B scenarios as stacked one-row products,
-(B, 1, I+H) @ W, through the value kernel gru_values; scores all spokes of
-a pass in one call of the stacked-row kernel edge_values (and all object
-pairs in a second, which takes each pair's projected target row from the
-spoke to the same object); and groups frames by object count N, so each
-bucket's graph block is one call of the stacked kernels:
-(m, N+1, N+1) @ (m, N+1, H) @ W per layer, then the split into frame rows. For training it keeps what
-a backward reads, and backward_chunk walks the stages in reverse over the same
-layout, through the stacked backward kernels gru_backward, graph_backward
-and edge_backward, returning each scenario's gradients.
+(B, 1, I+H) @ W, through the value kernel gru_values; scores every edge of
+a pass in one call of the stacked-row kernel edge_values, as one block in
+the order forward_logits scores them (_Edges); and groups frames by object
+count N, so each bucket's graph block is one call of the stacked kernels:
+(m, N+1, N+1) @ (m, N+1, H) @ W per layer, then the split into frame rows.
+For training it keeps what a backward reads, and backward_chunk walks the
+stages in reverse over the same layout, through the stacked backward
+kernels gru_backward, graph_backward and edge_backward, returning each
+scenario's gradients.
 NumPy evaluates a stacked product one matrix at a time, with the call the
 lone product makes, so a batched logit equals forward_logits byte for byte
 whatever else shares the batch (tests/test_model.py checks this under
@@ -47,13 +48,14 @@ would add zero terms to the sums and change their rounding. For the
 gradients, backward_chunk adds every term in the order GradientTape.backward
 adds it for forward_logits, so they too are the tape's byte for byte.
 The tape adds a scenario's edge.proj_i and edge.proj_o gradients as one
-outer product per edge; _outer_sum gives that sum from one
-np.einsum("mr,mc->rc") per scenario and parameter. Without optimize (its
-default), einsum runs m as its outer loop for these shapes and adds each
-exact product to an output that starts at +0.0, which is the tape's fold;
-optimize=True would hand the product to BLAS, which sums in blocks. Only
-when R * C == 1 (D = 1 without the object class, and D_e = 1) does einsum
-make m its unrolled inner loop; that shape folds outer_rows' stack instead.
+outer product per edge, last scored first: its rows of the edge block,
+reversed, on which _outer_sum runs one np.einsum("mr,mc->rc") per
+parameter. Without optimize (its default), einsum runs m as its outer loop
+for these shapes and adds each exact product to an output that starts at
++0.0, which is the tape's fold; optimize=True would hand the product to
+BLAS, which sums in blocks. Only when R * C == 1 (D = 1 without the object
+class, and D_e = 1) does einsum make m its unrolled inner loop; that shape
+folds outer_rows' stack instead.
 
 forward_chunk reads no frame or object record after a scenario's first
 pass. _pack walks the observed frames of a pass's new scenarios once,
@@ -104,6 +106,7 @@ from .graph import (
     open_unit,
     outer_rows,
     pair_indices,
+    project_targets,
     star_graph,
 )
 from .recurrent import (
@@ -115,7 +118,7 @@ from .recurrent import (
     prediction_rollout,
     run_observation,
 )
-from .scene import CATEGORY_COUNT, FrameObservation, ObjectCategory, Scenario, spatial_relation
+from .scene import CATEGORY_COUNT, RELATION_OVERFLOW, FrameObservation, ObjectCategory, Scenario, relation_rows, spatial_relation
 
 GRAPH_MODES = ("star", "fully_connected", "concat_baseline", "pedestrian_only")
 
@@ -257,7 +260,15 @@ def parameter_count(cfg: ModelConfig) -> int:
 
 
 def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The parameters as float64 arrays, once their names and shapes match the config (else ConfigError)."""
+    """The parameters as float64 arrays, once their names and shapes match the config (else ConfigError).
+
+    A NaN in edge.proj_* or gcn.W* is a ConfigError too: a ReLU would turn
+    it into zeros and give finite logits. Only those arrays are scanned, in
+    one pass, as forward() of one scenario pays this check every call: a
+    NaN elsewhere reaches the logits, which evaluate, train and the CLI
+    refuse. An infinite value passes; the NaN it makes (inf * 0) fails the
+    edge-weight or logit check.
+    """
     shapes = parameter_shapes(cfg)
     if set(values) != set(shapes):
         missing = sorted(set(shapes) - set(values))
@@ -267,6 +278,10 @@ def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> dict
     for name, shape in shapes.items():
         if checked[name].shape != shape:
             raise ConfigError(f"parameter {name} has shape {checked[name].shape}, config expects {shape}")
+    relu_fed = [name for name in checked if name.startswith(("edge.", "gcn."))]
+    if relu_fed and np.isnan(np.concatenate([checked[name] for name in relu_fed], axis=None)).any():
+        name = next(name for name in relu_fed if np.isnan(checked[name]).any())
+        raise ConfigError(f"parameter {name} holds a NaN")
     return checked
 
 
@@ -563,98 +578,59 @@ def _run_cell(cell: GRUCellParams, inputs: np.ndarray, h: np.ndarray, steps: lis
     return states
 
 
-def _buckets(counts: np.ndarray):
-    """(N, frame indices, (m, N) object row indices) per distinct object count N."""
+def _buckets(counts: np.ndarray, sizes: np.ndarray | None = None):
+    """(N, frame indices, (m, N) object rows, (m, E) edge rows) per distinct object count N.
+
+    Frame f's edges are sizes[f] adjacent rows of the edge block; without
+    ``sizes`` (star mode) they are its objects' rows, the same array.
+    """
     starts = np.cumsum(counts) - counts
+    edge_starts = None if sizes is None else np.cumsum(sizes) - sizes
     for n in sorted(set(counts.tolist())):
         frames = np.flatnonzero(counts == n)
-        yield n, frames, starts[frames][:, None] + np.arange(n)
+        rows = starts[frames][:, None] + np.arange(n)
+        yield n, frames, rows, rows if sizes is None else edge_starts[frames][:, None] + np.arange(n * (n + 1) // 2)
 
 
 @dataclass(frozen=True)
 class _Edges:
-    """M scored edges drawn from many frames, and what their backward reads."""
+    """A pass's M scored edges in forward_logits' order, and what their backward reads.
 
-    frames: np.ndarray  # (M,) frame index of each edge; a frame's edges are adjacent, in order
+    Frame by frame, a frame's spokes and then (fully_connected) its object
+    pairs i < j, row-major; in star mode the rows are the object rows.
+    """
+
     v: np.ndarray  # (M, Dc+8) source rows and scaled relations
     targets: np.ndarray  # (M, Do)
     saved: tuple  # edge_values' (e_i, e_o, mask_i, mask_o, s)
-    weights: np.ndarray  # (M,) clipped weights
-    overflow: np.ndarray  # frames whose relation overflowed (their rows are NaN)
-    message: str | None  # spatial_relation's error, when one did
+    bounds: list  # B+1 row indices: scenario s holds rows bounds[s]:bounds[s + 1]
 
 
-def _score_edges(
-    cfg: ModelConfig, p: Mapping[str, np.ndarray],
-    src: np.ndarray, src_boxes: np.ndarray, tgt_boxes: np.ndarray, targets: np.ndarray, frames: np.ndarray,
-    projected_targets: tuple[np.ndarray, np.ndarray] | None = None,
-) -> _Edges:
-    """Score M edges drawn from many frames; no check raises here (see _check_edges).
-
-    The rows of ``src`` (M, Dc), ``src_boxes`` and ``tgt_boxes`` (M, 4) and
-    ``targets`` (M, Do) describe the edges; ``frames`` holds each edge's
-    frame index. ``projected_targets`` is passed on to edge_values.
-    """
-    overflow, message = np.zeros(0, dtype=np.intp), None
-    try:
-        rel = spatial_relation(src_boxes, tgt_boxes)
-    except ValueError as exc:
-        rel, failed, message = np.full((len(frames), 8), np.nan), [], str(exc)
-        for frame in np.unique(frames):
-            rows = frames == frame
-            try:
-                rel[rows] = spatial_relation(src_boxes[rows], tgt_boxes[rows])
-            except ValueError:
-                failed.append(frame)
-        overflow = np.array(failed, dtype=np.intp)
-    v = np.concatenate([src, rel * cfg.spatial_scale], axis=1)
-    saved = edge_values(v, targets, p["edge.proj_i"], p["edge.proj_o"], projected_targets)
-    return _Edges(frames, v, targets, saved, open_unit(saved[4])[:, 0], overflow, message)
-
-
-def _pair_edges(
-    cfg: ModelConfig, p: Mapping[str, np.ndarray], objs: _ObjectRows, targets: np.ndarray, owner: np.ndarray,
-    buckets: list, spokes: _Edges,
-) -> _Edges:
-    """Score the object pairs i < j of every frame, row-major, bucket by bucket.
-
-    ``targets`` and ``owner`` are each object row's edge-target row and
-    frame, ``spokes`` the scored spokes. Spoke k's target is object row k,
-    so its ReLU'd projected target is, bit for bit, that of every pair
-    ending at row k: the pairs gather theirs from the spokes.
-    """
-    src_rows, tgt_rows = [], []
-    for n, _, rows in buckets:
-        i, j = pair_indices(n)
-        src_rows.append(rows[:, i].reshape(-1))
-        tgt_rows.append(rows[:, j].reshape(-1))
-    i, j = np.concatenate(src_rows), np.concatenate(tgt_rows)
-    feats, boxes, (_, e_o, _, mask_o, _) = objs.feats, objs.boxes, spokes.saved
-    return _score_edges(cfg, p, feats[i], boxes[i], boxes[j], targets[j], owner[i], (e_o[j], mask_o[j]))
-
-
-def _check_edges(scenarios, cfg: ModelConfig, blocks: Sequence[tuple[str, _Edges]]) -> None:
+def _check_edges(
+    scenarios, cfg: ModelConfig, counts: np.ndarray, sizes: np.ndarray, overflow: np.ndarray | None, weights: np.ndarray
+) -> None:
     """Raise EdgeCheckError for the first failing check, in forward_logits' order.
 
-    forward_logits checks frame by frame: the spoke relations, the pair
-    relations, the spoke weights, then the pair weights, each weight in
-    (0, 1). ``blocks`` holds (what, edges) for the spokes and, in
-    fully_connected mode, the pairs.
+    forward_logits checks frame by frame: a frame's relations, then its
+    spoke weights and its pair weights, each in (0, 1). ``weights`` and
+    ``overflow`` (None, or which relations overflowed) are in the _Edges
+    order, where frame f holds sizes[f] edges, its counts[f] spokes first.
     """
-    failures = []  # (frame, check, message, detail)
-    for rank, (what, edges) in enumerate(blocks):
-        if edges.overflow.size:
-            failures.append((int(edges.overflow.min()), rank, edges.message, edges.message))
-        bad = np.flatnonzero(~((edges.weights > 0.0) & (edges.weights < 1.0)))
-        if bad.size:
-            edge = bad[np.argmin(edges.frames[bad])]
-            frame, value = int(edges.frames[edge]), float(edges.weights[edge])
-            index = edge - np.flatnonzero(edges.frames == frame)[0]
-            tail = f"outside the open interval (0,1): {value!r}"
-            failures.append((frame, len(blocks) + rank, f"{what} {tail}", f"{what} {index} {tail}"))
-    if failures:
-        frame, _, message, detail = min(failures, key=lambda failure: failure[:2])
-        raise EdgeCheckError(f"scenario {scenarios[frame // cfg.T].id!r}: {message}", detail)
+    bad = ~((weights > 0.0) & (weights < 1.0))
+    if overflow is not None:
+        bad |= overflow
+    if not bad.any():
+        return
+    edge = int(np.argmax(bad))  # the first failing edge, in the first failing frame
+    ends = np.cumsum(sizes)
+    frame = int(np.searchsorted(ends, edge, side="right"))
+    first, scenario = int(ends[frame] - sizes[frame]), scenarios[frame // cfg.T].id
+    if overflow is not None and overflow[first : ends[frame]].any():
+        raise EdgeCheckError(f"scenario {scenario!r}: {RELATION_OVERFLOW}", RELATION_OVERFLOW)
+    index, n = edge - first, int(counts[frame])
+    what, index = ("edge weight", index) if index < n else ("object pair weight", index - n)
+    tail = f"outside the open interval (0,1): {float(weights[edge])!r}"
+    raise EdgeCheckError(f"scenario {scenario!r}: {what} {tail}", f"{what} {index} {tail}")
 
 
 def forward_chunk(
@@ -684,7 +660,7 @@ def forward_chunk(
         vecs = ped
     elif mode == "concat_baseline":
         pooled = np.zeros((b * t_obs, cfg.D))
-        for n, frames, rows in _buckets(objs.counts):
+        for n, frames, rows, _ in _buckets(objs.counts):
             if n:
                 pooled[frames] = objs.feats[rows].mean(axis=1)
         vecs = np.concatenate([ped, pooled.reshape(b, t_obs, 1, cfg.D)], axis=-1)
@@ -721,46 +697,58 @@ def _graph_frames(
     ``objs``, ``ped_boxes`` and ``ped_rows`` are _packed's object rows and
     pedestrian boxes and the (F, H) pedestrian stream.
 
-    All spokes of the batch are scored in one stacked call (and in
-    fully_connected mode all object pairs in a second); then the frames are
-    bucketed by object count N, and each bucket runs graph convolution as
-    one stacked (m, N+1, N+1) @ (m, N+1, H) @ W per layer. Into ``kept``,
-    when given, go the scored edge blocks ("edges": spokes, then pairs) and
-    per bucket (N, frames, object rows, slice of the pair block, adjacency,
-    build_adjacency's and graph_conv's saved values) ("buckets").
+    Every edge of the pass is scored in one stacked call, laid out as
+    _Edges says; then each bucket of frames with N objects runs graph
+    convolution as one stacked (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
+    Into ``kept``, when given, go the _Edges ("edges") and per bucket (N,
+    frames, edge rows, adjacency, build_adjacency's and graph_conv's saved
+    values) ("buckets").
     """
-    feats, boxes = objs.feats, objs.boxes
+    feats, boxes, counts = objs.feats, objs.boxes, objs.counts
+    pairs = cfg.graph_mode == "fully_connected"
+    sizes = counts * (counts + 1) // 2 if pairs else counts  # edges per frame: spokes, then pairs
+    buckets = list(_buckets(counts, sizes if pairs else None))
     targets = _edge_targets(cfg, objs.categories, feats)
-    owner = np.repeat(np.arange(len(ped_rows)), objs.counts)  # frame of each object row
-    blocks = [("edge weight", _score_edges(cfg, p, ped_rows[owner], ped_boxes[owner], boxes, targets, owner))]
-    buckets = list(_buckets(objs.counts))
-    if cfg.graph_mode == "fully_connected":
-        blocks.append(("object pair weight", _pair_edges(cfg, p, objs, targets, owner, buckets, blocks[0][1])))
-    _check_edges(scenarios, cfg, blocks)
-    spokes, *pair_block = [edges.weights for _, edges in blocks]
+    e_o, mask_o = project_targets(targets, p["edge.proj_o"])  # once per object, for every edge ending at it
+    if pairs:  # each edge's source and target node: object rows, then one pedestrian row per frame
+        src, tgt = np.empty((2, int(sizes.sum())), dtype=np.intp)
+        for n, frames, rows, edges in buckets:
+            i, j = pair_indices(n)
+            src[edges[:, :n]], src[edges[:, n:]] = (len(feats) + frames)[:, None], rows[:, i]
+            tgt[edges[:, :n]], tgt[edges[:, n:]] = rows, rows[:, j]
+        sources = np.concatenate([feats, ped_rows])[src]
+        src_boxes, tgt_boxes = np.concatenate([boxes, ped_boxes])[src], boxes[tgt]
+        targets, e_o, mask_o = targets[tgt], e_o[tgt], mask_o[tgt]
+    else:
+        owner = np.repeat(np.arange(len(ped_rows)), counts)  # frame of each object row
+        sources, src_boxes, tgt_boxes = ped_rows[owner], ped_boxes[owner], boxes
+    rel, overflow = relation_rows(src_boxes, tgt_boxes), None
+    if not np.isfinite(rel).all():
+        overflow = ~np.isfinite(rel).all(axis=1)
+        rel[overflow] = np.nan  # the check below raises; a NaN, unlike an inf, passes the products quietly
+    v = np.concatenate([sources, rel * cfg.spatial_scale], axis=1)
+    saved = edge_values(v, e_o, mask_o, p["edge.proj_i"])
+    weights = open_unit(saved[4])[:, 0]
+    _check_edges(scenarios, cfg, counts, sizes, overflow, weights)
     if kept is not None:
-        kept["edges"] = [edges for _, edges in blocks]
-    del blocks  # unless kept, the edges' saved values go before the graph work
+        bounds = np.concatenate([[0], np.cumsum(sizes)])[:: cfg.T].tolist()
+        kept["edges"] = _Edges(v, targets, saved, bounds)
+    # unless kept, the edge arrays go before the graph work: held through it, they slowed evaluate() by about 2%
+    del v, saved, rel, sources, src_boxes, tgt_boxes, targets, e_o, mask_o
 
     layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
     vecs = np.empty((len(ped_rows), 2 * cfg.hidden))
     buckets_kept = _slot(kept, "buckets")
-    pair_at = 0
-    for n, frames, rows in buckets:
-        pairs = None
-        if cfg.graph_mode == "fully_connected":
-            count = len(frames) * (n * (n - 1) // 2)
-            pairs = slice(pair_at, pair_at + count)
-            pair_at += count
+    for n, frames, rows, edges in buckets:
         x = np.empty((len(frames), n + 1, cfg.hidden))
         x[:, 0] = ped_rows[frames]
         x[:, 1:] = feats[rows]
-        pair_weights = None if pairs is None else pair_block[0][pairs].reshape(len(frames), -1)
-        a, norm = build_adjacency(spokes[rows], pair_weights, cfg.normalize_adjacency)
+        w = weights[edges]
+        a, norm = build_adjacency(w[:, :n], w[:, n:] if pairs else None, cfg.normalize_adjacency)
         z, saved = graph_conv(a, x, layers)
         vecs[frames] = frame_rows(z)
         if buckets_kept is not None:
-            buckets_kept.append((n, frames, rows, pairs, a, norm, saved))
+            buckets_kept.append((n, frames, edges, a, norm, saved))
     return vecs
 
 
@@ -884,19 +872,16 @@ def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g
     n_layers, h_width, t_obs = cfg.num_layers, cfg.hidden, cfg.T
     b = len(g_rows) // t_obs
     layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(n_layers)]
-    blocks = kept["edges"]
-    pairs = len(blocks) == 2
+    edges, pairs = kept["edges"], cfg.graph_mode == "fully_connected"
     layer_grads = np.empty((len(g_rows), n_layers, h_width, h_width))
     center = np.empty((len(g_rows), h_width))
-    g_weights = [np.empty(len(edges.frames)) for edges in blocks]
-    for n, frames, rows, pair_rows, a, norm, saved in kept["buckets"]:
+    g_weights = np.empty(len(edges.v))
+    for _, frames, at, a, norm, saved in kept["buckets"]:
         by_layer, g_spokes, g_pairs, g_center = graph_backward(a, norm, saved, layers, g_rows[frames], pairs)
         center[frames] = g_center
         if n_layers:
             layer_grads[frames] = np.stack(by_layer, axis=1)
-            g_weights[0][rows] = g_spokes
-            if pairs:
-                g_weights[1][pair_rows] = g_pairs.reshape(-1)
+            g_weights[at] = g_spokes if g_pairs is None else np.concatenate([g_spokes, g_pairs], axis=1)
     if not n_layers:
         return center  # the weights feed nothing, and the edges get no gradient
 
@@ -908,27 +893,18 @@ def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g
         for layer in range(n_layers):
             grads[f"gcn.W{layer}"] = _fold(visit[:, :, n_layers - 1 - layer].swapaxes(0, 1))
 
-    by_block = [edge_backward(edges.saved, g[:, None]) for edges, g in zip(blocks, g_weights)]
-    g_i = np.concatenate([g_in for g_in, _ in by_block])
-    g_o = np.concatenate([g_out for _, g_out in by_block])
-    # forward_logits scores a scenario frame by frame, a frame's spokes before
-    # its pairs; the tape adds the per-edge terms in exactly the reverse order
-    frames = np.concatenate([edges.frames for edges in blocks])
-    order = np.lexsort((np.repeat(np.arange(len(blocks)), [len(edges.frames) for edges in blocks]), frames))
-    bounds = np.searchsorted(frames[order], np.arange(b + 1) * t_obs)
-    v = np.concatenate([edges.v for edges in blocks])
-    targets = np.concatenate([edges.targets for edges in blocks])
-    for name, rows, g in (("edge.proj_i", v, g_i), ("edge.proj_o", targets, g_o)):
+    # the tape adds the per-edge terms in the reverse of forward_logits' order: a scenario's rows, reversed
+    g_i, g_o = edge_backward(edges.saved, g_weights[:, None])
+    for name, rows, g in (("edge.proj_i", edges.v, g_i), ("edge.proj_o", edges.targets, g_o)):
         grads[name] = np.zeros((b, *p[name].shape))
-        for s in range(b):
-            visit = order[bounds[s] : bounds[s + 1]][::-1]
-            if visit.size:  # one scenario at a time: small gathers, and no (M, R, C) stack
-                grads[name][s] = _outer_sum(rows.take(visit, axis=0), g.take(visit, axis=0))
+        for s, (lo, hi) in enumerate(zip(edges.bounds, edges.bounds[1:])):
+            if hi > lo:
+                grads[name][s] = _outer_sum(rows[lo:hi][::-1], g[lo:hi][::-1])
 
-    g_src = (g_i[: len(blocks[0].frames), None, :] @ p["edge.proj_i"].T)[:, 0, :h_width]
     g_ped = np.empty_like(center)
-    for n, frames, rows, *_ in kept["buckets"]:
-        g_ped[frames] = reduce(np.add, [center[frames], *(g_src[rows[:, k]] for k in reversed(range(n)))])
+    for n, frames, at, *_ in kept["buckets"]:
+        g_src = (g_i[at[:, :n], None, :] @ p["edge.proj_i"].T)[:, :, 0, :h_width]  # (m, N, H), per spoke
+        g_ped[frames] = reduce(np.add, [center[frames], *(g_src[:, k] for k in reversed(range(n)))])
     return g_ped
 
 

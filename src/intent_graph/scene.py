@@ -8,7 +8,10 @@ pedestrian, or one object to another) is the 8-vector
 
 where every delta is target minus source and the union terms are the
 width/height of the smallest box containing both, all in raw pixels.
-``spatial_relation`` computes a block of such rows at once.
+``relation_rows`` computes a block of such rows at once; ``spatial_relation``
+adds the check that every entry is finite. The model's stacked pass calls
+the kernel on every edge of a pass and makes that check itself, so it can
+name the first frame whose relation overflowed.
 
 The scene dataclasses are plain frozen records with slots: they check
 nothing. ``data.load`` fills them from a file and owns every rule on a record
@@ -123,17 +126,17 @@ class BoundingBox:
         return [self.xmin, self.ymin, self.xmax, self.ymax]
 
 
-def spatial_relation(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
-    """Encode where each ``tgt`` box sits relative to its ``src`` box.
+RELATION_OVERFLOW = "spatial_relation: non-finite entry"
 
-    ``src`` and ``tgt`` are (M, 4) or (1, 4) float64 arrays of
-    ``[xmin, ymin, xmax, ymax]`` rows; a (1, 4) side is shared by every row.
-    Returns the (M, 8) block ``[dxmin, dymin, dxmax, dymax, dxc, dyc,
-    w_union, h_union]``. Raises ValueError on a non-finite entry, which finite
-    boxes near the edge of the float range can produce by overflow.
+
+def relation_rows(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """The (M, 8) relations of (M, 4) or (1, 4) ``[xmin, ymin, xmax, ymax]`` boxes, a (1, 4) side shared by every row.
+
+    Unchecked: finite boxes near the edge of the float range can overflow
+    to a non-finite entry, which is left for the caller to find.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        rel = np.concatenate(
+        return np.concatenate(
             [
                 tgt - src,
                 0.5 * (tgt[:, :2] + tgt[:, 2:]) - 0.5 * (src[:, :2] + src[:, 2:]),
@@ -141,8 +144,13 @@ def spatial_relation(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
             ],
             axis=1,
         )
+
+
+def spatial_relation(src: np.ndarray, tgt: np.ndarray) -> np.ndarray:
+    """relation_rows(src, tgt), or ValueError(RELATION_OVERFLOW) when an entry is not finite."""
+    rel = relation_rows(src, tgt)
     if not np.isfinite(rel).all():
-        raise ValueError("spatial_relation: non-finite entry")
+        raise ValueError(RELATION_OVERFLOW)
     return rel
 
 

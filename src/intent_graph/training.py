@@ -40,7 +40,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .autodiff import GradientTape, Tensor, bce_with_logits, scale, sigmoid_values
-from .configs import check_int, check_real, from_mapping, to_plain_dict
+from .configs import ConfigError, check_int, check_real, from_mapping, to_plain_dict
 from .model import (
     CHUNK,
     EdgeCheckError,
@@ -371,7 +371,7 @@ def train(
             optimizer.step(buffer)
         try:
             report = evaluate(dataset, cfg, values)
-        except NumericError as exc:
+        except (NumericError, ConfigError) as exc:  # a ConfigError here is a parameter the step made NaN
             raise NumericError(f"epoch {epoch}: {exc}") from None
         history.append(report)
         if metrics_out is not None:

@@ -526,6 +526,17 @@ def test_synth_config_that_overflows_is_a_data_error(tmp_path, capsys, command, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # no dataset, sidecar or .tmp file
 
 
+def test_synth_config_too_crowded_for_the_label_margins_is_a_data_error(tmp_path, capsys):
+    synth = {"n_scenarios": 3, "frames_per_scenario": 6, "D": 4, "seed": 0, "vehicle_count_range": [30, 30]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"synth": synth}))
+    code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data.jsonl")])
+    doc = _strict_json(capsys.readouterr().out)
+    assert (code, doc["error"]["kind"]) == (3, "data")
+    assert "synthetic scenario 1" in doc["error"]["message"] and "vehicle_count_range (30, 30)" in doc["error"]["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]  # no dataset, sidecar or .tmp file
+
+
 # -- gradcheck (exit 0 or 4) ---------------------------------------------------------
 
 

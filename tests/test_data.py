@@ -336,6 +336,15 @@ def test_generated_scenarios_are_well_formed():
         assert s.fps == cfg.fps
 
 
+def test_a_scene_too_crowded_for_the_label_margins_is_refused():
+    # 30 parked vehicles leave no draw whose pedestrian stays clear of theta_v on every frame;
+    # scenario 0 of seed 0 finds one, scenario 1 does not
+    crowded = dict(n_scenarios=3, frames_per_scenario=6, D=4, seed=0, vehicle_count_range=(30, 30))
+    generate_synthetic(SynthConfig(**dict(crowded, n_scenarios=1)))
+    with pytest.raises(ValueError, match=r"^synthetic scenario 1: .* margins \(vehicle_count_range \(30, 30\)\)$"):
+        generate_synthetic(SynthConfig(**crowded))
+
+
 def test_tiny_feature_width_uses_projection():
     cfg = SynthConfig(n_scenarios=2, frames_per_scenario=4, D=4, seed=3)
     for s in generate_synthetic(cfg):

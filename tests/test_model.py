@@ -19,7 +19,7 @@ from intent_graph import model
 from intent_graph.autodiff import GradientTape, Tensor, sigmoid_values
 from intent_graph.configs import ConfigError, finite_array, is_finite_real
 from intent_graph.data import SynthConfig, generate_synthetic
-from intent_graph.graph import edge_values, outer_rows
+from intent_graph.graph import edge_weight, open_unit, outer_rows, pair_indices
 from intent_graph.model import (
     CheckpointError,
     ModelConfig,
@@ -45,6 +45,7 @@ from intent_graph.scene import (
     FrameObservation,
     ObjectCategory,
     ObjectObservation,
+    spatial_relation,
 )
 from intent_graph.training import (
     TrainConfig,
@@ -418,16 +419,43 @@ def test_outer_sum_adds_the_edges_in_order_like_the_tape():
     for rows, g in _outer_sum_cases(np.random.default_rng(7)):
         want = functools.reduce(np.add, outer_rows(rows, g))
         assert _outer_sum(rows, g).tobytes() == want.tobytes(), (rows.shape, g.shape)
+        # the backward passes each scenario's edges as reversed views: negative strides must not reorder the sum
+        back = np.arange(len(rows))[::-1]
+        copies = _outer_sum(rows.take(back, axis=0), g.take(back, axis=0))
+        assert _outer_sum(rows[::-1], g[::-1]).tobytes() == copies.tobytes(), (rows.shape, g.shape)
 
 
-def test_pair_edges_reuse_the_spokes_projected_targets():
-    cfg = _batch_cfg("fully_connected", "default", "L3-unshared-norm-cls")
+def test_edge_block_holds_each_frames_spokes_then_pairs_as_the_tape_scores_them():
+    # without a pedestrian cell, a spoke's source row is the raw pedestrian feature
+    cfg = _batch_cfg("fully_connected", "no-ped-gru", "L3-unshared-norm-cls")
     p = model.check_parameters(cfg, init_parameters(cfg))
-    spokes, pairs = model.forward_chunk(_mixed_batch(), cfg, p, keep=True)[1]["edges"]
-    assert len(pairs.frames) > len(spokes.frames)
-    fresh = edge_values(pairs.v, pairs.targets, p["edge.proj_i"], p["edge.proj_o"])
-    for got, want in zip(pairs.saved, fresh):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    batch = _mixed_batch()
+    edges = model.forward_chunk(batch, cfg, p, keep=True)[1]["edges"]
+    proj = Tensor(p["edge.proj_i"]), Tensor(p["edge.proj_o"])
+    at = 0
+    for s, scenario in enumerate(batch):
+        assert edges.bounds[s] == at
+        observed = scenario.frames[: cfg.T]
+        objs = _object_rows(observed, cfg.D)
+        targets = model._edge_targets(cfg, objs.categories, objs.feats)
+        ends = np.cumsum(objs.counts)
+        for t, frame in enumerate(observed):
+            rows = slice(ends[t] - objs.counts[t], ends[t])
+            feats, boxes, tgt = objs.feats[rows], objs.boxes[rows], targets[rows]
+            ped = frame.pedestrian_feature.reshape(1, -1)
+            rel = spatial_relation(np.array([frame.pedestrian_box.as_list()]), boxes) * cfg.spatial_scale
+            i, j = pair_indices(len(feats))
+            pair_rel = spatial_relation(boxes[i], boxes[j]) * cfg.spatial_scale
+            want = [
+                (edge_weight(Tensor(ped), Tensor(rel), Tensor(tgt), *proj), np.hstack([np.repeat(ped, len(feats), 0), rel]), tgt),
+                (edge_weight(Tensor(feats[i]), Tensor(pair_rel), Tensor(tgt[j]), *proj), np.hstack([feats[i], pair_rel]), tgt[j]),
+            ]
+            for weights, v, tgt_rows in want:
+                got = slice(at, at + len(v))
+                assert open_unit(edges.saved[4][got]).tobytes() == weights.data.tobytes()
+                assert edges.v[got].tobytes() == v.tobytes() and edges.targets[got].tobytes() == tgt_rows.tobytes()
+                at = got.stop
+    assert edges.bounds[-1] == at == len(edges.v)
 
 
 def test_canonical_object_order_matches_the_sort_key_even_on_ties():

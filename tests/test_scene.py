@@ -14,7 +14,9 @@ from intent_graph.scene import (
     FrameObservation,
     ObjectCategory,
     ObjectObservation,
+    RELATION_OVERFLOW,
     Scenario,
+    relation_rows,
     spatial_relation,
 )
 
@@ -98,6 +100,22 @@ def test_relation_overflow_is_rejected():
     far_right = _rows(BoundingBox(1.6e308, 0.0, 1.7e308, 1.0))
     with pytest.raises(ValueError, match="non-finite"):
         spatial_relation(far_left, far_right)
+
+
+@pytest.mark.filterwarnings("error")  # the unchecked kernel stays silent: its caller checks the rows
+def test_relation_rows_is_spatial_relation_without_the_check():
+    rng = np.random.default_rng(11)
+    corner = rng.uniform(-2000.0, 2000.0, size=(12, 2))
+    boxes = np.hstack([corner, corner + rng.uniform(0.5, 300.0, size=(12, 2))])
+    for src, tgt in ((boxes[:1], boxes[1:]), (boxes[:6], boxes[6:]), (boxes[:1], boxes[:0])):
+        assert relation_rows(src, tgt).tobytes() == spatial_relation(src, tgt).tobytes()
+    # a row that overflows comes back non-finite, beside the finite rows, where spatial_relation raises
+    src = _rows(BoundingBox(-1.7e308, 0.0, -1.6e308, 1.0), PED)
+    tgt = _rows(BoundingBox(1.6e308, 0.0, 1.7e308, 1.0), OBJ)
+    rel = relation_rows(src, tgt)
+    assert not np.isfinite(rel[0]).all() and rel[1].tolist() == RELATION
+    with pytest.raises(ValueError, match="^" + RELATION_OVERFLOW + "$"):
+        spatial_relation(src, tgt)
 
 
 finite = st.floats(-1e4, 1e4, allow_nan=False)

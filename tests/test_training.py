@@ -13,7 +13,15 @@ from intent_graph import training
 from intent_graph.autodiff import GradientTape, Tensor
 from intent_graph.configs import ConfigError
 from intent_graph.data import SynthConfig, generate_synthetic
-from intent_graph.model import ModelConfig, forward_logits, future_labels, init_parameters, parameter_shapes
+from intent_graph.model import (
+    ModelConfig,
+    forward,
+    forward_chunk,
+    forward_logits,
+    future_labels,
+    init_parameters,
+    parameter_shapes,
+)
 from intent_graph.recurrent import TemporalConfig
 from intent_graph.training import (
     AdamOptimizer,
@@ -460,6 +468,38 @@ def test_a_failing_minibatch_raises_what_the_taped_loop_raises(mode):
             "edge weight 0 outside the open interval (0,1): nan",
             "scenario: non-finite pedestrian feature in observed frame 1",
         }
+
+
+@pytest.mark.parametrize("name", ["edge.proj_i", "edge.proj_o", "gcn.W0"])
+def test_a_nan_parameter_is_refused_by_name(name):
+    cfg = _mcfg(num_layers=2, shared_weights=False)
+    values = init_parameters(cfg)
+    values[name][0, 0] = np.nan
+    data = _dataset()
+    # unchecked, the edge ReLUs and the ReLU after graph layer 0 turn the NaN into zeros
+    assert np.isfinite(forward_chunk(data, cfg, values)[0]).all()
+    refused = pytest.raises(ConfigError, match=f"^parameter {re.escape(name)} holds a NaN$")
+    with refused:
+        forward(data[0], cfg, values)
+    with refused:
+        evaluate(data, cfg, values)
+    with refused:
+        train(data, cfg, TrainConfig(epochs=1), initial=values)
+
+
+def test_a_step_that_makes_a_parameter_nan_is_a_numeric_error(monkeypatch):
+    cfg = _mcfg()
+    shapes = parameter_shapes(cfg)
+    at = sum(r * c for r, c in list(shapes.values())[: list(shapes).index("edge.proj_i")])  # its first value
+    step = training.AdamOptimizer.step
+
+    def poisoned(self, buffer):  # the buffer's first row holds every parameter, in parameter_shapes' order
+        step(self, buffer)
+        buffer[0, at] = np.nan
+
+    monkeypatch.setattr(training.AdamOptimizer, "step", poisoned)
+    with pytest.raises(NumericError, match=r"^epoch 1: parameter edge\.proj_i holds a NaN$"):
+        train(_dataset(), cfg, TrainConfig(epochs=2, batch_size=3))  # one step, then the epoch's evaluation
 
 
 # -- evaluation -------------------------------------------------------------------
