@@ -9,24 +9,36 @@ File format: one JSON object per line,
          "label": 0 | 1}]}
 
 This module owns every rule on a record; the ``scene`` types it fills are
-plain records that check nothing. ``load`` enforces, each in one place:
+plain records that check nothing. ``load`` enforces:
 
   - the keys above, no more and no fewer (``cam_dx`` may be left out, 0.0);
   - the number rule: every number is a JSON int or float, finite, within the
     float range (``configs.finite_array``);
   - a box has 4 corners with xmin <= xmax and ymin <= ymax;
   - a feature is a non-empty array, and every feature in a file has one width;
-  - a label is 0 or 1, ``t`` is an integer, ``fps > 0`` and ``frames`` is
-    non-empty;
+  - a label is the integer 0 or 1 (not 1.0), ``t`` is an integer,
+    ``fps > 0`` and ``frames`` is non-empty;
   - ``t`` increases strictly from frame to frame.
 
 A broken rule raises FeatureWidthError for the width, TimestampOrderError for
 the order and RecordParseError for the rest, each with the line number.
-Serialization is deterministic, so re-serializing a loaded file reproduces it
-byte for byte. ``generate_synthetic`` checks only that its draw is finite
-and that each scenario found a draw clear of the label margins.
-Both hand out read-only feature arrays: ``model`` packs a record's arrays
-once and keeps the packed copy on the record (see ``scene``).
+
+``load`` checks each decoded record in bulk first (``_bulk_record``): key
+sets compared as sets, ``t`` and ``label`` as exact ints, one
+``finite_array`` each over the record's boxes, features and ``cam_dx``
+values, and the corner order on its (n, 4) block of boxes. The bulk check
+never raises; a record it declines is walked field by field
+(``_parse_record``), the one place that words a load error, so an error's
+type, line and message do not depend on the bulk check.
+
+Serialization is deterministic, so re-serializing a file that
+``write_dataset`` wrote reproduces it byte for byte; another file comes back
+in that canonical form (``"fps": 10`` reads back as ``10.0``, and a missing
+``cam_dx`` as ``0.0``). ``generate_synthetic`` checks only that its draw is
+finite and that each scenario found a draw clear of the label margins.
+Both hand out read-only feature arrays (a loaded record's are rows of one
+(n, D) block): ``model`` packs a record's arrays once and keeps the packed
+copy on the record (see ``scene``).
 
 Synthetic scenarios and the labeling rule
 -----------------------------------------
@@ -56,6 +68,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -128,12 +141,20 @@ def _box(value, what: str, line: int) -> BoundingBox:
     return BoundingBox(xmin, ymin, xmax, ymax)
 
 
+_RECORD_KEYS = {"id", "fps", "frames"}
+_FRAME_KEYS = {"t", "ped", "objects", "label"}
+_PED_KEYS = {"box", "feat"}
+_OBJECT_KEYS = {"cat", "box", "feat"}  # and the optional "cam_dx"
+_OBJECT_KEY_SETS = (_OBJECT_KEYS, _OBJECT_KEYS | {"cam_dx"})
+_CATEGORIES = {c.value: c for c in ObjectCategory}
+
+
 def _parse_frame(obj, line: int, width: list[int | None]) -> FrameObservation:
-    _check_keys(obj, {"t", "ped", "objects", "label"}, set(), "frame", line)
+    _check_keys(obj, _FRAME_KEYS, set(), "frame", line)
     t = obj["t"]
     _require(isinstance(t, int) and not isinstance(t, bool), f"t must be an integer, got {t!r}", line)
     label = obj["label"]
-    _require(label in (0, 1) and not isinstance(label, bool), f"label must be 0 or 1, got {label!r}", line)
+    _require(type(label) is int and label in (0, 1), f"label must be 0 or 1, got {label!r}", line)
 
     def feature(value, what: str) -> np.ndarray:
         feat = _numbers(value, what, line)
@@ -144,14 +165,14 @@ def _parse_frame(obj, line: int, width: list[int | None]) -> FrameObservation:
         return _read_only(feat)
 
     ped = obj["ped"]
-    _check_keys(ped, {"box", "feat"}, set(), "ped", line)
+    _check_keys(ped, _PED_KEYS, set(), "ped", line)
     ped_box = _box(ped["box"], "ped.box", line)
     ped_feat = feature(ped["feat"], "ped.feat")
 
     objects = obj["objects"]
     _require(isinstance(objects, list), "objects must be an array", line)
     for entry in objects:
-        _check_keys(entry, {"cat", "box", "feat"}, {"cam_dx"}, "object", line)
+        _check_keys(entry, _OBJECT_KEYS, {"cam_dx"}, "object", line)
     cam_dx = _numbers([entry.get("cam_dx", 0.0) for entry in objects], "cam_dx", line).tolist()
     parsed = []
     for entry, dx in zip(objects, cam_dx):
@@ -176,12 +197,9 @@ def _parse_frame(obj, line: int, width: list[int | None]) -> FrameObservation:
     )
 
 
-def _parse_record(text: str, line: int, width: list[int | None]) -> Scenario:
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
-        raise RecordParseError(f"invalid JSON: {exc}", line) from exc
-    _check_keys(obj, {"id", "fps", "frames"}, set(), "record", line)
+def _parse_record(obj, line: int, width: list[int | None]) -> Scenario:
+    """The decoded record, walked field by field: the one place that words a load error."""
+    _check_keys(obj, _RECORD_KEYS, set(), "record", line)
     _require(isinstance(obj["id"], str) and obj["id"], "id must be a non-empty string", line)
     [fps] = _numbers([obj["fps"]], "fps", line).tolist()
     frames_raw = obj["frames"]
@@ -196,6 +214,84 @@ def _parse_record(text: str, line: int, width: list[int | None]) -> Scenario:
     return Scenario(id=obj["id"], frames=tuple(frames), fps=fps)
 
 
+def _only(values, kind: type) -> bool:
+    """True when every entry of ``values`` is exactly of type ``kind``."""
+    return set(map(type, values)) <= {kind}
+
+
+def _bulk_record(obj, width: list[int | None]) -> Scenario | None:
+    """The decoded record as _parse_record builds it, or None where the walk must look at it.
+
+    The same rules, checked a kind at a time over the whole record: key sets
+    compared as sets, one finite_array each over its boxes, its features and
+    its cam_dx values, and the corner order on the (n, 4) block of boxes.
+    Features are read-only rows of one (n, D) block, pedestrians' first.
+    Never raises: a record it declines may still be valid, and the walk
+    decides.
+    """
+    if type(obj) is not dict or obj.keys() != _RECORD_KEYS:
+        return None
+    rid, fps, frames = obj["id"], obj["fps"], obj["frames"]
+    if type(rid) is not str or not rid or type(frames) is not list or not frames:
+        return None
+    if not _only(frames, dict) or any(f.keys() != _FRAME_KEYS for f in frames):
+        return None
+    ts = [f["t"] for f in frames]
+    labels = [f["label"] for f in frames]
+    peds = [f["ped"] for f in frames]
+    per_frame = [f["objects"] for f in frames]
+    if not (_only(ts, int) and all(map(int.__lt__, ts, ts[1:])) and _only(labels, int) and set(labels) <= {0, 1}):
+        return None
+    if not _only(peds, dict) or any(p.keys() != _PED_KEYS for p in peds) or not _only(per_frame, list):
+        return None
+    objects = list(chain.from_iterable(per_frame))
+    if not _only(objects, dict) or not all(o.keys() in _OBJECT_KEY_SETS for o in objects):
+        return None
+    names = [o["cat"] for o in objects]
+    if not _only(names, str):
+        return None
+    categories = list(map(_CATEGORIES.get, names))
+    if None in categories:
+        return None
+    boxes = [p["box"] for p in peds] + [o["box"] for o in objects]
+    feats = [p["feat"] for p in peds] + [o["feat"] for o in objects]
+    if not (_only(boxes, list) and set(map(len, boxes)) == {4} and _only(feats, list)):
+        return None
+    lengths = set(map(len, feats))
+    d = lengths.pop()
+    if lengths or not d or width[0] not in (None, d):
+        return None
+    corners = finite_array(list(chain.from_iterable(boxes)))
+    values = finite_array(list(chain.from_iterable(feats)))
+    cam_dx = finite_array([o.get("cam_dx", 0.0) for o in objects])
+    rate = finite_array([fps])
+    if corners is None or values is None or cam_dx is None or rate is None or not rate[0] > 0:
+        return None
+    corners = corners.reshape(-1, 4)
+    if not (corners[:, :2] <= corners[:, 2:]).all():
+        return None
+
+    width[0] = d
+    n_frames = len(frames)
+    box_list = list(map(BoundingBox, *corners.T.tolist()))
+    rows = list(_read_only(values).reshape(-1, d))
+    observations = map(ObjectObservation, categories, box_list[n_frames:], rows[n_frames:], cam_dx.tolist())
+    return Scenario(
+        id=rid,
+        frames=tuple(
+            map(
+                FrameObservation,
+                ts,
+                box_list[:n_frames],
+                rows[:n_frames],
+                [tuple(islice(observations, len(entries))) for entries in per_frame],
+                labels,
+            )
+        ),
+        fps=rate.item(),
+    )
+
+
 def load(path, min_frames: int | None = None) -> list[Scenario]:
     """Read scenarios; optionally require at least min_frames frames each."""
     scenarios: list[Scenario] = []
@@ -204,7 +300,11 @@ def load(path, min_frames: int | None = None) -> list[Scenario]:
         for line_no, raw in enumerate(handle, start=1):
             if not raw.strip():
                 continue
-            scenario = _parse_record(raw, line_no, width)
+            try:
+                obj = json.loads(raw)
+            except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
+                raise RecordParseError(f"invalid JSON: {exc}", line_no) from exc
+            scenario = _bulk_record(obj, width) or _parse_record(obj, line_no, width)
             if min_frames is not None and len(scenario.frames) < min_frames:
                 raise RecordParseError(
                     f"scenario {scenario.id!r} has {len(scenario.frames)} frames, "

@@ -23,8 +23,8 @@ input object lists; floating-point addition is not associative, so ordering
 is what makes that exact rather than approximate.
 
 check_parameters, which both forwards and save_checkpoint call, is the one
-check of parameter names and shapes, and of the NaNs a ReLU would hide;
-nothing downstream checks them again.
+check of parameter names and shapes, and of the NaNs and infinities a ReLU
+would hide; nothing downstream checks them again.
 
 There is one implementation of each stage, and two forwards call it.
 forward_chunk is the tape-free pass over up to CHUNK (64) scenarios that
@@ -262,12 +262,11 @@ def parameter_count(cfg: ModelConfig) -> int:
 def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The parameters as float64 arrays, once their names and shapes match the config (else ConfigError).
 
-    A NaN in edge.proj_* or gcn.W* is a ConfigError too: a ReLU would turn
-    it into zeros and give finite logits. Only those arrays are scanned, in
-    one pass, as forward() of one scenario pays this check every call: a
-    NaN elsewhere reaches the logits, which evaluate, train and the CLI
-    refuse. An infinite value passes; the NaN it makes (inf * 0) fails the
-    edge-weight or logit check.
+    A NaN or an infinity in edge.proj_* or gcn.W* is a ConfigError too: a
+    ReLU or the weight clip would absorb it and give finite logits. Only
+    those arrays are scanned, in one pass, as forward() of one scenario pays
+    this check every call: a non-finite value elsewhere reaches the logits,
+    which evaluate, train and the CLI refuse.
     """
     shapes = parameter_shapes(cfg)
     if set(values) != set(shapes):
@@ -279,9 +278,10 @@ def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> dict
         if checked[name].shape != shape:
             raise ConfigError(f"parameter {name} has shape {checked[name].shape}, config expects {shape}")
     relu_fed = [name for name in checked if name.startswith(("edge.", "gcn."))]
-    if relu_fed and np.isnan(np.concatenate([checked[name] for name in relu_fed], axis=None)).any():
-        name = next(name for name in relu_fed if np.isnan(checked[name]).any())
-        raise ConfigError(f"parameter {name} holds a NaN")
+    if relu_fed and not np.isfinite(np.concatenate([checked[name] for name in relu_fed], axis=None)).all():
+        name = next(name for name in relu_fed if not np.isfinite(checked[name]).all())
+        what = "a NaN" if np.isnan(checked[name]).any() else "an infinite value"
+        raise ConfigError(f"parameter {name} holds {what}")
     return checked
 
 

@@ -22,10 +22,11 @@ instance per box, object and frame, and slots take about a tenth off its memory.
 A Scenario also has one slot that is not data: ``window``, where ``model``
 keeps the scenario's observed frames packed into arrays on its first
 forward pass, so that later passes skip the walk over frames and objects.
-The loader and the generator hand out read-only feature arrays, and that
-first pass makes a hand-built record's packed feature arrays read-only, so
-a packed window cannot go stale behind a frozen record: writing to one of
-those arrays raises. ``dataclasses.replace`` gives a record with an empty
+The loader and the generator hand out read-only feature arrays (the
+loader's are row views of one (n, D) block per record, its pedestrians'
+rows first), and that first pass makes a hand-built record's packed
+feature arrays read-only, so a packed window cannot go stale behind a
+frozen record: writing to one of those arrays raises. ``dataclasses.replace`` gives a record with an empty
 window.
 """
 

@@ -371,7 +371,7 @@ def train(
             optimizer.step(buffer)
         try:
             report = evaluate(dataset, cfg, values)
-        except (NumericError, ConfigError) as exc:  # a ConfigError here is a parameter the step made NaN
+        except (NumericError, ConfigError) as exc:  # a ConfigError here is a parameter the step made non-finite
             raise NumericError(f"epoch {epoch}: {exc}") from None
         history.append(report)
         if metrics_out is not None:

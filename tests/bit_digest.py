@@ -4,7 +4,7 @@ Run from the repository root (pytest does not collect this file):
 
     python3 tests/bit_digest.py
 
-It prints three lines, ``<name> <sha256>`` and, for the two benchmark runs,
+It prints four lines, ``<name> <sha256>`` and, for the two benchmark runs,
 the final training loss:
 
 * ``48-config``: the 48 batch configs of tests/test_model.py (4 graph modes
@@ -15,22 +15,28 @@ the final training loss:
 * ``train-recipe``: the parameters train() returns on the train-recipe
   benchmark inputs, 5 epochs, their bytes in sorted name order.
 * ``train-fc-dense``: the same on the train-fc-dense inputs, 4 epochs.
+* ``load``: what data.load reads from the scenario files of the three
+  benchmark input sets (eval-dense at seed 0): serialize() of each file's
+  scenarios, then every loaded feature's bytes.
 
 The benchmark inputs are generated in process from the synth, split, model
-and train settings of benchmarks/workloads.py. A refactor that claims the
-same bits must print the same three lines before and after.
+and train settings of benchmarks/workloads.py; ``load`` writes them to a
+temporary directory with each workload's own prepare(). A refactor that
+claims the same bits must print the same four lines before and after.
 """
 
 import hashlib
 import io
 import sys
+import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks")]
 
-from intent_graph.data import SynthConfig, generate_synthetic, split  # noqa: E402
-from intent_graph.model import ModelConfig, init_parameters  # noqa: E402
+from intent_graph.data import SynthConfig, generate_synthetic, load, serialize, split, write_dataset  # noqa: E402
+from intent_graph.model import ModelConfig, init_parameters, save_checkpoint  # noqa: E402
 from intent_graph.training import TrainConfig, evaluate, scenario_gradients, train  # noqa: E402
 from test_model import BATCH_STACKS, BATCH_TEMPORALS, _batch_cfg, _mixed_batch  # noqa: E402
 from workloads import _SPLIT_SEED, WORKLOADS  # noqa: E402
@@ -77,10 +83,32 @@ def workload_digest(name: str, epochs: int) -> str:
     return f"{h.hexdigest()} {result.history[-1].loss!r}"
 
 
+def load_digest() -> str:
+    # the names each workload's prepare() reads from its benchmark Library
+    lib = SimpleNamespace(
+        SynthConfig=SynthConfig, generate_synthetic=generate_synthetic, split=split, write_dataset=write_dataset,
+        ModelConfig=ModelConfig, init_parameters=init_parameters, save_checkpoint=save_checkpoint,
+    )
+    h = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(WORKLOADS):
+            workload, directory = WORKLOADS[name], Path(tmp) / name
+            directory.mkdir()
+            workload.prepare(lib, workload.input_index(0), directory)
+            for file in (f for f in workload.files if f.endswith(".jsonl")):
+                scenarios = load(directory / file)
+                h.update(serialize(scenarios).encode())
+                for frame in (f for s in scenarios for f in s.frames):
+                    for feature in (frame.pedestrian_feature, *(o.feature for o in frame.objects)):
+                        h.update(feature.tobytes())
+    return h.hexdigest()
+
+
 def main() -> None:
     print("48-config", batch_configs_digest())
     print("train-recipe", workload_digest("train-recipe", 5))
     print("train-fc-dense", workload_digest("train-fc-dense", 4))
+    print("load", load_digest())
 
 
 if __name__ == "__main__":

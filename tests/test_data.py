@@ -8,7 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intent_graph import data as data_module
 from intent_graph.configs import ConfigError
 from intent_graph.model import ModelConfig, init_parameters, save_checkpoint
 from intent_graph.data import (
@@ -134,48 +137,54 @@ def test_loaded_and_generated_features_are_read_only(tmp_path):
     assert path.read_text(encoding="utf-8") == text
 
 
-@pytest.mark.parametrize(
-    "mutate,kind,fragment",
-    [
-        (lambda r: r["frames"][0].__setitem__("label", 2), RecordParseError, "label"),
-        (lambda r: r["frames"][0].__setitem__("label", True), RecordParseError, "label"),
-        (lambda r: r["frames"][0].__setitem__("extra", 1), RecordParseError, "unknown key"),
-        (lambda r: r.__setitem__("bogus", 1), RecordParseError, "unknown key"),
-        (lambda r: r["frames"][0]["objects"][0].__setitem__("cat", "zeppelin"), RecordParseError, "category"),
-        (lambda r: r["frames"][0]["ped"]["box"].__setitem__(2, -5.0), RecordParseError, "degenerate"),
-        (lambda r: r["frames"][0]["ped"].__setitem__("box", [1.0, 2.0]), RecordParseError, "4 entries"),
-        (lambda r: r.__setitem__("fps", 0), RecordParseError, "fps"),
-        (lambda r: r.__setitem__("frames", []), RecordParseError, "frames"),
-        (lambda r: r["frames"][0].__setitem__("t", 1.5), RecordParseError, "integer"),
-        (lambda r: r["frames"][0]["ped"].__setitem__("feat", []), RecordParseError, "non-empty"),
-        (lambda r: r["frames"][0]["ped"]["feat"].__setitem__(0, None), RecordParseError, "number"),
-        # the number rule: exactly an int or a float, finite, within the float range
-        pytest.param(_set("frames.0.ped.feat.1", "1.5"), RecordParseError, "number", id="ped-feat-string"),
-        pytest.param(_set("frames.0.objects.0.feat.0", "1.5"), RecordParseError, "number", id="object-feat-string"),
-        pytest.param(_set("frames.0.ped.box.0", "1.5"), RecordParseError, "number", id="ped-box-string"),
-        pytest.param(_set("frames.0.objects.0.box.3", True), RecordParseError, "number", id="object-box-bool"),
-        pytest.param(_set("frames.0.ped.feat.0", [1.0]), RecordParseError, "number", id="feat-nested-list"),
-        pytest.param(_set("frames.0.ped.feat.0", _raw("NaN")), RecordParseError, "number", id="feat-NaN"),
-        pytest.param(_set("frames.0.ped.box.2", _raw("Infinity")), RecordParseError, "number", id="box-Infinity"),
-        pytest.param(_set("frames.0.objects.0.feat.1", _raw("1e999")), RecordParseError, "number", id="feat-1e999"),
-        pytest.param(_set("frames.0.ped.feat.0", 10**400), RecordParseError, "number", id="feat-400-digit-int"),
-        pytest.param(_set("fps", -(10**400)), RecordParseError, "fps", id="fps-400-digit-int"),
-        pytest.param(_set("frames.0.objects.0.cam_dx", True), RecordParseError, "cam_dx", id="cam_dx-bool"),
-        pytest.param(_set("frames.0.objects.0.cam_dx", _raw("NaN")), RecordParseError, "cam_dx", id="cam_dx-NaN"),
-        # rules that data.load owns alone: the scene records check nothing
-        pytest.param(_set("frames.0.objects.0.box.0", 70.0), RecordParseError, "degenerate", id="object-box-xmin-above-xmax"),
-        pytest.param(_set("frames.0.ped.box.1", 25.0), RecordParseError, "degenerate", id="ped-box-ymin-above-ymax"),
-        pytest.param(_set("fps", -1.0), RecordParseError, "fps", id="fps-negative"),
-        pytest.param(_set("frames.0.objects.0.feat", []), RecordParseError, "non-empty", id="object-feat-empty"),
-        # json.loads itself refuses integer literals of more than 4300 digits
-        pytest.param(_set("frames.0.ped.feat.0", _raw("1" * 5000)), RecordParseError, "JSON", id="feat-5000-digit-int"),
-    ],
-)
-def test_malformed_records_rejected_with_kind(tmp_path, mutate, kind, fragment):
+MALFORMED = [
+    (lambda r: r["frames"][0].__setitem__("label", 2), RecordParseError, "label"),
+    (lambda r: r["frames"][0].__setitem__("label", True), RecordParseError, "label"),
+    pytest.param(_set("frames.0.label", 1.0), RecordParseError, "label must be 0 or 1, got 1.0", id="label-float-one"),
+    pytest.param(_set("frames.0.label", 0.0), RecordParseError, "label must be 0 or 1, got 0.0", id="label-float-zero"),
+    (lambda r: r["frames"][0].__setitem__("extra", 1), RecordParseError, "unknown key"),
+    (lambda r: r.__setitem__("bogus", 1), RecordParseError, "unknown key"),
+    (lambda r: r["frames"][0]["objects"][0].__setitem__("cat", "zeppelin"), RecordParseError, "category"),
+    (lambda r: r["frames"][0]["ped"]["box"].__setitem__(2, -5.0), RecordParseError, "degenerate"),
+    (lambda r: r["frames"][0]["ped"].__setitem__("box", [1.0, 2.0]), RecordParseError, "4 entries"),
+    (lambda r: r.__setitem__("fps", 0), RecordParseError, "fps"),
+    (lambda r: r.__setitem__("frames", []), RecordParseError, "frames"),
+    (lambda r: r["frames"][0].__setitem__("t", 1.5), RecordParseError, "integer"),
+    (lambda r: r["frames"][0]["ped"].__setitem__("feat", []), RecordParseError, "non-empty"),
+    (lambda r: r["frames"][0]["ped"]["feat"].__setitem__(0, None), RecordParseError, "number"),
+    # the number rule: exactly an int or a float, finite, within the float range
+    pytest.param(_set("frames.0.ped.feat.1", "1.5"), RecordParseError, "number", id="ped-feat-string"),
+    pytest.param(_set("frames.0.objects.0.feat.0", "1.5"), RecordParseError, "number", id="object-feat-string"),
+    pytest.param(_set("frames.0.ped.box.0", "1.5"), RecordParseError, "number", id="ped-box-string"),
+    pytest.param(_set("frames.0.objects.0.box.3", True), RecordParseError, "number", id="object-box-bool"),
+    pytest.param(_set("frames.0.ped.feat.0", [1.0]), RecordParseError, "number", id="feat-nested-list"),
+    pytest.param(_set("frames.0.ped.feat.0", _raw("NaN")), RecordParseError, "number", id="feat-NaN"),
+    pytest.param(_set("frames.0.ped.box.2", _raw("Infinity")), RecordParseError, "number", id="box-Infinity"),
+    pytest.param(_set("frames.0.objects.0.feat.1", _raw("1e999")), RecordParseError, "number", id="feat-1e999"),
+    pytest.param(_set("frames.0.ped.feat.0", 10**400), RecordParseError, "number", id="feat-400-digit-int"),
+    pytest.param(_set("fps", -(10**400)), RecordParseError, "fps", id="fps-400-digit-int"),
+    pytest.param(_set("frames.0.objects.0.cam_dx", True), RecordParseError, "cam_dx", id="cam_dx-bool"),
+    pytest.param(_set("frames.0.objects.0.cam_dx", _raw("NaN")), RecordParseError, "cam_dx", id="cam_dx-NaN"),
+    # rules that data.load owns alone: the scene records check nothing
+    pytest.param(_set("frames.0.objects.0.box.0", 70.0), RecordParseError, "degenerate", id="object-box-xmin-above-xmax"),
+    pytest.param(_set("frames.0.ped.box.1", 25.0), RecordParseError, "degenerate", id="ped-box-ymin-above-ymax"),
+    pytest.param(_set("fps", -1.0), RecordParseError, "fps", id="fps-negative"),
+    pytest.param(_set("frames.0.objects.0.feat", []), RecordParseError, "non-empty", id="object-feat-empty"),
+    # json.loads itself refuses integer literals of more than 4300 digits
+    pytest.param(_set("frames.0.ped.feat.0", _raw("1" * 5000)), RecordParseError, "JSON", id="feat-5000-digit-int"),
+]
+
+
+def _write_mutated(path, mutate):
     rec = _record()
     mutate(rec)
-    path = tmp_path / "data.jsonl"
     path.write_text(re.sub(r'"raw:([^"]*)"', r"\1", json.dumps(rec)) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("mutate,kind,fragment", MALFORMED)
+def test_malformed_records_rejected_with_kind(tmp_path, mutate, kind, fragment):
+    path = _write_mutated(tmp_path / "data.jsonl", mutate)
     with pytest.raises(kind) as excinfo:
         load(path)
     assert excinfo.value.line == 1
@@ -269,6 +278,138 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch, target):
             write_dataset(tmp_path / "d.jsonl", generate_synthetic(cfg), config=cfg)
     assert (tmp_path / target).read_text() == f"old {target}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "d.jsonl.meta.json", "model.json"]
+
+
+# -- the bulk check and the walk --------------------------------------------------
+#
+# load checks each record in bulk and walks it field by field only when the
+# bulk check declines it; the walk alone words an error.
+
+
+def _walk_load(path):
+    """load(path) with the bulk check declining every record, so that each is walked."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(data_module, "_bulk_record", lambda obj, width: None)
+        return load(path)
+
+
+_NUMBERS = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0, 0.0, -0.0, 1e308, -5e-324]),
+)
+
+
+@st.composite
+def _box(draw):
+    (x0, x1), (y0, y1) = sorted([draw(_NUMBERS), draw(_NUMBERS)]), sorted([draw(_NUMBERS), draw(_NUMBERS)])
+    return [x0, y0, x1, y1]
+
+
+@st.composite
+def _object(draw, width):
+    entry = {
+        "cat": draw(st.sampled_from([c.value for c in ObjectCategory])),
+        "box": draw(_box()),
+        "feat": draw(st.lists(_NUMBERS, min_size=width, max_size=width)),
+    }
+    if draw(st.booleans()):
+        entry["cam_dx"] = draw(_NUMBERS)
+    return entry
+
+
+@st.composite
+def _valid_records(draw):
+    """1-3 valid records of one feature width in 1..20, with int and float numbers."""
+    width = draw(st.integers(1, 20))
+    records = []
+    for _ in range(draw(st.integers(1, 3))):
+        frames = [
+            {
+                "t": t,
+                "ped": {"box": draw(_box()), "feat": draw(st.lists(_NUMBERS, min_size=width, max_size=width))},
+                "objects": draw(st.lists(_object(width), max_size=3)),
+                "label": draw(st.sampled_from([0, 1])),
+            }
+            for t in sorted(draw(st.sets(st.integers(-(2**40), 2**40), min_size=1, max_size=4)))
+        ]
+        fps = draw(st.one_of(st.integers(1, 10**6), st.floats(min_value=5e-324, allow_infinity=False)))
+        records.append({"id": draw(st.text(min_size=1, max_size=6)), "fps": fps, "frames": frames})
+    return records
+
+
+@settings(max_examples=40, deadline=None)
+@given(records=_valid_records())
+def test_the_bulk_check_builds_what_the_walk_builds(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "bulk.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    width = [None]
+    assert all(data_module._bulk_record(r, width) is not None for r in records)  # no valid record is walked
+    loaded, walked = load(path), _walk_load(path)
+    assert serialize(loaded) == serialize(walked)
+    for a, b in zip(loaded, walked):
+        assert type(a.fps) is type(b.fps) is float
+        for f, g in zip(a.frames, b.frames):
+            assert type(f.timestamp_index) is type(g.timestamp_index) is int
+            assert type(f.crossing_label) is type(g.crossing_label) is int
+            assert [type(o.camera_offset_x) for o in f.objects] == [float] * len(g.objects)
+    features = _features(loaded)
+    assert [x.tobytes() for x in features] == [x.tobytes() for x in _features(walked)]
+    assert {x.dtype for x in features} == {np.dtype(np.float64)}
+    assert not any(x.flags.writeable for x in features)
+
+
+def _frame_again(rec):
+    rec["frames"].append(json.loads(json.dumps(rec["frames"][0])))
+
+
+# shapes the bulk check must decline without raising, for the walk to word
+DECLINED = [
+    pytest.param(_set("frames.0.objects.0.cat", ["car"]), RecordParseError, "category", id="cat-array"),
+    pytest.param(_set("frames.0.objects.0.cat", 3), RecordParseError, "category", id="cat-number"),
+    pytest.param(_set("frames.0.objects", {}), RecordParseError, "objects", id="objects-object"),
+    pytest.param(lambda r: r["frames"][0]["objects"].append(5), RecordParseError, "object", id="object-number"),
+    pytest.param(lambda r: r["frames"][0]["objects"][0].pop("box"), RecordParseError, "missing", id="object-no-box"),
+    pytest.param(_set("frames.0", []), RecordParseError, "frame", id="frame-array"),
+    pytest.param(_set("frames.0.ped", []), RecordParseError, "ped", id="ped-array"),
+    pytest.param(_set("frames.0.ped.box", {"a": 1}), RecordParseError, "ped.box", id="box-object"),
+    pytest.param(_set("frames.0.ped.feat", [[1.0], [2.0]]), RecordParseError, "number", id="feat-of-arrays"),
+    pytest.param(_set("frames.0.objects.0.feat", [1.0, 2.0, 3.0]), FeatureWidthError, "width", id="object-width"),
+    pytest.param(_set("frames.0.t", True), RecordParseError, "integer", id="t-bool"),
+    pytest.param(_frame_again, TimestampOrderError, "increase", id="t-repeated"),
+    pytest.param(_set("fps", "10"), RecordParseError, "fps", id="fps-string"),
+    pytest.param(_set("fps", True), RecordParseError, "fps", id="fps-bool"),
+    pytest.param(_set("id", ""), RecordParseError, "id", id="id-empty"),
+    pytest.param(_set("frames", {}), RecordParseError, "frames", id="frames-object"),
+]
+
+
+def _worded_as_the_walk(path):
+    with pytest.raises(SequenceFileError) as walked:
+        _walk_load(path)
+    with pytest.raises(SequenceFileError) as loaded:
+        load(path)
+    assert type(loaded.value) is type(walked.value)
+    assert (loaded.value.line, str(loaded.value)) == (walked.value.line, str(walked.value))
+    return walked.value
+
+
+@pytest.mark.parametrize("mutate,kind,fragment", MALFORMED + DECLINED)
+def test_load_words_every_error_as_the_walk_does(tmp_path, mutate, kind, fragment):
+    error = _worded_as_the_walk(_write_mutated(tmp_path / "data.jsonl", mutate))
+    assert type(error) is kind and fragment in str(error)
+
+
+def test_load_words_a_later_records_error_as_the_walk_does(tmp_path):
+    wide = _record(id="s-2")
+    wide["frames"][0]["ped"]["feat"] = [1.0, 2.0, 3.0]
+    wide["frames"][0]["objects"] = []
+    bad = _record(id="s-3")
+    bad["frames"][0]["label"] = 2
+    assert _worded_as_the_walk(_write(tmp_path, [_record(), wide])).line == 2
+    assert _worded_as_the_walk(_write(tmp_path, [_record(), _record(id="s-2"), bad])).line == 3
+    (tmp_path / "data.jsonl").write_text(json.dumps(_record()) + "\n\n{oops\n", encoding="utf-8")
+    assert _worded_as_the_walk(tmp_path / "data.jsonl").line == 3
 
 
 # -- seed derivation -----------------------------------------------------------

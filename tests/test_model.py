@@ -757,15 +757,17 @@ def test_batched_forward_keeps_every_check():
         forward_batch([good], cfg, wrong)
 
     # an edge score that is NaN (inf * 0 in the ReLU dot product) fails the open-interval check:
-    # the union width (relation column 6) is positive, so its inf weight makes e_i = +inf
+    # unscaled, the union width (relation column 6) is at least the pedestrian's, so its weight
+    # of the largest float overflows to e_i = +inf
+    unscaled = dataclasses.replace(cfg, spatial_scale=1.0)
     proj_i = np.zeros((14, 5))
-    proj_i[6 + 6] = np.inf
+    proj_i[6 + 6] = np.finfo(float).max
     blown = dict(values, **{"edge.proj_i": proj_i, "edge.proj_o": np.zeros((6, 5))})
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="open interval"):
-            forward_logits(good, cfg, blown)
+            forward_logits(good, unscaled, blown)
         with pytest.raises(ValueError, match=f"{good.id!r}: edge weight outside the open interval"):
-            forward_batch([good], cfg, blown)
+            forward_batch([good], unscaled, blown)
 
     huge = BoundingBox(-1.7e308, 0.0, 1.7e308, 10.0)
     frames = list(good.frames)

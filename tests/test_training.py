@@ -409,10 +409,12 @@ def _with_boxes(scenario, t, *boxes):
 
 
 def _failing_set(cfg):
-    """(scenarios, parameters) where every scenario fails, first at different checks and frames.
+    """(config, scenarios, parameters) where every scenario fails, first at different checks and frames.
 
-    With an infinite relation weight in edge.proj_i and a zero edge.proj_o,
-    every edge weight is NaN (inf * 0). So a scenario fails at the first
+    Unscaled relations, the largest float as a relation weight in
+    edge.proj_i and a zero edge.proj_o make every edge weight NaN: the
+    union width is at least the pedestrian's, so e_i overflows to +inf, and
+    inf * 0 is NaN. So a scenario fails at the first
     frame with objects, at its relation if that overflows, else at its
     weights; a scenario without objects but with a NaN pedestrian feature
     is refused before any of that, by the check of a record's values.
@@ -424,9 +426,9 @@ def _failing_set(cfg):
     values = init_parameters(cfg)
     if cfg.graph_mode == "concat_baseline":  # an object mean that overflows
         huge = tuple(dataclasses.replace(o, feature=np.full(6, 1.7e308)) for o in good[1].frames[2].objects)
-        return [good[0], _with_frame(good[1], 2, objects=huge), good[2], _with_frame(good[3], 0, objects=huge)], values
+        return cfg, [good[0], _with_frame(good[1], 2, objects=huge), good[2], _with_frame(good[3], 0, objects=huge)], values
     values["edge.proj_i"] = np.zeros_like(values["edge.proj_i"])
-    values["edge.proj_i"][cfg.hidden + 6] = np.inf  # the union width, which is positive
+    values["edge.proj_i"][cfg.hidden + 6] = np.finfo(float).max  # the union width
     values["edge.proj_o"] = np.zeros_like(values["edge.proj_o"])
     huge = BoundingBox(-1.7e308, 0.0, 1.7e308, 10.0)
     bare = good[5]
@@ -443,14 +445,13 @@ def _failing_set(cfg):
         ),
         _with_frame(bare, 1, pedestrian_feature=np.full(6, np.nan)),  # no edges; a non-finite input
     ]
-    return scenarios, values
+    return dataclasses.replace(cfg, spatial_scale=1.0), scenarios, values
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 @pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline"])
 def test_a_failing_minibatch_raises_what_the_taped_loop_raises(mode):
-    cfg = _batch_cfg(mode, "default", "L0")
-    data, values = _failing_set(cfg)
+    cfg, data, values = _failing_set(_batch_cfg(mode, "default", "L0"))
     seen = set()
     for seed in range(8):
         for batch_size in (1, 3, len(data)):
@@ -479,6 +480,24 @@ def test_a_nan_parameter_is_refused_by_name(name):
     # unchecked, the edge ReLUs and the ReLU after graph layer 0 turn the NaN into zeros
     assert np.isfinite(forward_chunk(data, cfg, values)[0]).all()
     refused = pytest.raises(ConfigError, match=f"^parameter {re.escape(name)} holds a NaN$")
+    with refused:
+        forward(data[0], cfg, values)
+    with refused:
+        evaluate(data, cfg, values)
+    with refused:
+        train(data, cfg, TrainConfig(epochs=1), initial=values)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["edge.proj_i", "gcn.W0"])
+def test_an_infinite_parameter_is_refused_by_name(name, value):
+    cfg = _mcfg(num_layers=2, shared_weights=False)
+    values = init_parameters(cfg)
+    values[name][0, 0] = value
+    data = _dataset()
+    if value < 0:  # unchecked, the edge ReLUs and the ReLU after graph layer 0 turn it into zeros
+        assert np.isfinite(forward_chunk(data, cfg, values)[0]).all()
+    refused = pytest.raises(ConfigError, match=f"^parameter {re.escape(name)} holds an infinite value$")
     with refused:
         forward(data[0], cfg, values)
     with refused:
