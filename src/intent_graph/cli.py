@@ -33,7 +33,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from . import __version__
@@ -155,17 +155,9 @@ class RunManifest:
     version: str = __version__
 
     def write(self) -> None:
-        payload = {
-            "command": self.command,
-            "argv": self.argv,
-            "config": self.config,
-            "data": self.data,
-            "out": self.out,
-            "version": self.version,
-        }
         manifest = self.out + ".manifest.json"
         try:
-            write_text_atomic(manifest, json.dumps(payload, indent=2) + "\n")
+            write_text_atomic(manifest, json.dumps(asdict(self), indent=2) + "\n")
         except BaseException:
             os.remove(self.out)
             with contextlib.suppress(FileNotFoundError):

@@ -36,6 +36,8 @@ Serialization is deterministic, so re-serializing a file that
 in that canonical form (``"fps": 10`` reads back as ``10.0``, and a missing
 ``cam_dx`` as ``0.0``). ``generate_synthetic`` checks only that its draw is
 finite and that each scenario found a draw clear of the label margins.
+A generated scenario's frames share one tuple of its crosswalk and vehicles;
+a loaded record holds one instance per object and frame.
 Both hand out read-only feature arrays (a loaded record's are rows of one
 (n, D) block): ``model`` packs a record's arrays once and keeps the packed
 copy on the record (see ``scene``).
@@ -565,7 +567,7 @@ def _margins_ok(cfg: SynthConfig, cw_cx, vehicles, pcx, pcy, vx, vy) -> bool:
         if abs(abs(dxc) - theta_x) < m_near:
             return False
         py = pcy + t * vy
-        for _, _, _, vcx, vcy, _ in vehicles:
+        for _, _, vcx, vcy in vehicles:
             if abs(math.hypot(vcx - (pcx + t * vx), vcy - py) - theta_v) < m_veh:
                 return False
     return True
@@ -596,7 +598,7 @@ def _generate_one(cfg: SynthConfig, index: int, p_obj: np.ndarray, p_ped: np.nda
             vw = rng.uniform(0.10, 0.16) * w_frame
             vcx = rng.uniform(0.0, 1.0) * w_frame
             vcy = rng.uniform(0.55, 0.75) * h_frame
-            vehicles.append((cat, vw, 0.16 * h_frame, vcx, vcy, 0.0))
+            vehicles.append((cat, vw, vcx, vcy))
 
         # Pedestrian: toward the crosswalk, parallel to it, or standing still.
         pw = 0.03 * w_frame
@@ -624,30 +626,20 @@ def _generate_one(cfg: SynthConfig, index: int, p_obj: np.ndarray, p_ped: np.nda
             f"(vehicle_count_range {cfg.vehicle_count_range})"
         )
 
+    # The crosswalk and the parked vehicles are the same instances in every frame.
+    boxes = [(cw_cat, cw_box)] + [(cat, _box_at(vcx, vcy, vw, 0.16 * h_frame)) for cat, vw, vcx, vcy in vehicles]
+    objects = tuple(ObjectObservation(category=c, box=b, feature=_object_feature(cfg, p_obj, c, b)) for c, b in boxes)
+    vehicle_centers = [b.center for _, b in boxes[1:]]
     frames = []
     for t in range(cfg.frames_per_scenario):
         ped_box = _box_at(pcx + t * vx, pcy + t * vy, pw, ph)
-        objects = [
-            ObjectObservation(
-                category=cw_cat, box=cw_box, feature=_object_feature(cfg, p_obj, cw_cat, cw_box)
-            )
-        ]
-        veh_boxes = []
-        for cat, vw, vh, vcx, vcy, vvx in vehicles:
-            box = _box_at(vcx + t * vvx, vcy, vw, vh)
-            veh_boxes.append(box)
-            objects.append(
-                ObjectObservation(category=cat, box=box, feature=_object_feature(cfg, p_obj, cat, box))
-            )
 
         # Label straight from the rule; vx here is the true walker velocity.
         pcx_t, pcy_t = ped_box.center
         dxc = cw_box.center[0] - pcx_t
         near = abs(dxc) < theta_x
         toward = dxc * vx > 0
-        clear = all(
-            math.hypot(b.center[0] - pcx_t, b.center[1] - pcy_t) >= theta_v for b in veh_boxes
-        )
+        clear = all(math.hypot(ocx - pcx_t, ocy - pcy_t) >= theta_v for ocx, ocy in vehicle_centers)
         label = 1 if (near and toward and clear) else 0
 
         frames.append(
@@ -655,7 +647,7 @@ def _generate_one(cfg: SynthConfig, index: int, p_obj: np.ndarray, p_ped: np.nda
                 timestamp_index=t,
                 pedestrian_box=ped_box,
                 pedestrian_feature=_ped_feature(cfg, p_ped, ped_box, vx, vy),
-                objects=tuple(objects),
+                objects=objects,
                 crossing_label=label,
             )
         )

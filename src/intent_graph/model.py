@@ -456,7 +456,8 @@ def forward_logits(
 ) -> list[Tensor]:
     """Logit tensors for frames T+1..T+K, differentiable when given a tape.
 
-    This is the training forward; inference goes through forward_batch.
+    The taped oracle the tests check forward_chunk and backward_chunk
+    against; training and inference go through the stacked pass.
     """
     _check_scenario(scenario, cfg)
     observed = scenario.frames[: cfg.T]

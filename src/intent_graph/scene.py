@@ -17,7 +17,8 @@ The scene dataclasses are plain frozen records with slots: they check
 nothing. ``data.load`` fills them from a file and owns every rule on a record
 (see the ``data`` module docstring); the synthetic generator fills them from a
 config and checks that its draw stayed finite. A loaded dataset holds one
-instance per box, object and frame, and slots take about a tenth off its memory.
+instance per box, object and frame, and slots take about a tenth off its memory;
+the frames of a generated scenario share one tuple of its static objects.
 
 A Scenario also has one slot that is not data: ``window``, where ``model``
 keeps the scenario's observed frames packed into arrays on its first

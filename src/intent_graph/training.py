@@ -11,8 +11,10 @@ logits against the stored labels. Evaluation thresholds probabilities at 0.5
 frames, accuracy at the final step, mean per-step confidence, and mean loss.
 evaluate() runs one forward_batch pass per CHUNK (64) scenarios and reduces
 the report over (n, K) arrays; aggregate_metrics turns its triples into the
-same arrays, so the two agree by construction. Each loss stays a Python
-loop in math, as loss_from_logits computes it.
+same arrays, so the two agree by construction. Every loss, evaluated or
+trained, is loss_from_logits: a Python loop in math that adds the K terms
+in scenario_loss_tensor's order and scales by 1/K, so evaluate([s]).loss
+is bit for bit the scenario's training loss.
 
 Training builds no tape. Each minibatch runs model.forward_chunk and
 model.backward_chunk once per CHUNK scenarios (one pass for a minibatch of
@@ -113,15 +115,16 @@ class EvalReport:
 
 
 def loss_from_logits(logits: Sequence[float], labels: Sequence[int]) -> float:
-    """Mean stable binary cross-entropy of scalar logits against {0,1} labels."""
+    """Mean stable BCE of logits against {0,1} labels, summed in order from the first term (no +0.0), times 1/K."""
     if len(logits) != len(labels) or not logits:
         raise ValueError(f"{len(logits)} logits vs {len(labels)} labels")
-    total = 0.0
+    total = None
     for z, y in zip(logits, labels):
         if y not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {y!r}")
-        total += max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
-    return total / len(logits)
+        term = max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
+        total = term if total is None else total + term
+    return total * (1.0 / len(labels))
 
 
 def loss(output, labels: Sequence[int]) -> float:
@@ -262,17 +265,6 @@ def metrics_record(epoch: int, report: EvalReport) -> dict:
     }
 
 
-def _scenario_loss(logits: Sequence[float], labels: Sequence[int]) -> float:
-    """scenario_loss_tensor's value: the BCE terms summed in order, times 1/K."""
-    total = None
-    for z, y in zip(logits, labels):
-        if y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {y!r}")
-        term = max(z, 0.0) - z * y + math.log1p(math.exp(-abs(z)))
-        total = term if total is None else total + term
-    return total * (1.0 / len(labels))
-
-
 def _chunk_gradients(
     chunk: Sequence[Scenario], cfg: ModelConfig, p: Mapping[str, np.ndarray], epoch: int | None = None
 ) -> tuple[list[float], dict[str, np.ndarray]]:
@@ -296,7 +288,7 @@ def _chunk_gradients(
     labels = np.array([future_labels(scenario, cfg) for scenario in chunk])
     losses = []
     for scenario, row, row_labels in zip(chunk, logits.tolist(), labels.tolist()):
-        losses.append(_scenario_loss(row, row_labels))
+        losses.append(loss_from_logits(row, row_labels))
         if epoch is not None and not math.isfinite(losses[-1]):
             raise NumericError(f"non-finite loss {losses[-1]!r} at epoch {epoch}, scenario {scenario.id!r}")
     g_logits = (1.0 / cfg.K) * (sigmoid_values(logits) - labels)
@@ -318,7 +310,7 @@ def scenario_gradients(
 
 def scenario_loss(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> float:
     """scenario_gradients' loss bit for bit, from forward_batch alone: no gradient is computed."""
-    return _scenario_loss(forward_batch([scenario], cfg, values)[0].tolist(), future_labels(scenario, cfg))
+    return loss_from_logits(forward_batch([scenario], cfg, values)[0].tolist(), future_labels(scenario, cfg))
 
 
 def _parameter_buffer(shapes: Mapping[str, tuple[int, int]]) -> tuple[np.ndarray, dict]:

@@ -52,9 +52,12 @@ LIB = SimpleNamespace(
 )
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS.WORKLOADS))
-def test_prepared_inputs_match_the_pinned_hashes(tmp_path, name):
+PINNED = [(name, index) for name, sets in sorted(REFERENCE["workloads"].items()) for index in sorted(sets, key=int)]
+
+
+@pytest.mark.parametrize("name, index", PINNED)
+def test_prepared_inputs_match_the_pinned_hashes(tmp_path, name, index):
     workload = WORKLOADS.WORKLOADS[name]
-    workload.prepare(LIB, 0, tmp_path)
+    workload.prepare(LIB, int(index), tmp_path)
     got = WORKLOADS.file_hashes(tmp_path, workload.files)
-    assert got == REFERENCE["workloads"][name]["0"]["inputs"]
+    assert got == REFERENCE["workloads"][name][index]["inputs"]

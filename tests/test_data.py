@@ -475,6 +475,7 @@ def test_generated_scenarios_are_well_formed():
         cats = {o.category for f in s.frames for o in f.objects}
         assert cats & {ObjectCategory.CROSSWALK_PLAIN, ObjectCategory.CROSSWALK_ZEBRA}
         assert s.fps == cfg.fps
+        assert all(f.objects is s.frames[0].objects for f in s.frames)  # one scene, drawn once
 
 
 def test_a_scene_too_crowded_for_the_label_margins_is_refused():

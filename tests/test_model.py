@@ -712,6 +712,7 @@ def test_scenario_loss_is_the_loss_of_scenario_gradients(mode):
     for scenario in _mixed_batch():
         want = scenario_gradients(scenario, cfg, values)[0]
         assert np.float64(scenario_loss(scenario, cfg, values)).tobytes() == np.float64(want).tobytes()
+        assert np.float64(evaluate([scenario], cfg, values).loss).tobytes() == np.float64(want).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
