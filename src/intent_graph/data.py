@@ -657,8 +657,10 @@ def _generate_one(cfg: SynthConfig, index: int, p_obj: np.ndarray, p_ped: np.nda
 def _require_finite_draw(scenario: Scenario) -> Scenario:
     """Raise ValueError if a config at the float range's edge drew a non-finite box or feature."""
     frames = scenario.frames
-    boxes = np.array([b.as_list() for f in frames for b in (f.pedestrian_box, *(o.box for o in f.objects))])
-    feats = np.array([x for f in frames for x in (f.pedestrian_feature, *(o.feature for o in f.objects))])
+    # each distinct objects tuple once: a generated scenario's frames share one
+    objects = [o for scene in {id(f.objects): f.objects for f in frames}.values() for o in scene]
+    boxes = np.array([b.as_list() for b in (*(f.pedestrian_box for f in frames), *(o.box for o in objects))])
+    feats = np.array([*(f.pedestrian_feature for f in frames), *(o.feature for o in objects)])
     if not (np.isfinite(boxes).all() and np.isfinite(feats).all()):
         raise ValueError(f"scenario {scenario.id!r}: non-finite box or feature; the synth geometry overflows")
     return scenario

@@ -24,7 +24,8 @@ is what makes that exact rather than approximate.
 
 check_parameters, which both forwards and save_checkpoint call, is the one
 check of parameter names and shapes, and of the NaNs and infinities a ReLU
-would hide; nothing downstream checks them again.
+would hide; nothing downstream checks them again. It returns Parameters,
+views of one flat float64 row; train() builds them over its buffer.
 
 There is one implementation of each stage, and two forwards call it.
 forward_chunk is the tape-free pass over up to CHUNK (64) scenarios that
@@ -85,8 +86,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -210,8 +212,14 @@ def _gru_shapes(shapes: dict, prefix: str, input_width: int, hidden: int) -> Non
         shapes[f"{prefix}.{gate}"] = (1, hidden)
 
 
-def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
-    """Every learnable parameter and its shape, in creation order."""
+def parameter_shapes(cfg: ModelConfig) -> Mapping[str, tuple[int, int]]:
+    """Every learnable parameter and its shape, in creation order; computed once per config and read-only, as callers share it."""
+    return _layout(cfg)[0]
+
+
+@lru_cache(maxsize=64)
+def _layout(cfg: ModelConfig) -> tuple:
+    """parameter_shapes, then where the flat row holds each parameter, each GRU cell's gate blocks and edge.* and gcn.*."""
     shapes: dict[str, tuple[int, int]] = {}
     h, d = cfg.hidden, cfg.D
     tc = cfg.temporal
@@ -235,7 +243,15 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, int]]:
     _gru_shapes(shapes, "pred_gru", 0, h)
     shapes["readout.w"] = (h, 1)
     shapes["readout.b"] = (1, 1)
-    return shapes
+    spans, cells, at = [], [], 0
+    for name, (rows, cols) in shapes.items():
+        spans.append((name, slice(at, at + rows * cols), (rows, cols)))
+        if name.endswith(".W_z"):  # then W_r, W_h, b_z, b_r and b_h, adjacent
+            bias = at + 3 * rows * cols
+            cells.append((name[:-4], slice(at, bias), (3, rows, cols), slice(bias, bias + 3 * cols), (3, 1, cols)))
+        at += rows * cols
+    fed = [at for name, at, _ in spans if name.startswith(("edge.", "gcn."))]  # adjacent too
+    return MappingProxyType(shapes), tuple(spans), tuple(cells), slice(fed[0].start, fed[-1].stop) if fed else slice(0)
 
 
 def _is_bias(name: str) -> bool:
@@ -259,34 +275,43 @@ def parameter_count(cfg: ModelConfig) -> int:
     return sum(r * c for r, c in parameter_shapes(cfg).values())
 
 
-def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The parameters as float64 arrays, once their names and shapes match the config (else ConfigError).
+class Parameters(dict):
+    """{name: (rows, cols) view} of one flat float64 ``row``, in parameter_shapes order; nothing is checked.
+
+    ``cells`` maps each GRU cell ("ped_gru", ...) to its gate blocks (W, b), [W_z, W_r, W_h] and
+    [b_z, b_r, b_h], views too: a cell's three weights, and its three biases, are adjacent in the row.
+    """
+
+    def __init__(self, cfg: ModelConfig, row: np.ndarray):
+        _, spans, cells, _ = _layout(cfg)
+        super().__init__({name: row[at].reshape(shape) for name, at, shape in spans})
+        self.row, self.cells = row, {cell: (row[w].reshape(w_shape), row[b].reshape(b_shape)) for cell, w, w_shape, b, b_shape in cells}
+
+
+def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> Parameters:
+    """The parameters as Parameters over a fresh float64 row, once their names and shapes match the config (else ConfigError).
 
     A NaN or an infinity in edge.proj_* or gcn.W* is a ConfigError too: a
     ReLU or the weight clip would absorb it and give finite logits. Only
-    those arrays are scanned, in one pass, as forward() of one scenario pays
-    this check every call: a non-finite value elsewhere reaches the logits,
-    which evaluate, train and the CLI refuse.
+    those arrays are scanned, as one span of the row, as forward() of one
+    scenario pays this check every call: a non-finite value elsewhere
+    reaches the logits, which evaluate, train and the CLI refuse.
     """
     shapes = parameter_shapes(cfg)
     if set(values) != set(shapes):
         missing = sorted(set(shapes) - set(values))
         extra = sorted(set(values) - set(shapes))
         raise ConfigError(f"parameter names do not match the config (missing {missing}, unexpected {extra})")
-    checked = {name: np.asarray(values[name], dtype=np.float64) for name in shapes}
-    for name, shape in shapes.items():
-        if checked[name].shape != shape:
-            raise ConfigError(f"parameter {name} has shape {checked[name].shape}, config expects {shape}")
-    relu_fed = [name for name in checked if name.startswith(("edge.", "gcn."))]
-    if relu_fed and not np.isfinite(np.concatenate([checked[name] for name in relu_fed], axis=None)).all():
-        name = next(name for name in relu_fed if not np.isfinite(checked[name]).all())
+    arrays = [np.asarray(values[name], dtype=np.float64) for name in shapes]
+    for (name, shape), arr in zip(shapes.items(), arrays):
+        if arr.shape != shape:
+            raise ConfigError(f"parameter {name} has shape {arr.shape}, config expects {shape}")
+    checked = Parameters(cfg, np.concatenate([arr.ravel() for arr in arrays]))
+    if not np.isfinite(checked.row[_layout(cfg)[3]]).all():
+        name = next(name for name in shapes if name.startswith(("edge.", "gcn.")) and not np.isfinite(checked[name]).all())
         what = "a NaN" if np.isnan(checked[name]).any() else "an infinite value"
         raise ConfigError(f"parameter {name} holds {what}")
     return checked
-
-
-def _gru_bundle(p: Mapping, prefix: str) -> GRUCellParams:
-    return GRUCellParams(*(p[f"{prefix}.{gate}"] for gate in ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h")))
 
 
 # Categories in the order of their values, which the canonical object order
@@ -464,13 +489,14 @@ def forward_logits(
     tc, mode = cfg.temporal, cfg.graph_mode
     checked = check_parameters(cfg, values)
     p = {name: Tensor(a) if tape is None else tape.parameter(name, a) for name, a in checked.items()}
+    cell = {prefix: GRUCellParams(*(p[f"{prefix}.{gate}"] for gate in ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h"))) for prefix in checked.cells}
 
     ped_inputs = [Tensor(f.pedestrian_feature.reshape(1, -1)) for f in observed]
     ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
     objs = None if mode == "pedestrian_only" else _object_rows(observed, cfg.D)
     _check_finite([scenario], cfg.T, np.concatenate([x.data for x in ped_inputs]), ped_boxes, objs)
     if tc.use_temporal and tc.use_ped_gru:
-        ped_nodes = run_observation(_gru_bundle(p, "ped_gru"), ped_inputs)
+        ped_nodes = run_observation(cell["ped_gru"], ped_inputs)
     else:
         ped_nodes = ped_inputs
 
@@ -479,7 +505,7 @@ def forward_logits(
         proj = p["edge.proj_i"], p["edge.proj_o"]
         layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
         if tc.use_temporal and tc.use_ctxt_gru:
-            ctxt_cell = _gru_bundle(p, "ctxt_gru")
+            ctxt_cell = cell["ctxt_gru"]
             h_ctxt = ad.zeros(1, cfg.hidden)
 
     if objs is not None:
@@ -513,12 +539,12 @@ def forward_logits(
         frame_vecs.append(vec)
 
     if tc.use_temporal:
-        h_final = run_observation(_gru_bundle(p, "agg_gru"), frame_vecs)[-1]
+        h_final = run_observation(cell["agg_gru"], frame_vecs)[-1]
     else:
         pooled = ad.mean_rows(ad.stack_rows(frame_vecs))
         h_final = ad.matmul(pooled, p["temporal_pool.proj"])
 
-    return prediction_rollout(_gru_bundle(p, "pred_gru"), h_final, cfg.K, p["readout.w"], p["readout.b"])
+    return prediction_rollout(cell["pred_gru"], h_final, cfg.K, p["readout.w"], p["readout.b"])
 
 
 # Scenarios per stacked pass, for inference and training alike. It bounds the
@@ -563,20 +589,20 @@ def _slot(kept: dict | None, name: str) -> list | None:
     return None if kept is None else kept.setdefault(name, [])
 
 
-def _run_cell(cell: GRUCellParams, inputs: np.ndarray, h: np.ndarray, steps: list | None = None) -> list[np.ndarray]:
-    """Unroll a cell over (B, T, 1, I) inputs from the (B, 1, H) state ``h``; every (B, 1, H) state in order.
+def _run_cell(cell: tuple, inputs: np.ndarray, h: np.ndarray, steps: list | None = None) -> np.ndarray:
+    """Unroll a cell's gate blocks (W, b) over (B, T, 1, I) inputs from the (B, 1, H) state ``h``; the (B, T, 1, H) states.
 
     Given a ``steps`` list, appends per step its input state and the values
     gru_values saved for a backward.
     """
     states = []
     for t in range(inputs.shape[1]):
-        h_next, saved = gru_values(cell, inputs[:, t], h)
+        h_next, saved = gru_values(*cell, inputs[:, t], h)
         if steps is not None:
             steps.append((h, saved))
         states.append(h_next)
         h = h_next
-    return states
+    return np.concatenate(states, axis=1)[:, :, None]  # np.stack(states, axis=1) in one call
 
 
 def _buckets(counts: np.ndarray, sizes: np.ndarray | None = None):
@@ -635,13 +661,13 @@ def _check_edges(
 
 
 def forward_chunk(
-    scenarios: Sequence[Scenario], cfg: ModelConfig, p: Mapping[str, np.ndarray], keep: bool = False
+    scenarios: Sequence[Scenario], cfg: ModelConfig, p: Parameters, keep: bool = False
 ) -> tuple[np.ndarray, dict | None]:
     """(B, K) logits of at most CHUNK scenarios and, with ``keep``, what backward_chunk reads.
 
-    ``p`` holds the arrays check_parameters returns. The second value maps
+    ``p`` is what check_parameters returns. The second value maps
     each GRU ("ped_gru", "ctxt_gru", "agg_gru", "rollout") to its steps as
-    _run_cell appends them, "readout" to the rollout's states, "pooled" to
+    _run_cell appends them, "readout" to the rollout's (B, K, 1, H) states, "pooled" to
     the (B, 1, W) mean frame vector of a run without temporal cells, and
     "edges" and "buckets" to what _graph_frames keeps. Inference keeps
     nothing: held to the end of a pass, those arrays slowed evaluate() on
@@ -655,7 +681,7 @@ def forward_chunk(
     ped = ped.reshape(b, t_obs, 1, cfg.D)
     zero = np.zeros((b, 1, cfg.hidden))
     if tc.use_temporal and tc.use_ped_gru:
-        ped = np.stack(_run_cell(_gru_bundle(p, "ped_gru"), ped, zero, _slot(kept, "ped_gru")), axis=1)
+        ped = _run_cell(p.cells["ped_gru"], ped, zero, _slot(kept, "ped_gru"))
 
     if mode == "pedestrian_only":
         vecs = ped
@@ -670,23 +696,20 @@ def forward_chunk(
         vecs = vecs.reshape(b, t_obs, 1, 2 * cfg.hidden)
         if tc.use_temporal and tc.use_ctxt_gru:
             ctx = vecs[..., cfg.hidden :]
-            ctx[:] = np.stack(_run_cell(_gru_bundle(p, "ctxt_gru"), ctx, zero, _slot(kept, "ctxt_gru")), axis=1)
+            ctx[:] = _run_cell(p.cells["ctxt_gru"], ctx, zero, _slot(kept, "ctxt_gru"))
 
     if tc.use_temporal:
-        h = _run_cell(_gru_bundle(p, "agg_gru"), vecs, zero, _slot(kept, "agg_gru"))[-1]
+        h = _run_cell(p.cells["agg_gru"], vecs, zero, _slot(kept, "agg_gru"))[:, -1]
     else:
         pooled = vecs.mean(axis=1)
         h = pooled @ p["temporal_pool.proj"]
         if kept is not None:
             kept["pooled"] = pooled
 
-    states = _run_cell(_gru_bundle(p, "pred_gru"), np.zeros((b, cfg.K, 1, 0)), h, _slot(kept, "rollout"))
+    states = _run_cell(p.cells["pred_gru"], np.zeros((b, cfg.K, 1, 0)), h, _slot(kept, "rollout"))
     if kept is not None:
         kept["readout"] = states
-    logits = np.empty((b, cfg.K))
-    for k, h in enumerate(states):
-        logits[:, k] = (h @ p["readout.w"] + p["readout.b"])[:, 0, 0]
-    return logits, kept
+    return (states @ p["readout.w"] + p["readout.b"])[:, :, 0, 0], kept
 
 
 def _graph_frames(
@@ -753,10 +776,6 @@ def _graph_frames(
     return vecs
 
 
-# gru_backward's order of a cell's parameter gradients
-_GRU_GRADS = ("b_h", "W_h", "b_r", "W_r", "b_z", "W_z")
-
-
 def _fold(stack: np.ndarray) -> np.ndarray:
     """Left fold over the first axis, ((s0 + s1) + s2) + ..., the order in which a tape adds gradients.
 
@@ -787,30 +806,33 @@ def _outer_sum(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("mr,mc->rc", rows, g)
 
 
-def _cell_backward(grads: dict, p: Mapping[str, np.ndarray], prefix: str, steps, first=None, last=None):
+def _cell_backward(grads: dict, p: Parameters, prefix: str, steps, first=None, last=None):
     """Reverse a stacked GRU unroll; stores its six (B, ., .) parameter gradients in ``grads``.
 
     The gradient of step t's output state is the sum, in this order, of
     first[t], the next step's three h terms and last[t] (a None list or
     entry adds nothing): the order in which the tape reaches them. Each
     parameter sums its steps' terms from the last step back. Returns each
-    step's input gradient (the two input terms summed) and the three terms
-    of the initial state.
+    step's input gradient (the two input terms summed; None if empty) and
+    the three terms of the initial state.
     """
-    cell = _gru_bundle(p, prefix)
+    W = p.cells[prefix][0]
     first, last = first or [None] * len(steps), last or [None] * len(steps)
     totals, g_inputs, carry = None, [None] * len(steps), ()
     for t in reversed(range(len(steps))):
         terms = [term for term in (first[t], *carry, last[t]) if term is not None]
         h, saved = steps[t]
-        params, (x0, x1), carry = gru_backward(cell, saved, h, reduce(np.add, terms))
+        params, (x0, x1), carry = gru_backward(W, saved, h, reduce(np.add, terms))
         totals = params if totals is None else tuple(a + b for a, b in zip(totals, params))
-        g_inputs[t] = x0 + x1
-    grads.update((f"{prefix}.{gate}", total) for gate, total in zip(_GRU_GRADS, totals))
+        if x0.shape[-1]:
+            g_inputs[t] = x0 + x1
+    g_zr, g_ah, w_zr, w_h = totals
+    gates = {"W_z": w_zr[:, 0], "W_r": w_zr[:, 1], "W_h": w_h, "b_z": g_zr[:, 0], "b_r": g_zr[:, 1], "b_h": g_ah}
+    grads.update((f"{prefix}.{gate}", total) for gate, total in gates.items())
     return g_inputs, carry
 
 
-def backward_chunk(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g_logits: np.ndarray) -> dict[str, np.ndarray]:
+def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Every parameter's (B, rows, cols) gradients, one per scenario, at the (B, K) logit gradients.
 
     ``kept`` is forward_chunk's. The stages run in reverse over the stacked
@@ -831,13 +853,14 @@ def backward_chunk(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g_
     g = g_logits.reshape(b, cfg.K, 1, 1)
     visit = range(cfg.K - 1, -1, -1)
     grads["readout.b"] = reduce(np.add, (g[:, k] for k in visit))
-    grads["readout.w"] = reduce(np.add, (np.swapaxes(states[k], 1, 2) @ g[:, k] for k in visit))
-    readout = [g[:, k] @ p["readout.w"].T for k in range(cfg.K)]
+    outer = states.mT @ g  # (B, K, H, 1), one exact product per entry
+    grads["readout.w"] = reduce(np.add, (outer[:, k] for k in visit))
+    readout = list((g @ p["readout.w"].T).swapaxes(0, 1))
     g_final = reduce(np.add, _cell_backward(grads, p, "pred_gru", steps, last=readout)[1])
 
     if tc.use_temporal:
         last = [None] * (t_obs - 1) + [g_final]
-        g_vecs = np.stack(_cell_backward(grads, p, "agg_gru", kept["agg_gru"], last=last)[0], axis=1)
+        g_vecs = np.concatenate(_cell_backward(grads, p, "agg_gru", kept["agg_gru"], last=last)[0], axis=1)[:, :, None]
     else:
         grads["temporal_pool.proj"] = np.swapaxes(kept["pooled"], 1, 2) @ g_final
         g_pooled = g_final @ p["temporal_pool.proj"].T / t_obs
@@ -852,7 +875,7 @@ def backward_chunk(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g_
             # a context state takes the next step's three terms, then the frame vector's
             last = [g_vecs[:, t, :, h_width:] for t in range(t_obs)]
             g_cols = _cell_backward(grads, p, "ctxt_gru", kept["ctxt_gru"], last=last)[0]
-            g_vecs = np.concatenate([g_vecs[..., :h_width], np.stack(g_cols, axis=1)], axis=-1)
+            g_vecs = np.concatenate([g_vecs[..., :h_width], np.concatenate(g_cols, axis=1)[:, :, None]], axis=-1)
         g_ped = _graph_backward(cfg, p, kept, g_vecs.reshape(b * t_obs, 2 * h_width), grads)
         g_ped = g_ped.reshape(b, t_obs, 1, h_width)
 

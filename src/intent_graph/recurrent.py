@@ -13,29 +13,33 @@ The prediction rollout feeds a width-0 input each future step (the zero-input
 degenerate cell), so its gate matrices are (H, H), and reads a scalar logit
 off each hidden state through a linear readout (w, b).
 
-model.check_parameters owns these shapes: GRUCellParams is a plain record,
-and gru_step checks only the activations it is handed. The gate math is
-gru_values and its backward gru_backward, array kernels on stacked rows
-that never see a Tensor: the tape-free training backward runs them over B
-scenarios at once, and gru_step over one.
+model.check_parameters owns these shapes. The array kernels gru_values and
+gru_backward take a cell as two gate blocks, views of the model's flat
+parameter row: W (3, I+H, H) = [W_z, W_r, W_h] and b (3, 1, H). z and r
+come from one product on the leading gate axis, [x, h] @ W[:2], which is a
+stack of lone one-row products and so keeps their bits (fused columns,
+[W_z | W_r], would not). The training backward runs the kernels over B
+scenarios at once; gru_step stacks its six Tensors' data and runs one.
 
 One step records one tape node. Its forward makes the NumPy calls of the
 per-op chain concat -> matmul -> add -> sigmoid -> ... -> add, in the same
 order, and its backward returns one gradient per use of an input, in the
 order that chain's reverse pass reaches them:
 
-    inputs     h       b_h   W_h          x             h       b_r   W_r
-    gradients  g*keep  g_ah  xrh.T@g_ah   g_xrh[:, :I]  g_rh*r  g_ar  xh.T@g_ar
+    inputs     h       b_h   W_h          x             h       b_r      W_r
+    gradients  g*keep  g_ah  xrh.T@g_ah   g_xrh[:, :I]  g_rh*r  g_zr[1]  w_zr[1]
 
-    inputs     b_z   W_z          x            h
-    gradients  g_az  xh.T@g_az    g_xh[:, :I]  g_xh[:, I:]
+    inputs     b_z      W_z      x            h
+    gradients  g_zr[0]  w_zr[0]  g_xh[:, :I]  g_xh[:, I:]
 
-Here keep = 1 - z; g_ah, g_ar and g_az are the gradients at the candidate,
-reset and update pre-activations; g_xrh = g_ah @ W_h.T, g_rh = g_xrh[:, I:]
-and g_xh = g_ar @ W_r.T + g_az @ W_z.T. The tape then adds h's three
-contributions (and x's two) in the chain's order, so every gradient, and so
-every trained model, is bit for bit the chain's; the training backward adds
-them in the same order. The tests keep the chain as the reference.
+Here keep = 1 - z; g_ah is the gradient at the candidate pre-activation
+and the block g_zr = [g_az, g_ar] those at the update and reset ones;
+w_zr = xh.T @ g_zr, one stacked outer product; g_xrh = g_ah @ W_h.T,
+g_rh = g_xrh[:, I:], and g_xh = g_ar @ W_r.T + g_az @ W_z.T, both terms
+from one stacked g_zr @ W[:2].mT. The tape then adds h's three
+contributions (and x's two) in the chain's order, so every gradient, and
+so every trained model, is bit for bit the chain's; the training backward
+adds them in the same order. The tests keep the chain as the reference.
 """
 
 from __future__ import annotations
@@ -70,57 +74,57 @@ class TemporalConfig:
 
 @dataclass
 class GRUCellParams:
-    """One cell's gate parameters: Tensors for gru_step, arrays for gru_values."""
+    """One cell's six gate parameters as Tensors, for gru_step."""
 
-    W_z: Tensor | Array
-    W_r: Tensor | Array
-    W_h: Tensor | Array
-    b_z: Tensor | Array
-    b_r: Tensor | Array
-    b_h: Tensor | Array
+    W_z: Tensor
+    W_r: Tensor
+    W_h: Tensor
+    b_z: Tensor
+    b_r: Tensor
+    b_h: Tensor
 
 
-def gru_values(p: GRUCellParams, x: Array, h: Array) -> tuple[Array, tuple[Array, ...]]:
+def gru_values(W: Array, b: Array, x: Array, h: Array) -> tuple[Array, tuple[Array, ...]]:
     """One gated update on plain arrays; returns h' and the values its backward reads.
 
-    ``x`` is (..., 1, I) and ``h`` is (..., 1, H): one row per scenario, so B
-    cells advance as stacked one-row products, each bit for bit the product
-    of a lone (1, I+H) row. ``p`` holds arrays. gru_step and the batched
-    inference forward both call this, so the gate math exists once.
+    ``W`` and ``b`` are the cell's gate blocks. ``x`` is (..., 1, I) and
+    ``h`` is (..., 1, H): one row per scenario, so B cells advance as stacked
+    one-row products, each bit for bit the product of a lone (1, I+H) row.
+    gru_step and the batched forward both call this, so the gate math
+    exists once.
     """
     xh = np.concatenate([x, h], axis=-1)
-    z = sigmoid_values(xh @ p.W_z + p.b_z)
-    r = sigmoid_values(xh @ p.W_r + p.b_r)
+    zr = sigmoid_values(xh[..., None, :, :] @ W[:2] + b[:2])  # (..., 2, 1, H): z, then r
+    z, r = zr[..., 0, :, :], zr[..., 1, :, :]
     xrh = np.concatenate([x, r * h], axis=-1)
-    candidate = np.tanh(xrh @ p.W_h + p.b_h)
+    candidate = np.tanh(xrh @ W[2] + b[2])
     keep = 1.0 - z
-    return keep * h + z * candidate, (xh, z, r, xrh, candidate, keep)
+    return keep * h + z * candidate, (xh, zr, z, r, xrh, candidate, keep)
 
 
-def gru_backward(p: GRUCellParams, saved: tuple[Array, ...], h: Array, g: Array):
+def gru_backward(W: Array, saved: tuple[Array, ...], h: Array, g: Array):
     """The backward of gru_values at the gradient ``g`` of h', on the same stacked rows.
 
     ``saved`` is what gru_values returned beside h' for the input state
-    ``h``. Returns three tuples, each in the order the per-op chain's
-    reverse pass reaches them: the gradients of (b_h, W_h, b_r, W_r, b_z,
-    W_z), the input's two terms (g_xrh[..., :I], g_xh[..., :I]) and h's
-    three (g*keep, g_rh*r, g_xh[..., I:]). A weight gradient is the stacked
-    outer product of a row and a gate gradient. gru_step and the batched
-    training backward both call this, so the backward math exists once.
+    ``h``. Returns three tuples: the gradients (g_zr, g_ah, w_zr, w_h) of
+    the biases [b_z, b_r], b_h, the weights [W_z, W_r] and W_h; the input's
+    two terms (g_xrh[..., :I], g_xh[..., :I]); and h's three (g*keep,
+    g_rh*r, g_xh[..., I:]), in the order the per-op chain's reverse pass
+    reaches them. A weight gradient is the stacked outer product of a row
+    and a gate gradient.
     """
-    xh, z, r, xrh, candidate, keep = saved
+    xh, zr, z, r, xrh, candidate, keep = saved
     i = xh.shape[-1] - h.shape[-1]
     # each expression keeps the chain's operand order: float sums and
     # products are not associative
     g_z = g * candidate + -(g * h)
     g_ah = g * z * (1.0 - candidate * candidate)
-    g_xrh = g_ah @ p.W_h.T
+    g_xrh = g_ah @ W[2].T
     g_rh = g_xrh[..., i:]
-    g_ar = g_rh * h * r * (1.0 - r)
-    g_az = g_z * z * (1.0 - z)
-    g_xh = g_ar @ p.W_r.T + g_az @ p.W_z.T
-    xh_t = np.swapaxes(xh, -1, -2)
-    params = (g_ah, np.swapaxes(xrh, -1, -2) @ g_ah, g_ar, xh_t @ g_ar, g_az, xh_t @ g_az)
+    g_zr = np.concatenate([g_z, g_rh * h], axis=-2)[..., None, :] * zr * (1.0 - zr)  # [g_z*z*(1-z), g_rh*h*r*(1-r)]
+    both = g_zr @ W[:2].mT
+    g_xh = both[..., 1, :, :] + both[..., 0, :, :]
+    params = (g_zr, g_ah, xh.mT[..., None, :, :] @ g_zr, xrh.mT @ g_ah)
     return params, (g_xrh[..., :i], g_xh[..., :i]), (g * keep, g_rh * r, g_xh[..., i:])
 
 
@@ -132,12 +136,12 @@ def gru_step(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
         raise ValueError(f"input shape {x.shape} != (1, {i})")
     if h.shape != (1, hidden):
         raise ValueError(f"hidden shape {h.shape} != (1, {hidden})")
-    cell = GRUCellParams(p.W_z.data, p.W_r.data, p.W_h.data, p.b_z.data, p.b_r.data, p.b_h.data)
-    out, saved = gru_values(cell, x.data, h.data)
+    W = np.stack([p.W_z.data, p.W_r.data, p.W_h.data])
+    out, saved = gru_values(W, np.stack([p.b_z.data, p.b_r.data, p.b_h.data]), x.data, h.data)
 
     def bwd(g: Array):
-        (b_h, w_h, b_r, w_r, b_z, w_z), (x0, x1), (h0, h1, h2) = gru_backward(cell, saved, h.data, g)
-        return (h0, b_h, w_h, x0, h1, b_r, w_r, b_z, w_z, x1, h2)
+        (g_zr, g_ah, w_zr, w_h), (x0, x1), (h0, h1, h2) = gru_backward(W, saved, h.data, g)
+        return (h0, g_ah, w_h, x0, h1, g_zr[1], w_zr[1], g_zr[0], w_zr[0], x1, h2)
 
     inputs = (h, p.b_h, p.W_h, x, h, p.b_r, p.W_r, p.b_z, p.W_z, x, h)
     return ad._emit(ad._joint_tape(*inputs), inputs, out, bwd)

@@ -21,14 +21,15 @@ model.backward_chunk once per CHUNK scenarios (one pass for a minibatch of
 at most 64), which give every scenario's gradients bit for bit as
 GradientTape.backward gives them for scenario_loss_tensor; train() adds
 them in batch order, as it did when it ran one tape per scenario. The
-parameter values, the gradients and Adam's two moments live in one (4, P)
-float64 buffer, each parameter a view into it: Adam updates the whole
-buffer in one pass, and clip_gradients squares the gradient row once and
-sums each parameter's slice with its own reduction, so the norm keeps the
-bits of one np.sum per parameter. scenario_loss_tensor stays as the taped
-oracle for the tests, and benchmarks/tracing.py wraps it. scenario_loss is
-scenario_gradients' loss without the backward, for the perturbed calls of
-the gradient check.
+parameter values, the gradients and Adam's two moments are the rows of one
+(4, P) float64 buffer, each laid out as check_parameters' flat row; the
+model reads model.Parameters views of the value row, built once per run.
+Adam updates the whole buffer in place, and clip_gradients squares the
+gradient row once and sums each parameter's slice with its own reduction,
+so the norm keeps the bits of one np.sum per parameter. The taped
+scenario_loss_tensor stays as the oracle for the tests, and
+benchmarks/tracing.py wraps it. scenario_loss is scenario_gradients' loss
+without the backward, for the perturbed calls of the gradient check.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .model import (
     ModelConfig,
     ScenarioError,
     backward_chunk,
+    Parameters,
     check_parameters,
     forward_batch,
     forward_chunk,
@@ -176,15 +178,22 @@ class AdamOptimizer:
         self.step_count += 1
         k = self.step_count
         value, g, m, v = buffer
+        # m = beta1 * m + (1 - beta1) * g, ..., value -= lr * m_hat / (sqrt(v_hat) + eps), each operation in its order
+        step, scratch = (1 - t.beta1) * g, (1 - t.beta2) * g * g
         if k == 1:
-            m[:] = (1 - t.beta1) * g
-            v[:] = (1 - t.beta2) * g * g
+            m[:], v[:] = step, scratch
         else:
-            m[:] = t.beta1 * m + (1 - t.beta1) * g
-            v[:] = t.beta2 * v + (1 - t.beta2) * g * g
-        m_hat = m / (1 - t.beta1**k)
-        v_hat = v / (1 - t.beta2**k)
-        value -= t.learning_rate * m_hat / (np.sqrt(v_hat) + t.epsilon)
+            m *= t.beta1
+            m += step
+            v *= t.beta2
+            v += scratch
+        np.divide(m, 1 - t.beta1**k, out=step)
+        np.divide(v, 1 - t.beta2**k, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += t.epsilon
+        step *= t.learning_rate
+        step /= scratch
+        value -= step
 
 
 def _report(probs: np.ndarray, labels: np.ndarray, losses: Sequence[float], threshold: float) -> EvalReport:
@@ -266,11 +275,11 @@ def metrics_record(epoch: int, report: EvalReport) -> dict:
 
 
 def _chunk_gradients(
-    chunk: Sequence[Scenario], cfg: ModelConfig, p: Mapping[str, np.ndarray], epoch: int | None = None
+    chunk: Sequence[Scenario], cfg: ModelConfig, p: Parameters, epoch: int | None = None
 ) -> tuple[list[float], dict[str, np.ndarray]]:
     """Losses and (B, rows, cols) gradients of at most CHUNK scenarios from one stacked pass.
 
-    ``p`` holds check_parameters' arrays. A failing scenario raises what
+    ``p`` is what check_parameters returns. A failing scenario raises what
     scenario_loss_tensor raises for it; given an ``epoch``, so does a
     non-finite loss (NumericError naming the epoch and the scenario). When
     several fail, the first in order raises, as a loop over the scenarios
@@ -313,13 +322,6 @@ def scenario_loss(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.
     return loss_from_logits(forward_batch([scenario], cfg, values)[0].tolist(), future_labels(scenario, cfg))
 
 
-def _parameter_buffer(shapes: Mapping[str, tuple[int, int]]) -> tuple[np.ndarray, dict]:
-    """A zeroed (4, P) buffer [values, gradients, Adam's two moments] and {name: view} of its first row."""
-    ends = np.cumsum([r * c for r, c in shapes.values()])
-    buffer = np.zeros((4, int(ends[-1])))
-    return buffer, {name: buffer[0, end - r * c : end].reshape(r, c) for (name, (r, c)), end in zip(shapes.items(), ends)}
-
-
 @dataclass
 class TrainResult:
     params: dict[str, np.ndarray]
@@ -343,9 +345,9 @@ def train(
         raise EmptyDatasetError("no scenarios to train on")
     shapes = parameter_shapes(cfg)
     sizes = [r * c for r, c in shapes.values()]
-    buffer, values = _parameter_buffer(shapes)
-    for name, value in check_parameters(cfg, initial or init_parameters(cfg)).items():
-        values[name][...] = value
+    buffer = np.zeros((4, sum(sizes)))
+    buffer[0] = check_parameters(cfg, initial or init_parameters(cfg)).row
+    values = Parameters(cfg, buffer[0])
     optimizer = AdamOptimizer(tcfg)
     rng = np.random.default_rng(tcfg.seed)
     history: list[EvalReport] = []

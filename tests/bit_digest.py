@@ -4,7 +4,7 @@ Run from the repository root (pytest does not collect this file):
 
     python3 tests/bit_digest.py
 
-It prints four lines, ``<name> <sha256>`` and, for the two benchmark runs,
+It prints five lines, ``<name> <sha256>`` and, for the two benchmark runs,
 the final training loss:
 
 * ``48-config``: the 48 batch configs of tests/test_model.py (4 graph modes
@@ -18,11 +18,15 @@ the final training loss:
 * ``load``: what data.load reads from the scenario files of the three
   benchmark input sets (eval-dense at seed 0): serialize() of each file's
   scenarios, then every loaded feature's bytes.
+* ``predict``: the bytes of forward()'s logits, one scenario at a time, on
+  the train-recipe and train-fc-dense test sets with the parameters of the
+  two runs above, then on the eval-dense seed-0 set with its seed-0
+  parameters: the one-scenario path that the benchmark's predict_ms times.
 
 The benchmark inputs are generated in process from the synth, split, model
 and train settings of benchmarks/workloads.py; ``load`` writes them to a
 temporary directory with each workload's own prepare(). A refactor that
-claims the same bits must print the same four lines before and after.
+claims the same bits must print the same five lines before and after.
 """
 
 import hashlib
@@ -32,11 +36,13 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks")]
 
 from intent_graph.data import SynthConfig, generate_synthetic, load, serialize, split, write_dataset  # noqa: E402
-from intent_graph.model import ModelConfig, init_parameters, save_checkpoint  # noqa: E402
+from intent_graph.model import ModelConfig, forward, init_parameters, save_checkpoint  # noqa: E402
 from intent_graph.training import TrainConfig, evaluate, scenario_gradients, train  # noqa: E402
 from test_model import BATCH_STACKS, BATCH_TEMPORALS, _batch_cfg, _mixed_batch  # noqa: E402
 from workloads import _SPLIT_SEED, WORKLOADS  # noqa: E402
@@ -73,14 +79,31 @@ def batch_configs_digest() -> str:
     return h.hexdigest()
 
 
-def workload_digest(name: str, epochs: int) -> str:
+def workload_run(name: str, epochs: int) -> tuple:
+    """The config, the TrainResult and the test set of a training workload trained for ``epochs``."""
     workload = WORKLOADS[name]
-    train_set, _ = split(generate_synthetic(SynthConfig(**workload.synth)), workload.train_fraction, _SPLIT_SEED)
+    train_set, test_set = split(generate_synthetic(SynthConfig(**workload.synth)), workload.train_fraction, _SPLIT_SEED)
     cfg = ModelConfig(**workload.model)
     result = train(train_set, cfg, TrainConfig(**dict(workload.train, epochs=epochs)), initial=init_parameters(cfg))
+    return cfg, result, test_set
+
+
+def workload_digest(result) -> str:
     h = hashlib.sha256()
     _add_arrays(h, result.params, names=False)
     return f"{h.hexdigest()} {result.history[-1].loss!r}"
+
+
+def predict_digest(runs) -> str:
+    eval_dense = WORKLOADS["eval-dense"]
+    eval_cfg = ModelConfig(**eval_dense.model, seed=0)
+    sets = [(cfg, result.params, test_set) for cfg, result, test_set in runs]
+    sets.append((eval_cfg, init_parameters(eval_cfg), generate_synthetic(SynthConfig(**eval_dense.synth, seed=0))))
+    h = hashlib.sha256()
+    for cfg, params, scenarios in sets:
+        for scenario in scenarios:
+            h.update(np.array(forward(scenario, cfg, params).logits).tobytes())
+    return h.hexdigest()
 
 
 def load_digest() -> str:
@@ -106,9 +129,11 @@ def load_digest() -> str:
 
 def main() -> None:
     print("48-config", batch_configs_digest())
-    print("train-recipe", workload_digest("train-recipe", 5))
-    print("train-fc-dense", workload_digest("train-fc-dense", 4))
+    runs = [workload_run("train-recipe", 5), workload_run("train-fc-dense", 4)]
+    print("train-recipe", workload_digest(runs[0][1]))
+    print("train-fc-dense", workload_digest(runs[1][1]))
     print("load", load_digest())
+    print("predict", predict_digest(runs))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Scenario file IO, the synthetic generator, and the two-route labeling check."""
 
+import dataclasses
 import json
 import math
 import os
@@ -476,6 +477,24 @@ def test_generated_scenarios_are_well_formed():
         assert cats & {ObjectCategory.CROSSWALK_PLAIN, ObjectCategory.CROSSWALK_ZEBRA}
         assert s.fps == cfg.fps
         assert all(f.objects is s.frames[0].objects for f in s.frames)  # one scene, drawn once
+
+
+def test_a_non_finite_draw_is_refused_in_the_shared_scene_and_in_any_frames_pedestrian():
+    # the frames share one objects tuple, which is checked once; every frame's pedestrian is checked
+    scenario = generate_synthetic(SynthConfig(n_scenarios=1, frames_per_scenario=6, D=4, seed=1))[0]
+    assert data_module._require_finite_draw(scenario) is scenario
+    shared = scenario.frames[0].objects
+    bad_object = dataclasses.replace(shared[-1], feature=np.array([0.5, np.nan, 0.0, 1.0]))
+    scene = (*shared[:-1], bad_object)
+    bad_feature = scenario.frames[3].pedestrian_feature.copy()
+    bad_feature[2] = np.nan
+    variants = [
+        [dataclasses.replace(f, objects=scene) for f in scenario.frames],
+        [dataclasses.replace(f, pedestrian_feature=bad_feature) if f.timestamp_index == 3 else f for f in scenario.frames],
+    ]
+    for frames in variants:
+        with pytest.raises(ValueError, match=r"non-finite box or feature; the synth geometry overflows$"):
+            data_module._require_finite_draw(Scenario(id="hand-built", frames=tuple(frames), fps=scenario.fps))
 
 
 def test_a_scene_too_crowded_for_the_label_margins_is_refused():

@@ -23,6 +23,7 @@ from intent_graph.graph import edge_weight, open_unit, outer_rows, pair_indices
 from intent_graph.model import (
     CheckpointError,
     ModelConfig,
+    Parameters,
     ScenarioError,
     _fold,
     _object_rows,
@@ -60,6 +61,11 @@ from intent_graph.training import (
 )
 
 from reference_ops import category_one_hot, object_sort_key, reference_aggregate_metrics, taped_gradients
+
+
+def unchecked_parameters(cfg, values):
+    """Parameters over one flat row of ``values``, laid out as check_parameters lays them out, without its checks."""
+    return Parameters(cfg, np.concatenate([values[name] for name in parameter_shapes(cfg)], axis=None))
 
 
 def _scenario(D=6, frames=5, seed=2, vehicles=(2, 2)):
@@ -365,9 +371,10 @@ def test_scenario_gradients_ignore_their_batch_mates_and_their_order(mode):
     cfg = _batch_cfg(mode, "ctxt", "L3-unshared-norm-cls")
     values = init_parameters(cfg)
     batch = _mixed_batch()
-    losses, grads = _chunk_gradients(batch, cfg, values)
+    p = unchecked_parameters(cfg, values)
+    losses, grads = _chunk_gradients(batch, cfg, p)
     order = np.random.default_rng(4).permutation(len(batch))
-    shuffled_losses, shuffled = _chunk_gradients([batch[i] for i in order], cfg, values)
+    shuffled_losses, shuffled = _chunk_gradients([batch[i] for i in order], cfg, p)
     for row, i in enumerate(order):
         assert shuffled_losses[row] == losses[i]
         for name in grads:

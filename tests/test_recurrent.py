@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from intent_graph import autodiff as ad
-from intent_graph.autodiff import GradientTape, Tensor, finite_diff_check
+from intent_graph.autodiff import GradientTape, Tensor, finite_diff_check, sigmoid_values
 from intent_graph.data import SynthConfig, generate_synthetic, split
 from intent_graph.model import ModelConfig, init_parameters
 from intent_graph.recurrent import (
     GRUCellParams,
     TemporalConfig,
+    gru_backward,
     gru_step,
+    gru_values,
     prediction_rollout,
     run_observation,
 )
@@ -49,6 +51,58 @@ def _lift(values, tape=None):
     if tape is None:
         return GRUCellParams(**{k: Tensor(v) for k, v in values.items()})
     return GRUCellParams(**{k: tape.parameter(k, v) for k, v in values.items()})
+
+
+def _lone_gate_products(v, x, h, g):
+    """gru_values and gru_backward for one (1, I) row, each gate's product on its own matrix."""
+    i = x.shape[1]
+    xh = np.concatenate([x, h], axis=1)
+    z = sigmoid_values(xh @ v["W_z"] + v["b_z"])
+    r = sigmoid_values(xh @ v["W_r"] + v["b_r"])
+    xrh = np.concatenate([x, r * h], axis=1)
+    candidate = np.tanh(xrh @ v["W_h"] + v["b_h"])
+    keep = 1.0 - z
+    g_z = g * candidate + -(g * h)
+    g_ah = g * z * (1.0 - candidate * candidate)
+    g_xrh = g_ah @ v["W_h"].T
+    g_rh = g_xrh[:, i:]
+    g_ar = g_rh * h * r * (1.0 - r)
+    g_az = g_z * z * (1.0 - z)
+    g_xh = g_ar @ v["W_r"].T + g_az @ v["W_z"].T
+    return {
+        "out": keep * h + z * candidate,
+        "b_z": g_az, "b_r": g_ar, "b_h": g_ah, "W_z": xh.T @ g_az, "W_r": xh.T @ g_ar, "W_h": xrh.T @ g_ah,
+        "x0": g_xrh[:, :i], "x1": g_xh[:, :i], "h0": g * keep, "h1": g_rh * r, "h2": g_xh[:, i:],
+    }
+
+
+def _signed(rng, shape, scale):
+    a = rng.standard_normal(shape) * scale
+    a[rng.random(shape) < 0.1] = 0.0
+    a[rng.random(shape) < 0.1] = -0.0
+    return a
+
+
+def test_gate_block_kernels_keep_the_bits_of_lone_gate_products():
+    # the (3, I+H, H) gate block runs z and r as one stacked product; every row and gate must
+    # still equal its own lone product under tobytes(), signed zeros included
+    rng = np.random.default_rng(11)
+    shapes = [(int(rng.integers(1, 65)), int(rng.integers(0, 41)), int(rng.integers(1, 41))) for _ in range(40)]
+    shapes += [(64, 0, 16), (1, 0, 1), (37, 5, 1), (1, 16, 16), (64, 32, 16)]
+    for b, i, hidden in shapes:
+        v = {name: _signed(rng, (i + hidden if name[0] == "W" else 1, hidden), 0.5) for name in ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h")}
+        W = np.stack([v["W_z"], v["W_r"], v["W_h"]])
+        x, h, g = _signed(rng, (b, 1, i), 1.0), _signed(rng, (b, 1, hidden), 0.5), _signed(rng, (b, 1, hidden), 1.0)
+        out, saved = gru_values(W, np.stack([v["b_z"], v["b_r"], v["b_h"]]), x, h)
+        (g_zr, g_ah, w_zr, w_h), (x0, x1), (h0, h1, h2) = gru_backward(W, saved, h, g)
+        got = {
+            "out": out, "b_z": g_zr[:, 0], "b_r": g_zr[:, 1], "b_h": g_ah, "W_z": w_zr[:, 0], "W_r": w_zr[:, 1], "W_h": w_h,
+            "x0": x0, "x1": x1, "h0": h0, "h1": h1, "h2": h2,
+        }
+        for row in range(b):
+            want = _lone_gate_products(v, x[row], h[row], g[row])
+            for name, value in want.items():
+                assert got[name][row].tobytes() == value.tobytes(), ((b, i, hidden), row, name)
 
 
 def test_gru_step_matches_reference_equations():

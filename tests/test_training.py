@@ -15,11 +15,14 @@ from intent_graph.configs import ConfigError
 from intent_graph.data import SynthConfig, generate_synthetic
 from intent_graph.model import (
     ModelConfig,
+    Parameters,
+    check_parameters,
     forward,
     forward_chunk,
     forward_logits,
     future_labels,
     init_parameters,
+    parameter_count,
     parameter_shapes,
 )
 from intent_graph.recurrent import TemporalConfig
@@ -40,7 +43,7 @@ from intent_graph.training import (
 from intent_graph.scene import BoundingBox
 
 from reference_ops import ReferenceAdam, reference_aggregate_metrics, reference_clip, reference_train
-from test_model import _batch_cfg, _mixed_batch
+from test_model import _batch_cfg, _mixed_batch, unchecked_parameters
 
 
 def _dataset(n=3, frames=8, seed=4):
@@ -100,22 +103,48 @@ def test_first_adam_step_is_signed_step():
 def test_flat_adam_is_bit_identical_to_the_per_parameter_update():
     # signed zeros included: a -0.0 gradient keeps its sign through the first moment
     rng = np.random.default_rng(3)
-    shapes = {"a": (3, 2), "b": (1, 4), "c": (2, 2)}
+    cfg = ModelConfig(D=2, D_e=2, hidden=2, graph_mode="pedestrian_only")
+    shapes = parameter_shapes(cfg)
     values = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-    values["b"][0, 1] = -0.0
+    values["pred_gru.b_r"][0, 1] = -0.0
     tcfg = TrainConfig(learning_rate=0.02)
-    buffer, views = training._parameter_buffer(shapes)
+    buffer = np.zeros((4, parameter_count(cfg)))
+    views = Parameters(cfg, buffer[0])  # the views train() builds over its buffer
     for name, value in values.items():
         views[name][...] = value
     flat, reference = AdamOptimizer(tcfg), ReferenceAdam(tcfg)
     for step in range(4):
         grads = {name: rng.standard_normal(shape) * 10.0 ** (step - 2) for name, shape in shapes.items()}
-        grads["b"][0, 1] = -0.0
+        grads["pred_gru.b_r"][0, 1] = -0.0
         buffer[1] = np.concatenate([g.reshape(-1) for g in grads.values()])
         flat.step(buffer)
         values = reference.step(values, grads)
         for name in shapes:
             assert views[name].tobytes() == values[name].tobytes(), (step, name)
+
+
+def test_cell_blocks_and_train_views_share_the_flat_row(monkeypatch):
+    # a cell's gate blocks are reshapes of its spans of the one row, made once: neither
+    # check_parameters nor train() re-stacks them per call
+    cfg = _mcfg(temporal=TemporalConfig(use_ctxt_gru=True))
+    p = check_parameters(cfg, init_parameters(cfg))
+    assert set(p.cells) == {"ped_gru", "ctxt_gru", "agg_gru", "pred_gru"}
+    assert all(np.shares_memory(view, p.row) for view in p.values())
+    for cell, (W, b) in p.cells.items():
+        for block, gates in ((W, ("W_z", "W_r", "W_h")), (b, ("b_z", "b_r", "b_h"))):
+            assert np.shares_memory(block, p.row)
+            for k, gate in enumerate(gates):
+                view = p[f"{cell}.{gate}"]
+                assert np.shares_memory(block[k], view) and block[k].tobytes() == view.tobytes(), (cell, gate)
+    seen, chunk_gradients = [], training._chunk_gradients
+    monkeypatch.setattr(training, "_chunk_gradients", lambda chunk, cfg, p, epoch=None: seen.append(p) or chunk_gradients(chunk, cfg, p, epoch))
+    train(_dataset(), cfg, TrainConfig(epochs=2))
+    assert len(seen) == 6 and all(views is seen[0] for views in seen)  # one set of views for the whole run
+    views = seen[0]
+    assert views.row.base.shape == (4, parameter_count(cfg))  # the value row of train()'s buffer
+    assert all(np.shares_memory(view, views.row) for view in views.values())
+    for W, b in views.cells.values():
+        assert np.shares_memory(W, views.row) and np.shares_memory(b, views.row)
 
 
 def test_zero_learning_rate_is_a_no_op():
@@ -478,7 +507,7 @@ def test_a_nan_parameter_is_refused_by_name(name):
     values[name][0, 0] = np.nan
     data = _dataset()
     # unchecked, the edge ReLUs and the ReLU after graph layer 0 turn the NaN into zeros
-    assert np.isfinite(forward_chunk(data, cfg, values)[0]).all()
+    assert np.isfinite(forward_chunk(data, cfg, unchecked_parameters(cfg, values))[0]).all()
     refused = pytest.raises(ConfigError, match=f"^parameter {re.escape(name)} holds a NaN$")
     with refused:
         forward(data[0], cfg, values)
@@ -496,7 +525,7 @@ def test_an_infinite_parameter_is_refused_by_name(name, value):
     values[name][0, 0] = value
     data = _dataset()
     if value < 0:  # unchecked, the edge ReLUs and the ReLU after graph layer 0 turn it into zeros
-        assert np.isfinite(forward_chunk(data, cfg, values)[0]).all()
+        assert np.isfinite(forward_chunk(data, cfg, unchecked_parameters(cfg, values))[0]).all()
     refused = pytest.raises(ConfigError, match=f"^parameter {re.escape(name)} holds an infinite value$")
     with refused:
         forward(data[0], cfg, values)
