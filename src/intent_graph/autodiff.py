@@ -235,10 +235,18 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def sigmoid_values(x: Array) -> Array:
-    """Numerically stable elementwise logistic function on a plain array."""
+    """Numerically stable elementwise logistic function on a plain array: exp(min(x, 0)) / (1 + exp(-|x|)).
+
+    The numerator is 1 where x >= 0 and exp(x) elsewhere. np.fmin, unlike
+    np.minimum, takes 0 over a NaN, so a NaN's sign comes from the
+    denominator, as it did from np.where(x >= 0, 1.0, exp(-|x|)).
+    """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    den = np.exp(-np.abs(x))
+    den += 1.0
+    out = np.exp(np.fmin(x, 0.0))
+    out /= den
+    return out
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:

@@ -159,8 +159,12 @@ def outer_rows(rows: Array, g: Array) -> Array:
 
 
 def open_unit(s: Array) -> Array:
-    """Clip edge scores one float64 step inside (0, 1); NaN stays NaN."""
-    return np.clip(s, _OPEN_UNIT_LO, _OPEN_UNIT_HI)
+    """Clip edge scores one float64 step inside (0, 1); NaN stays NaN.
+
+    np.clip's values, from two ufunc calls without its Python wrapper.
+    """
+    out = np.maximum(s, _OPEN_UNIT_LO)
+    return np.minimum(out, _OPEN_UNIT_HI, out=out)
 
 
 @lru_cache(maxsize=64)
@@ -190,7 +194,8 @@ def build_adjacency(
     matrix), which the quotient's backward reads, and None otherwise.
     """
     m, n = spokes.shape
-    a = np.broadcast_to(np.eye(n + 1), (m, n + 1, n + 1)).copy()
+    a = np.zeros((m, n + 1, n + 1))
+    a.reshape(m, (n + 1) ** 2)[:, :: n + 2] = 1.0  # the diagonal: every (n+2)th entry of a flattened frame
     a[:, 0, 1:] = spokes
     a[:, 1:, 0] = spokes
     if pair_weights is not None:
@@ -224,13 +229,15 @@ def graph_conv(a: Array, x: Array, layers: Sequence[Array]) -> tuple[Array, list
 def frame_rows(z: Array) -> Array:
     """(m, 2H) frame rows [refined pedestrian row, mean of the object rows] of m (N+1, H) outputs.
 
-    The mean over no objects is a zero row.
+    The mean over no objects is a zero row. The mean is np.mean's sum and
+    quotient, np.add.reduce then a division by the count, without its
+    Python wrapper.
     """
     m, rows, h = z.shape
     out = np.zeros((m, 2 * h))
     out[:, :h] = z[:, 0]
     if rows > 1:
-        out[:, h:] = z[:, 1:].mean(axis=1)
+        np.divide(np.add.reduce(z[:, 1:], axis=1), rows - 1, out=out[:, h:])
     return out
 
 
@@ -267,10 +274,10 @@ def graph_backward(
         z_in, az = saved[index]
         if index < len(layers) - 1:
             g_z = g_z * (saved[index + 1][0] > 0)
-        layer_grads.append(np.swapaxes(az, 1, 2) @ g_z)
+        layer_grads.append(az.swapaxes(1, 2) @ g_z)
         g_az = g_z @ layers[index].T
-        g_a = g_az @ np.swapaxes(z_in, 1, 2) if g_a is None else g_a + g_az @ np.swapaxes(z_in, 1, 2)
-        g_z = np.swapaxes(a, 1, 2) @ g_az
+        g_a = g_az @ z_in.swapaxes(1, 2) if g_a is None else g_a + g_az @ z_in.swapaxes(1, 2)
+        g_z = a.swapaxes(1, 2) @ g_az
     if g_a is None:
         return layer_grads, None, None, g_z[:, 0]
     if norm is not None:

@@ -32,7 +32,9 @@ forward_chunk is the tape-free pass over up to CHUNK (64) scenarios that
 both inference (forward_batch: evaluate, forward as a batch of one, the
 CLI's eval, predict and ablate) and training use; it never builds a Tensor.
 It runs each GRU of all B scenarios as stacked one-row products,
-(B, 1, I+H) @ W, through the value kernel gru_values; scores every edge of
+(B, 1, I+H) @ W, through the value kernel gru_values, over one unroll
+buffer per cell (_run_cell): row t holds step t's [x_t, h_t-1] and step t
+writes h_t into row t+1, so the states are a view; scores every edge of
 a pass in one call of the stacked-row kernel edge_values, as one block in
 the order forward_logits scores them (_Edges); and groups frames by object
 count N, so each bucket's graph block is one call of the stacked kernels:
@@ -219,7 +221,13 @@ def parameter_shapes(cfg: ModelConfig) -> Mapping[str, tuple[int, int]]:
 
 @lru_cache(maxsize=64)
 def _layout(cfg: ModelConfig) -> tuple:
-    """parameter_shapes, then where the flat row holds each parameter, each GRU cell's gate blocks and edge.* and gcn.*."""
+    """parameter_shapes, then how Parameters views the flat row, and the span of edge.* and gcn.* in it.
+
+    The row is cut into blocks, each a (slice, (count, rows, cols)): a GRU
+    cell's three weights, its three biases, or one other parameter. The
+    plan gives each parameter, in order, its block and its index there,
+    and each cell names its weight block; its bias block is the next.
+    """
     shapes: dict[str, tuple[int, int]] = {}
     h, d = cfg.hidden, cfg.D
     tc = cfg.temporal
@@ -243,15 +251,22 @@ def _layout(cfg: ModelConfig) -> tuple:
     _gru_shapes(shapes, "pred_gru", 0, h)
     shapes["readout.w"] = (h, 1)
     shapes["readout.b"] = (1, 1)
-    spans, cells, at = [], [], 0
+    blocks, plan, cells, fed, at = [], [], [], [], 0
     for name, (rows, cols) in shapes.items():
-        spans.append((name, slice(at, at + rows * cols), (rows, cols)))
-        if name.endswith(".W_z"):  # then W_r, W_h, b_z, b_r and b_h, adjacent
-            bias = at + 3 * rows * cols
-            cells.append((name[:-4], slice(at, bias), (3, rows, cols), slice(bias, bias + 3 * cols), (3, 1, cols)))
+        prefix, gate = name.rsplit(".", 1)
+        if gate in ("W_r", "W_h", "b_r", "b_h"):  # in the block its cell's W_z or b_z opened
+            plan.append((name, len(blocks) - 1, plan[-1][2] + 1))
+        else:
+            count = 3 if gate in ("W_z", "b_z") else 1
+            if gate == "W_z":
+                cells.append((prefix, len(blocks)))
+            blocks.append((slice(at, at + count * rows * cols), (count, rows, cols)))
+            plan.append((name, len(blocks) - 1, 0))
+        if prefix in ("edge", "gcn"):  # adjacent too
+            fed.append(slice(at, at + rows * cols))
         at += rows * cols
-    fed = [at for name, at, _ in spans if name.startswith(("edge.", "gcn."))]  # adjacent too
-    return MappingProxyType(shapes), tuple(spans), tuple(cells), slice(fed[0].start, fed[-1].stop) if fed else slice(0)
+    fed = slice(fed[0].start, fed[-1].stop) if fed else slice(0)
+    return MappingProxyType(shapes), tuple(blocks), tuple(plan), tuple(cells), fed
 
 
 def _is_bias(name: str) -> bool:
@@ -283,9 +298,10 @@ class Parameters(dict):
     """
 
     def __init__(self, cfg: ModelConfig, row: np.ndarray):
-        _, spans, cells, _ = _layout(cfg)
-        super().__init__({name: row[at].reshape(shape) for name, at, shape in spans})
-        self.row, self.cells = row, {cell: (row[w].reshape(w_shape), row[b].reshape(b_shape)) for cell, w, w_shape, b, b_shape in cells}
+        _, blocks, plan, cells, _ = _layout(cfg)
+        views = [row[at].reshape(shape) for at, shape in blocks]
+        super().__init__({name: views[block][index] for name, block, index in plan})
+        self.row, self.cells = row, {cell: (views[block], views[block + 1]) for cell, block in cells}
 
 
 def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> Parameters:
@@ -297,17 +313,19 @@ def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> Para
     scenario pays this check every call: a non-finite value elsewhere
     reaches the logits, which evaluate, train and the CLI refuse.
     """
-    shapes = parameter_shapes(cfg)
-    if set(values) != set(shapes):
+    shapes, *_, fed = _layout(cfg)
+    if values.keys() != shapes.keys():
         missing = sorted(set(shapes) - set(values))
         extra = sorted(set(values) - set(shapes))
         raise ConfigError(f"parameter names do not match the config (missing {missing}, unexpected {extra})")
-    arrays = [np.asarray(values[name], dtype=np.float64) for name in shapes]
-    for (name, shape), arr in zip(shapes.items(), arrays):
+    flat = []
+    for name, shape in shapes.items():
+        arr = np.asarray(values[name], dtype=np.float64)
         if arr.shape != shape:
             raise ConfigError(f"parameter {name} has shape {arr.shape}, config expects {shape}")
-    checked = Parameters(cfg, np.concatenate([arr.ravel() for arr in arrays]))
-    if not np.isfinite(checked.row[_layout(cfg)[3]]).all():
+        flat.append(arr.ravel())
+    checked = Parameters(cfg, np.concatenate(flat))
+    if not np.isfinite(checked.row[fed]).all():
         name = next(name for name in shapes if name.startswith(("edge.", "gcn.")) and not np.isfinite(checked[name]).all())
         what = "a NaN" if np.isnan(checked[name]).any() else "an infinite value"
         raise ConfigError(f"parameter {name} holds {what}")
@@ -592,17 +610,21 @@ def _slot(kept: dict | None, name: str) -> list | None:
 def _run_cell(cell: tuple, inputs: np.ndarray, h: np.ndarray, steps: list | None = None) -> np.ndarray:
     """Unroll a cell's gate blocks (W, b) over (B, T, 1, I) inputs from the (B, 1, H) state ``h``; the (B, T, 1, H) states.
 
-    Given a ``steps`` list, appends per step its input state and the values
-    gru_values saved for a backward.
+    One (B, T+1, 1, I+H) buffer holds the unroll: row t is step t's
+    [x_t, h_t-1], so the inputs are copied in once, and step t writes h_t
+    into the h columns of row t+1. The states are a view of those columns.
+    Given a ``steps`` list, appends per step the values gru_values saved
+    for a backward, which read row t of the buffer.
     """
-    states = []
-    for t in range(inputs.shape[1]):
-        h_next, saved = gru_values(*cell, inputs[:, t], h)
+    b, t_len, _, i = inputs.shape
+    buf = np.empty((b, t_len + 1, 1, i + h.shape[-1]))
+    buf[:, :t_len, :, :i] = inputs
+    buf[:, 0, :, i:] = h
+    for t in range(t_len):
+        saved = gru_values(*cell, buf[:, t], buf[:, t + 1, :, i:])
         if steps is not None:
-            steps.append((h, saved))
-        states.append(h_next)
-        h = h_next
-    return np.concatenate(states, axis=1)[:, :, None]  # np.stack(states, axis=1) in one call
+            steps.append(saved)
+    return buf[:, 1:, :, i:]
 
 
 def _buckets(counts: np.ndarray, sizes: np.ndarray | None = None):
@@ -611,10 +633,10 @@ def _buckets(counts: np.ndarray, sizes: np.ndarray | None = None):
     Frame f's edges are sizes[f] adjacent rows of the edge block; without
     ``sizes`` (star mode) they are its objects' rows, the same array.
     """
-    starts = np.cumsum(counts) - counts
-    edge_starts = None if sizes is None else np.cumsum(sizes) - sizes
+    starts = counts.cumsum() - counts
+    edge_starts = None if sizes is None else sizes.cumsum() - sizes
     for n in sorted(set(counts.tolist())):
-        frames = np.flatnonzero(counts == n)
+        frames = (counts == n).nonzero()[0]
         rows = starts[frames][:, None] + np.arange(n)
         yield n, frames, rows, rows if sizes is None else edge_starts[frames][:, None] + np.arange(n * (n + 1) // 2)
 
@@ -744,7 +766,7 @@ def _graph_frames(
         src_boxes, tgt_boxes = np.concatenate([boxes, ped_boxes])[src], boxes[tgt]
         targets, e_o, mask_o = targets[tgt], e_o[tgt], mask_o[tgt]
     else:
-        owner = np.repeat(np.arange(len(ped_rows)), counts)  # frame of each object row
+        owner = np.arange(len(ped_rows)).repeat(counts)  # frame of each object row
         sources, src_boxes, tgt_boxes = ped_rows[owner], ped_boxes[owner], boxes
     rel, overflow = relation_rows(src_boxes, tgt_boxes), None
     if not np.isfinite(rel).all():
@@ -755,7 +777,7 @@ def _graph_frames(
     weights = open_unit(saved[4])[:, 0]
     _check_edges(scenarios, cfg, counts, sizes, overflow, weights)
     if kept is not None:
-        bounds = np.concatenate([[0], np.cumsum(sizes)])[:: cfg.T].tolist()
+        bounds = [0, *sizes.cumsum()[cfg.T - 1 :: cfg.T].tolist()]
         kept["edges"] = _Edges(v, targets, saved, bounds)
     # unless kept, the edge arrays go before the graph work: held through it, they slowed evaluate() by about 2%
     del v, saved, rel, sources, src_boxes, tgt_boxes, targets, e_o, mask_o
@@ -779,14 +801,15 @@ def _graph_frames(
 def _fold(stack: np.ndarray) -> np.ndarray:
     """Left fold over the first axis, ((s0 + s1) + s2) + ..., the order in which a tape adds gradients.
 
-    np.sum over the first axis adds the terms in that order once each term
-    holds more than one entry (a one-entry stack it sums pairwise), but it
-    starts from +0.0, which turns a -0.0 of s0 into +0.0. Those stacks go
-    through np.add.accumulate, which is exact but several times slower.
+    np.add.reduce (np.sum's reduction) over the first axis adds the terms in
+    that order once each term holds more than one entry (a one-entry stack
+    it sums pairwise), but it starts from +0.0, which turns a -0.0 of s0
+    into +0.0. Those stacks go through np.add.accumulate, which is exact
+    but several times slower.
     """
     first = stack[0]
     if first.size > 1 and not (np.signbit(first) & (first == 0.0)).any():
-        return np.sum(stack, axis=0)
+        return np.add.reduce(stack, axis=0)
     return np.add.accumulate(stack, axis=0)[-1]
 
 
@@ -812,20 +835,25 @@ def _cell_backward(grads: dict, p: Parameters, prefix: str, steps, first=None, l
     The gradient of step t's output state is the sum, in this order, of
     first[t], the next step's three h terms and last[t] (a None list or
     entry adds nothing): the order in which the tape reaches them. Each
-    parameter sums its steps' terms from the last step back. Returns each
-    step's input gradient (the two input terms summed; None if empty) and
-    the three terms of the initial state.
+    parameter sums its steps' terms from the last step back, in place.
+    Returns the (B, T, 1, I) input gradients, each step's two input terms
+    summed (never written when I = 0), and the three terms of the initial
+    state.
     """
     W = p.cells[prefix][0]
-    first, last = first or [None] * len(steps), last or [None] * len(steps)
-    totals, g_inputs, carry = None, [None] * len(steps), ()
-    for t in reversed(range(len(steps))):
+    i, n = W.shape[-2] - W.shape[-1], len(steps)
+    first, last = first or [None] * n, last or [None] * n
+    totals, g_inputs, carry = None, np.empty((len(steps[0][0]), n, 1, i)), ()
+    for t in reversed(range(n)):
         terms = [term for term in (first[t], *carry, last[t]) if term is not None]
-        h, saved = steps[t]
-        params, (x0, x1), carry = gru_backward(W, saved, h, reduce(np.add, terms))
-        totals = params if totals is None else tuple(a + b for a, b in zip(totals, params))
-        if x0.shape[-1]:
-            g_inputs[t] = x0 + x1
+        params, (x0, x1), carry = gru_backward(W, steps[t], reduce(np.add, terms))
+        if totals is None:
+            totals = params
+        else:
+            for total, term in zip(totals, params):
+                total += term
+        if i:
+            np.add(x0, x1, out=g_inputs[:, t])
     g_zr, g_ah, w_zr, w_h = totals
     gates = {"W_z": w_zr[:, 0], "W_r": w_zr[:, 1], "W_h": w_h, "b_z": g_zr[:, 0], "b_r": g_zr[:, 1], "b_h": g_ah}
     grads.update((f"{prefix}.{gate}", total) for gate, total in gates.items())
@@ -860,11 +888,11 @@ def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.nda
 
     if tc.use_temporal:
         last = [None] * (t_obs - 1) + [g_final]
-        g_vecs = np.concatenate(_cell_backward(grads, p, "agg_gru", kept["agg_gru"], last=last)[0], axis=1)[:, :, None]
+        g_vecs = _cell_backward(grads, p, "agg_gru", kept["agg_gru"], last=last)[0]
     else:
-        grads["temporal_pool.proj"] = np.swapaxes(kept["pooled"], 1, 2) @ g_final
+        grads["temporal_pool.proj"] = kept["pooled"].swapaxes(1, 2) @ g_final
         g_pooled = g_final @ p["temporal_pool.proj"].T / t_obs
-        g_vecs = np.repeat(g_pooled[:, None], t_obs, axis=1)
+        g_vecs = g_pooled[:, None].repeat(t_obs, axis=1)
 
     if mode == "pedestrian_only":
         g_ped = g_vecs
@@ -874,8 +902,7 @@ def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.nda
         if tc.use_temporal and tc.use_ctxt_gru:
             # a context state takes the next step's three terms, then the frame vector's
             last = [g_vecs[:, t, :, h_width:] for t in range(t_obs)]
-            g_cols = _cell_backward(grads, p, "ctxt_gru", kept["ctxt_gru"], last=last)[0]
-            g_vecs = np.concatenate([g_vecs[..., :h_width], np.concatenate(g_cols, axis=1)[:, :, None]], axis=-1)
+            g_vecs[..., h_width:] = _cell_backward(grads, p, "ctxt_gru", kept["ctxt_gru"], last=last)[0]
         g_ped = _graph_backward(cfg, p, kept, g_vecs.reshape(b * t_obs, 2 * h_width), grads)
         g_ped = g_ped.reshape(b, t_obs, 1, h_width)
 
@@ -883,7 +910,8 @@ def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.nda
         # a pedestrian state takes its frame's terms, then the next step's three
         _cell_backward(grads, p, "ped_gru", kept["ped_gru"], first=[g_ped[:, t] for t in range(t_obs)])
     for name, shape in parameter_shapes(cfg).items():
-        grads.setdefault(name, np.zeros((b, *shape)))  # the tape's zeros for a parameter the loss never reached
+        if name not in grads:  # the tape's zeros for a parameter the loss never reached
+            grads[name] = np.zeros((b, *shape))
     return grads
 
 
@@ -904,7 +932,8 @@ def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g
         by_layer, g_spokes, g_pairs, g_center = graph_backward(a, norm, saved, layers, g_rows[frames], pairs)
         center[frames] = g_center
         if n_layers:
-            layer_grads[frames] = np.stack(by_layer, axis=1)
+            for layer, g_layer in enumerate(by_layer):
+                layer_grads[frames, layer] = g_layer
             g_weights[at] = g_spokes if g_pairs is None else np.concatenate([g_spokes, g_pairs], axis=1)
     if not n_layers:
         return center  # the weights feed nothing, and the edges get no gradient

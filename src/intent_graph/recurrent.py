@@ -18,13 +18,17 @@ gru_backward take a cell as two gate blocks, views of the model's flat
 parameter row: W (3, I+H, H) = [W_z, W_r, W_h] and b (3, 1, H). z and r
 come from one product on the leading gate axis, [x, h] @ W[:2], which is a
 stack of lone one-row products and so keeps their bits (fused columns,
-[W_z | W_r], would not). The training backward runs the kernels over B
-scenarios at once; gru_step stacks its six Tensors' data and runs one.
+[W_z | W_r], would not). gru_values reads [x, h] as one row and writes h'
+through ``out``, so model._run_cell unrolls a cell over one buffer whose
+row t is step t's [x_t, h_t-1] and concatenates nothing per step. The
+stacked forward and backward run the kernels over B scenarios at once;
+gru_step stacks its six Tensors' data, concatenates its own [x, h] and
+runs one.
 
-One step records one tape node. Its forward makes the NumPy calls of the
+One step records one tape node. Its forward makes the operations of the
 per-op chain concat -> matmul -> add -> sigmoid -> ... -> add, in the same
-order, and its backward returns one gradient per use of an input, in the
-order that chain's reverse pass reaches them:
+order and some in place, and its backward returns one gradient per use of
+an input, in the order that chain's reverse pass reaches them:
 
     inputs     h       b_h   W_h          x             h       b_r      W_r
     gradients  g*keep  g_ah  xrh.T@g_ah   g_xrh[:, :I]  g_rh*r  g_zr[1]  w_zr[1]
@@ -84,44 +88,61 @@ class GRUCellParams:
     b_h: Tensor
 
 
-def gru_values(W: Array, b: Array, x: Array, h: Array) -> tuple[Array, tuple[Array, ...]]:
-    """One gated update on plain arrays; returns h' and the values its backward reads.
+def gru_values(W: Array, b: Array, xh: Array, out: Array) -> tuple[Array, ...]:
+    """One gated update on plain arrays: writes h' into ``out``; returns the values its backward reads.
 
-    ``W`` and ``b`` are the cell's gate blocks. ``x`` is (..., 1, I) and
-    ``h`` is (..., 1, H): one row per scenario, so B cells advance as stacked
-    one-row products, each bit for bit the product of a lone (1, I+H) row.
-    gru_step and the batched forward both call this, so the gate math
-    exists once.
+    ``W`` and ``b`` are the cell's gate blocks, and the input width I is
+    W.shape[-2] - W.shape[-1]. ``xh`` is the (..., 1, I+H) row [x, h] and
+    ``out`` the (..., 1, H) array h' goes to: one row per scenario, so B
+    cells advance as stacked one-row products, each bit for bit the product
+    of a lone (1, I+H) row. ``xh`` may be a row of an unroll buffer and
+    ``out`` the h columns of the next row; the backward reads ``xh``, so
+    nothing may overwrite it. gru_step and the batched forward both call
+    this, so the gate math exists once.
     """
-    xh = np.concatenate([x, h], axis=-1)
-    zr = sigmoid_values(xh[..., None, :, :] @ W[:2] + b[:2])  # (..., 2, 1, H): z, then r
+    i = W.shape[-2] - W.shape[-1]
+    h = xh[..., i:]
+    zr = xh[..., None, :, :] @ W[:2]
+    zr += b[:2]
+    zr = sigmoid_values(zr)  # (..., 2, 1, H): z, then r
     z, r = zr[..., 0, :, :], zr[..., 1, :, :]
-    xrh = np.concatenate([x, r * h], axis=-1)
-    candidate = np.tanh(xrh @ W[2] + b[2])
+    xrh = xh.copy()
+    np.multiply(r, h, out=xrh[..., i:])
+    candidate = xrh @ W[2]
+    candidate += b[2]
+    np.tanh(candidate, out=candidate)
     keep = 1.0 - z
-    return keep * h + z * candidate, (xh, zr, z, r, xrh, candidate, keep)
+    np.multiply(keep, h, out=out)
+    out += z * candidate
+    return xh, zr, z, r, xrh, candidate, keep
 
 
-def gru_backward(W: Array, saved: tuple[Array, ...], h: Array, g: Array):
+def gru_backward(W: Array, saved: tuple[Array, ...], g: Array):
     """The backward of gru_values at the gradient ``g`` of h', on the same stacked rows.
 
-    ``saved`` is what gru_values returned beside h' for the input state
-    ``h``. Returns three tuples: the gradients (g_zr, g_ah, w_zr, w_h) of
-    the biases [b_z, b_r], b_h, the weights [W_z, W_r] and W_h; the input's
-    two terms (g_xrh[..., :I], g_xh[..., :I]); and h's three (g*keep,
-    g_rh*r, g_xh[..., I:]), in the order the per-op chain's reverse pass
-    reaches them. A weight gradient is the stacked outer product of a row
-    and a gate gradient.
+    ``saved`` is what gru_values returned. Returns three tuples: the
+    gradients (g_zr, g_ah, w_zr, w_h) of the biases [b_z, b_r], b_h, the
+    weights [W_z, W_r] and W_h; the input's two terms (g_xrh[..., :I],
+    g_xh[..., :I]); and h's three (g*keep, g_rh*r, g_xh[..., I:]), in the
+    order the per-op chain's reverse pass reaches them. A weight gradient
+    is the stacked outer product of a row and a gate gradient.
     """
     xh, zr, z, r, xrh, candidate, keep = saved
-    i = xh.shape[-1] - h.shape[-1]
+    i = W.shape[-2] - W.shape[-1]
+    h = xh[..., i:]
     # each expression keeps the chain's operand order: float sums and
     # products are not associative
-    g_z = g * candidate + -(g * h)
-    g_ah = g * z * (1.0 - candidate * candidate)
+    g_ah = g * z
+    g_ah *= 1.0 - candidate * candidate
     g_xrh = g_ah @ W[2].T
     g_rh = g_xrh[..., i:]
-    g_zr = np.concatenate([g_z, g_rh * h], axis=-2)[..., None, :] * zr * (1.0 - zr)  # [g_z*z*(1-z), g_rh*h*r*(1-r)]
+    g_zr = np.empty_like(zr)  # [g_z*z*(1-z), g_rh*h*r*(1-r)]
+    g_z, g_r = g_zr[..., 0, :, :], g_zr[..., 1, :, :]
+    np.multiply(g, candidate, out=g_z)
+    g_z += -(g * h)
+    np.multiply(g_rh, h, out=g_r)
+    g_zr *= zr
+    g_zr *= 1.0 - zr
     both = g_zr @ W[:2].mT
     g_xh = both[..., 1, :, :] + both[..., 0, :, :]
     params = (g_zr, g_ah, xh.mT[..., None, :, :] @ g_zr, xrh.mT @ g_ah)
@@ -137,10 +158,11 @@ def gru_step(p: GRUCellParams, x: Tensor, h: Tensor) -> Tensor:
     if h.shape != (1, hidden):
         raise ValueError(f"hidden shape {h.shape} != (1, {hidden})")
     W = np.stack([p.W_z.data, p.W_r.data, p.W_h.data])
-    out, saved = gru_values(W, np.stack([p.b_z.data, p.b_r.data, p.b_h.data]), x.data, h.data)
+    out = np.empty((1, hidden))
+    saved = gru_values(W, np.stack([p.b_z.data, p.b_r.data, p.b_h.data]), np.concatenate([x.data, h.data], axis=1), out)
 
     def bwd(g: Array):
-        (g_zr, g_ah, w_zr, w_h), (x0, x1), (h0, h1, h2) = gru_backward(W, saved, h.data, g)
+        (g_zr, g_ah, w_zr, w_h), (x0, x1), (h0, h1, h2) = gru_backward(W, saved, g)
         return (h0, g_ah, w_h, x0, h1, g_zr[1], w_zr[1], g_zr[0], w_zr[0], x1, h2)
 
     inputs = (h, p.b_h, p.W_h, x, h, p.b_r, p.W_r, p.b_z, p.W_z, x, h)

@@ -25,11 +25,12 @@ parameter values, the gradients and Adam's two moments are the rows of one
 (4, P) float64 buffer, each laid out as check_parameters' flat row; the
 model reads model.Parameters views of the value row, built once per run.
 Adam updates the whole buffer in place, and clip_gradients squares the
-gradient row once and sums each parameter's slice with its own reduction,
-so the norm keeps the bits of one np.sum per parameter. The taped
-scenario_loss_tensor stays as the oracle for the tests, and
-benchmarks/tracing.py wraps it. scenario_loss is scenario_gradients' loss
-without the backward, for the perturbed calls of the gradient check.
+gradient row once and sums each run of adjacent same-size parameters as
+one block, one row per parameter, so the norm keeps the bits of one np.sum
+per parameter. The taped scenario_loss_tensor stays as the oracle for the
+tests, and benchmarks/tracing.py wraps it. scenario_loss is
+scenario_gradients' loss without the backward, for the perturbed calls of
+the gradient check.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import groupby
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -149,17 +151,31 @@ def scenario_loss_tensor(
     return scale(total, 1.0 / len(labels))
 
 
+@lru_cache(maxsize=64)
+def _runs(sizes: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(start, count, size) of each run of adjacent parameters of one size, in order."""
+    runs, start = [], 0
+    for size, group in groupby(sizes):
+        count = len(list(group))
+        runs.append((start, count, size))
+        start += count * size
+    return tuple(runs)
+
+
 def clip_gradients(flat: np.ndarray, sizes: Sequence[int], max_norm: float) -> float:
     """Scale the flat gradient row in place so its global L2 norm is at most max_norm; returns the norm before.
 
     ``sizes`` splits ``flat`` into its parameters, in order. The row is
-    squared once, and each parameter's slice is summed with one
-    np.add.reduce, then the sums are added in order: the bits of one
+    squared once, and each run of adjacent same-size parameters (a GRU
+    cell's three weights, its three biases) is summed as one (count, size)
+    block along its rows, each row the pairwise sum np.add.reduce makes of
+    a lone slice; then the sums are added in order: the bits of one
     np.sum(g * g) per (rows, cols) parameter.
     """
-    squares = flat * flat
-    ends = np.cumsum(sizes).tolist()
-    total = math.sqrt(sum(float(np.add.reduce(squares[end - size : end])) for size, end in zip(sizes, ends)))
+    squares, sums = flat * flat, []
+    for start, count, size in _runs(tuple(sizes)):
+        sums += np.add.reduce(squares[start : start + count * size].reshape(count, size), axis=1).tolist()
+    total = math.sqrt(sum(sums))
     if total > max_norm and total > 0:
         flat *= max_norm / total
     return total

@@ -4,7 +4,7 @@ Run from the repository root (pytest does not collect this file):
 
     python3 tests/bit_digest.py
 
-It prints five lines, ``<name> <sha256>`` and, for the two benchmark runs,
+It prints six lines, ``<name> <sha256>`` and, for the two benchmark runs,
 the final training loss:
 
 * ``48-config``: the 48 batch configs of tests/test_model.py (4 graph modes
@@ -22,11 +22,14 @@ the final training loss:
   the train-recipe and train-fc-dense test sets with the parameters of the
   two runs above, then on the eval-dense seed-0 set with its seed-0
   parameters: the one-scenario path that the benchmark's predict_ms times.
+* ``evaluate``: the bytes of forward_batch's logits over the eval-dense
+  seed-0 set with its seed-0 parameters, which it runs in passes of CHUNK
+  (64) scenarios: the stacked rows at the batch size evaluate() uses.
 
 The benchmark inputs are generated in process from the synth, split, model
 and train settings of benchmarks/workloads.py; ``load`` writes them to a
 temporary directory with each workload's own prepare(). A refactor that
-claims the same bits must print the same five lines before and after.
+claims the same bits must print the same six lines before and after.
 """
 
 import hashlib
@@ -42,7 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "benchmarks")]
 
 from intent_graph.data import SynthConfig, generate_synthetic, load, serialize, split, write_dataset  # noqa: E402
-from intent_graph.model import ModelConfig, forward, init_parameters, save_checkpoint  # noqa: E402
+from intent_graph.model import ModelConfig, forward, forward_batch, init_parameters, save_checkpoint  # noqa: E402
 from intent_graph.training import TrainConfig, evaluate, scenario_gradients, train  # noqa: E402
 from test_model import BATCH_STACKS, BATCH_TEMPORALS, _batch_cfg, _mixed_batch  # noqa: E402
 from workloads import _SPLIT_SEED, WORKLOADS  # noqa: E402
@@ -106,6 +109,13 @@ def predict_digest(runs) -> str:
     return h.hexdigest()
 
 
+def evaluate_digest() -> str:
+    eval_dense = WORKLOADS["eval-dense"]
+    cfg = ModelConfig(**eval_dense.model, seed=0)
+    scenarios = generate_synthetic(SynthConfig(**eval_dense.synth, seed=0))
+    return hashlib.sha256(forward_batch(scenarios, cfg, init_parameters(cfg)).tobytes()).hexdigest()
+
+
 def load_digest() -> str:
     # the names each workload's prepare() reads from its benchmark Library
     lib = SimpleNamespace(
@@ -134,6 +144,7 @@ def main() -> None:
     print("train-fc-dense", workload_digest(runs[1][1]))
     print("load", load_digest())
     print("predict", predict_digest(runs))
+    print("evaluate", evaluate_digest())
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from intent_graph.graph import (
     edge_weight,
     frame_rows,
     graph_conv,
+    open_unit,
     pair_indices,
     star_graph,
 )
@@ -338,6 +339,62 @@ def test_conv_shape_validation():
         star_graph(Tensor([1.0, 2.0]), np.ones((1, 3)), Tensor([[0.5]]))
     with pytest.raises(ValueError, match="object rows"):
         star_graph(Tensor(np.ones((2, 2))), np.ones((1, 2)), Tensor([[0.5]]))
+
+
+# weights at and around the ends of (0, 1), signed zeros, NaNs of both signs and the infinities
+_SPECIALS = np.array([0.0, -0.0, 1.0, 0.5, 5e-324, np.nextafter(1.0, 0.0), np.nan, -np.nan, 1.5, -0.25, np.inf, -np.inf])
+
+
+def _with_specials(rng, shape):
+    a = rng.random(shape)
+    mask = rng.random(shape) < 0.4
+    a[mask] = rng.choice(_SPECIALS, int(mask.sum()))
+    return a
+
+
+def _old_adjacency(spokes, pair_weights, row_normalize):
+    """build_adjacency as it was built from np.broadcast_to(np.eye(N + 1), ...).copy(), as a byte reference."""
+    m, n = spokes.shape
+    a = np.broadcast_to(np.eye(n + 1), (m, n + 1, n + 1)).copy()
+    a[:, 0, 1:] = spokes
+    a[:, 1:, 0] = spokes
+    if pair_weights is not None:
+        i, j = pair_indices(n)
+        a[:, i + 1, j + 1] = pair_weights
+        a[:, j + 1, i + 1] = pair_weights
+    if not row_normalize:
+        return a, None
+    den = (a @ np.ones((n + 1, 1))) @ np.ones((1, n + 1))
+    return a / den, (a, den)
+
+
+def test_adjacency_open_unit_and_frame_rows_keep_the_bytes_of_their_numpy_wrappers():
+    # build_adjacency writes its diagonal into zeros, open_unit is np.maximum then np.minimum and
+    # frame_rows sums and divides: each must give the bytes of the eye copy, np.clip and np.mean
+    rng = np.random.default_rng(21)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for n in (0, 1, 2, 5):
+            for m in (1, 3):
+                for pairs in (False, True):
+                    for row_normalize in (False, True):
+                        spokes = _with_specials(rng, (m, n))
+                        pair_weights = _with_specials(rng, (m, n * (n - 1) // 2)) if pairs else None
+                        got, got_norm = build_adjacency(spokes, pair_weights, row_normalize)
+                        want, want_norm = _old_adjacency(spokes, pair_weights, row_normalize)
+                        assert got.tobytes() == want.tobytes(), (n, m, pairs, row_normalize)
+                        assert (got_norm is None) == (want_norm is None)
+                        for g, w in zip(got_norm or (), want_norm or ()):
+                            assert g.tobytes() == w.tobytes(), (n, m, pairs, row_normalize)
+        scores = np.concatenate([_SPECIALS, rng.random(40), _with_specials(rng, 40)]).reshape(-1, 1)
+        assert open_unit(scores).tobytes() == np.clip(scores, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)).tobytes()
+        for rows in (1, 2, 4, 6, 8):  # 1, 3, 5 and 7 objects: a product by 1/3 is not a quotient by 3
+            for m in (1, 4):
+                z = _with_specials(rng, (m, rows, 6)) * rng.choice([-1.0, 1.0], (m, rows, 6))
+                want = np.zeros((m, 12))
+                want[:, :6] = z[:, 0]
+                if rows > 1:
+                    want[:, 6:] = z[:, 1:].mean(axis=1)
+                assert frame_rows(z).tobytes() == want.tobytes(), (rows, m)
 
 
 def test_context_vector_mean_and_empty():

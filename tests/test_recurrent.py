@@ -6,7 +6,7 @@ import pytest
 from intent_graph import autodiff as ad
 from intent_graph.autodiff import GradientTape, Tensor, finite_diff_check, sigmoid_values
 from intent_graph.data import SynthConfig, generate_synthetic, split
-from intent_graph.model import ModelConfig, init_parameters
+from intent_graph.model import ModelConfig, _run_cell, init_parameters
 from intent_graph.recurrent import (
     GRUCellParams,
     TemporalConfig,
@@ -93,8 +93,9 @@ def test_gate_block_kernels_keep_the_bits_of_lone_gate_products():
         v = {name: _signed(rng, (i + hidden if name[0] == "W" else 1, hidden), 0.5) for name in ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h")}
         W = np.stack([v["W_z"], v["W_r"], v["W_h"]])
         x, h, g = _signed(rng, (b, 1, i), 1.0), _signed(rng, (b, 1, hidden), 0.5), _signed(rng, (b, 1, hidden), 1.0)
-        out, saved = gru_values(W, np.stack([v["b_z"], v["b_r"], v["b_h"]]), x, h)
-        (g_zr, g_ah, w_zr, w_h), (x0, x1), (h0, h1, h2) = gru_backward(W, saved, h, g)
+        out = np.empty((b, 1, hidden))
+        saved = gru_values(W, np.stack([v["b_z"], v["b_r"], v["b_h"]]), np.concatenate([x, h], axis=-1), out)
+        (g_zr, g_ah, w_zr, w_h), (x0, x1), (h0, h1, h2) = gru_backward(W, saved, g)
         got = {
             "out": out, "b_z": g_zr[:, 0], "b_r": g_zr[:, 1], "b_h": g_ah, "W_z": w_zr[:, 0], "W_r": w_zr[:, 1], "W_h": w_h,
             "x0": x0, "x1": x1, "h0": h0, "h1": h1, "h2": h2,
@@ -103,6 +104,41 @@ def test_gate_block_kernels_keep_the_bits_of_lone_gate_products():
             want = _lone_gate_products(v, x[row], h[row], g[row])
             for name, value in want.items():
                 assert got[name][row].tobytes() == value.tobytes(), ((b, i, hidden), row, name)
+
+
+def _flat(values):
+    """The arrays of gru_backward's nested tuples, in order."""
+    return [a for group in values for a in group]
+
+
+def test_the_buffered_unroll_keeps_the_bits_of_gru_step():
+    # _run_cell reads step t's [x_t, h_t-1] as a strided row of one (B, T+1, 1, I+H) buffer and writes
+    # h_t into the h columns of the next row; every state, every saved value and the backward of each
+    # step must be what the kernels give a lone row concatenated on its own, as gru_step builds it
+    rng = np.random.default_rng(17)
+    hidden = 5
+    for b in (1, 3):
+        for i in (0, 6):
+            for t_len in (1, 4):
+                v = {name: _signed(rng, (i + hidden if name[0] == "W" else 1, hidden), 0.5) for name in ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h")}
+                cell = (np.stack([v["W_z"], v["W_r"], v["W_h"]]), np.stack([v["b_z"], v["b_r"], v["b_h"]]))
+                x, h0 = _signed(rng, (b, t_len, 1, i), 1.0), _signed(rng, (b, 1, hidden), 0.5)
+                g = _signed(rng, (b, 1, hidden), 1.0)
+                steps = []
+                states = _run_cell(cell, x, h0, steps)
+                assert states.shape == (b, t_len, 1, hidden) and len(steps) == t_len
+                for row in range(b):
+                    h = Tensor(h0[row])
+                    for t in range(t_len):
+                        where = ((b, i, t_len), row, t)
+                        want = gru_values(*cell, np.concatenate([x[row, t], h.data], axis=1), np.empty((1, hidden)))
+                        h = gru_step(_lift(v), Tensor(x[row, t]), h)
+                        assert states[row, t].tobytes() == h.data.tobytes(), where
+                        for got, ref in zip(steps[t], want, strict=True):
+                            assert got[row].tobytes() == ref.tobytes(), where
+                        got_grads = _flat(gru_backward(cell[0], steps[t], g))
+                        for got, ref in zip(got_grads, _flat(gru_backward(cell[0], want, g[row])), strict=True):
+                            assert got[row].tobytes() == ref.tobytes(), where
 
 
 def test_gru_step_matches_reference_equations():

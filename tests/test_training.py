@@ -196,6 +196,19 @@ def test_clip_gradients_keeps_the_per_parameter_norm_and_scaling():
                 assert flat.tobytes() == np.concatenate([want[name].reshape(-1) for name in shapes]).tobytes()
 
 
+def test_clip_gradients_sums_each_run_of_equal_sizes_as_lone_parameters():
+    # a run of adjacent same-size parameters is reduced as one (count, size) block along its rows;
+    # each row must keep the bits of that parameter's own np.sum, also past NumPy's 8192-entry buffer
+    rng = np.random.default_rng(13)
+    for sizes in ([3, 3, 3, 1, 1, 1, 16], [1], [1, 1], [7, 5, 5, 7, 7, 7, 2], [8192, 8192, 8193, 20000, 20000, 3]):
+        shapes = {f"p{k}": (1, size) for k, size in enumerate(sizes)}
+        for max_norm in (1e-3, 1e12):
+            grads, flat = _clip_case(rng, shapes)
+            want, want_norm = reference_clip(grads, max_norm)
+            assert clip_gradients(flat, sizes, max_norm) == want_norm, sizes
+            assert flat.tobytes() == np.concatenate([want[name].reshape(-1) for name in shapes]).tobytes()
+
+
 # -- losses -----------------------------------------------------------------------
 
 
