@@ -41,8 +41,8 @@ count N, so each bucket's graph block is one call of the stacked kernels:
 (m, N+1, N+1) @ (m, N+1, H) @ W per layer, then the split into frame rows.
 For training it keeps what a backward reads, and backward_chunk walks the
 stages in reverse over the same layout, through the stacked backward
-kernels gru_backward, graph_backward and edge_backward, returning each
-scenario's gradients.
+kernels gru_backward, graph_backward and edge_backward, writing each
+scenario's gradients into its row of one (B, P) array.
 NumPy evaluates a stacked product one matrix at a time, with the call the
 lone product makes, so a batched logit equals forward_logits byte for byte
 whatever else shares the batch (tests/test_model.py checks this under
@@ -223,10 +223,11 @@ def parameter_shapes(cfg: ModelConfig) -> Mapping[str, tuple[int, int]]:
 def _layout(cfg: ModelConfig) -> tuple:
     """parameter_shapes, then how Parameters views the flat row, and the span of edge.* and gcn.* in it.
 
-    The row is cut into blocks, each a (slice, (count, rows, cols)): a GRU
-    cell's three weights, its three biases, or one other parameter. The
-    plan gives each parameter, in order, its block and its index there,
-    and each cell names its weight block; its bias block is the next.
+    The row is cut into blocks, each a (slice, shape): a GRU cell's three
+    weights or its three biases, (3, rows, cols), or one other parameter,
+    (rows, cols). The plan gives each parameter, in order, its block and,
+    for a gate, the index that takes it out of the block (else None), and
+    each cell names its weight block; its bias block is the next.
     """
     shapes: dict[str, tuple[int, int]] = {}
     h, d = cfg.hidden, cfg.D
@@ -251,17 +252,17 @@ def _layout(cfg: ModelConfig) -> tuple:
     _gru_shapes(shapes, "pred_gru", 0, h)
     shapes["readout.w"] = (h, 1)
     shapes["readout.b"] = (1, 1)
+    gates = {f"{kind}_{gate}": np.s_[..., k, :, :] for kind in "Wb" for k, gate in enumerate("zrh")}
     blocks, plan, cells, fed, at = [], [], [], [], 0
     for name, (rows, cols) in shapes.items():
         prefix, gate = name.rsplit(".", 1)
-        if gate in ("W_r", "W_h", "b_r", "b_h"):  # in the block its cell's W_z or b_z opened
-            plan.append((name, len(blocks) - 1, plan[-1][2] + 1))
-        else:
-            count = 3 if gate in ("W_z", "b_z") else 1
+        if gate in ("W_z", "b_z"):  # opens its cell's block; W_r, W_h, b_r and b_h fall in it
             if gate == "W_z":
                 cells.append((prefix, len(blocks)))
-            blocks.append((slice(at, at + count * rows * cols), (count, rows, cols)))
-            plan.append((name, len(blocks) - 1, 0))
+            blocks.append((slice(at, at + 3 * rows * cols), (3, rows, cols)))
+        elif gate not in gates:
+            blocks.append((slice(at, at + rows * cols), (rows, cols)))
+        plan.append((name, len(blocks) - 1, gates.get(gate)))
         if prefix in ("edge", "gcn"):  # adjacent too
             fed.append(slice(at, at + rows * cols))
         at += rows * cols
@@ -291,16 +292,18 @@ def parameter_count(cfg: ModelConfig) -> int:
 
 
 class Parameters(dict):
-    """{name: (rows, cols) view} of one flat float64 ``row``, in parameter_shapes order; nothing is checked.
+    """{name: (*lead, rows, cols) view} of a float64 ``row`` of shape (*lead, P), in parameter_shapes order; nothing is checked.
 
-    ``cells`` maps each GRU cell ("ped_gru", ...) to its gate blocks (W, b), [W_z, W_r, W_h] and
-    [b_z, b_r, b_h], views too: a cell's three weights, and its three biases, are adjacent in the row.
+    ``cells`` maps each GRU cell ("ped_gru", ...) to its gate blocks (W, b), (*lead, 3, ., .) views of [W_z, W_r, W_h]
+    and [b_z, b_r, b_h]: a cell's three weights, and its three biases, are adjacent in the row. Leading axes lead every
+    view: a flat row gives (rows, cols) views, backward_chunk's (B, P) row each scenario's gradients.
     """
 
     def __init__(self, cfg: ModelConfig, row: np.ndarray):
         _, blocks, plan, cells, _ = _layout(cfg)
-        views = [row[at].reshape(shape) for at, shape in blocks]
-        super().__init__({name: views[block][index] for name, block, index in plan})
+        lead = row.shape[:-1]
+        views = [row[..., at].reshape(lead + shape) for at, shape in blocks]
+        super().__init__({name: views[block] if gate is None else views[block][gate] for name, block, gate in plan})
         self.row, self.cells = row, {cell: (views[block], views[block + 1]) for cell, block in cells}
 
 
@@ -829,13 +832,14 @@ def _outer_sum(rows: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.einsum("mr,mc->rc", rows, g)
 
 
-def _cell_backward(grads: dict, p: Parameters, prefix: str, steps, first=None, last=None):
-    """Reverse a stacked GRU unroll; stores its six (B, ., .) parameter gradients in ``grads``.
+def _cell_backward(grads: Parameters, p: Parameters, prefix: str, steps, first=None, last=None):
+    """Reverse a stacked GRU unroll; writes its parameter gradients into the cell's gate blocks of ``grads``.
 
     The gradient of step t's output state is the sum, in this order, of
     first[t], the next step's three h terms and last[t] (a None list or
     entry adds nothing): the order in which the tape reaches them. Each
-    parameter sums its steps' terms from the last step back, in place.
+    parameter sums its steps' terms from the last step back, in place, in
+    contiguous totals, written into the cell's gate blocks once.
     Returns the (B, T, 1, I) input gradients, each step's two input terms
     summed (never written when I = 0), and the three terms of the initial
     state.
@@ -854,14 +858,13 @@ def _cell_backward(grads: dict, p: Parameters, prefix: str, steps, first=None, l
                 total += term
         if i:
             np.add(x0, x1, out=g_inputs[:, t])
-    g_zr, g_ah, w_zr, w_h = totals
-    gates = {"W_z": w_zr[:, 0], "W_r": w_zr[:, 1], "W_h": w_h, "b_z": g_zr[:, 0], "b_r": g_zr[:, 1], "b_h": g_ah}
-    grads.update((f"{prefix}.{gate}", total) for gate, total in gates.items())
+    g_W, g_b = grads.cells[prefix]
+    g_b[:, :2], g_b[:, 2], g_W[:, :2], g_W[:, 2] = totals
     return g_inputs, carry
 
 
-def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.ndarray) -> dict[str, np.ndarray]:
-    """Every parameter's (B, rows, cols) gradients, one per scenario, at the (B, K) logit gradients.
+def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.ndarray) -> Parameters:
+    """Every scenario's gradients at the (B, K) logit gradients, as Parameters over one (B, P) row.
 
     ``kept`` is forward_chunk's. The stages run in reverse over the stacked
     layout: rollout, aggregation (or the pooled projection), context GRU,
@@ -870,19 +873,20 @@ def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.nda
     graph_backward, edge_backward). Every term is added to a scenario's
     gradient in the order GradientTape.backward adds it for
     forward_logits, so each row is bit for bit that scenario's tape
-    gradient, whatever else shares the chunk.
+    gradient, whatever else shares the chunk. The row starts at +0.0, the
+    tape's zeros for a parameter the loss never reaches.
     """
     tc, mode, h_width = cfg.temporal, cfg.graph_mode, cfg.hidden
     b, t_obs = g_logits.shape[0], cfg.T
-    grads: dict[str, np.ndarray] = {}
+    grads = Parameters(cfg, np.zeros((b, parameter_count(cfg))))
 
     # rollout: a state takes the next step's three terms, then its readout's
     states, steps = kept["readout"], kept["rollout"]
     g = g_logits.reshape(b, cfg.K, 1, 1)
     visit = range(cfg.K - 1, -1, -1)
-    grads["readout.b"] = reduce(np.add, (g[:, k] for k in visit))
+    grads["readout.b"][:] = reduce(np.add, (g[:, k] for k in visit))
     outer = states.mT @ g  # (B, K, H, 1), one exact product per entry
-    grads["readout.w"] = reduce(np.add, (outer[:, k] for k in visit))
+    grads["readout.w"][:] = reduce(np.add, (outer[:, k] for k in visit))
     readout = list((g @ p["readout.w"].T).swapaxes(0, 1))
     g_final = reduce(np.add, _cell_backward(grads, p, "pred_gru", steps, last=readout)[1])
 
@@ -890,7 +894,7 @@ def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.nda
         last = [None] * (t_obs - 1) + [g_final]
         g_vecs = _cell_backward(grads, p, "agg_gru", kept["agg_gru"], last=last)[0]
     else:
-        grads["temporal_pool.proj"] = kept["pooled"].swapaxes(1, 2) @ g_final
+        grads["temporal_pool.proj"][:] = kept["pooled"].swapaxes(1, 2) @ g_final
         g_pooled = g_final @ p["temporal_pool.proj"].T / t_obs
         g_vecs = g_pooled[:, None].repeat(t_obs, axis=1)
 
@@ -909,14 +913,11 @@ def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.nda
     if tc.use_temporal and tc.use_ped_gru:
         # a pedestrian state takes its frame's terms, then the next step's three
         _cell_backward(grads, p, "ped_gru", kept["ped_gru"], first=[g_ped[:, t] for t in range(t_obs)])
-    for name, shape in parameter_shapes(cfg).items():
-        if name not in grads:  # the tape's zeros for a parameter the loss never reached
-            grads[name] = np.zeros((b, *shape))
     return grads
 
 
-def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g_rows: np.ndarray, grads: dict) -> np.ndarray:
-    """Backward of _graph_frames at the (F, 2H) frame-row gradients; stores the gcn and edge gradients in ``grads``.
+def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g_rows: np.ndarray, grads: Parameters) -> np.ndarray:
+    """Backward of _graph_frames at the (F, 2H) frame-row gradients; writes the gcn and edge gradients into ``grads``.
 
     Returns the (F, H) gradient of each frame's pedestrian row: the graph
     block's term, then one term per spoke in reverse object order.
@@ -941,15 +942,14 @@ def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g
     # a frame's layers are reached last layer first, a scenario's frames last frame first
     visit = layer_grads.reshape(b, t_obs, n_layers, h_width, h_width)[:, ::-1]
     if cfg.shared_weights:
-        grads["gcn.W"] = _fold(visit.reshape(b, t_obs * n_layers, h_width, h_width).swapaxes(0, 1))
+        grads["gcn.W"][:] = _fold(visit.reshape(b, t_obs * n_layers, h_width, h_width).swapaxes(0, 1))
     else:
         for layer in range(n_layers):
-            grads[f"gcn.W{layer}"] = _fold(visit[:, :, n_layers - 1 - layer].swapaxes(0, 1))
+            grads[f"gcn.W{layer}"][:] = _fold(visit[:, :, n_layers - 1 - layer].swapaxes(0, 1))
 
     # the tape adds the per-edge terms in the reverse of forward_logits' order: a scenario's rows, reversed
     g_i, g_o = edge_backward(edges.saved, g_weights[:, None])
     for name, rows, g in (("edge.proj_i", edges.v, g_i), ("edge.proj_o", edges.targets, g_o)):
-        grads[name] = np.zeros((b, *p[name].shape))
         for s, (lo, hi) in enumerate(zip(edges.bounds, edges.bounds[1:])):
             if hi > lo:
                 grads[name][s] = _outer_sum(rows[lo:hi][::-1], g[lo:hi][::-1])

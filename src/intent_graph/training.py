@@ -19,11 +19,11 @@ is bit for bit the scenario's training loss.
 Training builds no tape. Each minibatch runs model.forward_chunk and
 model.backward_chunk once per CHUNK scenarios (one pass for a minibatch of
 at most 64), which give every scenario's gradients bit for bit as
-GradientTape.backward gives them for scenario_loss_tensor; train() adds
-them in batch order, as it did when it ran one tape per scenario. The
-parameter values, the gradients and Adam's two moments are the rows of one
-(4, P) float64 buffer, each laid out as check_parameters' flat row; the
-model reads model.Parameters views of the value row, built once per run.
+GradientTape.backward gives them for scenario_loss_tensor, as one (B, P)
+row; train() adds its rows in batch order, as it did when it ran one tape
+per scenario. The parameter values, the gradients and Adam's two moments
+are the rows of one (4, P) float64 buffer, all laid out as the flat row of
+check_parameters; the model reads views of the value row, made once per run.
 Adam updates the whole buffer in place, and clip_gradients squares the
 gradient row once and sums each run of adjacent same-size parameters as
 one block, one row per parameter, so the norm keeps the bits of one np.sum
@@ -292,8 +292,8 @@ def metrics_record(epoch: int, report: EvalReport) -> dict:
 
 def _chunk_gradients(
     chunk: Sequence[Scenario], cfg: ModelConfig, p: Parameters, epoch: int | None = None
-) -> tuple[list[float], dict[str, np.ndarray]]:
-    """Losses and (B, rows, cols) gradients of at most CHUNK scenarios from one stacked pass.
+) -> tuple[list[float], Parameters]:
+    """Losses and gradients of at most CHUNK scenarios from one stacked pass; the gradients are backward_chunk's (B, P) row.
 
     ``p`` is what check_parameters returns. A failing scenario raises what
     scenario_loss_tensor raises for it; given an ``epoch``, so does a
@@ -322,15 +322,15 @@ def _chunk_gradients(
 
 def scenario_gradients(
     scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.ndarray]
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, Parameters]:
     """The loss of one scenario and its gradient by every parameter, from the tape-free pass train() uses.
 
     Bit for bit the value of scenario_loss_tensor and the gradients
     GradientTape.backward returns for it; a non-finite loss is returned,
-    not raised.
+    not raised. The gradients are views of one flat row.
     """
     losses, grads = _chunk_gradients([scenario], cfg, check_parameters(cfg, values))
-    return losses[0], {name: g[0] for name, g in grads.items()}
+    return losses[0], Parameters(cfg, grads.row[0])
 
 
 def scenario_loss(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> float:
@@ -359,10 +359,9 @@ def train(
     """
     if not dataset:
         raise EmptyDatasetError("no scenarios to train on")
-    shapes = parameter_shapes(cfg)
-    sizes = [r * c for r, c in shapes.values()]
+    sizes = [r * c for r, c in parameter_shapes(cfg).values()]
     buffer = np.zeros((4, sum(sizes)))
-    buffer[0] = check_parameters(cfg, initial or init_parameters(cfg)).row
+    buffer[0] = check_parameters(cfg, initial if initial is not None else init_parameters(cfg)).row
     values = Parameters(cfg, buffer[0])
     optimizer = AdamOptimizer(tcfg)
     rng = np.random.default_rng(tcfg.seed)
@@ -374,8 +373,7 @@ def train(
             batch = [dataset[int(i)] for i in order[start : start + tcfg.batch_size]]
             rows = []  # per scenario, one flat row of every gradient
             for first in range(0, len(batch), CHUNK):
-                chunk = _chunk_gradients(batch[first : first + CHUNK], cfg, values, epoch)[1]
-                rows.extend(np.concatenate([chunk[name].reshape(len(chunk[name]), -1) for name in shapes], axis=1))
+                rows.extend(_chunk_gradients(batch[first : first + CHUNK], cfg, values, epoch)[1].row)
             buffer[1] = reduce(np.add, rows) / len(batch)  # added in batch order, as the tape's loop did
             clip_gradients(buffer[1], sizes, tcfg.grad_clip_norm)
             optimizer.step(buffer)

@@ -29,7 +29,8 @@ the final training loss:
 The benchmark inputs are generated in process from the synth, split, model
 and train settings of benchmarks/workloads.py; ``load`` writes them to a
 temporary directory with each workload's own prepare(). A refactor that
-claims the same bits must print the same six lines before and after.
+claims the same bits must print the same six lines before and after;
+tests/test_bit_identity.py pins them in tier-1.
 """
 
 import hashlib
@@ -137,14 +138,21 @@ def load_digest() -> str:
     return h.hexdigest()
 
 
-def main() -> None:
-    print("48-config", batch_configs_digest())
+def digest_lines() -> dict[str, str]:
+    """The six lines, {name: digest}, in the order main() prints them."""
+    lines = {"48-config": batch_configs_digest()}
     runs = [workload_run("train-recipe", 5), workload_run("train-fc-dense", 4)]
-    print("train-recipe", workload_digest(runs[0][1]))
-    print("train-fc-dense", workload_digest(runs[1][1]))
-    print("load", load_digest())
-    print("predict", predict_digest(runs))
-    print("evaluate", evaluate_digest())
+    lines["train-recipe"] = workload_digest(runs[0][1])
+    lines["train-fc-dense"] = workload_digest(runs[1][1])
+    lines["load"] = load_digest()
+    lines["predict"] = predict_digest(runs)
+    lines["evaluate"] = evaluate_digest()
+    return lines
+
+
+def main() -> None:
+    for name, digest in digest_lines().items():
+        print(name, digest)
 
 
 if __name__ == "__main__":

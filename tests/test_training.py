@@ -123,19 +123,40 @@ def test_flat_adam_is_bit_identical_to_the_per_parameter_update():
             assert views[name].tobytes() == values[name].tobytes(), (step, name)
 
 
-def test_cell_blocks_and_train_views_share_the_flat_row(monkeypatch):
-    # a cell's gate blocks are reshapes of its spans of the one row, made once: neither
-    # check_parameters nor train() re-stacks them per call
-    cfg = _mcfg(temporal=TemporalConfig(use_ctxt_gru=True))
-    p = check_parameters(cfg, init_parameters(cfg))
+def _assert_views_of_the_row(p, cfg, lead=()):
+    # every view and every cell block is a reshape of its span of p.row, in parameter_shapes
+    # order: its bytes are the span's, and it shares the row's memory (a reshape that copied
+    # would not)
     assert set(p.cells) == {"ped_gru", "ctxt_gru", "agg_gru", "pred_gru"}
-    assert all(np.shares_memory(view, p.row) for view in p.values())
+    assert p.row.shape == (*lead, parameter_count(cfg))
+    at = 0
+    for name, (rows, cols) in parameter_shapes(cfg).items():
+        view = p[name]
+        assert view.shape == (*lead, rows, cols) and np.shares_memory(view, p.row), name
+        assert view.tobytes() == p.row[..., at : at + rows * cols].tobytes(), name
+        at += rows * cols
     for cell, (W, b) in p.cells.items():
         for block, gates in ((W, ("W_z", "W_r", "W_h")), (b, ("b_z", "b_r", "b_h"))):
-            assert np.shares_memory(block, p.row)
+            assert block.shape[:-2] == (*lead, 3) and np.shares_memory(block, p.row)
             for k, gate in enumerate(gates):
                 view = p[f"{cell}.{gate}"]
-                assert np.shares_memory(block[k], view) and block[k].tobytes() == view.tobytes(), (cell, gate)
+                assert np.shares_memory(block[..., k, :, :], view), (cell, gate)
+                assert block[..., k, :, :].tobytes() == view.tobytes(), (cell, gate)
+
+
+def test_cell_blocks_and_train_views_share_the_flat_row(monkeypatch):
+    # a cell's gate blocks are reshapes of its spans of the one row, made once: neither
+    # check_parameters nor train() re-stacks them per call; a (B, P) row leads every view with B
+    cfg = _mcfg(temporal=TemporalConfig(use_ctxt_gru=True))
+    _assert_views_of_the_row(check_parameters(cfg, init_parameters(cfg)), cfg)
+    rows = np.random.default_rng(5).standard_normal((3, parameter_count(cfg)))
+    rows[1, 7] = -0.0
+    p = Parameters(cfg, rows)
+    _assert_views_of_the_row(p, cfg, lead=(3,))
+    for b in range(3):
+        alone = Parameters(cfg, rows[b])
+        for name, view in p.items():
+            assert view[b].tobytes() == alone[name].tobytes(), (b, name)
     seen, chunk_gradients = [], training._chunk_gradients
     monkeypatch.setattr(training, "_chunk_gradients", lambda chunk, cfg, p, epoch=None: seen.append(p) or chunk_gradients(chunk, cfg, p, epoch))
     train(_dataset(), cfg, TrainConfig(epochs=2))
@@ -145,6 +166,19 @@ def test_cell_blocks_and_train_views_share_the_flat_row(monkeypatch):
     assert all(np.shares_memory(view, views.row) for view in views.values())
     for W, b in views.cells.values():
         assert np.shares_memory(W, views.row) and np.shares_memory(b, views.row)
+
+
+def test_chunk_gradients_are_views_of_one_batch_row():
+    # backward_chunk writes every scenario's gradients into its row of one (B, P) array
+    cfg = _mcfg(temporal=TemporalConfig(use_ctxt_gru=True), graph_mode="fully_connected")
+    _, grads = training._chunk_gradients(_dataset(n=4), cfg, check_parameters(cfg, init_parameters(cfg)))
+    _assert_views_of_the_row(grads, cfg, lead=(4,))
+
+
+def test_an_empty_initial_mapping_is_refused():
+    # an empty mapping is given parameters with every name missing, not "no initial parameters"
+    with pytest.raises(ConfigError, match=r"^parameter names do not match the config \(missing \['agg_gru\.W_h'"):
+        train(_dataset(), _mcfg(), TrainConfig(epochs=1), initial={})
 
 
 def test_zero_learning_rate_is_a_no_op():
