@@ -63,16 +63,22 @@ folds outer_rows' stack instead.
 forward_chunk reads no frame or object record after a scenario's first
 pass. _pack walks the observed frames of a pass's new scenarios once,
 after _check_scenario, as every pass did before: pedestrian features and
-boxes and _object_rows' canonically ordered object rows. It keeps each
+boxes and _object_rows' canonically ordered object rows, with each
+object's unscaled spatial relation to its frame's pedestrian box (the
+star spokes' relations, which depend on the data alone). It keeps each
 scenario's share on the record's window slot as read-only views under the
 key T; a pass at another T repacks, pedestrian_only packs no objects (the
 taped forward reads none either), and a build that raises keeps nothing.
 The build refuses a non-finite feature or box (_check_finite, ScenarioError
 naming the scenario), as forward_logits does; a ReLU would turn a NaN into
-zeros and train on it. A warm pass reads a window and checks nothing again.
-Later passes concatenate their scenarios' windows field by field. The
-records are frozen, and the loader and _pack itself make the feature
-arrays read-only, so a window cannot go stale: a write raises instead.
+zeros and train on it. A warm pass checks no feature or box again, and a
+warm star pass computes no relation: it scales the window's and finds an
+overflowed one on every pass, as forward_logits checks every call.
+fully_connected still computes its spokes' and object pairs' relations on
+every pass. Later passes concatenate their scenarios' windows field by
+field. The records are frozen, and the loader and _pack itself make the
+feature arrays read-only, so a window cannot go stale: a write raises
+instead.
 
 forward_logits builds one scenario on Tensors, each GRU step, edge block
 and frame's graph block one tape node (gru_step, edge_weight, star_graph)
@@ -351,6 +357,7 @@ class _ObjectRows(NamedTuple):
     feats: np.ndarray  # (M, D)
     boxes: np.ndarray  # (M, 4) aligned boxes
     categories: np.ndarray  # (M,) ObjectCategory.index
+    relations: np.ndarray | None = None  # (M, 8) unscaled, unchecked relations to the frame's pedestrian box; _pack's
 
 
 def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
@@ -404,11 +411,15 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig, objects: bool) -> tup
 
     One walk over all B * T frames, as a pass made before windows were kept:
     (F, D) pedestrian features, (F, 4) pedestrian boxes and, with
-    ``objects``, the frames' _ObjectRows (else None). Only once that build
-    succeeds does each scenario get its window, (T, features, boxes, object
-    rows) as read-only views of these arrays, and do the feature arrays it
-    was built from become read-only, so writing to one raises instead of
-    leaving the window stale.
+    ``objects``, the frames' _ObjectRows (else None), whose relations are
+    one relation_rows call over every object row against its frame's
+    pedestrian box: the star spokes' relations, unscaled. They are not
+    checked here: a pass finds an overflowed row every time it reads them,
+    in forward_logits' order. Only once that build succeeds does each
+    scenario get its window, (T, features, boxes, object rows) as read-only
+    views of these arrays, and do the feature arrays it was built from
+    become read-only, so writing to one raises instead of leaving the
+    window stale.
     """
     t_obs, d = cfg.T, cfg.D
     observed = [f for s in scenarios for f in s.frames[:t_obs]]  # frame index b * T + t
@@ -416,6 +427,8 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig, objects: bool) -> tup
     ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
     objs = _object_rows(observed, d) if objects else None
     _check_finite(scenarios, t_obs, ped, ped_boxes, objs)
+    if objs is not None:
+        objs = objs._replace(relations=relation_rows(ped_boxes.repeat(objs.counts, axis=0), objs.boxes))
     sources = [f.pedestrian_feature for f in observed]
     if objs is not None:
         sources += [o.feature for f in observed for o in f.objects]
@@ -431,7 +444,7 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig, objects: bool) -> tup
         frames, rows = slice(b * t_obs, (b + 1) * t_obs), None
         if objs is not None:
             at = slice(starts[b], ends[b])
-            rows = _ObjectRows(objs.counts[frames], objs.feats[at], objs.boxes[at], objs.categories[at])
+            rows = _ObjectRows(objs.counts[frames], *(arr[at] for arr in objs[1:]))
         object.__setattr__(scenario, "window", (t_obs, ped[frames], ped_boxes[frames], rows))  # not data; see scene
     return ped, ped_boxes, objs
 
@@ -747,13 +760,16 @@ def _graph_frames(
     pedestrian boxes and the (F, H) pedestrian stream.
 
     Every edge of the pass is scored in one stacked call, laid out as
-    _Edges says; then each bucket of frames with N objects runs graph
-    convolution as one stacked (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
+    _Edges says, on its relation scaled by spatial_scale: in star mode the
+    object rows' packed relations, in fully_connected mode one
+    relation_rows call over the pass's spokes and pairs. Then each bucket
+    of frames with N objects runs graph convolution as one stacked
+    (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
     Into ``kept``, when given, go the _Edges ("edges") and per bucket (N,
     frames, edge rows, adjacency, build_adjacency's and graph_conv's saved
     values) ("buckets").
     """
-    feats, boxes, counts = objs.feats, objs.boxes, objs.counts
+    feats, counts = objs.feats, objs.counts
     pairs = cfg.graph_mode == "fully_connected"
     sizes = counts * (counts + 1) // 2 if pairs else counts  # edges per frame: spokes, then pairs
     buckets = list(_buckets(counts, sizes if pairs else None))
@@ -766,16 +782,15 @@ def _graph_frames(
             src[edges[:, :n]], src[edges[:, n:]] = (len(feats) + frames)[:, None], rows[:, i]
             tgt[edges[:, :n]], tgt[edges[:, n:]] = rows, rows[:, j]
         sources = np.concatenate([feats, ped_rows])[src]
-        src_boxes, tgt_boxes = np.concatenate([boxes, ped_boxes])[src], boxes[tgt]
+        rel = relation_rows(np.concatenate([objs.boxes, ped_boxes])[src], objs.boxes[tgt])
         targets, e_o, mask_o = targets[tgt], e_o[tgt], mask_o[tgt]
-    else:
-        owner = np.arange(len(ped_rows)).repeat(counts)  # frame of each object row
-        sources, src_boxes, tgt_boxes = ped_rows[owner], ped_boxes[owner], boxes
-    rel, overflow = relation_rows(src_boxes, tgt_boxes), None
-    if not np.isfinite(rel).all():
-        overflow = ~np.isfinite(rel).all(axis=1)
-        rel[overflow] = np.nan  # the check below raises; a NaN, unlike an inf, passes the products quietly
+    else:  # the spokes' relations, packed with the objects
+        sources, rel = ped_rows.repeat(counts, axis=0), objs.relations
+    finite, overflow = np.isfinite(rel), None
     v = np.concatenate([sources, rel * cfg.spatial_scale], axis=1)
+    if not finite.all():
+        overflow = ~finite.all(axis=1)
+        v[overflow, -8:] = np.nan  # the check below raises; a NaN, unlike an inf, passes the products quietly
     saved = edge_values(v, e_o, mask_o, p["edge.proj_i"])
     weights = open_unit(saved[4])[:, 0]
     _check_edges(scenarios, cfg, counts, sizes, overflow, weights)
@@ -783,7 +798,7 @@ def _graph_frames(
         bounds = [0, *sizes.cumsum()[cfg.T - 1 :: cfg.T].tolist()]
         kept["edges"] = _Edges(v, targets, saved, bounds)
     # unless kept, the edge arrays go before the graph work: held through it, they slowed evaluate() by about 2%
-    del v, saved, rel, sources, src_boxes, tgt_boxes, targets, e_o, mask_o
+    del v, saved, rel, finite, sources, targets, e_o, mask_o
 
     layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
     vecs = np.empty((len(ped_rows), 2 * cfg.hidden))
@@ -863,8 +878,10 @@ def _cell_backward(grads: Parameters, p: Parameters, prefix: str, steps, first=N
     return g_inputs, carry
 
 
-def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.ndarray) -> Parameters:
-    """Every scenario's gradients at the (B, K) logit gradients, as Parameters over one (B, P) row.
+def backward_chunk(
+    cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.ndarray, out: Parameters | None = None
+) -> Parameters:
+    """Every scenario's gradients at the (B, K) logit gradients, as Parameters over one (B, P) row: ``out``'s, or a new one.
 
     ``kept`` is forward_chunk's. The stages run in reverse over the stacked
     layout: rollout, aggregation (or the pooled projection), context GRU,
@@ -874,11 +891,16 @@ def backward_chunk(cfg: ModelConfig, p: Parameters, kept: dict, g_logits: np.nda
     gradient in the order GradientTape.backward adds it for
     forward_logits, so each row is bit for bit that scenario's tape
     gradient, whatever else shares the chunk. The row starts at +0.0, the
-    tape's zeros for a parameter the loss never reaches.
+    tape's zeros for a parameter the loss never reaches: a given ``out``,
+    whose leading axis must be B, is zeroed first.
     """
     tc, mode, h_width = cfg.temporal, cfg.graph_mode, cfg.hidden
     b, t_obs = g_logits.shape[0], cfg.T
-    grads = Parameters(cfg, np.zeros((b, parameter_count(cfg))))
+    if out is None:
+        grads = Parameters(cfg, np.zeros((b, parameter_count(cfg))))
+    else:
+        grads = out
+        grads.row.fill(0.0)
 
     # rollout: a state takes the next step's three terms, then its readout's
     states, steps = kept["readout"], kept["rollout"]

@@ -20,8 +20,10 @@ Training builds no tape. Each minibatch runs model.forward_chunk and
 model.backward_chunk once per CHUNK scenarios (one pass for a minibatch of
 at most 64), which give every scenario's gradients bit for bit as
 GradientTape.backward gives them for scenario_loss_tensor, as one (B, P)
-row; train() adds its rows in batch order, as it did when it ran one tape
-per scenario. The parameter values, the gradients and Adam's two moments
+row. train() owns that row for the whole run, with its views made once
+per chunk size, and backward_chunk zeroes it before each backward;
+train() adds its rows in batch order, in place, as it did when it ran one
+tape per scenario. The parameter values, the gradients and Adam's two moments
 are the rows of one (4, P) float64 buffer, all laid out as the flat row of
 check_parameters; the model reads views of the value row, made once per run.
 Adam updates the whole buffer in place, and clip_gradients squares the
@@ -38,7 +40,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import groupby
 from typing import IO, Mapping, Sequence
 
@@ -291,15 +293,16 @@ def metrics_record(epoch: int, report: EvalReport) -> dict:
 
 
 def _chunk_gradients(
-    chunk: Sequence[Scenario], cfg: ModelConfig, p: Parameters, epoch: int | None = None
+    chunk: Sequence[Scenario], cfg: ModelConfig, p: Parameters, epoch: int | None = None, out: Parameters | None = None
 ) -> tuple[list[float], Parameters]:
     """Losses and gradients of at most CHUNK scenarios from one stacked pass; the gradients are backward_chunk's (B, P) row.
 
-    ``p`` is what check_parameters returns. A failing scenario raises what
-    scenario_loss_tensor raises for it; given an ``epoch``, so does a
-    non-finite loss (NumericError naming the epoch and the scenario). When
-    several fail, the first in order raises, as a loop over the scenarios
-    one at a time would.
+    ``p`` is what check_parameters returns, and ``out`` (or None) the
+    Parameters over a (B, P) row that backward_chunk writes into. A failing
+    scenario raises what scenario_loss_tensor raises for it; given an
+    ``epoch``, so does a non-finite loss (NumericError naming the epoch and
+    the scenario). When several fail, the first in order raises, as a loop
+    over the scenarios one at a time would.
     """
     try:
         logits, kept = forward_chunk(chunk, cfg, p, keep=True)
@@ -317,7 +320,7 @@ def _chunk_gradients(
         if epoch is not None and not math.isfinite(losses[-1]):
             raise NumericError(f"non-finite loss {losses[-1]!r} at epoch {epoch}, scenario {scenario.id!r}")
     g_logits = (1.0 / cfg.K) * (sigmoid_values(logits) - labels)
-    return losses, backward_chunk(cfg, p, kept, g_logits)
+    return losses, backward_chunk(cfg, p, kept, g_logits, out)
 
 
 def scenario_gradients(
@@ -362,7 +365,9 @@ def train(
     sizes = [r * c for r, c in parameter_shapes(cfg).values()]
     buffer = np.zeros((4, sum(sizes)))
     buffer[0] = check_parameters(cfg, initial if initial is not None else init_parameters(cfg)).row
-    values = Parameters(cfg, buffer[0])
+    values, g = Parameters(cfg, buffer[0]), buffer[1]
+    grad_rows = np.empty((min(tcfg.batch_size, CHUNK, len(dataset)), sum(sizes)))
+    chunk_grads: dict[int, Parameters] = {}  # chunk size n: views of the first n rows of grad_rows, built once
     optimizer = AdamOptimizer(tcfg)
     rng = np.random.default_rng(tcfg.seed)
     history: list[EvalReport] = []
@@ -371,11 +376,17 @@ def train(
         order = rng.permutation(len(dataset))
         for start in range(0, len(order), tcfg.batch_size):
             batch = [dataset[int(i)] for i in order[start : start + tcfg.batch_size]]
-            rows = []  # per scenario, one flat row of every gradient
             for first in range(0, len(batch), CHUNK):
-                rows.extend(_chunk_gradients(batch[first : first + CHUNK], cfg, values, epoch)[1].row)
-            buffer[1] = reduce(np.add, rows) / len(batch)  # added in batch order, as the tape's loop did
-            clip_gradients(buffer[1], sizes, tcfg.grad_clip_norm)
+                chunk = batch[first : first + CHUNK]
+                if len(chunk) not in chunk_grads:
+                    chunk_grads[len(chunk)] = Parameters(cfg, grad_rows[: len(chunk)])
+                rows = _chunk_gradients(chunk, cfg, values, epoch, chunk_grads[len(chunk)])[1].row
+                if not first:
+                    g[:], rows = rows[0], rows[1:]
+                for row in rows:  # added in batch order, as the tape's loop did
+                    g += row
+            g /= len(batch)
+            clip_gradients(g, sizes, tcfg.grad_clip_norm)
             optimizer.step(buffer)
         try:
             report = evaluate(dataset, cfg, values)

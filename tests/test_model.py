@@ -46,6 +46,7 @@ from intent_graph.scene import (
     FrameObservation,
     ObjectCategory,
     ObjectObservation,
+    relation_rows,
     spatial_relation,
 )
 from intent_graph.training import (
@@ -563,17 +564,25 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
     cold = _passes(batch, cfg, values)
     assert all(scenario.window[0] == cfg.T for scenario in batch)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("_object_rows was called")
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} was called")
 
+        return call
+
+    # only fully_connected computes relations on a warm pass (its spokes' and pairs'); the others read the window's
+    refused = ["_object_rows"] if mode == "fully_connected" else ["_object_rows", "relation_rows"]
     with monkeypatch.context() as patched:
-        patched.setattr(model, "_object_rows", refuse)
+        for name in refused:
+            patched.setattr(model, name, refuse(name))
         assert _passes(batch, cfg, values) == cold
         assert forward(batch[0], cfg, values).logits == tuple(np.frombuffer(cold[0])[: cfg.K].tolist())
         if mode == "pedestrian_only":  # packs no objects, cold or warm
             assert forward_batch(_fresh(batch), cfg, values).tobytes() == cold[0]
-        else:
-            with pytest.raises(AssertionError, match="_object_rows"):  # the patch does bite
+    if mode != "pedestrian_only":
+        for name in refused:
+            with monkeypatch.context() as patched, pytest.raises(AssertionError, match=name):  # each patch does bite
+                patched.setattr(model, name, refuse(name))
                 forward_batch(_fresh(batch[:1]), cfg, values)
     assert _passes(_fresh(batch), cfg, values) == cold
 
@@ -612,6 +621,16 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
     assert objs.counts.tolist() == [len(f.objects) for f in scenario.frames[: cfg.T]]
     assert objs.feats.shape == (objects, cfg.D) and objs.boxes.shape == (objects, 4) and objs.categories.shape == (objects,)
     assert not any(arr.flags.writeable for arr in (ped, ped_boxes, *objs))
+    # each object's unscaled relation to its frame's pedestrian box, in canonical order
+    want = [
+        relation_rows(
+            np.array([f.pedestrian_box.as_list()]),
+            np.array([o.aligned_box().as_list() for o in sorted(f.objects, key=object_sort_key)]).reshape(-1, 4),
+        )
+        for f in scenario.frames[: cfg.T]
+    ]
+    assert objs.relations.shape == (objects, 8) and not objs.relations.flags.writeable
+    assert objs.relations.tobytes() == np.concatenate(want).tobytes()
     assert dataclasses.replace(scenario).window is None
     assert dataclasses.replace(scenario, id="other").window is None
     assert "window" not in repr(scenario)
@@ -789,6 +808,10 @@ def test_batched_forward_keeps_every_check():
     overflow = type(good)(id="overflow", frames=tuple(frames), fps=good.fps)
     with pytest.raises(ValueError, match="non-finite"):
         forward_logits(overflow, cfg, values)
+    with pytest.raises(ValueError, match="'overflow': spatial_relation: non-finite"):
+        forward_batch([good, overflow, good], cfg, values)
+    # the pack keeps the overflowed relation, and each pass over the warm windows refuses it again
+    assert not np.isfinite(overflow.window[3].relations).all()
     with pytest.raises(ValueError, match="'overflow': spatial_relation: non-finite"):
         forward_batch([good, overflow, good], cfg, values)
 

@@ -157,10 +157,17 @@ def test_cell_blocks_and_train_views_share_the_flat_row(monkeypatch):
         alone = Parameters(cfg, rows[b])
         for name, view in p.items():
             assert view[b].tobytes() == alone[name].tobytes(), (b, name)
-    seen, chunk_gradients = [], training._chunk_gradients
-    monkeypatch.setattr(training, "_chunk_gradients", lambda chunk, cfg, p, epoch=None: seen.append(p) or chunk_gradients(chunk, cfg, p, epoch))
+    seen, outs, chunk_gradients = [], [], training._chunk_gradients
+
+    def spy(chunk, cfg, p, epoch=None, out=None):
+        seen.append(p)
+        outs.append(out)
+        return chunk_gradients(chunk, cfg, p, epoch, out)
+
+    monkeypatch.setattr(training, "_chunk_gradients", spy)
     train(_dataset(), cfg, TrainConfig(epochs=2))
     assert len(seen) == 6 and all(views is seen[0] for views in seen)  # one set of views for the whole run
+    assert all(grads is outs[0] for grads in outs) and outs[0].row.shape == (1, parameter_count(cfg))  # one gradient row too
     views = seen[0]
     assert views.row.base.shape == (4, parameter_count(cfg))  # the value row of train()'s buffer
     assert all(np.shares_memory(view, views.row) for view in views.values())
