@@ -58,10 +58,15 @@ still. The per-frame crossing label is 1 iff all three hold:
   3. no vehicle-category box center lies within theta_v pixels (Euclidean)
      of the pedestrian center, theta_v = theta_v_frac * frame_width.
 
-The rule reads nothing but boxes, so ``oracle_labels`` can recompute every
-label from a loaded file. Per-scenario RNG streams are derived from the
-master seed with splitmix64, so generation is order-independent and
-regenerating with the same config is byte-identical.
+The rule reads nothing but boxes and is written once, in ``_frame_labels``.
+The generator labels each frame through it from the boxes it writes, and
+``oracle_labels`` applies it to a loaded record's frames, so the two agree by
+construction. ``_margins_ok`` is a separate test on the drawn positions: it
+decides which draws are kept, not how a frame is labeled.
+
+Per-scenario RNG streams are derived from the master seed with splitmix64,
+so generation is order-independent and regenerating with the same config is
+byte-identical.
 """
 
 from __future__ import annotations
@@ -456,38 +461,39 @@ def oracle_thresholds(cfg: SynthConfig) -> tuple[float, float]:
     return cfg.theta_x_frac * cfg.frame_width, cfg.theta_v_frac * cfg.frame_width
 
 
-def _ped_x_velocities(frames: Sequence[FrameObservation]) -> list[float]:
-    centers = [f.pedestrian_box.center[0] for f in frames]
-    if len(centers) == 1:
-        return [0.0]
-    diffs = [centers[i] - centers[i - 1] for i in range(1, len(centers))]
-    return [diffs[0], *diffs]
+def _frame_labels(
+    ped_boxes: Sequence[BoundingBox],
+    frame_objects: Sequence[Sequence[tuple[ObjectCategory, BoundingBox]]],
+    theta_x: float,
+    theta_v: float,
+) -> list[int]:
+    """Each frame's crossing label from its pedestrian box and its objects' (category, aligned box) pairs.
+
+    The one statement of the rule in the module docstring; vx is the
+    difference of consecutive pedestrian box centers, never a drawn velocity.
+    """
+    centers = [box.center for box in ped_boxes]
+    diffs = [b[0] - a[0] for a, b in zip(centers, centers[1:])]
+    velocities = [diffs[0], *diffs] if diffs else [0.0]
+    labels = []
+    for (pcx, pcy), vx, objects in zip(centers, velocities, frame_objects):
+        # the nearest crosswalk's dxc; with none, 0.0 fails the toward clause
+        dxc = min((box.center[0] - pcx for c, box in objects if c in CROSSWALK_CATEGORIES), key=abs, default=0.0)
+        vehicles = (box.center for c, box in objects if c in VEHICLE_CATEGORIES)
+        blocked = (math.hypot(ocx - pcx, ocy - pcy) < theta_v for ocx, ocy in vehicles)
+        labels.append(int(abs(dxc) < theta_x and dxc * vx > 0 and not any(blocked)))
+    return labels
 
 
 def oracle_labels(scenario: Scenario, theta_x: float, theta_v: float) -> list[int]:
     """Recompute every crossing label from boxes alone (see module docstring)."""
-    velocities = _ped_x_velocities(scenario.frames)
-    labels = []
-    for frame, vx in zip(scenario.frames, velocities):
-        pcx, pcy = frame.pedestrian_box.center
-        crosswalk_dxc = None
-        for obj in frame.objects:
-            if obj.category in CROSSWALK_CATEGORIES:
-                dxc = obj.aligned_box().center[0] - pcx
-                if crosswalk_dxc is None or abs(dxc) < abs(crosswalk_dxc):
-                    crosswalk_dxc = dxc
-        if crosswalk_dxc is None or not (abs(crosswalk_dxc) < theta_x and crosswalk_dxc * vx > 0):
-            labels.append(0)
-            continue
-        blocked = False
-        for obj in frame.objects:
-            if obj.category in VEHICLE_CATEGORIES:
-                ocx, ocy = obj.aligned_box().center
-                if math.hypot(ocx - pcx, ocy - pcy) < theta_v:
-                    blocked = True
-                    break
-        labels.append(0 if blocked else 1)
-    return labels
+    frames = scenario.frames
+    return _frame_labels(
+        [f.pedestrian_box for f in frames],
+        [[(o.category, o.aligned_box()) for o in f.objects] for f in frames],
+        theta_x,
+        theta_v,
+    )
 
 
 _VEHICLE_CHOICES = tuple(sorted(VEHICLE_CATEGORIES, key=lambda c: c.value))
@@ -629,29 +635,12 @@ def _generate_one(cfg: SynthConfig, index: int, p_obj: np.ndarray, p_ped: np.nda
     # The crosswalk and the parked vehicles are the same instances in every frame.
     boxes = [(cw_cat, cw_box)] + [(cat, _box_at(vcx, vcy, vw, 0.16 * h_frame)) for cat, vw, vcx, vcy in vehicles]
     objects = tuple(ObjectObservation(category=c, box=b, feature=_object_feature(cfg, p_obj, c, b)) for c, b in boxes)
-    vehicle_centers = [b.center for _, b in boxes[1:]]
-    frames = []
-    for t in range(cfg.frames_per_scenario):
-        ped_box = _box_at(pcx + t * vx, pcy + t * vy, pw, ph)
-
-        # Label straight from the rule; vx here is the true walker velocity.
-        pcx_t, pcy_t = ped_box.center
-        dxc = cw_box.center[0] - pcx_t
-        near = abs(dxc) < theta_x
-        toward = dxc * vx > 0
-        clear = all(math.hypot(ocx - pcx_t, ocy - pcy_t) >= theta_v for ocx, ocy in vehicle_centers)
-        label = 1 if (near and toward and clear) else 0
-
-        frames.append(
-            FrameObservation(
-                timestamp_index=t,
-                pedestrian_box=ped_box,
-                pedestrian_feature=_ped_feature(cfg, p_ped, ped_box, vx, vy),
-                objects=objects,
-                crossing_label=label,
-            )
-        )
-    return Scenario(id=f"synth-{cfg.seed}-{index:05d}", frames=tuple(frames), fps=cfg.fps)
+    ped_boxes = [_box_at(pcx + t * vx, pcy + t * vy, pw, ph) for t in range(cfg.frames_per_scenario)]
+    features = [_ped_feature(cfg, p_ped, box, vx, vy) for box in ped_boxes]
+    n = len(ped_boxes)
+    labels = _frame_labels(ped_boxes, [boxes] * n, theta_x, theta_v)
+    frames = tuple(map(FrameObservation, range(n), ped_boxes, features, [objects] * n, labels))
+    return Scenario(id=f"synth-{cfg.seed}-{index:05d}", frames=frames, fps=cfg.fps)
 
 
 def _require_finite_draw(scenario: Scenario) -> Scenario:

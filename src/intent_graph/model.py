@@ -989,10 +989,8 @@ def forward(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.ndarra
 
 
 def future_labels(scenario: Scenario, cfg: ModelConfig) -> list[int]:
-    """Ground-truth crossing labels for the K predicted frames."""
-    need = cfg.T + cfg.K
-    if len(scenario.frames) < need:
-        raise ScenarioError(f"scenario {scenario.id!r} too short for T+K = {need}")
+    """Ground-truth crossing labels for the K predicted frames; ScenarioError as forward() words it."""
+    _check_scenario(scenario, cfg)
     return [f.crossing_label for f in scenario.frames[cfg.T : cfg.T + cfg.K]]
 
 

@@ -253,12 +253,7 @@ def aggregate_metrics(per_scenario: Sequence[tuple[Sequence[float], Sequence[int
     return _report(np.array(probs, dtype=np.float64), np.array(labels), losses, threshold)
 
 
-def evaluate(
-    dataset: Sequence[Scenario],
-    cfg: ModelConfig,
-    values: Mapping[str, np.ndarray],
-    threshold: float = 0.5,
-) -> EvalReport:
+def evaluate(dataset: Sequence[Scenario], cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> EvalReport:
     """Pure evaluation pass, one batched forward over the dataset.
 
     Repeated calls give bit-identical reports, equal to aggregating the
@@ -271,7 +266,7 @@ def evaluate(
     logits = check_finite_logits(dataset, forward_batch(dataset, cfg, values))
     labels = [future_labels(scenario, cfg) for scenario in dataset]
     losses = [loss_from_logits(row, row_labels) for row, row_labels in zip(logits.tolist(), labels)]
-    return _report(sigmoid_values(logits), np.array(labels), losses, threshold)
+    return _report(sigmoid_values(logits), np.array(labels), losses, 0.5)
 
 
 def check_finite_logits(scenarios: Sequence[Scenario], logits: np.ndarray) -> np.ndarray:

@@ -1107,7 +1107,7 @@ def test_future_labels_slice():
     cfg = ModelConfig(D=6, D_e=5, hidden=6, T=3, K=2)
     scenario = _scenario(D=6, frames=6)
     assert future_labels(scenario, cfg) == [f.crossing_label for f in scenario.frames[3:5]]
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"has 4 frames; config needs T\+K = 5"):
         future_labels(_scenario(D=6, frames=4), cfg)
 
 
