@@ -23,9 +23,13 @@ input object lists; floating-point addition is not associative, so ordering
 is what makes that exact rather than approximate.
 
 check_parameters, which both forwards and save_checkpoint call, is the one
-check of parameter names and shapes, and of the NaNs and infinities a ReLU
-would hide; nothing downstream checks them again. It returns Parameters,
-views of one flat float64 row; train() builds them over its buffer.
+check of parameter names, types and shapes, and of the NaNs and infinities
+a ReLU would hide; nothing downstream checks them again. It returns
+Parameters, views of one flat float64 row. load_checkpoint and train return
+Parameters over a row of their own, and check_parameters takes those as
+they are: a forward() of one scenario with loaded parameters copies none of
+them, and only scans the edge and graph span of the row. Any other mapping
+is copied into a fresh row. train() builds its views over its buffer.
 
 There is one implementation of each stage, and two forwards call it.
 forward_chunk is the tape-free pass over up to CHUNK (64) scenarios that
@@ -63,22 +67,25 @@ folds outer_rows' stack instead.
 forward_chunk reads no frame or object record after a scenario's first
 pass. _pack walks the observed frames of a pass's new scenarios once,
 after _check_scenario, as every pass did before: pedestrian features and
-boxes and _object_rows' canonically ordered object rows, with each
-object's unscaled spatial relation to its frame's pedestrian box (the
-star spokes' relations, which depend on the data alone). It keeps each
-scenario's share on the record's window slot as read-only views under the
-key T; a pass at another T repacks, pedestrian_only packs no objects (the
-taped forward reads none either), and a build that raises keeps nothing.
-The build refuses a non-finite feature or box (_check_finite, ScenarioError
-naming the scenario), as forward_logits does; a ReLU would turn a NaN into
-zeros and train on it. A warm pass checks no feature or box again, and a
-warm star pass computes no relation: it scales the window's and finds an
-overflowed one on every pass, as forward_logits checks every call.
-fully_connected still computes its spokes' and object pairs' relations on
-every pass. Later passes concatenate their scenarios' windows field by
-field. The records are frozen, and the loader and _pack itself make the
-feature arrays read-only, so a window cannot go stale: a write raises
-instead.
+_object_rows' canonically ordered object rows, with each object's
+unscaled spatial relation to its frame's pedestrian box (the star spokes'
+relations, which depend on the data alone). A fully_connected pack also
+keeps its edges in the order they are scored (_Pairs): every spoke's and
+object pair's unscaled relation, and each edge's source and target row.
+It keeps each scenario's share on the record's window slot as read-only
+views under the key T; a pass at another T repacks, pedestrian_only packs
+no objects (the taped forward reads none either), a fully_connected pass
+repacks a window that holds no _Pairs, and a build that raises keeps
+nothing. The build refuses a non-finite feature or box (_check_finite,
+ScenarioError naming the scenario), as forward_logits does; a ReLU would
+turn a NaN into zeros and train on it. A warm pass checks no feature or
+box again and computes no relation, in any mode: it scales the window's
+relations and finds an overflowed one on every pass, as forward_logits
+checks every call. A pass over one warm scenario reads its window's
+arrays as they are; a pass over several concatenates their windows field
+by field, offsetting each window's _Pairs rows by where its rows land.
+The records are frozen, and the loader and _pack itself make the feature
+arrays read-only, so a window cannot go stale: a write raises instead.
 
 forward_logits builds one scenario on Tensors, each GRU step, edge block
 and frame's graph block one tape node (gru_step, edge_weight, star_graph)
@@ -93,8 +100,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -306,34 +314,74 @@ class Parameters(dict):
     """
 
     def __init__(self, cfg: ModelConfig, row: np.ndarray):
-        _, blocks, plan, cells, _ = _layout(cfg)
+        layout = _layout(cfg)
+        _, blocks, plan, _, _ = layout
         lead = row.shape[:-1]
         views = [row[..., at].reshape(lead + shape) for at, shape in blocks]
         super().__init__({name: views[block] if gate is None else views[block][gate] for name, block, gate in plan})
-        self.row, self.cells = row, {cell: (views[block], views[block + 1]) for cell, block in cells}
+        self.row, self._cfg = row, cfg
+        self._built = (layout, row, *self.values())  # what check_parameters compares, to take the row as it is
+
+    def _as_built(self) -> bool:
+        """True while the row and every entry are the objects this was built with, so each entry is a view of the row."""
+        return all(map(operator.is_, self._built[1:], (self.row, *self.values())))
+
+    def __reduce__(self):
+        # a deep copy or an unpickled copy is built again over its own row, so its entries are views of that row;
+        # a replaced entry is carried over as it is, and check_parameters then copies the copy
+        return Parameters, (self._cfg, self.row), None, None, None if self._as_built() else iter(self.items())
+
+    @cached_property
+    def cells(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        # made on first use: parameters that are only kept, such as a training result, hold no block views
+        _, blocks, _, cells, _ = self._built[0]
+        lead = self.row.shape[:-1]
+        return {cell: tuple(self.row[..., at].reshape(lead + shape) for at, shape in blocks[w : w + 2]) for cell, w in cells}
+
+
+def _intact(values: Mapping[str, np.ndarray], shapes: Mapping[str, tuple[int, int]]) -> bool:
+    """True for Parameters over a 1-D float64 row laid out for ``shapes`` whose row and entries are the ones it was built with."""
+    if not isinstance(values, Parameters):
+        return False
+    built, row = values._built, values.row
+    return row.ndim == 1 and row.dtype == np.float64 and (built[0][0] is shapes or built[0][0] == shapes) and values._as_built()
 
 
 def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> Parameters:
-    """The parameters as Parameters over a fresh float64 row, once their names and shapes match the config (else ConfigError).
+    """The parameters as Parameters over one float64 row, once their names, types and shapes match the config (else ConfigError).
 
-    A NaN or an infinity in edge.proj_* or gcn.W* is a ConfigError too: a
-    ReLU or the weight clip would absorb it and give finite logits. Only
-    those arrays are scanned, as one span of the row, as forward() of one
-    scenario pays this check every call: a non-finite value elsewhere
-    reaches the logits, which evaluate, train and the CLI refuse.
+    Parameters over a 1-D float64 row, laid out for this config's names and
+    shapes and with every entry still the view it was built with (what
+    load_checkpoint and train return), are that row: ``values`` itself comes
+    back, and nothing is copied. Any other mapping is copied into a fresh
+    row; an array whose dtype is not an integer or a float (str, bool,
+    object, complex) is refused, as data files and checkpoints refuse such
+    entries.
+
+    A NaN or an infinity in edge.proj_* or gcn.W* is a ConfigError too, on
+    either path: a ReLU or the weight clip would absorb it and give finite
+    logits. Only those arrays are scanned, as one span of the row, as
+    forward() of one scenario pays this check every call: a non-finite
+    value elsewhere reaches the logits, which evaluate, train and the CLI
+    refuse.
     """
     shapes, *_, fed = _layout(cfg)
     if values.keys() != shapes.keys():
         missing = sorted(set(shapes) - set(values))
         extra = sorted(set(values) - set(shapes))
         raise ConfigError(f"parameter names do not match the config (missing {missing}, unexpected {extra})")
-    flat = []
-    for name, shape in shapes.items():
-        arr = np.asarray(values[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise ConfigError(f"parameter {name} has shape {arr.shape}, config expects {shape}")
-        flat.append(arr.ravel())
-    checked = Parameters(cfg, np.concatenate(flat))
+    if _intact(values, shapes):
+        checked = values
+    else:
+        flat = []
+        for name, shape in shapes.items():
+            arr = np.asarray(values[name])
+            if arr.dtype.kind not in "iuf":
+                raise ConfigError(f"parameter {name} holds {arr.dtype} values, not numbers")
+            if arr.shape != shape:
+                raise ConfigError(f"parameter {name} has shape {arr.shape}, config expects {shape}")
+            flat.append(arr.ravel())
+        checked = Parameters(cfg, np.concatenate(flat, dtype=np.float64))
     if not np.isfinite(checked.row[fed]).all():
         name = next(name for name in shapes if name.startswith(("edge.", "gcn.")) and not np.isfinite(checked[name]).all())
         what = "a NaN" if np.isnan(checked[name]).any() else "an infinite value"
@@ -406,67 +454,134 @@ def _check_finite(
         raise ScenarioError(f"scenario {scenario.id!r}: non-finite {what} in observed frame {frame % t_obs}")
 
 
-def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig, objects: bool) -> tuple:
-    """Pack the first T frames of ``scenarios`` from their records and keep each scenario's share on it.
+class _Pairs(NamedTuple):
+    """The edges of F frames in _Edges order, as a fully_connected pass reads them: per frame its spokes, then its pairs i < j."""
+
+    relations: np.ndarray  # (E, 8) unscaled, unchecked relations of each edge's target box to its source box
+    src: np.ndarray  # (E,) each edge's source row in _nodes' order: an object row, or its frame's pedestrian row
+    tgt: np.ndarray  # (E,) each edge's target object row
+
+
+@lru_cache(maxsize=256)
+def _pair_rows(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The _Pairs src and tgt of one window whose frames hold ``counts`` objects, counted from its own first rows; read-only, as windows share them."""
+    m, start, src, tgt = sum(counts), 0, [], []
+    for t, n in enumerate(counts):
+        i, j = pair_indices(n)
+        src += [np.full(n, m + t), start + i]  # a frame's pedestrian row follows the window's object rows
+        tgt += [np.arange(start, start + n), start + j]
+        start += n
+    rows = np.concatenate(src), np.concatenate(tgt)
+    for arr in rows:
+        arr.setflags(write=False)
+    return rows
+
+
+def _joined(layouts: Sequence[tuple], starts: np.ndarray, t_obs: int) -> tuple[np.ndarray, np.ndarray]:
+    """The src and tgt of windows' _pair_rows side by side: window b's offset by its first row of _nodes and its first object row, ``starts[b]``."""
+    sizes = [len(src) for src, _ in layouts]
+    src, tgt = (np.concatenate(rows) for rows in zip(*layouts))
+    src += np.repeat(starts + t_obs * np.arange(len(starts)), sizes)
+    tgt += np.repeat(starts, sizes)
+    return src, tgt
+
+
+def _nodes(objects: np.ndarray, frames: np.ndarray, ends: list[int], t_obs: int) -> np.ndarray:
+    """The rows a _Pairs src indexes: window by window, its object rows, then its T frame rows (pedestrian rows or boxes).
+
+    ``ends`` holds each window's end in ``objects``. A window's rows are
+    adjacent, so its src is offset by one number when windows are joined.
+    """
+    windows = zip([0, *ends[:-1]], ends, range(0, len(frames), t_obs))
+    return np.concatenate([part for lo, hi, at in windows for part in (objects[lo:hi], frames[at : at + t_obs])])
+
+
+def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> tuple:
+    """Pack the first T frames of ``scenarios`` from their records and keep each scenario's share on it; _packed's result.
 
     One walk over all B * T frames, as a pass made before windows were kept:
-    (F, D) pedestrian features, (F, 4) pedestrian boxes and, with
-    ``objects``, the frames' _ObjectRows (else None), whose relations are
-    one relation_rows call over every object row against its frame's
-    pedestrian box: the star spokes' relations, unscaled. They are not
+    (F, D) pedestrian features and, unless pedestrian_only, the frames'
+    _ObjectRows, whose relations are one relation_rows call over every
+    object row against its frame's pedestrian box: the star spokes'
+    relations, unscaled. fully_connected also packs its _Pairs, with one
+    more relation_rows call over every spoke and pair. No relation is
     checked here: a pass finds an overflowed row every time it reads them,
     in forward_logits' order. Only once that build succeeds does each
-    scenario get its window, (T, features, boxes, object rows) as read-only
-    views of these arrays, and do the feature arrays it was built from
-    become read-only, so writing to one raises instead of leaving the
-    window stale.
+    scenario get its window, (T, features, object rows or None, _Pairs or
+    None) as read-only views of these arrays (its _Pairs' src and tgt
+    counted from its own first row), and do the feature arrays it was
+    built from become read-only, so writing to one raises instead of
+    leaving the window stale.
     """
-    t_obs, d = cfg.T, cfg.D
+    t_obs, d, mode = cfg.T, cfg.D, cfg.graph_mode
     observed = [f for s in scenarios for f in s.frames[:t_obs]]  # frame index b * T + t
     ped = np.array([f.pedestrian_feature for f in observed]).reshape(len(observed), d)
     ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
-    objs = _object_rows(observed, d) if objects else None
+    objs = None if mode == "pedestrian_only" else _object_rows(observed, d)
     _check_finite(scenarios, t_obs, ped, ped_boxes, objs)
+    sources, pairs = [f.pedestrian_feature for f in observed], None
     if objs is not None:
-        objs = objs._replace(relations=relation_rows(ped_boxes.repeat(objs.counts, axis=0), objs.boxes))
-    sources = [f.pedestrian_feature for f in observed]
-    if objs is not None:
+        counts = objs.counts
+        objs = objs._replace(relations=relation_rows(ped_boxes.repeat(counts, axis=0), objs.boxes))
         sources += [o.feature for f in observed for o in f.objects]
-        ends = np.cumsum(objs.counts.reshape(len(scenarios), t_obs).sum(axis=1)).tolist()
-        starts = [0, *ends[:-1]]
-    for arr in (*sources, ped, ped_boxes, *(objs or ())):
+        by_window = counts.reshape(len(scenarios), t_obs)
+        ends = np.cumsum(by_window.sum(axis=1))  # each window's end in the object rows
+        starts = ends - by_window.sum(axis=1)
+    if mode == "fully_connected":
+        layouts = [_pair_rows(tuple(window)) for window in by_window.tolist()]
+        src, tgt = _joined(layouts, starts, t_obs)
+        rel = relation_rows(_nodes(objs.boxes, ped_boxes, ends.tolist(), t_obs)[src], objs.boxes[tgt])
+        rel.setflags(write=False)  # before the windows' views of it are taken
+        pairs, relations = _Pairs(rel, src, tgt), np.split(rel, np.cumsum([len(window_src) for window_src, _ in layouts[:-1]]))
+    for arr in (*sources, ped, *(objs or ())):
         try:
             if arr.flags.writeable:  # reading the flag costs a third of setting it, and a loaded record's is clear
                 arr.setflags(write=False)
         except AttributeError:  # a feature held as a list has no flag to set
             pass
     for b, scenario in enumerate(scenarios):
-        frames, rows = slice(b * t_obs, (b + 1) * t_obs), None
+        frames, rows, edges = slice(b * t_obs, (b + 1) * t_obs), None, None
         if objs is not None:
             at = slice(starts[b], ends[b])
             rows = _ObjectRows(objs.counts[frames], *(arr[at] for arr in objs[1:]))
-        object.__setattr__(scenario, "window", (t_obs, ped[frames], ped_boxes[frames], rows))  # not data; see scene
-    return ped, ped_boxes, objs
+        if pairs is not None:
+            edges = _Pairs(relations[b], *layouts[b])
+        object.__setattr__(scenario, "window", (t_obs, ped[frames], rows, edges))  # not data; see scene
+    return ped, objs, pairs
 
 
-def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig, objects: bool) -> tuple:
-    """(F, D) pedestrian features, (F, 4) pedestrian boxes and, with ``objects``, the _ObjectRows of the F = B * T observed frames.
+def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> tuple:
+    """(F, D) pedestrian features, the _ObjectRows (None in pedestrian_only mode) and the _Pairs (fully_connected, else None) of the F = B * T observed frames.
 
     Frame b * T + t is frame t of scenarios[b]. A scenario whose window
-    was packed at another T, or without objects when they are asked for,
-    is packed again; when every scenario needs packing, _pack's arrays are
-    the result, and otherwise the windows are concatenated field by field.
+    was packed at another T, or without what the mode reads (objects, or
+    fully_connected's _Pairs), is packed again. When every scenario needs
+    packing, _pack's arrays are the result; a lone warm scenario's are its
+    window's arrays as they are; otherwise the windows are concatenated
+    field by field, each window's _Pairs src and tgt offset by where its
+    rows land.
     """
-    cold = [s for s in scenarios if s.window is None or s.window[0] != cfg.T or (objects and s.window[3] is None)]
+    objects, pairs = cfg.graph_mode != "pedestrian_only", cfg.graph_mode == "fully_connected"
+    cold = [
+        s for s in scenarios
+        if s.window is None or s.window[0] != cfg.T or (objects and s.window[2] is None) or (pairs and s.window[3] is None)
+    ]
     if len(cold) == len(scenarios):
-        return _pack(scenarios, cfg, objects)
+        return _pack(scenarios, cfg)
     if cold:
-        _pack(cold, cfg, objects)
+        _pack(cold, cfg)
     windows = [s.window for s in scenarios]
-    ped, ped_boxes = (np.concatenate([w[i] for w in windows]) for i in (1, 2))
-    if not objects:
-        return ped, ped_boxes, None
-    return ped, ped_boxes, _ObjectRows(*map(np.concatenate, zip(*(w[3] for w in windows))))
+    if len(windows) == 1:
+        _, ped, objs, edges = windows[0]
+    else:
+        ped = np.concatenate([w[1] for w in windows])
+        objs = _ObjectRows(*map(np.concatenate, zip(*(w[2] for w in windows)))) if objects else None
+        edges = None
+        if pairs:
+            per_window = np.array([len(w[2].feats) for w in windows])
+            src, tgt = _joined([w[3][1:] for w in windows], per_window.cumsum() - per_window, cfg.T)
+            edges = _Pairs(np.concatenate([w[3].relations for w in windows]), src, tgt)
+    return ped, objs if objects else None, edges if pairs else None
 
 
 def _edge_targets(cfg: ModelConfig, categories: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -485,9 +600,8 @@ class PredictionOutput:
 
     @classmethod
     def from_logits(cls, logits) -> "PredictionOutput":
-        flat = [float(z) for z in logits]
-        probs = tuple(float(v) for v in sigmoid_values(np.array(flat)).reshape(-1))
-        return cls(logits=tuple(flat), probabilities=probs)
+        row = np.asarray(logits, dtype=np.float64).reshape(-1)
+        return cls(logits=tuple(row.tolist()), probabilities=tuple(sigmoid_values(row).tolist()))
 
     def to_dict(self) -> dict:
         return {"logits": list(self.logits), "probabilities": list(self.probabilities)}
@@ -615,6 +729,8 @@ def forward_batch(
     """
     p = check_parameters(cfg, values)
     chunks = [forward_chunk(scenarios[i : i + CHUNK], cfg, p)[0] for i in range(0, len(scenarios), CHUNK)]
+    if len(chunks) == 1:
+        return chunks[0]
     return np.concatenate(chunks) if chunks else np.zeros((0, cfg.K))
 
 
@@ -715,7 +831,7 @@ def forward_chunk(
         _check_scenario(scenario, cfg)
     tc, mode, b, t_obs = cfg.temporal, cfg.graph_mode, len(scenarios), cfg.T
     kept = {} if keep else None
-    ped, ped_boxes, objs = _packed(scenarios, cfg, mode != "pedestrian_only")  # frame index b * T + t
+    ped, objs, pairs = _packed(scenarios, cfg)  # frame index b * T + t
     ped = ped.reshape(b, t_obs, 1, cfg.D)
     zero = np.zeros((b, 1, cfg.hidden))
     if tc.use_temporal and tc.use_ped_gru:
@@ -730,7 +846,7 @@ def forward_chunk(
                 pooled[frames] = objs.feats[rows].mean(axis=1)
         vecs = np.concatenate([ped, pooled.reshape(b, t_obs, 1, cfg.D)], axis=-1)
     else:
-        vecs = _graph_frames(scenarios, cfg, p, objs, ped_boxes, ped.reshape(b * t_obs, cfg.hidden), kept)
+        vecs = _graph_frames(scenarios, cfg, p, objs, pairs, ped.reshape(b * t_obs, cfg.hidden), kept)
         vecs = vecs.reshape(b, t_obs, 1, 2 * cfg.hidden)
         if tc.use_temporal and tc.use_ctxt_gru:
             ctx = vecs[..., cfg.hidden :]
@@ -751,18 +867,17 @@ def forward_chunk(
 
 
 def _graph_frames(
-    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], objs: _ObjectRows, ped_boxes: np.ndarray,
+    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], objs: _ObjectRows, pairs: _Pairs | None,
     ped_rows: np.ndarray, kept: dict | None,
 ) -> np.ndarray:
     """The (F, 2H) frame rows [refined pedestrian row, object-context mean] of F frames.
 
-    ``objs``, ``ped_boxes`` and ``ped_rows`` are _packed's object rows and
-    pedestrian boxes and the (F, H) pedestrian stream.
+    ``objs`` and ``pairs`` are _packed's object rows and _Pairs, and
+    ``ped_rows`` the (F, H) pedestrian stream.
 
     Every edge of the pass is scored in one stacked call, laid out as
-    _Edges says, on its relation scaled by spatial_scale: in star mode the
-    object rows' packed relations, in fully_connected mode one
-    relation_rows call over the pass's spokes and pairs. Then each bucket
+    _Edges says, on its packed relation scaled by spatial_scale: in star
+    mode the object rows', in fully_connected mode the _Pairs'. Then each bucket
     of frames with N objects runs graph convolution as one stacked
     (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
     Into ``kept``, when given, go the _Edges ("edges") and per bucket (N,
@@ -770,20 +885,14 @@ def _graph_frames(
     values) ("buckets").
     """
     feats, counts = objs.feats, objs.counts
-    pairs = cfg.graph_mode == "fully_connected"
-    sizes = counts * (counts + 1) // 2 if pairs else counts  # edges per frame: spokes, then pairs
-    buckets = list(_buckets(counts, sizes if pairs else None))
+    sizes = counts * (counts + 1) // 2 if pairs is not None else counts  # edges per frame: spokes, then pairs
+    buckets = list(_buckets(counts, None if pairs is None else sizes))
     targets = _edge_targets(cfg, objs.categories, feats)
     e_o, mask_o = project_targets(targets, p["edge.proj_o"])  # once per object, for every edge ending at it
-    if pairs:  # each edge's source and target node: object rows, then one pedestrian row per frame
-        src, tgt = np.empty((2, int(sizes.sum())), dtype=np.intp)
-        for n, frames, rows, edges in buckets:
-            i, j = pair_indices(n)
-            src[edges[:, :n]], src[edges[:, n:]] = (len(feats) + frames)[:, None], rows[:, i]
-            tgt[edges[:, :n]], tgt[edges[:, n:]] = rows, rows[:, j]
-        sources = np.concatenate([feats, ped_rows])[src]
-        rel = relation_rows(np.concatenate([objs.boxes, ped_boxes])[src], objs.boxes[tgt])
-        targets, e_o, mask_o = targets[tgt], e_o[tgt], mask_o[tgt]
+    if pairs is not None:
+        ends = counts.reshape(-1, cfg.T).sum(axis=1).cumsum().tolist()
+        sources, rel = _nodes(feats, ped_rows, ends, cfg.T)[pairs.src], pairs.relations
+        targets, e_o, mask_o = targets[pairs.tgt], e_o[pairs.tgt], mask_o[pairs.tgt]
     else:  # the spokes' relations, packed with the objects
         sources, rel = ped_rows.repeat(counts, axis=0), objs.relations
     finite, overflow = np.isfinite(rel), None
@@ -808,7 +917,7 @@ def _graph_frames(
         x[:, 0] = ped_rows[frames]
         x[:, 1:] = feats[rows]
         w = weights[edges]
-        a, norm = build_adjacency(w[:, :n], w[:, n:] if pairs else None, cfg.normalize_adjacency)
+        a, norm = build_adjacency(w[:, :n], None if pairs is None else w[:, n:], cfg.normalize_adjacency)
         z, saved = graph_conv(a, x, layers)
         vecs[frames] = frame_rows(z)
         if buckets_kept is not None:
@@ -1017,8 +1126,8 @@ def save_checkpoint(path, cfg: ModelConfig, values: Mapping[str, np.ndarray]) ->
     write_text_atomic(path, json.dumps(doc))
 
 
-def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """Read a checkpoint and validate it against its embedded config."""
+def load_checkpoint(path) -> tuple[ModelConfig, Parameters]:
+    """Read a checkpoint and validate it against its embedded config; the parameters come back over one row."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer literal too long
@@ -1033,7 +1142,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     raw = doc.get("parameters")
     if not isinstance(raw, dict) or set(raw) != set(shapes):
         raise CheckpointError("checkpoint parameters do not match the model config")
-    values: dict[str, np.ndarray] = {}
+    rows = []
     for name, shape in shapes.items():
         entry = raw[name]
         if not isinstance(entry, dict):
@@ -1047,5 +1156,5 @@ def load_checkpoint(path) -> tuple[ModelConfig, dict[str, np.ndarray]]:
             raise CheckpointError(f"parameter {name}: non-finite or non-numeric values")
         if flat.size != shape[0] * shape[1]:
             raise CheckpointError(f"parameter {name}: {flat.size} values for shape {list(shape)}")
-        values[name] = flat.reshape(shape)
-    return cfg, values
+        rows.append(flat)
+    return cfg, Parameters(cfg, np.concatenate(rows))

@@ -11,9 +11,9 @@ width/height of the smallest box containing both, all in raw pixels.
 ``relation_rows`` computes a block of such rows at once; ``spatial_relation``
 adds the check that every entry is finite. The model calls the kernel once
 per record on every object against its pedestrian, when it packs the
-record's window (and in fully_connected mode on every pass, for the object
-pairs), and makes that check itself on every pass, so it can name the
-first frame whose relation overflowed.
+record's window (and in fully_connected mode once more, over every spoke
+and object pair), and makes that check itself on every pass, so it can name
+the first frame whose relation overflowed.
 
 The scene dataclasses are plain frozen records with slots: they check
 nothing. ``data.load`` fills them from a file and owns every rule on a record
@@ -24,9 +24,9 @@ the frames of a generated scenario share one tuple of its static objects.
 
 A Scenario also has one slot that is not data: ``window``, where ``model``
 keeps the scenario's observed frames packed into arrays on its first
-forward pass, with each object's relation to the pedestrian, so that later
-passes skip the walk over frames and objects and the star spokes'
-relations.
+forward pass, with each object's relation to the pedestrian (and, packed
+by a fully_connected pass, each object pair's), so that later passes skip
+the walk over frames and objects and every relation.
 The loader and the generator hand out read-only feature arrays (the
 loader's are row views of one (n, D) block per record, its pedestrians'
 rows first), and that first pass makes a hand-built record's packed
@@ -194,7 +194,7 @@ class Scenario:
     id: str
     frames: tuple[FrameObservation, ...]
     fps: float
-    # model's packed observed window, (T, features, boxes, object rows with their pedestrian relations); see model._pack
+    # model's packed observed window, (T, features, object rows with their pedestrian relations, fully_connected edges); see model._pack
     window: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property

@@ -25,7 +25,8 @@ per chunk size, and backward_chunk zeroes it before each backward;
 train() adds its rows in batch order, in place, as it did when it ran one
 tape per scenario. The parameter values, the gradients and Adam's two moments
 are the rows of one (4, P) float64 buffer, all laid out as the flat row of
-check_parameters; the model reads views of the value row, made once per run.
+check_parameters; the model reads views of the value row, made once per run,
+and the result holds Parameters over one copy of it.
 Adam updates the whole buffer in place, and clip_gradients squares the
 gradient row once and sums each run of adjacent same-size parameters as
 one block, one row per parameter, so the norm keeps the bits of one np.sum
@@ -338,7 +339,9 @@ def scenario_loss(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.
 
 @dataclass
 class TrainResult:
-    params: dict[str, np.ndarray]
+    """The final parameters, as Parameters over a copy of train()'s value row, and one EvalReport per epoch."""
+
+    params: Parameters
     history: list[EvalReport]
 
 
@@ -390,5 +393,5 @@ def train(
         history.append(report)
         if metrics_out is not None:
             metrics_out.write(json.dumps(metrics_record(epoch, report)) + "\n")
-    # copies: views would keep the gradient and moment rows alive with the result
-    return TrainResult(params={name: value.copy() for name, value in values.items()}, history=history)
+    # a copy: views of the buffer would keep the gradient and moment rows alive with the result
+    return TrainResult(params=Parameters(cfg, buffer[0].copy()), history=history)

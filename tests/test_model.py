@@ -6,9 +6,12 @@ on real generated scenarios for every graph mode. Everything else covers
 parameter bookkeeping, invariances, checkpointing, and input validation.
 """
 
+import copy
 import dataclasses
 import functools
 import json
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from intent_graph.data import SynthConfig, generate_synthetic
 from intent_graph.graph import edge_weight, open_unit, outer_rows, pair_indices
 from intent_graph.model import (
     CheckpointError,
+    EdgeCheckError,
     ModelConfig,
     Parameters,
     ScenarioError,
@@ -42,6 +46,7 @@ from intent_graph.model import (
 from intent_graph.recurrent import TemporalConfig
 from intent_graph.scene import (
     CATEGORY_COUNT,
+    RELATION_OVERFLOW,
     BoundingBox,
     FrameObservation,
     ObjectCategory,
@@ -570,13 +575,16 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
 
         return call
 
-    # only fully_connected computes relations on a warm pass (its spokes' and pairs'); the others read the window's
-    refused = ["_object_rows"] if mode == "fully_connected" else ["_object_rows", "relation_rows"]
+    # no mode computes a relation on a warm pass: star reads its spokes' from the window, fully_connected its edges'
+    refused = ["_object_rows", "relation_rows"]
     with monkeypatch.context() as patched:
         for name in refused:
             patched.setattr(model, name, refuse(name))
         assert _passes(batch, cfg, values) == cold
         assert forward(batch[0], cfg, values).logits == tuple(np.frombuffer(cold[0])[: cfg.K].tolist())
+        # a lone warm scenario's arrays are its window's, not copies
+        packed, window = model._packed(batch[:1], cfg), batch[0].window
+        assert all(got is kept for got, kept in zip(packed, window[1:]) if got is not None)
         if mode == "pedestrian_only":  # packs no objects, cold or warm
             assert forward_batch(_fresh(batch), cfg, values).tobytes() == cold[0]
     if mode != "pedestrian_only":
@@ -615,12 +623,12 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
     cfg = _batch_cfg("star", "default", "L2-shared")
     scenario = _mixed_batch()[0]
     forward_batch([scenario], cfg, init_parameters(cfg))
-    t_obs, ped, ped_boxes, objs = scenario.window
+    t_obs, ped, objs, pairs = scenario.window
     objects = sum(len(f.objects) for f in scenario.frames[: cfg.T])
-    assert t_obs == cfg.T and ped.shape == (cfg.T, cfg.D) and ped_boxes.shape == (cfg.T, 4)
+    assert t_obs == cfg.T and ped.shape == (cfg.T, cfg.D) and pairs is None  # only fully_connected packs its edges
     assert objs.counts.tolist() == [len(f.objects) for f in scenario.frames[: cfg.T]]
     assert objs.feats.shape == (objects, cfg.D) and objs.boxes.shape == (objects, 4) and objs.categories.shape == (objects,)
-    assert not any(arr.flags.writeable for arr in (ped, ped_boxes, *objs))
+    assert not any(arr.flags.writeable for arr in (ped, *objs))
     # each object's unscaled relation to its frame's pedestrian box, in canonical order
     want = [
         relation_rows(
@@ -634,6 +642,74 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
     assert dataclasses.replace(scenario).window is None
     assert dataclasses.replace(scenario, id="other").window is None
     assert "window" not in repr(scenario)
+
+
+def test_a_fully_connected_window_keeps_its_edges_in_the_order_they_are_scored():
+    cfg = _batch_cfg("fully_connected", "default", "L2-shared")
+    scenario = _mixed_batch()[0]
+    forward_batch([scenario], cfg, init_parameters(cfg))
+    _, _, objs, pairs = scenario.window
+    observed = scenario.frames[: cfg.T]
+    boxes = [np.array([o.aligned_box().as_list() for o in sorted(f.objects, key=object_sort_key)]).reshape(-1, 4) for f in observed]
+    ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed])
+    # per frame its spokes, then its object pairs i < j, row-major: each edge's source and target box
+    src_boxes, tgt_boxes, src_rows, tgt_rows, start = [], [], [], [], 0
+    for t, frame_boxes in enumerate(boxes):
+        n = len(frame_boxes)
+        i, j = pair_indices(n)
+        src_boxes += [ped_boxes[[t] * n], frame_boxes[i]]
+        tgt_boxes += [frame_boxes, frame_boxes[j]]
+        src_rows += [[len(objs.feats) + t] * n, start + i]  # the window's object rows, then its pedestrian rows
+        tgt_rows += [start + np.arange(n), start + j]
+        start += n
+    want = relation_rows(np.concatenate(src_boxes), np.concatenate(tgt_boxes))
+    assert pairs.relations.tobytes() == want.tobytes()
+    assert pairs.src.tolist() == np.concatenate(src_rows).tolist() and pairs.tgt.tolist() == np.concatenate(tgt_rows).tolist()
+    assert not any(arr.flags.writeable for arr in pairs)
+
+
+def test_an_overflowed_pair_relation_is_refused_on_every_pass():
+    # two objects at opposite ends of the float range: each spoke's relation is finite, their pair's is not
+    cfg = _batch_cfg("fully_connected", "default", "L2-shared")
+    values = init_parameters(cfg)
+    good = _mixed_batch()[0]
+    far = tuple(
+        ObjectObservation(ObjectCategory.CAR, BoundingBox(x0, 0.0, x1, 10.0), np.ones(6))
+        for x0, x1 in ((0.8e308, 0.95e308), (-0.95e308, -0.8e308))
+    )
+    frames = list(good.frames)
+    frames[2] = dataclasses.replace(frames[2], objects=far)
+    bad = dataclasses.replace(good, id="pair-overflow", frames=tuple(frames))
+    with pytest.raises(ValueError, match=RELATION_OVERFLOW):
+        forward_logits(bad, cfg, values)
+    message = f"^scenario 'pair-overflow': {re.escape(RELATION_OVERFLOW)}$"
+    for attempt in ("cold", "warm"):
+        mate = dataclasses.replace(good)
+        if attempt == "cold":
+            bad = dataclasses.replace(bad)
+        with pytest.raises(EdgeCheckError, match=message) as raised:
+            forward_batch([mate, bad], cfg, values)
+        assert raised.value.detail == RELATION_OVERFLOW
+        with pytest.raises(EdgeCheckError, match=message):
+            forward(bad, cfg, values)
+        with pytest.raises(ValueError, match=f"^{re.escape(RELATION_OVERFLOW)}$"):
+            train([mate, bad], cfg, TrainConfig(epochs=1, batch_size=2), initial=values)
+        # the window keeps the overflowed pair row, and its spokes' rows are finite
+        _, _, objs, pairs = bad.window
+        assert np.isfinite(objs.relations).all() and not np.isfinite(pairs.relations).all()
+
+
+def test_star_and_fully_connected_passes_over_the_same_records_give_the_cold_bytes():
+    # a star window has no pairs, so a fully_connected pass repacks it; that window serves star as it is
+    star = _batch_cfg("star", "ctxt", "L3-unshared-norm-cls")
+    fc = dataclasses.replace(star, graph_mode="fully_connected")
+    values = init_parameters(star)
+    batch = _mixed_batch()
+    cold = {cfg.graph_mode: _passes(_fresh(batch), cfg, values) for cfg in (star, fc)}
+    for cfg, packed_pairs in ((star, False), (fc, True), (star, True)):
+        assert _passes(batch, cfg, values) == cold[cfg.graph_mode]
+        assert all((scenario.window[3] is not None) == packed_pairs for scenario in batch)
+        assert forward(batch[0], cfg, values).logits == tuple(np.frombuffer(cold[cfg.graph_mode][0])[: cfg.K].tolist())
 
 
 def _writable(scenario):
@@ -680,13 +756,13 @@ def test_pedestrian_only_packs_no_objects_and_reads_malformed_ones_as_the_taped_
     got = forward_batch([ragged, good], cfg, values)
     assert got[0].tobytes() == _unbatched_logits(ragged, cfg, values).tobytes()
     assert got[0].tobytes() == got[1].tobytes()  # objects do not reach pedestrian_only's logits
-    assert ragged.window[3] is None and good.window[3] is None
+    assert ragged.window[2] is None and good.window[2] is None
     star = dataclasses.replace(cfg, graph_mode="star", hidden=6)
     with pytest.raises(ValueError):  # a mode that reads objects packs them, and this one fails
         forward_batch([ragged], star, init_parameters(star))
-    assert ragged.window[3] is None  # the failed build kept nothing
+    assert ragged.window[2] is None  # the failed build kept nothing
     forward_batch([good], star, init_parameters(star))
-    assert good.window[3] is not None
+    assert good.window[2] is not None
     assert forward_batch([good], cfg, values).tobytes() == got[1].tobytes()  # a window with objects serves pedestrian_only
 
 
@@ -811,7 +887,7 @@ def test_batched_forward_keeps_every_check():
     with pytest.raises(ValueError, match="'overflow': spatial_relation: non-finite"):
         forward_batch([good, overflow, good], cfg, values)
     # the pack keeps the overflowed relation, and each pass over the warm windows refuses it again
-    assert not np.isfinite(overflow.window[3].relations).all()
+    assert not np.isfinite(overflow.window[2].relations).all()
     with pytest.raises(ValueError, match="'overflow': spatial_relation: non-finite"):
         forward_batch([good, overflow, good], cfg, values)
 
@@ -1131,6 +1207,91 @@ def test_parameter_mismatch_rejected():
     values["readout.w"] = np.zeros((7, 1))
     with pytest.raises(ConfigError, match="shape"):
         forward_logits(scenario, cfg, values)
+
+
+def _loaded(tmp_path, cfg):
+    save_checkpoint(tmp_path / "model.json", cfg, init_parameters(cfg))
+    return load_checkpoint(tmp_path / "model.json")[1]
+
+
+def test_check_parameters_takes_a_loaded_row_as_it_is_and_still_scans_it(tmp_path):
+    cfg = ModelConfig(D=6, D_e=5, hidden=6, T=3, K=2, spatial_scale=1 / 1280, seed=4)
+    p = _loaded(tmp_path, cfg)
+    assert isinstance(p, Parameters) and p.row.shape == (parameter_count(cfg),) and p.row.dtype == np.float64
+    assert model.check_parameters(cfg, p) is p
+    assert model.check_parameters(dataclasses.replace(cfg, T=5, seed=9), p) is p  # another config, the same layout
+    scenario = _scenario(D=6)
+    assert np.array(forward(scenario, cfg, p).logits).tobytes() == np.array(forward(scenario, cfg, dict(p)).logits).tobytes()
+    p["gcn.W"][1, 2] = np.nan  # written through the view, into the row
+    for call in (lambda: model.check_parameters(cfg, p), lambda: forward(scenario, cfg, p)):
+        with pytest.raises(ConfigError, match=r"^parameter gcn\.W holds a NaN$"):
+            call()
+
+
+def test_check_parameters_copies_what_it_cannot_take_as_it_is(tmp_path):
+    cfg = ModelConfig(D=6, D_e=5, hidden=6, T=3, K=2, spatial_scale=1 / 1280, seed=4)
+    p = _loaded(tmp_path, cfg)
+    replaced = Parameters(cfg, p.row.copy())
+    replaced["readout.w"] = replaced["readout.w"].copy()
+    float32 = Parameters(cfg, p.row.astype(np.float32))
+    for values in (replaced, float32, dict(p)):
+        checked = model.check_parameters(cfg, values)
+        assert checked is not values and not np.shares_memory(checked.row, values["readout.w"])
+        assert checked.row.dtype == np.float64
+        assert checked.row.tobytes() == np.asarray(values.row if values is float32 else p.row, dtype=np.float64).tobytes()
+    # each falls back to the copying path's messages
+    replaced["readout.w"] = np.zeros((7, 1))
+    wider = Parameters(dataclasses.replace(cfg, D_e=6), np.zeros(parameter_count(dataclasses.replace(cfg, D_e=6))))
+    baseline = dataclasses.replace(cfg, graph_mode="concat_baseline", hidden=7)
+    other_names = Parameters(baseline, np.zeros(parameter_count(baseline)))
+    stacked = Parameters(cfg, np.stack([p.row, p.row]))
+    refused = [
+        (replaced, r"^parameter readout\.w has shape \(7, 1\), config expects \(6, 1\)$"),
+        (wider, r"^parameter edge\.proj_i has shape \(14, 6\), config expects \(14, 5\)$"),
+        (other_names, r"^parameter names do not match the config \(missing \['edge\.proj_i'"),
+        (stacked, r"^parameter ped_gru\.W_z has shape \(2, 12, 6\), config expects \(12, 6\)$"),
+    ]
+    for values, message in refused:
+        with pytest.raises(ConfigError, match=message):
+            model.check_parameters(cfg, values)
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_a_copied_parameters_is_built_over_its_own_row(tmp_path, how):
+    # a copy's entries are views of its own row, so check_parameters may take it as it is and still scan what it reads
+    cfg = ModelConfig(D=6, D_e=5, hidden=6, T=3, K=2, spatial_scale=1 / 1280, seed=4)
+    duplicate = {"deepcopy": copy.deepcopy, "pickle": lambda p: pickle.loads(pickle.dumps(p))}[how]
+    p = _loaded(tmp_path, cfg)
+    q = duplicate(p)
+    assert model.check_parameters(cfg, q) is q and q.row.tobytes() == p.row.tobytes() and not np.shares_memory(q.row, p.row)
+    assert all(np.shares_memory(value, q.row) for value in q.values())
+    q["gcn.W"][1, 2] = np.inf
+    with pytest.raises(ConfigError, match=r"^parameter gcn\.W holds an infinite value$"):
+        model.check_parameters(cfg, q)
+    # a replaced entry is carried over, and the copy is copied as the original would be
+    p["readout.w"] = np.full((6, 1), 7.0)
+    q = duplicate(p)
+    checked = model.check_parameters(cfg, q)
+    assert checked is not q and checked["readout.w"].tobytes() == np.full((6, 1), 7.0).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["str", "bool", "object", "complex"])
+def test_check_parameters_refuses_values_that_are_not_numbers(tmp_path, kind):
+    cfg = ModelConfig(D=6, D_e=5, hidden=6, T=3, K=2, spatial_scale=1 / 1280, seed=4)
+    values = init_parameters(cfg)
+    w = values["readout.w"]
+    values["readout.w"] = {"str": w.astype(str), "bool": w > 0, "object": w.astype(object), "complex": w + 0j}[kind]
+    message = rf"^parameter readout\.w holds {re.escape(str(values['readout.w'].dtype))} values, not numbers$"
+    with pytest.raises(ConfigError, match=message):
+        model.check_parameters(cfg, values)
+    with pytest.raises(ConfigError, match=message):
+        forward(_scenario(D=6), cfg, values)
+    with pytest.raises(CheckpointError, match=message):
+        save_checkpoint(tmp_path / "m.json", cfg, values)
+    assert not (tmp_path / "m.json").exists()
+    # integers are numbers: they are converted as before
+    ints = dict(values, **{"readout.w": np.arange(6).reshape(6, 1)})
+    assert model.check_parameters(cfg, ints)["readout.w"].tobytes() == np.arange(6.0).reshape(6, 1).tobytes()
 
 
 # -- checkpoints --------------------------------------------------------------------

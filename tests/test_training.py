@@ -182,6 +182,24 @@ def test_chunk_gradients_are_views_of_one_batch_row():
     _assert_views_of_the_row(grads, cfg, lead=(4,))
 
 
+def test_train_returns_parameters_over_a_row_of_their_own(monkeypatch):
+    # one copy of the value row, which check_parameters then takes as it is
+    cfg = _mcfg()
+    buffers, step = [], training.AdamOptimizer.step
+    monkeypatch.setattr(training.AdamOptimizer, "step", lambda self, buffer: buffers.append(buffer) or step(self, buffer))
+    result = train(_dataset(), cfg, TrainConfig(epochs=2))
+    params = result.params
+    assert isinstance(params, Parameters) and params.row.shape == (parameter_count(cfg),)
+    assert check_parameters(cfg, params) is params
+    before = params.row.tobytes()
+    assert buffers[-1][0].tobytes() == before  # the value row at the end of the run
+    buffers[-1][:] = np.nan
+    assert params.row.tobytes() == before and not np.shares_memory(params.row, buffers[-1])
+    # as an initial value it is read, not trained in place
+    assert train(_dataset(), cfg, TrainConfig(epochs=2), initial=params).params.row.tobytes() != before
+    assert params.row.tobytes() == before
+
+
 def test_an_empty_initial_mapping_is_refused():
     # an empty mapping is given parameters with every name missing, not "no initial parameters"
     with pytest.raises(ConfigError, match=r"^parameter names do not match the config \(missing \['agg_gru\.W_h'"):
