@@ -66,26 +66,26 @@ folds outer_rows' stack instead.
 
 forward_chunk reads no frame or object record after a scenario's first
 pass. _pack walks the observed frames of a pass's new scenarios once,
-after _check_scenario, as every pass did before: pedestrian features and
-_object_rows' canonically ordered object rows, with each object's
-unscaled spatial relation to its frame's pedestrian box (the star spokes'
-relations, which depend on the data alone). A fully_connected pack also
-keeps its edges in the order they are scored (_Pairs): every spoke's and
-object pair's unscaled relation, and each edge's source and target row.
-It keeps each scenario's share on the record's window slot as read-only
-views under the key T; a pass at another T repacks, pedestrian_only packs
-no objects (the taped forward reads none either), a fully_connected pass
-repacks a window that holds no _Pairs, and a build that raises keeps
+after _check_scenario, as every pass did before, into one _Window keyed
+by (T, graph_mode) that holds only what a pass of that mode reads: the
+pedestrian features; unless pedestrian_only (the taped forward reads no
+objects either), _object_rows' canonically ordered object features and
+categories; for star and fully_connected, the unscaled spatial relation
+of every edge the mode scores, in the order it scores them (star its
+spokes, fully_connected its spokes and object pairs), each computed once;
+and for fully_connected, each edge's source and target row. Each
+scenario keeps its share on the record's window slot as read-only views;
+a pass under another key repacks it, and a build that raises keeps
 nothing. The build refuses a non-finite feature or box (_check_finite,
 ScenarioError naming the scenario), as forward_logits does; a ReLU would
 turn a NaN into zeros and train on it. A warm pass checks no feature or
-box again and computes no relation, in any mode: it scales the window's
-relations and finds an overflowed one on every pass, as forward_logits
-checks every call. A pass over one warm scenario reads its window's
-arrays as they are; a pass over several concatenates their windows field
-by field, offsetting each window's _Pairs rows by where its rows land.
-The records are frozen, and the loader and _pack itself make the feature
-arrays read-only, so a window cannot go stale: a write raises instead.
+box again and computes no relation: it scales the window's relations and
+finds an overflowed one on every pass, as forward_logits checks every
+call. A pass over one warm scenario reads its window as it is; a pass
+over several joins their windows field by field, offsetting each
+window's source and target rows by where its rows land. The records are
+frozen, and the loader and _pack itself make the feature arrays
+read-only, so a window cannot go stale: a write raises instead.
 
 forward_logits builds one scenario on Tensors, each GRU step, edge block
 and frame's graph block one tape node (gru_step, edge_weight, star_graph)
@@ -405,7 +405,6 @@ class _ObjectRows(NamedTuple):
     feats: np.ndarray  # (M, D)
     boxes: np.ndarray  # (M, 4) aligned boxes
     categories: np.ndarray  # (M,) ObjectCategory.index
-    relations: np.ndarray | None = None  # (M, 8) unscaled, unchecked relations to the frame's pedestrian box; _pack's
 
 
 def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
@@ -454,17 +453,27 @@ def _check_finite(
         raise ScenarioError(f"scenario {scenario.id!r}: non-finite {what} in observed frame {frame % t_obs}")
 
 
-class _Pairs(NamedTuple):
-    """The edges of F frames in _Edges order, as a fully_connected pass reads them: per frame its spokes, then its pairs i < j."""
+class _Window(NamedTuple):
+    """The F = B * T observed frames of B scenarios as a pass of one (T, graph_mode) reads them; frame b * T + t is frame t of scenario b.
 
-    relations: np.ndarray  # (E, 8) unscaled, unchecked relations of each edge's target box to its source box
-    src: np.ndarray  # (E,) each edge's source row in _nodes' order: an object row, or its frame's pedestrian row
-    tgt: np.ndarray  # (E,) each edge's target object row
+    A field the mode does not read is None: pedestrian_only reads no
+    objects, concat_baseline no relations, and only fully_connected reads
+    src and tgt.
+    """
+
+    key: tuple  # (T, graph_mode)
+    ped: np.ndarray  # (F, D) pedestrian features
+    counts: np.ndarray | None = None  # (F,) objects per frame
+    feats: np.ndarray | None = None  # (M, D) object features, _object_rows' order
+    categories: np.ndarray | None = None  # (M,) ObjectCategory.index
+    relations: np.ndarray | None = None  # (E, 8) unscaled, unchecked relation of each edge's target box to its source box, in _Edges order
+    src: np.ndarray | None = None  # (E,) each edge's source row in _nodes' order: an object row, or its frame's pedestrian row
+    tgt: np.ndarray | None = None  # (E,) each edge's target object row
 
 
 @lru_cache(maxsize=256)
 def _pair_rows(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The _Pairs src and tgt of one window whose frames hold ``counts`` objects, counted from its own first rows; read-only, as windows share them."""
+    """The src and tgt of one fully_connected window whose frames hold ``counts`` objects, counted from its own first rows; read-only, as windows share them."""
     m, start, src, tgt = sum(counts), 0, [], []
     for t, n in enumerate(counts):
         i, j = pair_indices(n)
@@ -477,17 +486,17 @@ def _pair_rows(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return rows
 
 
-def _joined(layouts: Sequence[tuple], starts: np.ndarray, t_obs: int) -> tuple[np.ndarray, np.ndarray]:
-    """The src and tgt of windows' _pair_rows side by side: window b's offset by its first row of _nodes and its first object row, ``starts[b]``."""
-    sizes = [len(src) for src, _ in layouts]
-    src, tgt = (np.concatenate(rows) for rows in zip(*layouts))
+def _joined(srcs: Sequence[np.ndarray], tgts: Sequence[np.ndarray], starts: np.ndarray, t_obs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Windows' src and tgt side by side: window b's offset by its first row of _nodes and its first object row, ``starts[b]``."""
+    sizes = [len(src) for src in srcs]
+    src, tgt = np.concatenate(srcs), np.concatenate(tgts)
     src += np.repeat(starts + t_obs * np.arange(len(starts)), sizes)
     tgt += np.repeat(starts, sizes)
     return src, tgt
 
 
 def _nodes(objects: np.ndarray, frames: np.ndarray, ends: list[int], t_obs: int) -> np.ndarray:
-    """The rows a _Pairs src indexes: window by window, its object rows, then its T frame rows (pedestrian rows or boxes).
+    """The rows a _Window's src indexes: window by window, its object rows, then its T frame rows (pedestrian rows or boxes).
 
     ``ends`` holds each window's end in ``objects``. A window's rows are
     adjacent, so its src is offset by one number when windows are joined.
@@ -496,20 +505,19 @@ def _nodes(objects: np.ndarray, frames: np.ndarray, ends: list[int], t_obs: int)
     return np.concatenate([part for lo, hi, at in windows for part in (objects[lo:hi], frames[at : at + t_obs])])
 
 
-def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> tuple:
-    """Pack the first T frames of ``scenarios`` from their records and keep each scenario's share on it; _packed's result.
+def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
+    """The _Window of the first T frames of ``scenarios``, packed from their records; each scenario keeps its share.
 
     One walk over all B * T frames, as a pass made before windows were kept:
-    (F, D) pedestrian features and, unless pedestrian_only, the frames'
-    _ObjectRows, whose relations are one relation_rows call over every
-    object row against its frame's pedestrian box: the star spokes'
-    relations, unscaled. fully_connected also packs its _Pairs, with one
-    more relation_rows call over every spoke and pair. No relation is
-    checked here: a pass finds an overflowed row every time it reads them,
-    in forward_logits' order. Only once that build succeeds does each
-    scenario get its window, (T, features, object rows or None, _Pairs or
-    None) as read-only views of these arrays (its _Pairs' src and tgt
-    counted from its own first row), and do the feature arrays it was
+    (F, D) pedestrian features and, unless pedestrian_only, _object_rows'
+    counts, features and categories. star and fully_connected then compute
+    the relation of every edge they score in one relation_rows call: star's
+    spokes, each object against its frame's pedestrian box, and
+    fully_connected's spokes and pairs, laid out by _pair_rows. No relation
+    is checked here: a pass finds an overflowed row every time it reads
+    them, in forward_logits' order. Only once that build succeeds does each
+    scenario get its window, read-only views of these arrays (its src and
+    tgt counted from its own first row), and do the feature arrays it was
     built from become read-only, so writing to one raises instead of
     leaving the window stale.
     """
@@ -519,69 +527,59 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> tuple:
     ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
     objs = None if mode == "pedestrian_only" else _object_rows(observed, d)
     _check_finite(scenarios, t_obs, ped, ped_boxes, objs)
-    sources, pairs = [f.pedestrian_feature for f in observed], None
+    sources, window = [f.pedestrian_feature for f in observed], _Window((t_obs, mode), ped)
+    frames = rows = edges = list(range(0, len(ped) + 1, t_obs))
+    layouts = [(None, None)] * len(scenarios)
     if objs is not None:
-        counts = objs.counts
-        objs = objs._replace(relations=relation_rows(ped_boxes.repeat(counts, axis=0), objs.boxes))
         sources += [o.feature for f in observed for o in f.objects]
-        by_window = counts.reshape(len(scenarios), t_obs)
-        ends = np.cumsum(by_window.sum(axis=1))  # each window's end in the object rows
-        starts = ends - by_window.sum(axis=1)
-    if mode == "fully_connected":
-        layouts = [_pair_rows(tuple(window)) for window in by_window.tolist()]
-        src, tgt = _joined(layouts, starts, t_obs)
-        rel = relation_rows(_nodes(objs.boxes, ped_boxes, ends.tolist(), t_obs)[src], objs.boxes[tgt])
-        rel.setflags(write=False)  # before the windows' views of it are taken
-        pairs, relations = _Pairs(rel, src, tgt), np.split(rel, np.cumsum([len(window_src) for window_src, _ in layouts[:-1]]))
-    for arr in (*sources, ped, *(objs or ())):
+        by_window = objs.counts.reshape(len(scenarios), t_obs)
+        rows = edges = [0, *by_window.sum(axis=1).cumsum().tolist()]
+        window = window._replace(counts=objs.counts, feats=objs.feats, categories=objs.categories)
+    if mode == "star":
+        window = window._replace(relations=relation_rows(ped_boxes.repeat(objs.counts, axis=0), objs.boxes))
+    elif mode == "fully_connected":
+        layouts = [_pair_rows(tuple(counts)) for counts in by_window.tolist()]
+        src, tgt = _joined(*zip(*layouts), np.array(rows[:-1]), t_obs)
+        rel = relation_rows(_nodes(objs.boxes, ped_boxes, rows[1:], t_obs)[src], objs.boxes[tgt])
+        edges = [0, *np.cumsum([len(pair_src) for pair_src, _ in layouts]).tolist()]
+        window = window._replace(relations=rel, src=src, tgt=tgt)
+    for arr in (*sources, *window[1:]):
         try:
             if arr.flags.writeable:  # reading the flag costs a third of setting it, and a loaded record's is clear
                 arr.setflags(write=False)
-        except AttributeError:  # a feature held as a list has no flag to set
+        except AttributeError:  # a feature held as a list, or a field the mode leaves out, has no flag to set
             pass
+    cuts = frames, frames, rows, rows, edges  # each scenario's first row of ped, counts, feats, categories and relations, then the end
     for b, scenario in enumerate(scenarios):
-        frames, rows, edges = slice(b * t_obs, (b + 1) * t_obs), None, None
-        if objs is not None:
-            at = slice(starts[b], ends[b])
-            rows = _ObjectRows(objs.counts[frames], *(arr[at] for arr in objs[1:]))
-        if pairs is not None:
-            edges = _Pairs(relations[b], *layouts[b])
-        object.__setattr__(scenario, "window", (t_obs, ped[frames], rows, edges))  # not data; see scene
-    return ped, objs, pairs
+        share = [None if arr is None else arr[at[b] : at[b + 1]] for arr, at in zip(window[1:6], cuts)]
+        object.__setattr__(scenario, "window", _Window(window.key, *share, *layouts[b]))  # not data; see scene
+    return window
 
 
-def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> tuple:
-    """(F, D) pedestrian features, the _ObjectRows (None in pedestrian_only mode) and the _Pairs (fully_connected, else None) of the F = B * T observed frames.
+def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
+    """The _Window of a pass over ``scenarios`` at cfg's (T, graph_mode).
 
-    Frame b * T + t is frame t of scenarios[b]. A scenario whose window
-    was packed at another T, or without what the mode reads (objects, or
-    fully_connected's _Pairs), is packed again. When every scenario needs
-    packing, _pack's arrays are the result; a lone warm scenario's are its
-    window's arrays as they are; otherwise the windows are concatenated
-    field by field, each window's _Pairs src and tgt offset by where its
-    rows land.
+    A scenario whose window was packed under another key is packed again.
+    When every scenario needs packing, _pack's window is the result; a lone
+    warm scenario's is its window as it is; otherwise the windows are joined
+    field by field, each window's src and tgt offset by where its rows land.
     """
-    objects, pairs = cfg.graph_mode != "pedestrian_only", cfg.graph_mode == "fully_connected"
-    cold = [
-        s for s in scenarios
-        if s.window is None or s.window[0] != cfg.T or (objects and s.window[2] is None) or (pairs and s.window[3] is None)
-    ]
+    key = (cfg.T, cfg.graph_mode)
+    cold = [s for s in scenarios if s.window is None or s.window.key != key]
     if len(cold) == len(scenarios):
         return _pack(scenarios, cfg)
     if cold:
         _pack(cold, cfg)
     windows = [s.window for s in scenarios]
     if len(windows) == 1:
-        _, ped, objs, edges = windows[0]
-    else:
-        ped = np.concatenate([w[1] for w in windows])
-        objs = _ObjectRows(*map(np.concatenate, zip(*(w[2] for w in windows)))) if objects else None
-        edges = None
-        if pairs:
-            per_window = np.array([len(w[2].feats) for w in windows])
-            src, tgt = _joined([w[3][1:] for w in windows], per_window.cumsum() - per_window, cfg.T)
-            edges = _Pairs(np.concatenate([w[3].relations for w in windows]), src, tgt)
-    return ped, objs if objects else None, edges if pairs else None
+        return windows[0]
+    columns = list(zip(*windows))
+    joined = _Window(key, *(None if column[0] is None else np.concatenate(column) for column in columns[1:6]))
+    if cfg.graph_mode == "fully_connected":
+        sizes = np.array([len(w.feats) for w in windows])
+        src, tgt = _joined(*columns[6:], sizes.cumsum() - sizes, cfg.T)
+        joined = joined._replace(src=src, tgt=tgt)
+    return joined
 
 
 def _edge_targets(cfg: ModelConfig, categories: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -831,8 +829,8 @@ def forward_chunk(
         _check_scenario(scenario, cfg)
     tc, mode, b, t_obs = cfg.temporal, cfg.graph_mode, len(scenarios), cfg.T
     kept = {} if keep else None
-    ped, objs, pairs = _packed(scenarios, cfg)  # frame index b * T + t
-    ped = ped.reshape(b, t_obs, 1, cfg.D)
+    packed = _packed(scenarios, cfg)  # frame index b * T + t
+    ped = packed.ped.reshape(b, t_obs, 1, cfg.D)
     zero = np.zeros((b, 1, cfg.hidden))
     if tc.use_temporal and tc.use_ped_gru:
         ped = _run_cell(p.cells["ped_gru"], ped, zero, _slot(kept, "ped_gru"))
@@ -841,12 +839,12 @@ def forward_chunk(
         vecs = ped
     elif mode == "concat_baseline":
         pooled = np.zeros((b * t_obs, cfg.D))
-        for n, frames, rows, _ in _buckets(objs.counts):
+        for n, frames, rows, _ in _buckets(packed.counts):
             if n:
-                pooled[frames] = objs.feats[rows].mean(axis=1)
+                pooled[frames] = packed.feats[rows].mean(axis=1)
         vecs = np.concatenate([ped, pooled.reshape(b, t_obs, 1, cfg.D)], axis=-1)
     else:
-        vecs = _graph_frames(scenarios, cfg, p, objs, pairs, ped.reshape(b * t_obs, cfg.hidden), kept)
+        vecs = _graph_frames(scenarios, cfg, p, packed, ped.reshape(b * t_obs, cfg.hidden), kept)
         vecs = vecs.reshape(b, t_obs, 1, 2 * cfg.hidden)
         if tc.use_temporal and tc.use_ctxt_gru:
             ctx = vecs[..., cfg.hidden :]
@@ -867,34 +865,33 @@ def forward_chunk(
 
 
 def _graph_frames(
-    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], objs: _ObjectRows, pairs: _Pairs | None,
-    ped_rows: np.ndarray, kept: dict | None,
+    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], packed: _Window, ped_rows: np.ndarray, kept: dict | None
 ) -> np.ndarray:
     """The (F, 2H) frame rows [refined pedestrian row, object-context mean] of F frames.
 
-    ``objs`` and ``pairs`` are _packed's object rows and _Pairs, and
-    ``ped_rows`` the (F, H) pedestrian stream.
+    ``packed`` is _packed's window, and ``ped_rows`` the (F, H) pedestrian
+    stream.
 
     Every edge of the pass is scored in one stacked call, laid out as
-    _Edges says, on its packed relation scaled by spatial_scale: in star
-    mode the object rows', in fully_connected mode the _Pairs'. Then each bucket
+    _Edges says, on the window's relation scaled by spatial_scale; in
+    fully_connected mode its src and tgt pick each edge's rows. Then each bucket
     of frames with N objects runs graph convolution as one stacked
     (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
     Into ``kept``, when given, go the _Edges ("edges") and per bucket (N,
     frames, edge rows, adjacency, build_adjacency's and graph_conv's saved
     values) ("buckets").
     """
-    feats, counts = objs.feats, objs.counts
-    sizes = counts * (counts + 1) // 2 if pairs is not None else counts  # edges per frame: spokes, then pairs
-    buckets = list(_buckets(counts, None if pairs is None else sizes))
-    targets = _edge_targets(cfg, objs.categories, feats)
+    feats, counts, rel, pairs = packed.feats, packed.counts, packed.relations, cfg.graph_mode == "fully_connected"
+    sizes = counts * (counts + 1) // 2 if pairs else counts  # edges per frame: spokes, then pairs
+    buckets = list(_buckets(counts, sizes if pairs else None))
+    targets = _edge_targets(cfg, packed.categories, feats)
     e_o, mask_o = project_targets(targets, p["edge.proj_o"])  # once per object, for every edge ending at it
-    if pairs is not None:
+    if pairs:
         ends = counts.reshape(-1, cfg.T).sum(axis=1).cumsum().tolist()
-        sources, rel = _nodes(feats, ped_rows, ends, cfg.T)[pairs.src], pairs.relations
-        targets, e_o, mask_o = targets[pairs.tgt], e_o[pairs.tgt], mask_o[pairs.tgt]
-    else:  # the spokes' relations, packed with the objects
-        sources, rel = ped_rows.repeat(counts, axis=0), objs.relations
+        sources = _nodes(feats, ped_rows, ends, cfg.T)[packed.src]
+        targets, e_o, mask_o = targets[packed.tgt], e_o[packed.tgt], mask_o[packed.tgt]
+    else:
+        sources = ped_rows.repeat(counts, axis=0)
     finite, overflow = np.isfinite(rel), None
     v = np.concatenate([sources, rel * cfg.spatial_scale], axis=1)
     if not finite.all():
@@ -917,7 +914,7 @@ def _graph_frames(
         x[:, 0] = ped_rows[frames]
         x[:, 1:] = feats[rows]
         w = weights[edges]
-        a, norm = build_adjacency(w[:, :n], None if pairs is None else w[:, n:], cfg.normalize_adjacency)
+        a, norm = build_adjacency(w[:, :n], w[:, n:] if pairs else None, cfg.normalize_adjacency)
         z, saved = graph_conv(a, x, layers)
         vecs[frames] = frame_rows(z)
         if buckets_kept is not None:

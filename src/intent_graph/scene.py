@@ -9,11 +9,10 @@ pedestrian, or one object to another) is the 8-vector
 where every delta is target minus source and the union terms are the
 width/height of the smallest box containing both, all in raw pixels.
 ``relation_rows`` computes a block of such rows at once; ``spatial_relation``
-adds the check that every entry is finite. The model calls the kernel once
-per record on every object against its pedestrian, when it packs the
-record's window (and in fully_connected mode once more, over every spoke
-and object pair), and makes that check itself on every pass, so it can name
-the first frame whose relation overflowed.
+adds the check that every entry is finite. The model calls the kernel
+once per record and graph mode, over every edge the mode scores, when it
+packs the record's window, and makes that check itself on every pass, so
+it can name the first frame whose relation overflowed.
 
 The scene dataclasses are plain frozen records with slots: they check
 nothing. ``data.load`` fills them from a file and owns every rule on a record
@@ -24,9 +23,9 @@ the frames of a generated scenario share one tuple of its static objects.
 
 A Scenario also has one slot that is not data: ``window``, where ``model``
 keeps the scenario's observed frames packed into arrays on its first
-forward pass, with each object's relation to the pedestrian (and, packed
-by a fully_connected pass, each object pair's), so that later passes skip
-the walk over frames and objects and every relation.
+forward pass, with the relation of every edge the pass's graph mode
+scores, so that later passes of that mode skip the walk over frames and
+objects and every relation.
 The loader and the generator hand out read-only feature arrays (the
 loader's are row views of one (n, D) block per record, its pedestrians'
 rows first), and that first pass makes a hand-built record's packed
@@ -194,7 +193,7 @@ class Scenario:
     id: str
     frames: tuple[FrameObservation, ...]
     fps: float
-    # model's packed observed window, (T, features, object rows with their pedestrian relations, fully_connected edges); see model._pack
+    # model's packed observed window for one (T, graph_mode), what a pass of that mode reads; see model._Window
     window: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property

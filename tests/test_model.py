@@ -567,7 +567,7 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
     batch = _mixed_batch()
     assert all(scenario.window is None for scenario in batch)
     cold = _passes(batch, cfg, values)
-    assert all(scenario.window[0] == cfg.T for scenario in batch)
+    assert all(scenario.window.key == (cfg.T, mode) for scenario in batch)
 
     def refuse(name):
         def call(*args, **kwargs):
@@ -575,23 +575,23 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
 
         return call
 
-    # no mode computes a relation on a warm pass: star reads its spokes' from the window, fully_connected its edges'
-    refused = ["_object_rows", "relation_rows"]
+    # no mode computes a relation or builds an edge layout on a warm pass: the window holds its edges' relations
+    refused = ["_object_rows", "relation_rows", "_pair_rows"]
     with monkeypatch.context() as patched:
         for name in refused:
             patched.setattr(model, name, refuse(name))
         assert _passes(batch, cfg, values) == cold
         assert forward(batch[0], cfg, values).logits == tuple(np.frombuffer(cold[0])[: cfg.K].tolist())
-        # a lone warm scenario's arrays are its window's, not copies
-        packed, window = model._packed(batch[:1], cfg), batch[0].window
-        assert all(got is kept for got, kept in zip(packed, window[1:]) if got is not None)
+        # a lone warm scenario's pass reads its window, not a copy
+        assert model._packed(batch[:1], cfg) is batch[0].window
         if mode == "pedestrian_only":  # packs no objects, cold or warm
             assert forward_batch(_fresh(batch), cfg, values).tobytes() == cold[0]
-    if mode != "pedestrian_only":
-        for name in refused:
-            with monkeypatch.context() as patched, pytest.raises(AssertionError, match=name):  # each patch does bite
-                patched.setattr(model, name, refuse(name))
-                forward_batch(_fresh(batch[:1]), cfg, values)
+    # each patch does bite, on the calls the mode's cold pack makes
+    bites = {"star": refused[:2], "fully_connected": refused, "concat_baseline": refused[:1], "pedestrian_only": []}
+    for name in bites[mode]:
+        with monkeypatch.context() as patched, pytest.raises(AssertionError, match=name):
+            patched.setattr(model, name, refuse(name))
+            forward_batch(_fresh(batch[:1]), cfg, values)
     assert _passes(_fresh(batch), cfg, values) == cold
 
 
@@ -614,7 +614,7 @@ def test_a_pass_at_another_T_repacks():
     batch = _mixed_batch()
     for cfg in (cfg3, cfg4, cfg3):
         got = forward_batch(batch, cfg, values)
-        assert all(scenario.window[0] == cfg.T for scenario in batch)
+        assert all(scenario.window.key == (cfg.T, cfg.graph_mode) for scenario in batch)
         assert got.tobytes() == forward_batch(_fresh(batch), cfg, values).tobytes()
         assert got[0].tobytes() == _unbatched_logits(batch[0], cfg, values).tobytes()
 
@@ -623,12 +623,13 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
     cfg = _batch_cfg("star", "default", "L2-shared")
     scenario = _mixed_batch()[0]
     forward_batch([scenario], cfg, init_parameters(cfg))
-    t_obs, ped, objs, pairs = scenario.window
+    window = scenario.window
     objects = sum(len(f.objects) for f in scenario.frames[: cfg.T])
-    assert t_obs == cfg.T and ped.shape == (cfg.T, cfg.D) and pairs is None  # only fully_connected packs its edges
-    assert objs.counts.tolist() == [len(f.objects) for f in scenario.frames[: cfg.T]]
-    assert objs.feats.shape == (objects, cfg.D) and objs.boxes.shape == (objects, 4) and objs.categories.shape == (objects,)
-    assert not any(arr.flags.writeable for arr in (ped, *objs))
+    assert window.key == (cfg.T, "star") and window.ped.shape == (cfg.T, cfg.D)
+    assert window.src is None and window.tgt is None  # only fully_connected keeps its edges' rows
+    assert window.counts.tolist() == [len(f.objects) for f in scenario.frames[: cfg.T]]
+    assert window.feats.shape == (objects, cfg.D) and window.categories.shape == (objects,)
+    assert not any(arr.flags.writeable for arr in window[1:] if arr is not None)
     # each object's unscaled relation to its frame's pedestrian box, in canonical order
     want = [
         relation_rows(
@@ -637,8 +638,8 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
         )
         for f in scenario.frames[: cfg.T]
     ]
-    assert objs.relations.shape == (objects, 8) and not objs.relations.flags.writeable
-    assert objs.relations.tobytes() == np.concatenate(want).tobytes()
+    assert window.relations.shape == (objects, 8)
+    assert window.relations.tobytes() == np.concatenate(want).tobytes()
     assert dataclasses.replace(scenario).window is None
     assert dataclasses.replace(scenario, id="other").window is None
     assert "window" not in repr(scenario)
@@ -648,7 +649,7 @@ def test_a_fully_connected_window_keeps_its_edges_in_the_order_they_are_scored()
     cfg = _batch_cfg("fully_connected", "default", "L2-shared")
     scenario = _mixed_batch()[0]
     forward_batch([scenario], cfg, init_parameters(cfg))
-    _, _, objs, pairs = scenario.window
+    window = scenario.window
     observed = scenario.frames[: cfg.T]
     boxes = [np.array([o.aligned_box().as_list() for o in sorted(f.objects, key=object_sort_key)]).reshape(-1, 4) for f in observed]
     ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed])
@@ -659,13 +660,13 @@ def test_a_fully_connected_window_keeps_its_edges_in_the_order_they_are_scored()
         i, j = pair_indices(n)
         src_boxes += [ped_boxes[[t] * n], frame_boxes[i]]
         tgt_boxes += [frame_boxes, frame_boxes[j]]
-        src_rows += [[len(objs.feats) + t] * n, start + i]  # the window's object rows, then its pedestrian rows
+        src_rows += [[len(window.feats) + t] * n, start + i]  # the window's object rows, then its pedestrian rows
         tgt_rows += [start + np.arange(n), start + j]
         start += n
     want = relation_rows(np.concatenate(src_boxes), np.concatenate(tgt_boxes))
-    assert pairs.relations.tobytes() == want.tobytes()
-    assert pairs.src.tolist() == np.concatenate(src_rows).tolist() and pairs.tgt.tolist() == np.concatenate(tgt_rows).tolist()
-    assert not any(arr.flags.writeable for arr in pairs)
+    assert window.relations.tobytes() == want.tobytes()
+    assert window.src.tolist() == np.concatenate(src_rows).tolist() and window.tgt.tolist() == np.concatenate(tgt_rows).tolist()
+    assert not any(arr.flags.writeable for arr in (window.relations, window.src, window.tgt))
 
 
 def test_an_overflowed_pair_relation_is_refused_on_every_pass():
@@ -695,21 +696,52 @@ def test_an_overflowed_pair_relation_is_refused_on_every_pass():
         with pytest.raises(ValueError, match=f"^{re.escape(RELATION_OVERFLOW)}$"):
             train([mate, bad], cfg, TrainConfig(epochs=1, batch_size=2), initial=values)
         # the window keeps the overflowed pair row, and its spokes' rows are finite
-        _, _, objs, pairs = bad.window
-        assert np.isfinite(objs.relations).all() and not np.isfinite(pairs.relations).all()
+        counts = bad.window.counts
+        sizes = counts * (counts + 1) // 2
+        spokes = np.concatenate([start + np.arange(n) for start, n in zip(sizes.cumsum() - sizes, counts)])
+        finite = np.isfinite(bad.window.relations).all(axis=1)
+        assert finite[spokes].all() and not finite.all()
 
 
-def test_star_and_fully_connected_passes_over_the_same_records_give_the_cold_bytes():
-    # a star window has no pairs, so a fully_connected pass repacks it; that window serves star as it is
-    star = _batch_cfg("star", "ctxt", "L3-unshared-norm-cls")
-    fc = dataclasses.replace(star, graph_mode="fully_connected")
-    values = init_parameters(star)
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_a_cold_pack_computes_the_relation_of_each_scored_edge_once(monkeypatch, mode):
+    cfg = _batch_cfg(mode, "default", "L2-shared")
     batch = _mixed_batch()
-    cold = {cfg.graph_mode: _passes(_fresh(batch), cfg, values) for cfg in (star, fc)}
-    for cfg, packed_pairs in ((star, False), (fc, True), (star, True)):
-        assert _passes(batch, cfg, values) == cold[cfg.graph_mode]
-        assert all((scenario.window[3] is not None) == packed_pairs for scenario in batch)
-        assert forward(batch[0], cfg, values).logits == tuple(np.frombuffer(cold[cfg.graph_mode][0])[: cfg.K].tolist())
+    counts = [len(f.objects) for s in batch for f in s.frames[: cfg.T]]
+    want = {
+        "star": [sum(counts)],  # the spokes
+        "fully_connected": [sum(n * (n + 1) // 2 for n in counts)],  # the spokes and the object pairs
+        "concat_baseline": [],
+        "pedestrian_only": [],
+    }
+    rows, kernel = [], model.relation_rows
+    monkeypatch.setattr(model, "relation_rows", lambda src, tgt: rows.append(len(tgt)) or kernel(src, tgt))
+    forward_batch(batch, cfg, init_parameters(cfg))
+    assert rows == want[mode]
+    assert sum(len(s.window.relations) for s in batch if s.window.relations is not None) == sum(want[mode])
+
+
+def test_passes_that_switch_mode_and_T_repack_and_give_the_cold_bytes(monkeypatch):
+    # a window holds what one (T, graph_mode) reads, so each switch repacks every record
+    star = _batch_cfg("star", "ctxt", "L3-unshared-norm-cls")
+    cfgs = [dataclasses.replace(star, graph_mode=mode) for mode in ("star", "fully_connected", "concat_baseline", "pedestrian_only")]
+    cfgs += [star, dataclasses.replace(star, T=3)]
+    batch = _mixed_batch()
+    packs, pack = [], model._pack
+    monkeypatch.setattr(model, "_pack", lambda scenarios, cfg: packs.append(len(scenarios)) or pack(scenarios, cfg))
+    for cfg in cfgs:
+        values = init_parameters(cfg)
+        cold = _passes(_fresh(batch), cfg, values)
+        packs.clear()
+        assert _passes(batch, cfg, values) == cold
+        assert packs == [len(batch)]
+        assert forward(batch[0], cfg, values).logits == tuple(np.frombuffer(cold[0])[: cfg.K].tolist())
+        for window in (s.window for s in batch):
+            assert window.key == (cfg.T, cfg.graph_mode) and "boxes" not in window._fields
+            if cfg.graph_mode == "concat_baseline":
+                assert window.relations is None and window.feats is not None
+            if cfg.graph_mode == "pedestrian_only":
+                assert window.counts is None and window.feats is None and window.categories is None
 
 
 def _writable(scenario):
@@ -756,14 +788,15 @@ def test_pedestrian_only_packs_no_objects_and_reads_malformed_ones_as_the_taped_
     got = forward_batch([ragged, good], cfg, values)
     assert got[0].tobytes() == _unbatched_logits(ragged, cfg, values).tobytes()
     assert got[0].tobytes() == got[1].tobytes()  # objects do not reach pedestrian_only's logits
-    assert ragged.window[2] is None and good.window[2] is None
+    assert ragged.window.feats is None and good.window.feats is None
     star = dataclasses.replace(cfg, graph_mode="star", hidden=6)
     with pytest.raises(ValueError):  # a mode that reads objects packs them, and this one fails
         forward_batch([ragged], star, init_parameters(star))
-    assert ragged.window[2] is None  # the failed build kept nothing
+    assert ragged.window.key == (cfg.T, "pedestrian_only")  # the failed build kept nothing
     forward_batch([good], star, init_parameters(star))
-    assert good.window[2] is not None
-    assert forward_batch([good], cfg, values).tobytes() == got[1].tobytes()  # a window with objects serves pedestrian_only
+    assert good.window.feats is not None
+    assert forward_batch([good], cfg, values).tobytes() == got[1].tobytes()
+    assert good.window.key == (cfg.T, "pedestrian_only") and good.window.feats is None  # repacked, without objects
 
 
 def test_a_failing_scenario_leaves_no_window():
@@ -887,7 +920,7 @@ def test_batched_forward_keeps_every_check():
     with pytest.raises(ValueError, match="'overflow': spatial_relation: non-finite"):
         forward_batch([good, overflow, good], cfg, values)
     # the pack keeps the overflowed relation, and each pass over the warm windows refuses it again
-    assert not np.isfinite(overflow.window[2].relations).all()
+    assert not np.isfinite(overflow.window.relations).all()
     with pytest.raises(ValueError, match="'overflow': spatial_relation: non-finite"):
         forward_batch([good, overflow, good], cfg, values)
 
