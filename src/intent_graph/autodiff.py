@@ -351,13 +351,16 @@ class GradCheckReport:
         }
 
 
+# The floor of finite_diff_check's relative-error denominator.
+DENOM_FLOOR = 1e-3
+
+
 def finite_diff_check(
     f: Callable[[Mapping[str, Array]], tuple[float, Mapping[str, Array]]],
     loss: Callable[[Mapping[str, Array]], float],
     params: Mapping[str, Array],
     h: float = 1e-5,
     tol: float = 1e-4,
-    denom_floor: float = 1e-3,
 ) -> GradCheckReport:
     """Compare the gradients ``f`` returns against central finite differences.
 
@@ -366,7 +369,7 @@ def finite_diff_check(
     ``params``. ``loss`` maps an assignment to the same scalar loss without
     computing gradients; it runs twice per coordinate, since every
     coordinate of every parameter is perturbed by +/- h. The relative error denominator
-    is floored at ``denom_floor`` so coordinates whose true gradient is ~0
+    is floored at DENOM_FLOOR so coordinates whose true gradient is ~0
     (where central differences bottom out in rounding noise around 1e-11)
     cannot dominate the report; any genuine backward bug still shows up far
     above ``tol``. A NaN or infinite error (a NaN gradient or a NaN loss
@@ -395,7 +398,7 @@ def finite_diff_check(
             values[idx] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             a = float(grad[idx])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), denom_floor)
+            rel = abs(a - numeric) / max(abs(a), abs(numeric), DENOM_FLOOR)
             if not math.isfinite(rel):
                 rel = math.inf
             checked += 1

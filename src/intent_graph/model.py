@@ -70,28 +70,29 @@ after _check_scenario, as every pass did before, into one _Window keyed
 by (T, graph_mode) that holds only what a pass of that mode reads: the
 pedestrian features; unless pedestrian_only (the taped forward reads no
 objects either), _object_rows' canonically ordered object features and
-categories; for star and fully_connected, the unscaled spatial relation
-of every edge the mode scores, in the order it scores them (star its
-spokes, fully_connected its spokes and object pairs), each computed once;
-and for fully_connected, each edge's source and target row. Each
-scenario keeps its share on the record's window slot as read-only views;
-a pass under another key repacks it, and a build that raises keeps
-nothing. The build refuses a non-finite feature or box (_check_finite,
-ScenarioError naming the scenario), as forward_logits does; a ReLU would
-turn a NaN into zeros and train on it. A warm pass checks no feature or
-box again and computes no relation: it scales the window's relations and
-finds an overflowed one on every pass, as forward_logits checks every
-call. A pass over one warm scenario reads its window as it is; a pass
-over several joins their windows field by field, offsetting each
-window's source and target rows by where its rows land. The records are
-frozen, and the loader and _pack itself make the feature arrays
-read-only, so a window cannot go stale: a write raises instead.
+categories; and for star and fully_connected, the unscaled spatial
+relation of every edge the mode scores, in the order it scores them
+(star its spokes, fully_connected its spokes and object pairs), each
+computed once. It holds no edge rows: a fully_connected frame's edges
+follow from its object count, so each pass lays them out (_edge_rows).
+Each scenario keeps its share on the record's window slot as read-only
+views; a pass under another key repacks it, and a build that raises
+keeps nothing. The build refuses a feature that is not D wide or a
+non-finite feature or box (_observed_rows, ScenarioError naming the
+scenario), as forward_logits does; a ReLU would turn a NaN into zeros
+and train on it. A warm pass checks no feature or box again and computes
+no relation: it scales the window's relations and finds an overflowed
+one on every pass, as forward_logits checks every call. A pass over one
+warm scenario reads its window as it is; a pass over several
+concatenates their windows field by field and shifts nothing. The
+records are frozen, and the loader and _pack itself make the feature
+arrays read-only, so a window cannot go stale: a write raises instead.
 
 forward_logits builds one scenario on Tensors, each GRU step, edge block
 and frame's graph block one tape node (gru_step, edge_weight, star_graph)
 whose backward calls the same kernels. Nothing under src/ trains through
 it any more: it is the oracle the tests compare the tape-free pass against,
-and benchmarks/tracing.py wraps it. It calls _object_rows on the records
+and benchmarks/tracing.py wraps it. It calls _observed_rows on the records
 itself and never reads a window, so those byte-for-byte tests compare the
 packed path with an unpacked one.
 """
@@ -457,8 +458,7 @@ class _Window(NamedTuple):
     """The F = B * T observed frames of B scenarios as a pass of one (T, graph_mode) reads them; frame b * T + t is frame t of scenario b.
 
     A field the mode does not read is None: pedestrian_only reads no
-    objects, concat_baseline no relations, and only fully_connected reads
-    src and tgt.
+    objects, and concat_baseline no relations.
     """
 
     key: tuple  # (T, graph_mode)
@@ -467,82 +467,82 @@ class _Window(NamedTuple):
     feats: np.ndarray | None = None  # (M, D) object features, _object_rows' order
     categories: np.ndarray | None = None  # (M,) ObjectCategory.index
     relations: np.ndarray | None = None  # (E, 8) unscaled, unchecked relation of each edge's target box to its source box, in _Edges order
-    src: np.ndarray | None = None  # (E,) each edge's source row in _nodes' order: an object row, or its frame's pedestrian row
-    tgt: np.ndarray | None = None  # (E,) each edge's target object row
 
 
-@lru_cache(maxsize=256)
-def _pair_rows(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The src and tgt of one fully_connected window whose frames hold ``counts`` objects, counted from its own first rows; read-only, as windows share them."""
-    m, start, src, tgt = sum(counts), 0, [], []
-    for t, n in enumerate(counts):
+def _edge_rows(buckets, objects: int, edges: int) -> tuple[np.ndarray, np.ndarray]:
+    """The source and target row of a fully_connected pass's ``edges`` edges, in _Edges order, from _buckets' groups.
+
+    A source row indexes [the pass's ``objects`` object rows; its F frame rows]: frame f's spokes run from row
+    objects + f to its objects, and its pairs i < j (pair_indices) from object i to object j.
+    """
+    src, tgt = np.empty(edges, dtype=np.intp), np.empty(edges, dtype=np.intp)
+    for n, frames, rows, at in buckets:
         i, j = pair_indices(n)
-        src += [np.full(n, m + t), start + i]  # a frame's pedestrian row follows the window's object rows
-        tgt += [np.arange(start, start + n), start + j]
-        start += n
-    rows = np.concatenate(src), np.concatenate(tgt)
-    for arr in rows:
-        arr.setflags(write=False)
-    return rows
-
-
-def _joined(srcs: Sequence[np.ndarray], tgts: Sequence[np.ndarray], starts: np.ndarray, t_obs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Windows' src and tgt side by side: window b's offset by its first row of _nodes and its first object row, ``starts[b]``."""
-    sizes = [len(src) for src in srcs]
-    src, tgt = np.concatenate(srcs), np.concatenate(tgts)
-    src += np.repeat(starts + t_obs * np.arange(len(starts)), sizes)
-    tgt += np.repeat(starts, sizes)
+        src[at] = np.concatenate(((objects + frames).repeat(n).reshape(len(frames), n), rows.take(i, axis=1)), axis=1)
+        tgt[at] = np.concatenate((rows, rows.take(j, axis=1)), axis=1)
     return src, tgt
 
 
-def _nodes(objects: np.ndarray, frames: np.ndarray, ends: list[int], t_obs: int) -> np.ndarray:
-    """The rows a _Window's src indexes: window by window, its object rows, then its T frame rows (pedestrian rows or boxes).
+def _observed_rows(scenarios: Sequence[Scenario], cfg: ModelConfig) -> tuple[list, np.ndarray, np.ndarray, _ObjectRows | None]:
+    """The first T frames of ``scenarios``, then their (F, D) pedestrian features, (F, 4) pedestrian boxes and (unless pedestrian_only) _ObjectRows.
 
-    ``ends`` holds each window's end in ``objects``. A window's rows are
-    adjacent, so its src is offset by one number when windows are joined.
+    ScenarioError names the first scenario, in frame order, with a feature
+    the mode reads that is not D wide (looked for only once stacking the
+    rows has failed) or with a non-finite feature or box (_check_finite).
     """
-    windows = zip([0, *ends[:-1]], ends, range(0, len(frames), t_obs))
-    return np.concatenate([part for lo, hi, at in windows for part in (objects[lo:hi], frames[at : at + t_obs])])
+    t_obs, d = cfg.T, cfg.D
+    observed = [f for s in scenarios for f in s.frames[:t_obs]]  # frame index b * T + t
+    with_objects = cfg.graph_mode != "pedestrian_only"
+    try:
+        ped = np.array([f.pedestrian_feature for f in observed]).reshape(len(observed), d)
+        objs = _object_rows(observed, d) if with_objects else None
+    except ValueError:
+        for frame, f in enumerate(observed):
+            rows = [("pedestrian feature", f.pedestrian_feature)]
+            rows += [("object feature", o.feature) for o in f.objects] if with_objects else []
+            for what, row in rows:
+                if np.size(row) != d:
+                    raise ScenarioError(
+                        f"scenario {scenarios[frame // t_obs].id!r}: width-{np.size(row)} {what} in observed frame "
+                        f"{frame % t_obs}; config expects D = {d}"
+                    ) from None
+        raise
+    ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
+    _check_finite(scenarios, t_obs, ped, ped_boxes, objs)
+    return observed, ped, ped_boxes, objs
 
 
 def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
     """The _Window of the first T frames of ``scenarios``, packed from their records; each scenario keeps its share.
 
-    One walk over all B * T frames, as a pass made before windows were kept:
-    (F, D) pedestrian features and, unless pedestrian_only, _object_rows'
-    counts, features and categories. star and fully_connected then compute
-    the relation of every edge they score in one relation_rows call: star's
-    spokes, each object against its frame's pedestrian box, and
-    fully_connected's spokes and pairs, laid out by _pair_rows. No relation
-    is checked here: a pass finds an overflowed row every time it reads
-    them, in forward_logits' order. Only once that build succeeds does each
-    scenario get its window, read-only views of these arrays (its src and
-    tgt counted from its own first row), and do the feature arrays it was
-    built from become read-only, so writing to one raises instead of
-    leaving the window stale.
+    One walk over all B * T frames (_observed_rows), as a pass made before
+    windows were kept: (F, D) pedestrian features and, unless
+    pedestrian_only, _object_rows' counts, features and categories. star
+    and fully_connected then compute the relation of every edge they score
+    in one relation_rows call: star's spokes, each object against its
+    frame's pedestrian box, and fully_connected's spokes and pairs, the
+    boxes _edge_rows picks. No relation is checked here: a pass finds an
+    overflowed row every time it reads them, in forward_logits' order. Only
+    once that build succeeds does each scenario get its window, read-only
+    views of these arrays, and do the feature arrays it was built from
+    become read-only, so writing to one raises instead of leaving the
+    window stale.
     """
-    t_obs, d, mode = cfg.T, cfg.D, cfg.graph_mode
-    observed = [f for s in scenarios for f in s.frames[:t_obs]]  # frame index b * T + t
-    ped = np.array([f.pedestrian_feature for f in observed]).reshape(len(observed), d)
-    ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
-    objs = None if mode == "pedestrian_only" else _object_rows(observed, d)
-    _check_finite(scenarios, t_obs, ped, ped_boxes, objs)
+    t_obs, mode = cfg.T, cfg.graph_mode
+    observed, ped, ped_boxes, objs = _observed_rows(scenarios, cfg)
     sources, window = [f.pedestrian_feature for f in observed], _Window((t_obs, mode), ped)
     frames = rows = edges = list(range(0, len(ped) + 1, t_obs))
-    layouts = [(None, None)] * len(scenarios)
     if objs is not None:
         sources += [o.feature for f in observed for o in f.objects]
-        by_window = objs.counts.reshape(len(scenarios), t_obs)
-        rows = edges = [0, *by_window.sum(axis=1).cumsum().tolist()]
+        rows = edges = [0, *objs.counts.reshape(len(scenarios), t_obs).sum(axis=1).cumsum().tolist()]
         window = window._replace(counts=objs.counts, feats=objs.feats, categories=objs.categories)
     if mode == "star":
         window = window._replace(relations=relation_rows(ped_boxes.repeat(objs.counts, axis=0), objs.boxes))
     elif mode == "fully_connected":
-        layouts = [_pair_rows(tuple(counts)) for counts in by_window.tolist()]
-        src, tgt = _joined(*zip(*layouts), np.array(rows[:-1]), t_obs)
-        rel = relation_rows(_nodes(objs.boxes, ped_boxes, rows[1:], t_obs)[src], objs.boxes[tgt])
-        edges = [0, *np.cumsum([len(pair_src) for pair_src, _ in layouts]).tolist()]
-        window = window._replace(relations=rel, src=src, tgt=tgt)
+        sizes = objs.counts * (objs.counts + 1) // 2
+        src, tgt = _edge_rows(_buckets(objs.counts, sizes), len(objs.boxes), int(sizes.sum()))
+        window = window._replace(relations=relation_rows(np.concatenate([objs.boxes, ped_boxes])[src], objs.boxes[tgt]))
+        edges = [0, *sizes.reshape(len(scenarios), t_obs).sum(axis=1).cumsum().tolist()]
     for arr in (*sources, *window[1:]):
         try:
             if arr.flags.writeable:  # reading the flag costs a third of setting it, and a loaded record's is clear
@@ -551,8 +551,8 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
             pass
     cuts = frames, frames, rows, rows, edges  # each scenario's first row of ped, counts, feats, categories and relations, then the end
     for b, scenario in enumerate(scenarios):
-        share = [None if arr is None else arr[at[b] : at[b + 1]] for arr, at in zip(window[1:6], cuts)]
-        object.__setattr__(scenario, "window", _Window(window.key, *share, *layouts[b]))  # not data; see scene
+        share = [None if arr is None else arr[at[b] : at[b + 1]] for arr, at in zip(window[1:], cuts)]
+        object.__setattr__(scenario, "window", _Window(window.key, *share))  # not data; see scene
     return window
 
 
@@ -562,7 +562,7 @@ def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
     A scenario whose window was packed under another key is packed again.
     When every scenario needs packing, _pack's window is the result; a lone
     warm scenario's is its window as it is; otherwise the windows are joined
-    field by field, each window's src and tgt offset by where its rows land.
+    field by field, one concatenate each, as no field depends on its place.
     """
     key = (cfg.T, cfg.graph_mode)
     cold = [s for s in scenarios if s.window is None or s.window.key != key]
@@ -573,13 +573,7 @@ def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
     windows = [s.window for s in scenarios]
     if len(windows) == 1:
         return windows[0]
-    columns = list(zip(*windows))
-    joined = _Window(key, *(None if column[0] is None else np.concatenate(column) for column in columns[1:6]))
-    if cfg.graph_mode == "fully_connected":
-        sizes = np.array([len(w.feats) for w in windows])
-        src, tgt = _joined(*columns[6:], sizes.cumsum() - sizes, cfg.T)
-        joined = joined._replace(src=src, tgt=tgt)
-    return joined
+    return _Window(key, *(None if column[0] is None else np.concatenate(column) for column in list(zip(*windows))[1:]))
 
 
 def _edge_targets(cfg: ModelConfig, categories: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -631,16 +625,13 @@ def forward_logits(
     against; training and inference go through the stacked pass.
     """
     _check_scenario(scenario, cfg)
-    observed = scenario.frames[: cfg.T]
     tc, mode = cfg.temporal, cfg.graph_mode
     checked = check_parameters(cfg, values)
     p = {name: Tensor(a) if tape is None else tape.parameter(name, a) for name, a in checked.items()}
     cell = {prefix: GRUCellParams(*(p[f"{prefix}.{gate}"] for gate in ("W_z", "W_r", "W_h", "b_z", "b_r", "b_h"))) for prefix in checked.cells}
 
-    ped_inputs = [Tensor(f.pedestrian_feature.reshape(1, -1)) for f in observed]
-    ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
-    objs = None if mode == "pedestrian_only" else _object_rows(observed, cfg.D)
-    _check_finite([scenario], cfg.T, np.concatenate([x.data for x in ped_inputs]), ped_boxes, objs)
+    _, ped, ped_boxes, objs = _observed_rows([scenario], cfg)
+    ped_inputs = [Tensor(row) for row in ped[:, None]]
     if tc.use_temporal and tc.use_ped_gru:
         ped_nodes = run_observation(cell["ped_gru"], ped_inputs)
     else:
@@ -874,7 +865,7 @@ def _graph_frames(
 
     Every edge of the pass is scored in one stacked call, laid out as
     _Edges says, on the window's relation scaled by spatial_scale; in
-    fully_connected mode its src and tgt pick each edge's rows. Then each bucket
+    fully_connected mode _edge_rows picks each edge's rows. Then each bucket
     of frames with N objects runs graph convolution as one stacked
     (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
     Into ``kept``, when given, go the _Edges ("edges") and per bucket (N,
@@ -887,9 +878,9 @@ def _graph_frames(
     targets = _edge_targets(cfg, packed.categories, feats)
     e_o, mask_o = project_targets(targets, p["edge.proj_o"])  # once per object, for every edge ending at it
     if pairs:
-        ends = counts.reshape(-1, cfg.T).sum(axis=1).cumsum().tolist()
-        sources = _nodes(feats, ped_rows, ends, cfg.T)[packed.src]
-        targets, e_o, mask_o = targets[packed.tgt], e_o[packed.tgt], mask_o[packed.tgt]
+        src, tgt = _edge_rows(buckets, len(feats), len(rel))
+        sources = np.concatenate([feats, ped_rows]).take(src, axis=0)
+        targets, e_o, mask_o = (arr.take(tgt, axis=0) for arr in (targets, e_o, mask_o))
     else:
         sources = ped_rows.repeat(counts, axis=0)
     finite, overflow = np.isfinite(rel), None

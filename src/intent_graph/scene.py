@@ -24,8 +24,9 @@ the frames of a generated scenario share one tuple of its static objects.
 A Scenario also has one slot that is not data: ``window``, where ``model``
 keeps the scenario's observed frames packed into arrays on its first
 forward pass, with the relation of every edge the pass's graph mode
-scores, so that later passes of that mode skip the walk over frames and
-objects and every relation.
+scores (the edges themselves follow from the object counts), so that
+later passes of that mode skip the walk over frames and objects and
+every relation.
 The loader and the generator hand out read-only feature arrays (the
 loader's are row views of one (n, D) block per record, its pedestrians'
 rows first), and that first pass makes a hand-built record's packed

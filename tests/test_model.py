@@ -575,8 +575,8 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
 
         return call
 
-    # no mode computes a relation or builds an edge layout on a warm pass: the window holds its edges' relations
-    refused = ["_object_rows", "relation_rows", "_pair_rows"]
+    # no mode walks the objects or computes a relation on a warm pass: the window holds its edges' relations
+    refused = ["_object_rows", "relation_rows"]
     with monkeypatch.context() as patched:
         for name in refused:
             patched.setattr(model, name, refuse(name))
@@ -587,7 +587,7 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
         if mode == "pedestrian_only":  # packs no objects, cold or warm
             assert forward_batch(_fresh(batch), cfg, values).tobytes() == cold[0]
     # each patch does bite, on the calls the mode's cold pack makes
-    bites = {"star": refused[:2], "fully_connected": refused, "concat_baseline": refused[:1], "pedestrian_only": []}
+    bites = {"star": refused, "fully_connected": refused, "concat_baseline": refused[:1], "pedestrian_only": []}
     for name in bites[mode]:
         with monkeypatch.context() as patched, pytest.raises(AssertionError, match=name):
             patched.setattr(model, name, refuse(name))
@@ -626,7 +626,7 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
     window = scenario.window
     objects = sum(len(f.objects) for f in scenario.frames[: cfg.T])
     assert window.key == (cfg.T, "star") and window.ped.shape == (cfg.T, cfg.D)
-    assert window.src is None and window.tgt is None  # only fully_connected keeps its edges' rows
+    assert window._fields == ("key", "ped", "counts", "feats", "categories", "relations")  # no edge rows, in any mode
     assert window.counts.tolist() == [len(f.objects) for f in scenario.frames[: cfg.T]]
     assert window.feats.shape == (objects, cfg.D) and window.categories.shape == (objects,)
     assert not any(arr.flags.writeable for arr in window[1:] if arr is not None)
@@ -647,26 +647,31 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
 
 def test_a_fully_connected_window_keeps_its_edges_in_the_order_they_are_scored():
     cfg = _batch_cfg("fully_connected", "default", "L2-shared")
-    scenario = _mixed_batch()[0]
-    forward_batch([scenario], cfg, init_parameters(cfg))
-    window = scenario.window
-    observed = scenario.frames[: cfg.T]
+    batch = _mixed_batch()
+    forward_batch(batch, cfg, init_parameters(cfg))
+    observed = [f for s in batch for f in s.frames[: cfg.T]]
     boxes = [np.array([o.aligned_box().as_list() for o in sorted(f.objects, key=object_sort_key)]).reshape(-1, 4) for f in observed]
     ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed])
-    # per frame its spokes, then its object pairs i < j, row-major: each edge's source and target box
+    counts = np.array([len(frame_boxes) for frame_boxes in boxes])
+    assert {0, 1} <= set(counts.tolist()) and counts.max() > 2
+    objects = int(counts.sum())
+    # per frame its spokes, then its object pairs i < j, row-major: each edge's source and target box, and their rows
     src_boxes, tgt_boxes, src_rows, tgt_rows, start = [], [], [], [], 0
-    for t, frame_boxes in enumerate(boxes):
+    for f, frame_boxes in enumerate(boxes):
         n = len(frame_boxes)
         i, j = pair_indices(n)
-        src_boxes += [ped_boxes[[t] * n], frame_boxes[i]]
+        src_boxes += [ped_boxes[[f] * n], frame_boxes[i]]
         tgt_boxes += [frame_boxes, frame_boxes[j]]
-        src_rows += [[len(window.feats) + t] * n, start + i]  # the window's object rows, then its pedestrian rows
+        src_rows += [[objects + f] * n, start + i]  # the pass's object rows, then its frame rows
         tgt_rows += [start + np.arange(n), start + j]
         start += n
     want = relation_rows(np.concatenate(src_boxes), np.concatenate(tgt_boxes))
-    assert window.relations.tobytes() == want.tobytes()
-    assert window.src.tolist() == np.concatenate(src_rows).tolist() and window.tgt.tolist() == np.concatenate(tgt_rows).tolist()
-    assert not any(arr.flags.writeable for arr in (window.relations, window.src, window.tgt))
+    assert np.concatenate([s.window.relations for s in batch]).tobytes() == want.tobytes()
+    assert not any(s.window.relations.flags.writeable for s in batch)
+    # a pass over several windows lays out its edge rows from its object counts alone
+    sizes = counts * (counts + 1) // 2
+    src, tgt = model._edge_rows(model._buckets(counts, sizes), objects, int(sizes.sum()))
+    assert src.tolist() == np.concatenate(src_rows).tolist() and tgt.tolist() == np.concatenate(tgt_rows).tolist()
 
 
 def test_an_overflowed_pair_relation_is_refused_on_every_pass():
@@ -790,7 +795,7 @@ def test_pedestrian_only_packs_no_objects_and_reads_malformed_ones_as_the_taped_
     assert got[0].tobytes() == got[1].tobytes()  # objects do not reach pedestrian_only's logits
     assert ragged.window.feats is None and good.window.feats is None
     star = dataclasses.replace(cfg, graph_mode="star", hidden=6)
-    with pytest.raises(ValueError):  # a mode that reads objects packs them, and this one fails
+    with pytest.raises(ScenarioError, match="width-9 object feature in observed frame 1"):  # a mode that reads objects packs them
         forward_batch([ragged], star, init_parameters(star))
     assert ragged.window.key == (cfg.T, "pedestrian_only")  # the failed build kept nothing
     forward_batch([good], star, init_parameters(star))
@@ -814,11 +819,44 @@ def test_a_failing_scenario_leaves_no_window():
     ragged = dataclasses.replace(good, frames=tuple(frames))
     with pytest.raises(ValueError):
         _object_rows(ragged.frames[: cfg.T], cfg.D)
-    with pytest.raises(ValueError):
+    with pytest.raises(ScenarioError, match="width-9 object feature in observed frame 1"):
         forward_batch([ragged], cfg, values)
     assert ragged.window is None
     forward_batch([good], cfg, values)
     assert good.window is not None
+
+
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
+def test_a_feature_of_the_wrong_width_in_a_hand_built_record_is_refused_by_every_entry_point(mode):
+    # only frame 0's pedestrian feature is checked against D up front; every other row is checked as it is stacked
+    cfg = _batch_cfg(mode, "default", "L2-shared")
+    values = init_parameters(cfg)
+    good = _mixed_batch()[0]
+    frames = list(good.frames)
+    assert frames[1].objects
+    frames[1] = _with_first_object(frames[1], feature=np.ones(3))
+    narrow_object = dataclasses.replace(good, id="narrow-object", frames=tuple(frames))
+    frames = list(good.frames)
+    frames[2] = dataclasses.replace(frames[2], pedestrian_feature=np.ones(3))
+    narrow_pedestrian = dataclasses.replace(good, id="narrow-pedestrian", frames=tuple(frames))
+    for bad, what, frame in ((narrow_object, "object feature", 1), (narrow_pedestrian, "pedestrian feature", 2)):
+        if mode == "pedestrian_only" and what == "object feature":  # objects are neither packed nor read
+            assert forward_batch([bad], cfg, values)[0].tobytes() == _unbatched_logits(bad, cfg, values).tobytes()
+            continue
+        message = f"^scenario {bad.id!r}: width-3 {what} in observed frame {frame}; config expects D = 6$"
+        mate = dataclasses.replace(good)
+        calls = [
+            lambda: forward(bad, cfg, values),
+            lambda: forward_batch([mate, bad], cfg, values),
+            lambda: evaluate([mate, bad], cfg, values),
+            lambda: train([mate, bad], cfg, TrainConfig(epochs=1, batch_size=2), initial=values),
+            lambda: forward_logits(bad, cfg, values),
+        ]
+        for call in calls:
+            with pytest.raises(ScenarioError, match=message):
+                call()
+            assert bad.window is None  # the failed pack kept nothing
+        assert mate.window is None or mate.window.key == (cfg.T, mode)
 
 
 @pytest.mark.parametrize("mode", ["star", "fully_connected"])
