@@ -25,11 +25,11 @@ is what makes that exact rather than approximate.
 check_parameters, which both forwards and save_checkpoint call, is the one
 check of parameter names, types and shapes, and of the NaNs and infinities
 a ReLU would hide; nothing downstream checks them again. It returns
-Parameters, views of one flat float64 row. load_checkpoint and train return
-Parameters over a row of their own, and check_parameters takes those as
-they are: a forward() of one scenario with loaded parameters copies none of
-them, and only scans the edge and graph span of the row. Any other mapping
-is copied into a fresh row. train() builds its views over its buffer.
+Parameters, views of one flat float64 row whose entries cannot be replaced,
+and takes any Parameters over a 1-D float64 row of the config's layout (as
+load_checkpoint and train return them) as it is: a forward() of one scenario
+with loaded parameters copies none of them, and only scans the edge and
+graph span of the row. Any other mapping is copied into a fresh row.
 
 There is one implementation of each stage, and two forwards call it.
 forward_chunk is the tape-free pass over up to CHUNK (64) scenarios that
@@ -77,7 +77,7 @@ computed once. It holds no edge rows: a fully_connected frame's edges
 follow from its object count, so each pass lays them out (_edge_rows).
 Each scenario keeps its share on the record's window slot as read-only
 views; a pass under another key repacks it, and a build that raises
-keeps nothing. The build refuses a feature that is not D wide or a
+keeps nothing. The build refuses a feature whose shape is not (D,) or a
 non-finite feature or box (_observed_rows, ScenarioError naming the
 scenario), as forward_logits does; a ReLU would turn a NaN into zeros
 and train on it. A warm pass checks no feature or box again and computes
@@ -101,7 +101,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from pathlib import Path
@@ -229,6 +228,11 @@ def _gru_shapes(shapes: dict, prefix: str, input_width: int, hidden: int) -> Non
         shapes[f"{prefix}.{gate}"] = (1, hidden)
 
 
+def _layer_names(cfg: ModelConfig) -> list[str]:
+    """The graph-convolution weight of each layer, first layer first: gcn.W for each when shared, else gcn.W0, gcn.W1, ..."""
+    return ["gcn.W" if cfg.shared_weights else f"gcn.W{i}" for i in range(cfg.num_layers)]
+
+
 def parameter_shapes(cfg: ModelConfig) -> Mapping[str, tuple[int, int]]:
     """Every learnable parameter and its shape, in creation order; computed once per config and read-only, as callers share it."""
     return _layout(cfg)[0]
@@ -252,12 +256,8 @@ def _layout(cfg: ModelConfig) -> tuple:
     if cfg.graph_mode in ("star", "fully_connected"):
         shapes["edge.proj_i"] = (d + 8, cfg.D_e)
         shapes["edge.proj_o"] = (d + (CATEGORY_COUNT if cfg.include_object_class else 0), cfg.D_e)
-        if cfg.num_layers > 0:
-            if cfg.shared_weights:
-                shapes["gcn.W"] = (h, h)
-            else:
-                for layer in range(cfg.num_layers):
-                    shapes[f"gcn.W{layer}"] = (h, h)
+        for name in _layer_names(cfg):  # a shared gcn.W is named once per layer
+            shapes[name] = (h, h)
         if tc.use_temporal and tc.use_ctxt_gru:
             _gru_shapes(shapes, "ctxt_gru", h, h)
     if tc.use_temporal:
@@ -309,55 +309,47 @@ def parameter_count(cfg: ModelConfig) -> int:
 class Parameters(dict):
     """{name: (*lead, rows, cols) view} of a float64 ``row`` of shape (*lead, P), in parameter_shapes order; nothing is checked.
 
-    ``cells`` maps each GRU cell ("ped_gru", ...) to its gate blocks (W, b), (*lead, 3, ., .) views of [W_z, W_r, W_h]
-    and [b_z, b_r, b_h]: a cell's three weights, and its three biases, are adjacent in the row. Leading axes lead every
-    view: a flat row gives (rows, cols) views, backward_chunk's (B, P) row each scenario's gradients.
+    No entry can be replaced, added or removed (TypeError): write into one in place, or copy with dict(p). ``blocks``
+    cuts the row into (slice, shape) blocks, each a GRU cell's [z, r, h] weights or biases, (3, rows, cols), or one
+    other parameter; ``cells`` maps each cell ("ped_gru", ...) to its (W, b) blocks as (*lead, 3, ., .) views. Leading
+    axes lead every view: a flat row gives (rows, cols) views, backward_chunk's (B, P) row each scenario's gradients.
     """
 
     def __init__(self, cfg: ModelConfig, row: np.ndarray):
-        layout = _layout(cfg)
-        _, blocks, plan, _, _ = layout
+        self._layout = _layout(cfg)
+        _, self.blocks, plan, _, _ = self._layout
         lead = row.shape[:-1]
-        views = [row[..., at].reshape(lead + shape) for at, shape in blocks]
+        views = [row[..., at].reshape(lead + shape) for at, shape in self.blocks]
         super().__init__({name: views[block] if gate is None else views[block][gate] for name, block, gate in plan})
         self.row, self._cfg = row, cfg
-        self._built = (layout, row, *self.values())  # what check_parameters compares, to take the row as it is
 
-    def _as_built(self) -> bool:
-        """True while the row and every entry are the objects this was built with, so each entry is a view of the row."""
-        return all(map(operator.is_, self._built[1:], (self.row, *self.values())))
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("Parameters entries are views of one row: write into an entry in place, or copy with dict(p)")
+
+    __setitem__ = __delitem__ = pop = popitem = setdefault = update = clear = __ior__ = _refuse
 
     def __reduce__(self):
-        # a deep copy or an unpickled copy is built again over its own row, so its entries are views of that row;
-        # a replaced entry is carried over as it is, and check_parameters then copies the copy
-        return Parameters, (self._cfg, self.row), None, None, None if self._as_built() else iter(self.items())
+        # a deep copy or an unpickled copy is built again over its own row (unpickling a dict would call __setitem__)
+        return Parameters, (self._cfg, self.row)
 
     @cached_property
     def cells(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         # made on first use: parameters that are only kept, such as a training result, hold no block views
-        _, blocks, _, cells, _ = self._built[0]
+        _, blocks, _, cells, _ = self._layout
         lead = self.row.shape[:-1]
         return {cell: tuple(self.row[..., at].reshape(lead + shape) for at, shape in blocks[w : w + 2]) for cell, w in cells}
-
-
-def _intact(values: Mapping[str, np.ndarray], shapes: Mapping[str, tuple[int, int]]) -> bool:
-    """True for Parameters over a 1-D float64 row laid out for ``shapes`` whose row and entries are the ones it was built with."""
-    if not isinstance(values, Parameters):
-        return False
-    built, row = values._built, values.row
-    return row.ndim == 1 and row.dtype == np.float64 and (built[0][0] is shapes or built[0][0] == shapes) and values._as_built()
 
 
 def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> Parameters:
     """The parameters as Parameters over one float64 row, once their names, types and shapes match the config (else ConfigError).
 
-    Parameters over a 1-D float64 row, laid out for this config's names and
-    shapes and with every entry still the view it was built with (what
-    load_checkpoint and train return), are that row: ``values`` itself comes
-    back, and nothing is copied. Any other mapping is copied into a fresh
-    row; an array whose dtype is not an integer or a float (str, bool,
-    object, complex) is refused, as data files and checkpoints refuse such
-    entries.
+    Parameters over a 1-D float64 row laid out for this config's names and
+    shapes (what load_checkpoint and train return) are that row: ``values``
+    itself comes back, and nothing is copied; their entries cannot be
+    replaced, so each is still a view of the row. Any other mapping is
+    copied into a fresh row; an array whose dtype is not an integer or a
+    float (str, bool, object, complex) is refused, as data files and
+    checkpoints refuse such entries.
 
     A NaN or an infinity in edge.proj_* or gcn.W* is a ConfigError too, on
     either path: a ReLU or the weight clip would absorb it and give finite
@@ -371,7 +363,8 @@ def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> Para
         missing = sorted(set(shapes) - set(values))
         extra = sorted(set(values) - set(shapes))
         raise ConfigError(f"parameter names do not match the config (missing {missing}, unexpected {extra})")
-    if _intact(values, shapes):
+    laid_out = isinstance(values, Parameters) and (values._layout[0] is shapes or values._layout[0] == shapes)
+    if laid_out and values.row.ndim == 1 and values.row.dtype == np.float64:
         checked = values
     else:
         flat = []
@@ -408,10 +401,18 @@ class _ObjectRows(NamedTuple):
     categories: np.ndarray  # (M,) ObjectCategory.index
 
 
+def _stacked(rows: list, width: int) -> np.ndarray:
+    """The (len(rows), width) array of ``rows``; ValueError unless every row has shape (width,)."""
+    stack = np.array(rows) if rows else np.empty((0, width))
+    if stack.shape != (len(rows), width):
+        raise ValueError(f"rows of shape {stack.shape[1:]} stacked where ({width},) was expected")
+    return stack
+
+
 def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
     flat = [o for f in frames for o in f.objects]
     counts = np.array([len(f.objects) for f in frames], dtype=np.intp)
-    feats = np.array([o.feature for o in flat]).reshape(len(flat), width)
+    feats = _stacked([o.feature for o in flat], width)
     keys = np.array(
         [(_VALUE_RANK[o.category._value_], o.box.xmin, o.box.ymin, o.box.xmax, o.box.ymax, o.camera_offset_x) for o in flat]
     ).reshape(len(flat), 6)
@@ -487,24 +488,25 @@ def _observed_rows(scenarios: Sequence[Scenario], cfg: ModelConfig) -> tuple[lis
     """The first T frames of ``scenarios``, then their (F, D) pedestrian features, (F, 4) pedestrian boxes and (unless pedestrian_only) _ObjectRows.
 
     ScenarioError names the first scenario, in frame order, with a feature
-    the mode reads that is not D wide (looked for only once stacking the
-    rows has failed) or with a non-finite feature or box (_check_finite).
+    the mode reads whose shape is not (D,) (looked for only once stacking
+    the rows has failed, _stacked) or with a non-finite feature or box
+    (_check_finite).
     """
     t_obs, d = cfg.T, cfg.D
     observed = [f for s in scenarios for f in s.frames[:t_obs]]  # frame index b * T + t
     with_objects = cfg.graph_mode != "pedestrian_only"
     try:
-        ped = np.array([f.pedestrian_feature for f in observed]).reshape(len(observed), d)
+        ped = _stacked([f.pedestrian_feature for f in observed], d)
         objs = _object_rows(observed, d) if with_objects else None
     except ValueError:
         for frame, f in enumerate(observed):
             rows = [("pedestrian feature", f.pedestrian_feature)]
             rows += [("object feature", o.feature) for o in f.objects] if with_objects else []
             for what, row in rows:
-                if np.size(row) != d:
+                if np.shape(row) != (d,):
                     raise ScenarioError(
-                        f"scenario {scenarios[frame // t_obs].id!r}: width-{np.size(row)} {what} in observed frame "
-                        f"{frame % t_obs}; config expects D = {d}"
+                        f"scenario {scenarios[frame // t_obs].id!r}: {what} of shape {np.shape(row)} in observed frame "
+                        f"{frame % t_obs}; config expects ({d},)"
                     ) from None
         raise
     ped_boxes = np.array([f.pedestrian_box.as_list() for f in observed], dtype=np.float64)
@@ -640,7 +642,7 @@ def forward_logits(
     ctxt_cell = None
     if mode in ("star", "fully_connected"):
         proj = p["edge.proj_i"], p["edge.proj_o"]
-        layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
+        layers = [p[name] for name in _layer_names(cfg)]
         if tc.use_temporal and tc.use_ctxt_gru:
             ctxt_cell = cell["ctxt_gru"]
             h_ctxt = ad.zeros(1, cfg.hidden)
@@ -897,7 +899,7 @@ def _graph_frames(
     # unless kept, the edge arrays go before the graph work: held through it, they slowed evaluate() by about 2%
     del v, saved, rel, finite, sources, targets, e_o, mask_o
 
-    layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(cfg.num_layers)]
+    layers = [p[name] for name in _layer_names(cfg)]
     vecs = np.empty((len(ped_rows), 2 * cfg.hidden))
     buckets_kept = _slot(kept, "buckets")
     for n, frames, rows, edges in buckets:
@@ -1043,7 +1045,8 @@ def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g
     """
     n_layers, h_width, t_obs = cfg.num_layers, cfg.hidden, cfg.T
     b = len(g_rows) // t_obs
-    layers = [p["gcn.W" if cfg.shared_weights else f"gcn.W{i}"] for i in range(n_layers)]
+    names = _layer_names(cfg)
+    layers = [p[name] for name in names]
     edges, pairs = kept["edges"], cfg.graph_mode == "fully_connected"
     layer_grads = np.empty((len(g_rows), n_layers, h_width, h_width))
     center = np.empty((len(g_rows), h_width))
@@ -1061,10 +1064,10 @@ def _graph_backward(cfg: ModelConfig, p: Mapping[str, np.ndarray], kept: dict, g
     # a frame's layers are reached last layer first, a scenario's frames last frame first
     visit = layer_grads.reshape(b, t_obs, n_layers, h_width, h_width)[:, ::-1]
     if cfg.shared_weights:
-        grads["gcn.W"][:] = _fold(visit.reshape(b, t_obs * n_layers, h_width, h_width).swapaxes(0, 1))
+        grads[names[0]][:] = _fold(visit.reshape(b, t_obs * n_layers, h_width, h_width).swapaxes(0, 1))
     else:
-        for layer in range(n_layers):
-            grads[f"gcn.W{layer}"][:] = _fold(visit[:, :, n_layers - 1 - layer].swapaxes(0, 1))
+        for layer, name in enumerate(names):
+            grads[name][:] = _fold(visit[:, :, n_layers - 1 - layer].swapaxes(0, 1))
 
     # the tape adds the per-edge terms in the reverse of forward_logits' order: a scenario's rows, reversed
     g_i, g_o = edge_backward(edges.saved, g_weights[:, None])

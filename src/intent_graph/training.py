@@ -25,13 +25,14 @@ per chunk size, and backward_chunk zeroes it before each backward;
 train() adds its rows in batch order, in place, as it did when it ran one
 tape per scenario. The parameter values, the gradients and Adam's two moments
 are the rows of one (4, P) float64 buffer, all laid out as the flat row of
-check_parameters; the model reads views of the value row, made once per run,
-and the result holds Parameters over one copy of it.
-Adam updates the whole buffer in place, and clip_gradients squares the
-gradient row once and sums each run of adjacent same-size parameters as
-one block, one row per parameter, so the norm keeps the bits of one np.sum
-per parameter. The taped scenario_loss_tensor stays as the oracle for the
-tests, and benchmarks/tracing.py wraps it. scenario_loss is
+check_parameters; the model reads Parameters over the value row and
+clip_gradients Parameters over the gradient row, both made once per run,
+and the result holds Parameters over one copy of the value row. Adam
+updates the whole buffer in place, and clip_gradients squares the gradient
+row once and sums each block of its layout along its rows, one row per
+parameter, so the norm keeps the bits of one np.sum per parameter. The
+taped scenario_loss_tensor stays as the oracle for the tests, and
+benchmarks/tracing.py wraps it. scenario_loss is
 scenario_gradients' loss without the backward, for the perturbed calls of
 the gradient check.
 """
@@ -41,8 +42,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import groupby
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -62,7 +61,7 @@ from .model import (
     forward_logits,
     future_labels,
     init_parameters,
-    parameter_shapes,
+    parameter_count,
 )
 from .scene import Scenario
 
@@ -154,33 +153,20 @@ def scenario_loss_tensor(
     return scale(total, 1.0 / len(labels))
 
 
-@lru_cache(maxsize=64)
-def _runs(sizes: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """(start, count, size) of each run of adjacent parameters of one size, in order."""
-    runs, start = [], 0
-    for size, group in groupby(sizes):
-        count = len(list(group))
-        runs.append((start, count, size))
-        start += count * size
-    return tuple(runs)
+def clip_gradients(grads: Parameters, max_norm: float) -> float:
+    """Scale the gradients' flat row in place so its global L2 norm is at most max_norm; returns the norm before.
 
-
-def clip_gradients(flat: np.ndarray, sizes: Sequence[int], max_norm: float) -> float:
-    """Scale the flat gradient row in place so its global L2 norm is at most max_norm; returns the norm before.
-
-    ``sizes`` splits ``flat`` into its parameters, in order. The row is
-    squared once, and each run of adjacent same-size parameters (a GRU
-    cell's three weights, its three biases) is summed as one (count, size)
-    block along its rows, each row the pairwise sum np.add.reduce makes of
-    a lone slice; then the sums are added in order: the bits of one
-    np.sum(g * g) per (rows, cols) parameter.
+    The row is squared once, and each block of its layout (a GRU cell's
+    three weights or three biases, or one other parameter) is summed along
+    its rows, one row per parameter as np.add.reduce sums a lone slice; the
+    sums are added in order: the bits of one np.sum(g * g) per parameter.
     """
-    squares, sums = flat * flat, []
-    for start, count, size in _runs(tuple(sizes)):
-        sums += np.add.reduce(squares[start : start + count * size].reshape(count, size), axis=1).tolist()
+    squares, sums = grads.row * grads.row, []
+    for at, shape in grads.blocks:
+        sums += np.add.reduce(squares[at].reshape(-1, shape[-2] * shape[-1]), axis=1).tolist()
     total = math.sqrt(sum(sums))
     if total > max_norm and total > 0:
-        flat *= max_norm / total
+        grads.row *= max_norm / total
     return total
 
 
@@ -215,7 +201,7 @@ class AdamOptimizer:
         value -= step
 
 
-def _report(probs: np.ndarray, labels: np.ndarray, losses: Sequence[float], threshold: float) -> EvalReport:
+def _report(probs: np.ndarray, labels: np.ndarray, losses: Sequence[float]) -> EvalReport:
     """The EvalReport of n >= 1 scenarios from their (n, K >= 1) probabilities and labels and their n losses.
 
     Each sum adds the scenarios in order from +0.0, as a loop over them
@@ -225,7 +211,7 @@ def _report(probs: np.ndarray, labels: np.ndarray, losses: Sequence[float], thre
     miss.
     """
     n, horizon = probs.shape
-    hits = (probs >= threshold).astype(np.intp) == labels
+    hits = (probs >= 0.5).astype(np.intp) == labels
     loss_sum = 0.0
     for scenario_loss in losses:
         loss_sum += scenario_loss
@@ -237,10 +223,10 @@ def _report(probs: np.ndarray, labels: np.ndarray, losses: Sequence[float], thre
     )
 
 
-def aggregate_metrics(per_scenario: Sequence[tuple[Sequence[float], Sequence[int], float]], threshold: float = 0.5) -> EvalReport:
+def aggregate_metrics(per_scenario: Sequence[tuple[Sequence[float], Sequence[int], float]]) -> EvalReport:
     """Reduce (probabilities, labels, loss) triples into an EvalReport.
 
-    A probability >= threshold predicts crossing. All scenarios must share
+    A probability >= 0.5 predicts crossing. All scenarios must share
     the same horizon K, and K must be at least 1 (else ValueError).
     """
     if not per_scenario:
@@ -251,7 +237,7 @@ def aggregate_metrics(per_scenario: Sequence[tuple[Sequence[float], Sequence[int
     if horizon == 0:
         raise ValueError("empty horizon: the scenarios carry no predicted frames")
     probs, labels, losses = zip(*per_scenario)
-    return _report(np.array(probs, dtype=np.float64), np.array(labels), losses, threshold)
+    return _report(np.array(probs, dtype=np.float64), np.array(labels), losses)
 
 
 def evaluate(dataset: Sequence[Scenario], cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> EvalReport:
@@ -267,7 +253,7 @@ def evaluate(dataset: Sequence[Scenario], cfg: ModelConfig, values: Mapping[str,
     logits = check_finite_logits(dataset, forward_batch(dataset, cfg, values))
     labels = [future_labels(scenario, cfg) for scenario in dataset]
     losses = [loss_from_logits(row, row_labels) for row, row_labels in zip(logits.tolist(), labels)]
-    return _report(sigmoid_values(logits), np.array(labels), losses, 0.5)
+    return _report(sigmoid_values(logits), np.array(labels), losses)
 
 
 def check_finite_logits(scenarios: Sequence[Scenario], logits: np.ndarray) -> np.ndarray:
@@ -339,7 +325,10 @@ def scenario_loss(scenario: Scenario, cfg: ModelConfig, values: Mapping[str, np.
 
 @dataclass
 class TrainResult:
-    """The final parameters, as Parameters over a copy of train()'s value row, and one EvalReport per epoch."""
+    """The final parameters, as Parameters over a copy of train()'s value row, and one EvalReport per epoch.
+
+    check_parameters takes ``params`` as it is; dict(params) is a copy whose entries may be replaced.
+    """
 
     params: Parameters
     history: list[EvalReport]
@@ -360,11 +349,10 @@ def train(
     """
     if not dataset:
         raise EmptyDatasetError("no scenarios to train on")
-    sizes = [r * c for r, c in parameter_shapes(cfg).values()]
-    buffer = np.zeros((4, sum(sizes)))
+    buffer = np.zeros((4, parameter_count(cfg)))
     buffer[0] = check_parameters(cfg, initial if initial is not None else init_parameters(cfg)).row
-    values, g = Parameters(cfg, buffer[0]), buffer[1]
-    grad_rows = np.empty((min(tcfg.batch_size, CHUNK, len(dataset)), sum(sizes)))
+    values, grads, g = Parameters(cfg, buffer[0]), Parameters(cfg, buffer[1]), buffer[1]
+    grad_rows = np.empty((min(tcfg.batch_size, CHUNK, len(dataset)), buffer.shape[1]))
     chunk_grads: dict[int, Parameters] = {}  # chunk size n: views of the first n rows of grad_rows, built once
     optimizer = AdamOptimizer(tcfg)
     rng = np.random.default_rng(tcfg.seed)
@@ -384,7 +372,7 @@ def train(
                 for row in rows:  # added in batch order, as the tape's loop did
                     g += row
             g /= len(batch)
-            clip_gradients(g, sizes, tcfg.grad_clip_norm)
+            clip_gradients(grads, tcfg.grad_clip_norm)
             optimizer.step(buffer)
         try:
             report = evaluate(dataset, cfg, values)

@@ -318,7 +318,7 @@ def reference_train(dataset, cfg, tcfg, initial=None, metrics_out=None):
     return TrainResult(params=values, history=history)
 
 
-def reference_aggregate_metrics(per_scenario, threshold=0.5):
+def reference_aggregate_metrics(per_scenario):
     """aggregate_metrics as a loop over (probabilities, labels, loss) triples, one scenario at a time."""
     if not per_scenario:
         raise EmptyDatasetError("no scenarios to evaluate")
@@ -331,7 +331,7 @@ def reference_aggregate_metrics(per_scenario, threshold=0.5):
     for probs, labels, scenario_loss in per_scenario:
         if len(probs) != horizon or len(labels) != horizon:
             raise ValueError("inconsistent horizons across scenarios")
-        preds = [1 if p >= threshold else 0 for p in probs]
+        preds = [1 if p >= 0.5 else 0 for p in probs]
         correct_all += sum(1 for p, y in zip(preds, labels) if p == y)
         correct_final += 1 if preds[-1] == labels[-1] else 0
         total_steps += horizon

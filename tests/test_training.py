@@ -1,9 +1,11 @@
 """Optimizer math, loss reductions, the train loop, and evaluation metrics."""
 
+import copy
 import dataclasses
 import io
 import json
 import math
+import pickle
 import re
 
 import numpy as np
@@ -190,7 +192,11 @@ def test_train_returns_parameters_over_a_row_of_their_own(monkeypatch):
     result = train(_dataset(), cfg, TrainConfig(epochs=2))
     params = result.params
     assert isinstance(params, Parameters) and params.row.shape == (parameter_count(cfg),)
+    assert isinstance(params, dict)  # the benchmark's digest hashes a dict output by name, anything else by its repr
     assert check_parameters(cfg, params) is params
+    for q in (copy.deepcopy(params), pickle.loads(pickle.dumps(params))):  # rebuilt over a row of their own
+        assert check_parameters(cfg, q) is q and q.row.tobytes() == params.row.tobytes()
+        assert not np.shares_memory(q.row, params.row) and all(np.shares_memory(v, q.row) for v in q.values())
     before = params.row.tobytes()
     assert buffers[-1][0].tobytes() == before  # the value row at the end of the run
     buffers[-1][:] = np.nan
@@ -219,22 +225,32 @@ def test_zero_learning_rate_is_a_no_op():
 
 
 def test_clip_gradients_norm_math():
-    flat = np.array([3.0, 4.0])
-    assert clip_gradients(flat, [1, 1], max_norm=10.0) == 5.0
-    assert flat.tolist() == [3.0, 4.0]
-    assert clip_gradients(flat, [1, 1], max_norm=2.0) == 5.0  # reports the pre-clip norm, scales in place
-    assert np.allclose(flat, [1.2, 1.6])
-    assert math.sqrt(float(np.sum(flat * flat))) == pytest.approx(2.0)
-    zeros = np.zeros(4)
-    assert clip_gradients(zeros, [4], max_norm=1.0) == 0.0 and np.all(zeros == 0.0)
+    cfg = _mcfg()
+    grads = Parameters(cfg, np.zeros(parameter_count(cfg)))
+    grads["readout.w"][0, 0], grads["readout.b"][0, 0] = 3.0, 4.0  # the 1-entry readout.b is a block of its own
+    assert clip_gradients(grads, max_norm=10.0) == 5.0
+    assert grads["readout.w"][0, 0] == 3.0 and grads["readout.b"][0, 0] == 4.0
+    assert clip_gradients(grads, max_norm=2.0) == 5.0  # reports the pre-clip norm, scales in place
+    assert np.allclose([grads["readout.w"][0, 0], grads["readout.b"][0, 0]], [1.2, 1.6])
+    assert math.sqrt(float(np.sum(grads.row * grads.row))) == pytest.approx(2.0)
+    zeros = Parameters(cfg, np.zeros(parameter_count(cfg)))
+    assert clip_gradients(zeros, max_norm=1.0) == 0.0 and np.all(zeros.row == 0.0)
 
 
-def _clip_case(rng, shapes):
-    """{name: gradient} of the given shapes, mixed magnitudes and signed zeros, and the flat row holding them."""
+def _clip_case(rng, cfg):
+    """{name: gradient} of cfg's shapes, mixed magnitudes and signed zeros, and Parameters over the flat row holding them."""
+    shapes = parameter_shapes(cfg)
     grads = {name: rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape) for name, shape in shapes.items()}
     for g in grads.values():
         g[rng.random(g.shape) < 0.1] = -0.0
-    return grads, np.concatenate([g.reshape(-1) for g in grads.values()])
+    return grads, Parameters(cfg, np.concatenate([g.reshape(-1) for g in grads.values()]))
+
+
+def _assert_clips_as_the_reference(rng, cfg, max_norm):
+    grads, p = _clip_case(rng, cfg)
+    want, want_norm = reference_clip(grads, max_norm)
+    assert clip_gradients(p, max_norm) == want_norm, cfg
+    assert p.row.tobytes() == np.concatenate([want[name].reshape(-1) for name in grads]).tobytes(), cfg
 
 
 def test_clip_gradients_keeps_the_per_parameter_norm_and_scaling():
@@ -246,26 +262,22 @@ def test_clip_gradients_keeps_the_per_parameter_norm_and_scaling():
         configs = [_batch_cfg(mode, temporal, stack) for temporal in ("default", "ctxt", "pooled") for stack in stacks]
         configs.append(ModelConfig(D=16, D_e=16, hidden=16, graph_mode=mode, temporal=TemporalConfig(use_ctxt_gru=True)))
         for cfg in configs:
-            shapes = parameter_shapes(cfg)
             for _ in range(10):
-                grads, flat = _clip_case(rng, shapes)
-                max_norm = float(rng.choice([1e-3, 5.0, 1e9]))
-                want, want_norm = reference_clip(grads, max_norm)
-                assert clip_gradients(flat, [r * c for r, c in shapes.values()], max_norm) == want_norm
-                assert flat.tobytes() == np.concatenate([want[name].reshape(-1) for name in shapes]).tobytes()
+                _assert_clips_as_the_reference(rng, cfg, float(rng.choice([1e-3, 5.0, 1e9])))
 
 
-def test_clip_gradients_sums_each_run_of_equal_sizes_as_lone_parameters():
-    # a run of adjacent same-size parameters is reduced as one (count, size) block along its rows;
-    # each row must keep the bits of that parameter's own np.sum, also past NumPy's 8192-entry buffer
+def test_clip_gradients_sums_each_block_row_by_row_as_lone_parameters():
+    # a GRU cell's three weights, or three biases, are one (3, rows, cols) block reduced along its rows; each row must
+    # keep the bits of that parameter's own np.sum, also past NumPy's 8192-entry buffer (a width-96 cell's
+    # 288 x 96 weights, a 96 x 96 gcn.W) and for 1 x 1 entries (width 1, and readout.b in every config)
     rng = np.random.default_rng(13)
-    for sizes in ([3, 3, 3, 1, 1, 1, 16], [1], [1, 1], [7, 5, 5, 7, 7, 7, 2], [8192, 8192, 8193, 20000, 20000, 3]):
-        shapes = {f"p{k}": (1, size) for k, size in enumerate(sizes)}
+    ctxt = TemporalConfig(use_ctxt_gru=True)
+    wide = ModelConfig(D=96, D_e=96, hidden=96, num_layers=3, shared_weights=False, temporal=ctxt)
+    narrow = ModelConfig(D=1, D_e=1, hidden=1, graph_mode="fully_connected", include_object_class=True)
+    assert max(r * c for r, c in parameter_shapes(wide).values()) > 8192
+    for cfg in (wide, narrow, dataclasses.replace(wide, graph_mode="pedestrian_only")):
         for max_norm in (1e-3, 1e12):
-            grads, flat = _clip_case(rng, shapes)
-            want, want_norm = reference_clip(grads, max_norm)
-            assert clip_gradients(flat, sizes, max_norm) == want_norm, sizes
-            assert flat.tobytes() == np.concatenate([want[name].reshape(-1) for name in shapes]).tobytes()
+            _assert_clips_as_the_reference(rng, cfg, max_norm)
 
 
 # -- losses -----------------------------------------------------------------------
@@ -351,10 +363,9 @@ def _random_triples(rng, n, horizon):
 def test_aggregate_metrics_matches_the_loop_on_random_triples(n, horizon):
     # at horizon 1, np.sum over the scenarios would add pairwise and differ from the loop
     per = _random_triples(np.random.default_rng(n * horizon), n, horizon)
-    for threshold in (0.5, 0.25):
-        got, want = aggregate_metrics(per, threshold), reference_aggregate_metrics(per, threshold)
-        assert got == want
-        assert _report_bits(got) == _report_bits(want)
+    got, want = aggregate_metrics(per), reference_aggregate_metrics(per)
+    assert got == want
+    assert _report_bits(got) == _report_bits(want)
 
 
 @pytest.mark.parametrize(
