@@ -29,18 +29,23 @@ sets compared as sets, ``t`` and ``label`` as exact ints, one
 values, and the corner order on its (n, 4) block of boxes. The bulk check
 never raises; a record it declines is walked field by field
 (``_parse_record``), the one place that words a load error, so an error's
-type, line and message do not depend on the bulk check.
+type, line and message do not depend on the bulk check. Both hand the
+arrays they checked to ``_scenario``, which builds every loaded record.
 
 Serialization is deterministic, so re-serializing a file that
 ``write_dataset`` wrote reproduces it byte for byte; another file comes back
 in that canonical form (``"fps": 10`` reads back as ``10.0``, and a missing
 ``cam_dx`` as ``0.0``). ``generate_synthetic`` checks only that its draw is
 finite and that each scenario found a draw clear of the label margins.
-A generated scenario's frames share one tuple of its crosswalk and vehicles;
-a loaded record holds one instance per object and frame.
-Both hand out read-only feature arrays (a loaded record's are rows of one
-(n, D) block): ``model`` packs a record's arrays once and keeps the packed
-copy on the record (see ``scene``).
+A generated scenario's frames share one tuple of its crosswalk and vehicles.
+A loaded record keeps its objects as columns: one read-only
+``scene.ObjectColumns`` block, each frame's ``objects`` a
+``scene.LoadedObjects`` over its rows, and no per-object record until
+something reads one (``serialize``, ``oracle_labels``); its frames and their
+pedestrian boxes are records as usual. Both hand out read-only feature
+arrays (a loaded record's are rows of one (n, D) block): ``model`` packs a
+record's arrays once, a loaded record's from its columns, and keeps the
+packed copy on the record (see ``scene``).
 
 Synthetic scenarios and the labeling rule
 -----------------------------------------
@@ -75,7 +80,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -87,7 +92,9 @@ from .scene import (
     VEHICLE_CATEGORIES,
     BoundingBox,
     FrameObservation,
+    LoadedObjects,
     ObjectCategory,
+    ObjectColumns,
     ObjectObservation,
     Scenario,
 )
@@ -140,12 +147,12 @@ def _numbers(value, what: str, line: int) -> np.ndarray:
     return arr
 
 
-def _box(value, what: str, line: int) -> BoundingBox:
+def _box(value, what: str, line: int) -> np.ndarray:
     corners = _numbers(value, what, line)
     _require(corners.size == 4, f"{what} must have 4 entries, got {corners.size}", line)
     xmin, ymin, xmax, ymax = corners.tolist()
     _require(xmin <= xmax and ymin <= ymax, f"{what}: degenerate box: ({xmin}, {ymin}, {xmax}, {ymax})", line)
-    return BoundingBox(xmin, ymin, xmax, ymax)
+    return corners
 
 
 _RECORD_KEYS = {"id", "fps", "frames"}
@@ -153,10 +160,35 @@ _FRAME_KEYS = {"t", "ped", "objects", "label"}
 _PED_KEYS = {"box", "feat"}
 _OBJECT_KEYS = {"cat", "box", "feat"}  # and the optional "cam_dx"
 _OBJECT_KEY_SETS = (_OBJECT_KEYS, _OBJECT_KEYS | {"cam_dx"})
-_CATEGORIES = {c.value: c for c in ObjectCategory}
+_CATEGORY_INDEX = {c.value: c.index for c in ObjectCategory}
 
 
-def _parse_frame(obj, line: int, width: list[int | None]) -> FrameObservation:
+def _scenario(rid: str, fps: float, ts: list, labels: list, counts: list, corners, values, categories: list, cam_dx) -> Scenario:
+    """The loaded record of checked arrays: (n, 4) ``corners`` and (n, D) ``values``, the F frames' pedestrian rows, then each frame's ``counts[f]`` object rows.
+
+    The record keeps them as its ObjectColumns, every array read-only; each
+    frame holds its pedestrian box, a row view of ``values`` and a
+    LoadedObjects over its object rows.
+    """
+    f = len(ts)
+    corners, values = _read_only(corners), _read_only(values)
+    columns = ObjectColumns(
+        corners[:f],
+        values[:f],
+        _read_only(np.array(counts, dtype=np.intp)),
+        corners[f:],
+        values[f:],
+        _read_only(np.array(categories, dtype=np.intp)),
+        _read_only(cam_dx),
+    )
+    stops = list(accumulate(counts))
+    objects = map(LoadedObjects, repeat(columns), [0, *stops[:-1]], stops)
+    ped_boxes = map(BoundingBox, *columns.ped_boxes.T.tolist())
+    return Scenario(id=rid, frames=tuple(map(FrameObservation, ts, ped_boxes, list(columns.ped_feats), objects, labels)), fps=fps)
+
+
+def _parse_frame(obj, line: int, width: list[int | None]) -> tuple:
+    """One frame, walked field by field: (t, label, pedestrian corners and feature, object categories, corners, features, cam_dx)."""
     _check_keys(obj, _FRAME_KEYS, set(), "frame", line)
     t = obj["t"]
     _require(isinstance(t, int) and not isinstance(t, bool), f"t must be an integer, got {t!r}", line)
@@ -169,7 +201,7 @@ def _parse_frame(obj, line: int, width: list[int | None]) -> FrameObservation:
         width[0] = width[0] or feat.size
         if feat.size != width[0]:
             raise FeatureWidthError(f"{what} has width {feat.size}, file uses width {width[0]}", line)
-        return _read_only(feat)
+        return feat
 
     ped = obj["ped"]
     _check_keys(ped, _PED_KEYS, set(), "ped", line)
@@ -180,28 +212,16 @@ def _parse_frame(obj, line: int, width: list[int | None]) -> FrameObservation:
     _require(isinstance(objects, list), "objects must be an array", line)
     for entry in objects:
         _check_keys(entry, _OBJECT_KEYS, {"cam_dx"}, "object", line)
-    cam_dx = _numbers([entry.get("cam_dx", 0.0) for entry in objects], "cam_dx", line).tolist()
-    parsed = []
-    for entry, dx in zip(objects, cam_dx):
+    cam_dx = _numbers([entry.get("cam_dx", 0.0) for entry in objects], "cam_dx", line)
+    categories, boxes, feats = [], [], []
+    for entry in objects:
         try:
-            category = ObjectCategory.from_name(entry["cat"])
+            categories.append(ObjectCategory.from_name(entry["cat"]).index)
         except ValueError as exc:
             raise RecordParseError(str(exc), line) from exc
-        parsed.append(
-            ObjectObservation(
-                category=category,
-                box=_box(entry["box"], "object box", line),
-                feature=feature(entry["feat"], "object feat"),
-                camera_offset_x=dx,
-            )
-        )
-    return FrameObservation(
-        timestamp_index=t,
-        pedestrian_box=ped_box,
-        pedestrian_feature=ped_feat,
-        objects=tuple(parsed),
-        crossing_label=label,
-    )
+        boxes.append(_box(entry["box"], "object box", line))
+        feats.append(feature(entry["feat"], "object feat"))
+    return t, label, ped_box, ped_feat, categories, boxes, feats, cam_dx
 
 
 def _parse_record(obj, line: int, width: list[int | None]) -> Scenario:
@@ -213,12 +233,23 @@ def _parse_record(obj, line: int, width: list[int | None]) -> Scenario:
     _require(isinstance(frames_raw, list), "frames must be an array", line)
 
     frames = [_parse_frame(f, line, width) for f in frames_raw]
-    for prev, frame in zip(frames, frames[1:]):
-        t0, t1 = prev.timestamp_index, frame.timestamp_index
+    ts = [frame[0] for frame in frames]
+    for t0, t1 in zip(ts, ts[1:]):
         _require(t0 < t1, f"timestamps must increase strictly ({t0} then {t1})", line, TimestampOrderError)
     _require(frames, f"scenario {obj['id']!r} has no frames", line)
     _require(fps > 0, f"scenario {obj['id']!r}: fps must be positive, got {fps!r}", line)
-    return Scenario(id=obj["id"], frames=tuple(frames), fps=fps)
+    _, labels, ped_boxes, ped_feats, categories, boxes, feats, cam_dx = zip(*frames)
+    return _scenario(
+        obj["id"],
+        fps,
+        ts,
+        list(labels),
+        [len(c) for c in categories],
+        np.array([*ped_boxes, *chain.from_iterable(boxes)]),
+        np.array([*ped_feats, *chain.from_iterable(feats)]),
+        list(chain.from_iterable(categories)),
+        np.concatenate(cam_dx),
+    )
 
 
 def _only(values, kind: type) -> bool:
@@ -232,7 +263,7 @@ def _bulk_record(obj, width: list[int | None]) -> Scenario | None:
     The same rules, checked a kind at a time over the whole record: key sets
     compared as sets, one finite_array each over its boxes, its features and
     its cam_dx values, and the corner order on the (n, 4) block of boxes.
-    Features are read-only rows of one (n, D) block, pedestrians' first.
+    Those arrays, pedestrians' rows first, are the record's ObjectColumns.
     Never raises: a record it declines may still be valid, and the walk
     decides.
     """
@@ -257,7 +288,7 @@ def _bulk_record(obj, width: list[int | None]) -> Scenario | None:
     names = [o["cat"] for o in objects]
     if not _only(names, str):
         return None
-    categories = list(map(_CATEGORIES.get, names))
+    categories = list(map(_CATEGORY_INDEX.get, names))
     if None in categories:
         return None
     boxes = [p["box"] for p in peds] + [o["box"] for o in objects]
@@ -279,24 +310,7 @@ def _bulk_record(obj, width: list[int | None]) -> Scenario | None:
         return None
 
     width[0] = d
-    n_frames = len(frames)
-    box_list = list(map(BoundingBox, *corners.T.tolist()))
-    rows = list(_read_only(values).reshape(-1, d))
-    observations = map(ObjectObservation, categories, box_list[n_frames:], rows[n_frames:], cam_dx.tolist())
-    return Scenario(
-        id=rid,
-        frames=tuple(
-            map(
-                FrameObservation,
-                ts,
-                box_list[:n_frames],
-                rows[:n_frames],
-                [tuple(islice(observations, len(entries))) for entries in per_frame],
-                labels,
-            )
-        ),
-        fps=rate.item(),
-    )
+    return _scenario(rid, rate.item(), ts, labels, list(map(len, per_frame)), corners, values.reshape(-1, d), categories, cam_dx)
 
 
 def load(path, min_frames: int | None = None) -> list[Scenario]:

@@ -66,7 +66,8 @@ folds outer_rows' stack instead.
 
 forward_chunk reads no frame or object record after a scenario's first
 pass. _pack walks the observed frames of a pass's new scenarios once,
-after _check_scenario, as every pass did before, into one _Window keyed
+after _check_scenario, reading a loaded frame's objects from its record's
+columns and walking any other frame's (_object_rows), into one _Window keyed
 by (T, graph_mode) that holds only what a pass of that mode reads: the
 pedestrian features; unless pedestrian_only (the taped forward reads no
 objects either), _object_rows' canonically ordered object features and
@@ -136,7 +137,7 @@ from .recurrent import (
     prediction_rollout,
     run_observation,
 )
-from .scene import CATEGORY_COUNT, RELATION_OVERFLOW, FrameObservation, ObjectCategory, Scenario, relation_rows, spatial_relation
+from .scene import CATEGORY_COUNT, RELATION_OVERFLOW, FrameObservation, LoadedObjects, ObjectCategory, Scenario, relation_rows, spatial_relation
 
 GRAPH_MODES = ("star", "fully_connected", "concat_baseline", "pedestrian_only")
 
@@ -390,6 +391,7 @@ def check_parameters(cfg: ModelConfig, values: Mapping[str, np.ndarray]) -> Para
 _BY_VALUE = sorted(ObjectCategory, key=lambda c: c.value)
 _VALUE_RANK = {c._value_: rank for rank, c in enumerate(_BY_VALUE)}
 _RANK_INDEX = np.array([c.index for c in _BY_VALUE], dtype=np.intp)
+_INDEX_RANK = np.argsort(_RANK_INDEX)  # ObjectCategory.index -> rank of its value
 
 
 class _ObjectRows(NamedTuple):
@@ -409,23 +411,60 @@ def _stacked(rows: list, width: int) -> np.ndarray:
     return stack
 
 
-def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
-    flat = [o for f in frames for o in f.objects]
-    counts = np.array([len(f.objects) for f in frames], dtype=np.intp)
-    feats = _stacked([o.feature for o in flat], width)
+def _walked(objects: list, width: int) -> tuple:
+    """The (M, D) features, (M, 4) raw boxes, (M,) ObjectCategory.index and (M,) camera offsets of hand-built or generated ``objects``."""
+    feats = _stacked([o.feature for o in objects], width)
     keys = np.array(
-        [(_VALUE_RANK[o.category._value_], o.box.xmin, o.box.ymin, o.box.xmax, o.box.ymax, o.camera_offset_x) for o in flat]
-    ).reshape(len(flat), 6)
-    # np.lexsort is stable and sorts by its last key first: frame, then
-    # category value, raw box corners, camera offset and feature, like sorted()
-    # on (frame, category.value, *box, camera_offset_x, *feature)
-    order = np.lexsort([*feats.T[::-1], *keys.T[::-1], np.repeat(np.arange(len(frames)), counts)])
-    feats, keys = feats[order], keys[order]
-    boxes, dx = keys[:, 1:5], keys[:, 5]
+        [(_VALUE_RANK[o.category._value_], o.box.xmin, o.box.ymin, o.box.xmax, o.box.ymax, o.camera_offset_x) for o in objects]
+    ).reshape(len(objects), 6)
+    return feats, keys[:, 1:5], _RANK_INDEX[keys[:, 0].astype(np.intp)], keys[:, 5]
+
+
+def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
+    """The _ObjectRows of ``frames``: a loaded frame's objects read from its record's ObjectColumns, any other frame's walked.
+
+    Consecutive loaded frames of one record are one slice of its columns,
+    and consecutive other frames one _walked call; ValueError unless every
+    feature is ``width`` wide.
+    """
+    counts, runs = [], []  # a run: [columns, start, stop] of one loaded record's consecutive rows, or [None, objects]
+    for f in frames:
+        objs = f.objects
+        counts.append(len(objs))
+        if type(objs) is LoadedObjects:
+            if runs and runs[-1][0] is objs.columns and runs[-1][2] == objs.start:
+                runs[-1][2] = objs.stop
+            else:
+                runs.append([objs.columns, objs.start, objs.stop])
+        elif runs and runs[-1][0] is None:
+            runs[-1][1].extend(objs)
+        else:
+            runs.append([None, list(objs)])
+    parts = [_walked([], width)]  # its (0, width) features make np.concatenate refuse a record of another width
+    for columns, *rows in runs:
+        if columns is None:
+            parts.append(_walked(rows[0], width))
+        else:
+            at = slice(*rows)
+            parts.append((columns.feats[at], columns.boxes[at], columns.categories[at], columns.cam_dx[at]))
+    feats, boxes, categories, dx = (np.concatenate(column) for column in zip(*parts))
+    counts = np.array(counts, dtype=np.intp)
+    # np.lexsort is stable and sorts by its last key first: frame and category
+    # value, then raw box corners, camera offset and feature, like sorted() on
+    # (frame, category.value, *box, camera_offset_x, *feature). Rows seldom tie
+    # on frame, category and xmin, so those are sorted on first, and every key
+    # only when the xmin of one frame's objects of one category do not
+    # strictly increase (a tie, or a NaN).
+    keys = [*feats.T[::-1], dx, *boxes.T[::-1], np.repeat(np.arange(len(frames)) * CATEGORY_COUNT, counts) + _INDEX_RANK[categories]]
+    order = np.lexsort(keys[-2:])
+    group, xmin = keys[-1][order], keys[-2][order]
+    if not ((group[1:] != group[:-1]) | (xmin[1:] > xmin[:-1])).all():
+        order = np.lexsort(keys)
+    feats, boxes, dx = feats[order], boxes[order], dx[order]
     shifted = dx != 0.0  # aligned_box() leaves these boxes as they are, even a -0.0 corner
     boxes[shifted, 0] += dx[shifted]
     boxes[shifted, 2] += dx[shifted]
-    return _ObjectRows(counts, feats, boxes, _RANK_INDEX[keys[:, 0].astype(np.intp)])
+    return _ObjectRows(counts, feats, boxes, categories[order])
 
 
 def _check_finite(
@@ -519,12 +558,13 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
 
     One walk over all B * T frames (_observed_rows), as a pass made before
     windows were kept: (F, D) pedestrian features and, unless
-    pedestrian_only, _object_rows' counts, features and categories. star
-    and fully_connected then compute the relation of every edge they score
-    in one relation_rows call: star's spokes, each object against its
-    frame's pedestrian box, and fully_connected's spokes and pairs, the
-    boxes _edge_rows picks. No relation is checked here: a pass finds an
-    overflowed row every time it reads them, in forward_logits' order. Only
+    pedestrian_only, _object_rows' counts, features and categories, a loaded
+    frame's read from its columns. star and fully_connected then compute
+    the relation of every edge they score in one relation_rows call: star's
+    spokes, each object against its frame's pedestrian box, and
+    fully_connected's spokes and pairs, the boxes _edge_rows picks. No
+    relation is checked here: a pass finds an overflowed row every time it
+    reads them, in forward_logits' order. Only
     once that build succeeds does each scenario get its window, read-only
     views of these arrays, and do the feature arrays it was built from
     become read-only, so writing to one raises instead of leaving the
@@ -534,8 +574,8 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
     observed, ped, ped_boxes, objs = _observed_rows(scenarios, cfg)
     sources, window = [f.pedestrian_feature for f in observed], _Window((t_obs, mode), ped)
     frames = rows = edges = list(range(0, len(ped) + 1, t_obs))
-    if objs is not None:
-        sources += [o.feature for f in observed for o in f.objects]
+    if objs is not None:  # a loaded record's object features are read-only already
+        sources += [o.feature for f in observed if type(f.objects) is not LoadedObjects for o in f.objects]
         rows = edges = [0, *objs.counts.reshape(len(scenarios), t_obs).sum(axis=1).cumsum().tolist()]
         window = window._replace(counts=objs.counts, feats=objs.feats, categories=objs.categories)
     if mode == "star":

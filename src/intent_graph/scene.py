@@ -17,16 +17,19 @@ it can name the first frame whose relation overflowed.
 The scene dataclasses are plain frozen records with slots: they check
 nothing. ``data.load`` fills them from a file and owns every rule on a record
 (see the ``data`` module docstring); the synthetic generator fills them from a
-config and checks that its draw stayed finite. A loaded dataset holds one
-instance per box, object and frame, and slots take about a tenth off its memory;
-the frames of a generated scenario share one tuple of its static objects.
+config and checks that its draw stayed finite. A loaded record keeps its
+frames' objects as columns: one read-only ObjectColumns block per record,
+and each frame's ``objects`` a LoadedObjects sequence over its rows, which
+builds its ObjectObservations only when something reads them. The frames
+of a generated scenario share one tuple of its static objects.
 
 A Scenario also has one slot that is not data: ``window``, where ``model``
 keeps the scenario's observed frames packed into arrays on its first
 forward pass, with the relation of every edge the pass's graph mode
 scores (the edges themselves follow from the object counts), so that
 later passes of that mode skip the walk over frames and objects and
-every relation.
+every relation. That first pass reads a loaded frame's objects from its
+columns and walks any other frame's.
 The loader and the generator hand out read-only feature arrays (the
 loader's are row views of one (n, D) block per record, its pedestrians'
 rows first), and that first pass makes a hand-built record's packed
@@ -37,8 +40,10 @@ window.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,6 +81,7 @@ class ObjectCategory(Enum):
 
 
 _CATEGORY_INDEX = {member: i for i, member in enumerate(ObjectCategory)}
+_BY_INDEX = tuple(ObjectCategory)
 CATEGORY_COUNT = len(ObjectCategory)
 
 VEHICLE_CATEGORIES = frozenset(
@@ -183,8 +189,66 @@ class FrameObservation:
     timestamp_index: int
     pedestrian_box: BoundingBox
     pedestrian_feature: np.ndarray
-    objects: tuple[ObjectObservation, ...]
+    objects: Sequence[ObjectObservation]  # a tuple, or a loaded frame's LoadedObjects
     crossing_label: int
+
+
+class ObjectColumns(NamedTuple):
+    """A loaded record's frames as the read-only arrays its file holds, row for row.
+
+    Row f of ``ped_boxes`` and ``ped_feats`` is frame f's pedestrian. The M
+    object rows run frame by frame in file order, ``counts[f]`` of them for
+    frame f. ``ped_feats`` and ``feats`` are the two parts of one (F + M, D)
+    block, and so are ``ped_boxes`` and ``boxes`` of one (F + M, 4) block.
+    """
+
+    ped_boxes: np.ndarray  # (F, 4) [xmin, ymin, xmax, ymax]
+    ped_feats: np.ndarray  # (F, D)
+    counts: np.ndarray  # (F,) objects per frame
+    boxes: np.ndarray  # (M, 4) as written, not shifted by cam_dx
+    feats: np.ndarray  # (M, D)
+    categories: np.ndarray  # (M,) ObjectCategory.index
+    cam_dx: np.ndarray  # (M,) camera_offset_x
+
+
+class LoadedObjects(Sequence):
+    """A loaded frame's objects: rows ``start:stop`` of its record's ObjectColumns, read-only.
+
+    ``len`` reads no row, and ``model`` packs the rows from the columns. The
+    first read of an object builds the frame's ObjectObservations, each
+    field what the file holds (a feature is a row view of ``feats``), and
+    keeps them, so the sequence reads as the tuple it stands for.
+    """
+
+    __slots__ = ("columns", "start", "stop", "_built")
+
+    def __init__(self, columns: ObjectColumns, start: int, stop: int):
+        self.columns, self.start, self.stop = columns, start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, index):
+        return self._objects()[index]
+
+    def __iter__(self):
+        return iter(self._objects())
+
+    def _objects(self) -> tuple[ObjectObservation, ...]:
+        try:
+            return self._built
+        except AttributeError:
+            c, rows = self.columns, slice(self.start, self.stop)
+            self._built = tuple(
+                map(
+                    ObjectObservation,
+                    map(_BY_INDEX.__getitem__, c.categories[rows].tolist()),
+                    map(BoundingBox, *c.boxes[rows].T.tolist()),
+                    c.feats[rows],
+                    c.cam_dx[rows].tolist(),
+                )
+            )
+            return self._built
 
 
 @dataclass(frozen=True, eq=False, slots=True)

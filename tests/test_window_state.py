@@ -3,9 +3,9 @@
 A Scenario keeps its packed observed frames on its ``window`` slot, keyed by
 (T, graph_mode), and every later pass of that key reads them: alone as they
 are, or side by side with other records' windows. The machine draws passes
-over a fixed pool of records (generated, loaded, hand-built, copied, and
-some that every pass or some modes refuse) under a few model shapes, and
-checks after every pass that:
+over a pool of records (generated, loaded, hand-built, copied, and some
+that every pass or some modes refuse) under a few model shapes, and checks
+after every pass that:
 
 - its result, or its error's type and message, is the one the same call
   gives on cold copies of the records (``dataclasses.replace``), under
@@ -13,6 +13,10 @@ checks after every pass that:
 - every record a pass succeeded on holds a window of that pass's key;
 - every window holds read-only arrays under the key of the pack that made it;
 - a pack that raised left every record's window as it was.
+
+Between passes it may read a loaded frame's objects, which builds them, or
+swap a loaded record for a copy whose frame holds those objects as a tuple,
+so passes mix records packed from their columns with walked ones.
 """
 
 import dataclasses
@@ -29,7 +33,7 @@ from intent_graph import model
 from intent_graph.data import SynthConfig, generate_synthetic, load, write_dataset
 from intent_graph.model import ModelConfig, forward, forward_batch, forward_logits, init_parameters
 from intent_graph.recurrent import TemporalConfig
-from intent_graph.scene import BoundingBox, ObjectCategory, ObjectObservation
+from intent_graph.scene import BoundingBox, LoadedObjects, ObjectCategory, ObjectObservation
 from intent_graph.training import TrainConfig, evaluate, scenario_gradients, train
 
 # (T, K, graph_mode, num_layers): two modes that read relations share T = 4, and two shapes share each graph mode
@@ -74,10 +78,6 @@ def _changed(scenario, id, frame, **changes):
 def _pool():
     """The records the machine passes, every one with 7 frames of width-6 features but "short"."""
     generated = generate_synthetic(SynthConfig(n_scenarios=3, frames_per_scenario=7, D=6, seed=21, vehicle_count_range=(1, 5)))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "pool.jsonl"
-        write_dataset(path, generate_synthetic(SynthConfig(n_scenarios=2, frames_per_scenario=7, D=6, seed=22)))
-        loaded = load(path)
     base = generated[0]
     rng = np.random.default_rng(0)
     many = [
@@ -86,13 +86,19 @@ def _pool():
     ]
     twin = ObjectObservation(ObjectCategory.TRUCK, BoundingBox(500.0, 300.0, 600.0, 380.0), np.array([1.0, 0, 0, 0, 0, 0]))
     tied = [twin, dataclasses.replace(twin, feature=np.array([0.5, 0, 0, 0, 0, 0])), twin, dataclasses.replace(twin, camera_offset_x=0.0)]
+    tied_scene = _with_objects(base, "tied", lambda t, f: tied[t % 2 :])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pool.jsonl"
+        draw = generate_synthetic(SynthConfig(n_scenarios=2, frames_per_scenario=7, D=6, seed=22, vehicle_count_range=(2, 6)))
+        write_dataset(path, [*draw, dataclasses.replace(tied_scene, id="loaded-tied")])
+        loaded = load(path)
     return [
         *generated,
         *loaded,
         dataclasses.replace(generated[1]),  # shares its frames with generated[1]
         _with_objects(base, "empty", lambda t, f: ()),
         _with_objects(base, "many", lambda t, f: many[: 3 + t]),
-        _with_objects(base, "tied", lambda t, f: tied[t % 2 :]),
+        tied_scene,
         _changed(base, "overflow", 2, box=BoundingBox(-1.7e308, 0.0, 1.7e308, 10.0)),  # its spoke relation overflows
         _changed(base, "nan-box", 1, box=BoundingBox(np.nan, 0.0, 10.0, 20.0)),  # a pack that reads objects refuses it
         _changed(base, "narrow", 1, feature=np.ones(3)),  # a width-3 object feature: likewise
@@ -139,12 +145,15 @@ REFUSED = 4  # the pool's last records, which some passes refuse: drawn a quarte
 shapes = st.sampled_from(SHAPES)
 records = st.sampled_from([i for i in range(len(_pool())) for _ in range(1 if i >= len(_pool()) - REFUSED else 4)])
 picks = st.lists(records, min_size=1, max_size=8)
+loaded = st.sampled_from([i for i, s in enumerate(_pool()) if type(s.frames[0].objects) is LoadedObjects])
+frames = st.integers(0, 6)
 
 
 class WindowMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.pool = [dataclasses.replace(s) for s in _pool()]  # cold windows for each run
+        self.swapped = []  # records swapped out of the pool, kept so that no pool record can take their id
         self.keys = {}  # id of a pool record: the key of the last pack that gave it a window
         self.last = None  # the last pass's (shape, at, call)
         self.pack = model._pack
@@ -202,6 +211,19 @@ class WindowMachine(RuleBasedStateMachine):
     @rule(shape=shapes, at=picks, batch_size=st.integers(1, 8))
     def train_one_epoch(self, shape, at, batch_size):
         self._same_as_cold(shape, at, _train(batch_size))
+
+    @rule(at=loaded, frame=frames)
+    def read_loaded_objects(self, at, frame):  # builds them, or reads the tuple a swap put there
+        objects = self.pool[at].frames[frame].objects
+        assert tuple(objects) == tuple(objects) and len(tuple(objects)) == len(objects)
+
+    @rule(at=loaded, frame=frames)
+    def swap_in_walked_objects(self, at, frame):
+        old = self.pool[at]
+        walked = dataclasses.replace(old.frames[frame], objects=tuple(old.frames[frame].objects))
+        self.pool[at] = dataclasses.replace(old, frames=(*old.frames[:frame], walked, *old.frames[frame + 1 :]))
+        self.keys.pop(id(old), None)
+        self.swapped.append(old)
 
     @precondition(lambda self: self.last is not None)
     @rule()
