@@ -41,8 +41,9 @@ A generated scenario's frames share one tuple of its crosswalk and vehicles.
 A loaded record keeps its objects as columns: one read-only
 ``scene.ObjectColumns`` block, each frame's ``objects`` a
 ``scene.LoadedObjects`` over its rows, and no per-object record until
-something reads one (``serialize``, ``oracle_labels``); its frames and their
-pedestrian boxes are records as usual. Both hand out read-only feature
+something iterates or indexes a frame's objects (``serialize`` and
+``oracle_labels`` read the columns); its frames and their pedestrian boxes
+are records as usual. Both hand out read-only feature
 arrays (a loaded record's are rows of one (n, D) block): ``model`` packs a
 record's arrays once, a loaded record's from its columns, and keeps the
 packed copy on the record (see ``scene``).
@@ -166,25 +167,17 @@ _CATEGORY_INDEX = {c.value: c.index for c in ObjectCategory}
 def _scenario(rid: str, fps: float, ts: list, labels: list, counts: list, corners, values, categories: list, cam_dx) -> Scenario:
     """The loaded record of checked arrays: (n, 4) ``corners`` and (n, D) ``values``, the F frames' pedestrian rows, then each frame's ``counts[f]`` object rows.
 
-    The record keeps them as its ObjectColumns, every array read-only; each
-    frame holds its pedestrian box, a row view of ``values`` and a
-    LoadedObjects over its object rows.
+    Each frame holds its pedestrian box, a row view of ``values`` and a
+    LoadedObjects over its object rows of the record's ObjectColumns, every
+    array read-only.
     """
     f = len(ts)
     corners, values = _read_only(corners), _read_only(values)
-    columns = ObjectColumns(
-        corners[:f],
-        values[:f],
-        _read_only(np.array(counts, dtype=np.intp)),
-        corners[f:],
-        values[f:],
-        _read_only(np.array(categories, dtype=np.intp)),
-        _read_only(cam_dx),
-    )
+    columns = ObjectColumns(corners[f:], values[f:], _read_only(np.array(categories, dtype=np.intp)), _read_only(cam_dx))
     stops = list(accumulate(counts))
     objects = map(LoadedObjects, repeat(columns), [0, *stops[:-1]], stops)
-    ped_boxes = map(BoundingBox, *columns.ped_boxes.T.tolist())
-    return Scenario(id=rid, frames=tuple(map(FrameObservation, ts, ped_boxes, list(columns.ped_feats), objects, labels)), fps=fps)
+    ped_boxes = map(BoundingBox, *corners[:f].T.tolist())
+    return Scenario(id=rid, frames=tuple(map(FrameObservation, ts, ped_boxes, list(values[:f]), objects, labels)), fps=fps)
 
 
 def _parse_frame(obj, line: int, width: list[int | None]) -> tuple:
@@ -263,7 +256,7 @@ def _bulk_record(obj, width: list[int | None]) -> Scenario | None:
     The same rules, checked a kind at a time over the whole record: key sets
     compared as sets, one finite_array each over its boxes, its features and
     its cam_dx values, and the corner order on the (n, 4) block of boxes.
-    Those arrays, pedestrians' rows first, are the record's ObjectColumns.
+    Those arrays, pedestrians' rows first, go to _scenario.
     Never raises: a record it declines may still be valid, and the walk
     decides.
     """
@@ -336,6 +329,13 @@ def load(path, min_frames: int | None = None) -> list[Scenario]:
     return scenarios
 
 
+def _object_fields(objects: Sequence[ObjectObservation]) -> list[tuple]:
+    """Each object's (category, [xmin, ymin, xmax, ymax], feature, camera_offset_x); a loaded frame's read from its columns."""
+    if type(objects) is LoadedObjects:
+        return objects.fields()
+    return [(o.category, o.box.as_list(), o.feature, o.camera_offset_x) for o in objects]
+
+
 def scenario_to_record(s: Scenario) -> dict:
     return {
         "id": s.id,
@@ -345,13 +345,8 @@ def scenario_to_record(s: Scenario) -> dict:
                 "t": f.timestamp_index,
                 "ped": {"box": f.pedestrian_box.as_list(), "feat": f.pedestrian_feature.tolist()},
                 "objects": [
-                    {
-                        "cat": o.category.value,
-                        "box": o.box.as_list(),
-                        "feat": o.feature.tolist(),
-                        "cam_dx": o.camera_offset_x,
-                    }
-                    for o in f.objects
+                    {"cat": category.value, "box": box, "feat": feature.tolist(), "cam_dx": dx}
+                    for category, box, feature, dx in _object_fields(f.objects)
                 ],
                 "label": f.crossing_label,
             }
@@ -477,11 +472,11 @@ def oracle_thresholds(cfg: SynthConfig) -> tuple[float, float]:
 
 def _frame_labels(
     ped_boxes: Sequence[BoundingBox],
-    frame_objects: Sequence[Sequence[tuple[ObjectCategory, BoundingBox]]],
+    frame_objects: Sequence[Sequence[tuple[ObjectCategory, tuple[float, float]]]],
     theta_x: float,
     theta_v: float,
 ) -> list[int]:
-    """Each frame's crossing label from its pedestrian box and its objects' (category, aligned box) pairs.
+    """Each frame's crossing label from its pedestrian box and its objects' (category, aligned box center) pairs.
 
     The one statement of the rule in the module docstring; vx is the
     difference of consecutive pedestrian box centers, never a drawn velocity.
@@ -492,11 +487,19 @@ def _frame_labels(
     labels = []
     for (pcx, pcy), vx, objects in zip(centers, velocities, frame_objects):
         # the nearest crosswalk's dxc; with none, 0.0 fails the toward clause
-        dxc = min((box.center[0] - pcx for c, box in objects if c in CROSSWALK_CATEGORIES), key=abs, default=0.0)
-        vehicles = (box.center for c, box in objects if c in VEHICLE_CATEGORIES)
+        dxc = min((cx - pcx for c, (cx, _) in objects if c in CROSSWALK_CATEGORIES), key=abs, default=0.0)
+        vehicles = (center for c, center in objects if c in VEHICLE_CATEGORIES)
         blocked = (math.hypot(ocx - pcx, ocy - pcy) < theta_v for ocx, ocy in vehicles)
         labels.append(int(abs(dxc) < theta_x and dxc * vx > 0 and not any(blocked)))
     return labels
+
+
+def _aligned_center(corners: list[float], dx: float) -> tuple[float, float]:
+    """The center of ObjectObservation.aligned_box() for an object of these corners and camera offset."""
+    xmin, ymin, xmax, ymax = corners
+    if dx != 0.0:
+        xmin, xmax = xmin + dx, xmax + dx
+    return 0.5 * (xmin + xmax), 0.5 * (ymin + ymax)
 
 
 def oracle_labels(scenario: Scenario, theta_x: float, theta_v: float) -> list[int]:
@@ -504,7 +507,7 @@ def oracle_labels(scenario: Scenario, theta_x: float, theta_v: float) -> list[in
     frames = scenario.frames
     return _frame_labels(
         [f.pedestrian_box for f in frames],
-        [[(o.category, o.aligned_box()) for o in f.objects] for f in frames],
+        [[(c, _aligned_center(box, dx)) for c, box, _, dx in _object_fields(f.objects)] for f in frames],
         theta_x,
         theta_v,
     )
@@ -652,7 +655,7 @@ def _generate_one(cfg: SynthConfig, index: int, p_obj: np.ndarray, p_ped: np.nda
     ped_boxes = [_box_at(pcx + t * vx, pcy + t * vy, pw, ph) for t in range(cfg.frames_per_scenario)]
     features = [_ped_feature(cfg, p_ped, box, vx, vy) for box in ped_boxes]
     n = len(ped_boxes)
-    labels = _frame_labels(ped_boxes, [boxes] * n, theta_x, theta_v)
+    labels = _frame_labels(ped_boxes, [[(c, b.center) for c, b in boxes]] * n, theta_x, theta_v)
     frames = tuple(map(FrameObservation, range(n), ped_boxes, features, [objects] * n, labels))
     return Scenario(id=f"synth-{cfg.seed}-{index:05d}", frames=frames, fps=cfg.fps)
 

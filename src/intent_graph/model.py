@@ -440,26 +440,21 @@ def _object_rows(frames: Sequence[FrameObservation], width: int) -> _ObjectRows:
             runs[-1][1].extend(objs)
         else:
             runs.append([None, list(objs)])
-    parts = [_walked([], width)]  # its (0, width) features make np.concatenate refuse a record of another width
+    parts = []
     for columns, *rows in runs:
         if columns is None:
             parts.append(_walked(rows[0], width))
+        elif columns.feats.shape[1] != width:
+            raise ValueError(f"loaded object features are {columns.feats.shape[1]} wide, not {width}")
         else:
             at = slice(*rows)
             parts.append((columns.feats[at], columns.boxes[at], columns.categories[at], columns.cam_dx[at]))
-    feats, boxes, categories, dx = (np.concatenate(column) for column in zip(*parts))
+    feats, boxes, categories, dx = map(np.concatenate, zip(*parts))
     counts = np.array(counts, dtype=np.intp)
-    # np.lexsort is stable and sorts by its last key first: frame and category
-    # value, then raw box corners, camera offset and feature, like sorted() on
-    # (frame, category.value, *box, camera_offset_x, *feature). Rows seldom tie
-    # on frame, category and xmin, so those are sorted on first, and every key
-    # only when the xmin of one frame's objects of one category do not
-    # strictly increase (a tie, or a NaN).
-    keys = [*feats.T[::-1], dx, *boxes.T[::-1], np.repeat(np.arange(len(frames)) * CATEGORY_COUNT, counts) + _INDEX_RANK[categories]]
-    order = np.lexsort(keys[-2:])
-    group, xmin = keys[-1][order], keys[-2][order]
-    if not ((group[1:] != group[:-1]) | (xmin[1:] > xmin[:-1])).all():
-        order = np.lexsort(keys)
+    # np.lexsort is stable and sorts by its last key first: frame, then
+    # category value, raw box corners, camera offset and feature, like sorted()
+    # on (frame, category.value, *box, camera_offset_x, *feature)
+    order = np.lexsort([*feats.T[::-1], dx, *boxes.T[::-1], _INDEX_RANK[categories], np.repeat(np.arange(len(frames)), counts)])
     feats, boxes, dx = feats[order], boxes[order], dx[order]
     shifted = dx != 0.0  # aligned_box() leaves these boxes as they are, even a -0.0 corner
     boxes[shifted, 0] += dx[shifted]

@@ -20,8 +20,9 @@ nothing. ``data.load`` fills them from a file and owns every rule on a record
 config and checks that its draw stayed finite. A loaded record keeps its
 frames' objects as columns: one read-only ObjectColumns block per record,
 and each frame's ``objects`` a LoadedObjects sequence over its rows, which
-builds its ObjectObservations only when something reads them. The frames
-of a generated scenario share one tuple of its static objects.
+builds its ObjectObservations only when something iterates or indexes it
+(``serialize`` and ``oracle_labels`` read its ``fields`` instead). The
+frames of a generated scenario share one tuple of its static objects.
 
 A Scenario also has one slot that is not data: ``window``, where ``model``
 keeps the scenario's observed frames packed into arrays on its first
@@ -194,18 +195,15 @@ class FrameObservation:
 
 
 class ObjectColumns(NamedTuple):
-    """A loaded record's frames as the read-only arrays its file holds, row for row.
+    """A loaded record's objects as the read-only arrays its file holds, row for row.
 
-    Row f of ``ped_boxes`` and ``ped_feats`` is frame f's pedestrian. The M
-    object rows run frame by frame in file order, ``counts[f]`` of them for
-    frame f. ``ped_feats`` and ``feats`` are the two parts of one (F + M, D)
-    block, and so are ``ped_boxes`` and ``boxes`` of one (F + M, 4) block.
+    The M rows run frame by frame in file order; each frame's LoadedObjects
+    names its rows. ``feats`` is the object part of the record's one
+    (F + M, D) feature block, whose first F rows are its frames' pedestrian
+    features.
     """
 
-    ped_boxes: np.ndarray  # (F, 4) [xmin, ymin, xmax, ymax]
-    ped_feats: np.ndarray  # (F, D)
-    counts: np.ndarray  # (F,) objects per frame
-    boxes: np.ndarray  # (M, 4) as written, not shifted by cam_dx
+    boxes: np.ndarray  # (M, 4) [xmin, ymin, xmax, ymax] as written, not shifted by cam_dx
     feats: np.ndarray  # (M, D)
     categories: np.ndarray  # (M,) ObjectCategory.index
     cam_dx: np.ndarray  # (M,) camera_offset_x
@@ -214,10 +212,10 @@ class ObjectColumns(NamedTuple):
 class LoadedObjects(Sequence):
     """A loaded frame's objects: rows ``start:stop`` of its record's ObjectColumns, read-only.
 
-    ``len`` reads no row, and ``model`` packs the rows from the columns. The
-    first read of an object builds the frame's ObjectObservations, each
-    field what the file holds (a feature is a row view of ``feats``), and
-    keeps them, so the sequence reads as the tuple it stands for.
+    ``len`` reads no row, ``model`` packs the rows from the columns, and
+    ``fields`` reads them as values. The first read of an object builds the
+    frame's ObjectObservations from ``fields`` and keeps them, so the
+    sequence reads as the tuple it stands for.
     """
 
     __slots__ = ("columns", "start", "stop", "_built")
@@ -234,20 +232,16 @@ class LoadedObjects(Sequence):
     def __iter__(self):
         return iter(self._objects())
 
+    def fields(self) -> list[tuple]:
+        """Each object's (ObjectCategory, [xmin, ymin, xmax, ymax], feature row view, camera_offset_x), building no record."""
+        c, rows = self.columns, slice(self.start, self.stop)
+        return list(zip(map(_BY_INDEX.__getitem__, c.categories[rows].tolist()), c.boxes[rows].tolist(), c.feats[rows], c.cam_dx[rows].tolist()))
+
     def _objects(self) -> tuple[ObjectObservation, ...]:
         try:
             return self._built
         except AttributeError:
-            c, rows = self.columns, slice(self.start, self.stop)
-            self._built = tuple(
-                map(
-                    ObjectObservation,
-                    map(_BY_INDEX.__getitem__, c.categories[rows].tolist()),
-                    map(BoundingBox, *c.boxes[rows].T.tolist()),
-                    c.feats[rows],
-                    c.cam_dx[rows].tolist(),
-                )
-            )
+            self._built = tuple(ObjectObservation(c, BoundingBox(*box), feat, dx) for c, box, feat, dx in self.fields())
             return self._built
 
 

@@ -362,11 +362,12 @@ def test_the_bulk_check_builds_what_the_walk_builds(tmp_path_factory, records):
     for a, b in zip(loaded, walked):  # one column block per record, the same from both
         bulk, walk = a.frames[0].objects.columns, b.frames[0].objects.columns
         assert all(f.objects.columns is bulk for f in a.frames) and all(g.objects.columns is walk for g in b.frames)
-        assert [x.dtype for x in bulk] == [x.dtype for x in walk] == [np.dtype(np.float64)] * 2 + [np.dtype(np.intp)] + [np.dtype(np.float64)] * 2 + [np.dtype(np.intp), np.dtype(np.float64)]
+        assert [x.dtype for x in bulk] == [x.dtype for x in walk] == [np.dtype(np.float64)] * 2 + [np.dtype(np.intp), np.dtype(np.float64)]
         assert [x.shape for x in bulk] == [x.shape for x in walk]
         assert [x.tobytes() for x in bulk] == [x.tobytes() for x in walk]
         assert not any(x.flags.writeable for x in (*bulk, *walk))
-        assert {type(v) for v in bulk.cam_dx.tolist()} <= {float} and bulk.feats.base is bulk.ped_feats.base is not None
+        assert {type(v) for v in bulk.cam_dx.tolist()} <= {float}
+        assert all(f.pedestrian_feature.base is bulk.feats.base is not None for f in a.frames)  # one feature block
 
 
 def _frame_again(rec):

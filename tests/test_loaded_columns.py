@@ -17,7 +17,7 @@ import pytest
 
 from intent_graph import model
 from intent_graph.cli import main
-from intent_graph.data import SynthConfig, generate_synthetic, load, serialize, write_dataset
+from intent_graph.data import SynthConfig, generate_synthetic, load, oracle_labels, oracle_thresholds, serialize, write_dataset
 from intent_graph.model import ModelConfig, forward, init_parameters, save_checkpoint
 from intent_graph.scene import BoundingBox, FrameObservation, LoadedObjects, ObjectCategory, ObjectObservation, Scenario
 from intent_graph.training import TrainConfig, evaluate, train
@@ -115,15 +115,17 @@ def test_a_loaded_records_column_block_is_the_file_row_for_row(dense_file):
     assert all(f.objects.columns is columns for f in scenario.frames)
     frames = record["frames"]
     entries = [o for f in frames for o in f["objects"]]
-    assert columns.ped_boxes.tolist() == [f["ped"]["box"] for f in frames]
-    assert columns.ped_feats.tolist() == [f["ped"]["feat"] for f in frames]
-    assert columns.counts.tolist() == [len(f["objects"]) for f in frames]
+    assert [(f.objects.start, f.objects.stop) for f in scenario.frames] == [
+        (stop - len(f["objects"]), stop) for f, stop in zip(frames, np.cumsum([len(f["objects"]) for f in frames]).tolist())
+    ]
+    assert [f.pedestrian_box.as_list() for f in scenario.frames] == [f["ped"]["box"] for f in frames]
+    assert [f.pedestrian_feature.tolist() for f in scenario.frames] == [f["ped"]["feat"] for f in frames]
     assert columns.boxes.tolist() == [o["box"] for o in entries]
     assert columns.feats.tolist() == [o["feat"] for o in entries]
     assert columns.categories.tolist() == [ObjectCategory(o["cat"]).index for o in entries]
     assert columns.cam_dx.tolist() == [o["cam_dx"] for o in entries]
     assert not any(arr.flags.writeable for arr in columns)
-    assert all(f.pedestrian_feature.base is not None and not f.pedestrian_feature.flags.writeable for f in scenario.frames)
+    assert all(f.pedestrian_feature.base is columns.feats.base is not None and not f.pedestrian_feature.flags.writeable for f in scenario.frames)
 
 
 def test_a_loaded_record_pickles_and_serializes_as_it_was_read(dense_file):
@@ -131,6 +133,25 @@ def test_a_loaded_record_pickles_and_serializes_as_it_was_read(dense_file):
     scenarios = load(dense_file)
     assert serialize(pickle.loads(pickle.dumps(scenarios))) == text
     assert serialize(scenarios) == text
+
+
+def test_serialize_and_oracle_labels_read_the_columns_and_keep_nothing(monkeypatch, tmp_path):
+    cfg = SynthConfig(n_scenarios=12, frames_per_scenario=6, D=6, seed=5)
+    generated = generate_synthetic(cfg)
+    records = [json.loads(line) for line in serialize(generated).splitlines()]
+    for i, o in enumerate(o for r in records for f in r["frames"] for o in f["objects"]):
+        o["cam_dx"] = dx = (0.0, -0.0, 160.0, -96.5)[i % 4]  # written shifted back, so the aligned box is the generated one
+        o["box"] = [o["box"][0] - dx, o["box"][1], o["box"][2] - dx, o["box"][3]]
+    path = tmp_path / "shifted.jsonl"
+    path.write_text("".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records), encoding="utf-8")
+    scenarios = load(path)
+    with _constructions(monkeypatch) as built:
+        assert serialize(scenarios) == path.read_text()
+        labels = [oracle_labels(s, *oracle_thresholds(cfg)) for s in scenarios]
+    assert not built and not any(hasattr(f.objects, "_built") for s in scenarios for f in s.frames)
+    assert labels == [[f.crossing_label for f in s.frames] for s in generated] and any(map(any, labels))
+    walked = [dataclasses.replace(s, frames=tuple(dataclasses.replace(f, objects=tuple(f.objects)) for f in s.frames)) for s in scenarios]
+    assert [oracle_labels(s, *oracle_thresholds(cfg)) for s in walked] == labels
 
 
 def test_loaded_objects_that_tie_pack_as_the_walk_packs_them(tmp_path):
