@@ -37,7 +37,8 @@ tape's order is a scenario's rows of that block reversed.
 project_targets projects edge target rows and edge_values scores edges on
 them: an object's projected row is the same for its spoke and every pair
 that ends at it, so the batched pass projects each object row once.
-pair_indices caches the object pairs of each object count.
+pair_indices caches the object pairs of each object count, and pair_slots
+where each pair's two entries sit in a flattened adjacency.
 
 The array kernels (project_targets, edge_values, edge_backward, outer_rows,
 build_adjacency, graph_conv, graph_backward, frame_rows) never see a Tensor.
@@ -180,6 +181,20 @@ def pair_indices(n: int) -> tuple[Array, Array]:
     return i, j
 
 
+@lru_cache(maxsize=64)
+def pair_slots(n: int) -> tuple[Array, Array]:
+    """The flat positions of each pair i < j's entries (i+1, j+1) and (j+1, i+1) in an (n+1, n+1) adjacency, as two read-only arrays.
+
+    Cached as pair_indices is: build_adjacency writes a frame's pair weights
+    through them and graph_backward reads their gradients back.
+    """
+    i, j = pair_indices(n)
+    upper, lower = (i + 1) * (n + 1) + j + 1, (j + 1) * (n + 1) + i + 1
+    upper.setflags(write=False)
+    lower.setflags(write=False)
+    return upper, lower
+
+
 def build_adjacency(
     spokes: Array, pair_weights: Array | None = None, row_normalize: bool = False
 ) -> tuple[Array, tuple[Array, Array] | None]:
@@ -195,13 +210,14 @@ def build_adjacency(
     """
     m, n = spokes.shape
     a = np.zeros((m, n + 1, n + 1))
-    a.reshape(m, (n + 1) ** 2)[:, :: n + 2] = 1.0  # the diagonal: every (n+2)th entry of a flattened frame
+    flat = a.reshape(m, (n + 1) ** 2)  # a view: a is contiguous
+    flat[:, :: n + 2] = 1.0  # the diagonal: every (n+2)th entry of a flattened frame
     a[:, 0, 1:] = spokes
     a[:, 1:, 0] = spokes
     if pair_weights is not None:
-        i, j = pair_indices(n)
-        a[:, i + 1, j + 1] = pair_weights
-        a[:, j + 1, i + 1] = pair_weights
+        upper, lower = pair_slots(n)
+        flat[:, upper] = pair_weights
+        flat[:, lower] = pair_weights
     if not row_normalize:
         return a, None
     den = (a @ np.ones((n + 1, 1))) @ np.ones((1, n + 1))
@@ -286,8 +302,9 @@ def graph_backward(
         g_a = g_a / den + g_rows @ np.ones((rows, 1)).T
     g_pairs = None
     if pairs:
-        i, j = pair_indices(n)
-        g_pairs = g_a[:, i + 1, j + 1] + g_a[:, j + 1, i + 1]
+        upper, lower = pair_slots(n)
+        flat = g_a.reshape(m, rows * rows)
+        g_pairs = flat[:, upper] + flat[:, lower]
     return layer_grads, g_a[:, 0, 1:] + g_a[:, 1:, 0], g_pairs, g_z[:, 0]
 
 

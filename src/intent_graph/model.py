@@ -74,11 +74,16 @@ objects either), _object_rows' canonically ordered object features and
 categories; and for star and fully_connected, the unscaled spatial
 relation of every edge the mode scores, in the order it scores them
 (star its spokes, fully_connected its spokes and object pairs), each
-computed once. It holds no edge rows: a fully_connected frame's edges
-follow from its object count, so each pass lays them out (_edge_rows).
-Each scenario keeps its share on the record's window slot as read-only
-views; a pass under another key repacks it, and a build that raises
-keeps nothing. The build refuses a feature whose shape is not (D,) or a
+computed once; and the _Layout of its object counts: the per-frame edge
+counts, _buckets' groups and, in fully_connected mode, each edge's source
+and target row (_edge_rows), built once per pass (_layout_of), which the
+relation gather reuses. Each scenario keeps its share on the record's
+window slot as read-only views; a pass under another key repacks it, and
+a build that raises keeps nothing. A share keeps its pack's layout only
+when the pack held that scenario alone; a pass over it alone lays out its
+counts once and keeps the layout, so a warm forward() of one record calls
+neither _buckets nor _edge_rows, and a pass over several lays out their
+joined counts. The build refuses a feature whose shape is not (D,) or a
 non-finite feature or box (_observed_rows, ScenarioError naming the
 scenario), as forward_logits does; a ReLU would turn a NaN into zeros
 and train on it. A warm pass checks no feature or box again and computes
@@ -87,7 +92,8 @@ one on every pass, as forward_logits checks every call. A pass over one
 warm scenario reads its window as it is; a pass over several
 concatenates their windows field by field and shifts nothing. The
 records are frozen, and the loader and _pack itself make the feature
-arrays read-only, so a window cannot go stale: a write raises instead.
+arrays read-only, as _layout_of makes every array of a layout, so a
+window cannot go stale: a write raises instead.
 
 forward_logits builds one scenario on Tensors, each GRU step, edge block
 and frame's graph block one tape node (gru_step, edge_weight, star_graph)
@@ -489,11 +495,22 @@ def _check_finite(
         raise ScenarioError(f"scenario {scenario.id!r}: non-finite {what} in observed frame {frame % t_obs}")
 
 
+class _Layout(NamedTuple):
+    """What a pass derives from its frames' object counts alone (_layout_of); every array is read-only."""
+
+    sizes: np.ndarray  # (F,) edges per frame: its spokes, then (fully_connected) its object pairs
+    buckets: tuple  # _buckets' groups (N, frames, (m, N) object rows, (m, E) edge rows)
+    src: np.ndarray | None = None  # fully_connected: each edge's source and target row (_edge_rows)
+    tgt: np.ndarray | None = None
+
+
 class _Window(NamedTuple):
     """The F = B * T observed frames of B scenarios as a pass of one (T, graph_mode) reads them; frame b * T + t is frame t of scenario b.
 
     A field the mode does not read is None: pedestrian_only reads no
-    objects, and concat_baseline no relations.
+    objects, and concat_baseline no relations. ``layout`` is None where
+    ``counts`` is, and on a scenario's share of a larger pack until a pass
+    over it alone builds it.
     """
 
     key: tuple  # (T, graph_mode)
@@ -502,6 +519,22 @@ class _Window(NamedTuple):
     feats: np.ndarray | None = None  # (M, D) object features, _object_rows' order
     categories: np.ndarray | None = None  # (M,) ObjectCategory.index
     relations: np.ndarray | None = None  # (E, 8) unscaled, unchecked relation of each edge's target box to its source box, in _Edges order
+    layout: _Layout | None = None  # the _Layout of counts
+
+
+def _layout_of(counts: np.ndarray, mode: str) -> _Layout:
+    """The _Layout of frames with these object counts in graph_mode ``mode``, its arrays made read-only.
+
+    The one caller of _buckets and _edge_rows: a pass reads them from its window.
+    """
+    pairs = mode == "fully_connected"
+    sizes = counts * (counts + 1) // 2 if pairs else counts
+    buckets = tuple(_buckets(counts, sizes if pairs else None))
+    layout = _Layout(sizes, buckets, *(_edge_rows(buckets, int(counts.sum()), int(sizes.sum())) if pairs else ()))
+    for arr in (sizes, *layout[2:], *(arr for _, *arrays in buckets for arr in arrays)):
+        if arr is not None:
+            arr.setflags(write=False)
+    return layout
 
 
 def _edge_rows(buckets, objects: int, edges: int) -> tuple[np.ndarray, np.ndarray]:
@@ -572,24 +605,25 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
     if objs is not None:  # a loaded record's object features are read-only already
         sources += [o.feature for f in observed if type(f.objects) is not LoadedObjects for o in f.objects]
         rows = edges = [0, *objs.counts.reshape(len(scenarios), t_obs).sum(axis=1).cumsum().tolist()]
-        window = window._replace(counts=objs.counts, feats=objs.feats, categories=objs.categories)
+        layout = _layout_of(objs.counts, mode)
+        window = window._replace(counts=objs.counts, feats=objs.feats, categories=objs.categories, layout=layout)
     if mode == "star":
         window = window._replace(relations=relation_rows(ped_boxes.repeat(objs.counts, axis=0), objs.boxes))
     elif mode == "fully_connected":
-        sizes = objs.counts * (objs.counts + 1) // 2
-        src, tgt = _edge_rows(_buckets(objs.counts, sizes), len(objs.boxes), int(sizes.sum()))
-        window = window._replace(relations=relation_rows(np.concatenate([objs.boxes, ped_boxes])[src], objs.boxes[tgt]))
-        edges = [0, *sizes.reshape(len(scenarios), t_obs).sum(axis=1).cumsum().tolist()]
-    for arr in (*sources, *window[1:]):
+        window = window._replace(relations=relation_rows(np.concatenate([objs.boxes, ped_boxes])[layout.src], objs.boxes[layout.tgt]))
+        edges = [0, *layout.sizes.reshape(len(scenarios), t_obs).sum(axis=1).cumsum().tolist()]
+    arrays = window[1:-1]  # the layout's arrays are read-only already
+    for arr in (*sources, *arrays):
         try:
             if arr.flags.writeable:  # reading the flag costs a third of setting it, and a loaded record's is clear
                 arr.setflags(write=False)
         except AttributeError:  # a feature held as a list, or a field the mode leaves out, has no flag to set
             pass
     cuts = frames, frames, rows, rows, edges  # each scenario's first row of ped, counts, feats, categories and relations, then the end
+    kept = window.layout if len(scenarios) == 1 else None  # a share of a larger pack builds its own on a pass of its own
     for b, scenario in enumerate(scenarios):
-        share = [None if arr is None else arr[at[b] : at[b + 1]] for arr, at in zip(window[1:], cuts)]
-        object.__setattr__(scenario, "window", _Window(window.key, *share))  # not data; see scene
+        share = [None if arr is None else arr[at[b] : at[b + 1]] for arr, at in zip(arrays, cuts)]
+        object.__setattr__(scenario, "window", _Window(window.key, *share, kept))  # not data; see scene
     return window
 
 
@@ -598,8 +632,10 @@ def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
 
     A scenario whose window was packed under another key is packed again.
     When every scenario needs packing, _pack's window is the result; a lone
-    warm scenario's is its window as it is; otherwise the windows are joined
-    field by field, one concatenate each, as no field depends on its place.
+    warm scenario's is its window as it is, given a layout it keeps if it
+    has none; otherwise the windows are joined field by field, one
+    concatenate each, as no field depends on its place, and the join gets a
+    layout of its own.
     """
     key = (cfg.T, cfg.graph_mode)
     cold = [s for s in scenarios if s.window is None or s.window.key != key]
@@ -609,8 +645,13 @@ def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
         _pack(cold, cfg)
     windows = [s.window for s in scenarios]
     if len(windows) == 1:
-        return windows[0]
-    return _Window(key, *(None if column[0] is None else np.concatenate(column) for column in list(zip(*windows))[1:]))
+        window = windows[0]
+        if window.layout is None and window.counts is not None:
+            window = window._replace(layout=_layout_of(window.counts, cfg.graph_mode))
+            object.__setattr__(scenarios[0], "window", window)
+        return window
+    joined = [None if column[0] is None else np.concatenate(column) for column in list(zip(*windows))[1:-1]]
+    return _Window(key, *joined, None if joined[1] is None else _layout_of(joined[1], cfg.graph_mode))
 
 
 def _edge_targets(cfg: ModelConfig, categories: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -867,7 +908,7 @@ def forward_chunk(
         vecs = ped
     elif mode == "concat_baseline":
         pooled = np.zeros((b * t_obs, cfg.D))
-        for n, frames, rows, _ in _buckets(packed.counts):
+        for n, frames, rows, _ in packed.layout.buckets:
             if n:
                 pooled[frames] = packed.feats[rows].mean(axis=1)
         vecs = np.concatenate([ped, pooled.reshape(b, t_obs, 1, cfg.D)], axis=-1)
@@ -902,22 +943,20 @@ def _graph_frames(
 
     Every edge of the pass is scored in one stacked call, laid out as
     _Edges says, on the window's relation scaled by spatial_scale; in
-    fully_connected mode _edge_rows picks each edge's rows. Then each bucket
-    of frames with N objects runs graph convolution as one stacked
-    (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
+    fully_connected mode the window's layout picks each edge's rows. Then
+    each of its buckets of frames with N objects runs graph convolution as
+    one stacked (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
     Into ``kept``, when given, go the _Edges ("edges") and per bucket (N,
     frames, edge rows, adjacency, build_adjacency's and graph_conv's saved
     values) ("buckets").
     """
-    feats, counts, rel, pairs = packed.feats, packed.counts, packed.relations, cfg.graph_mode == "fully_connected"
-    sizes = counts * (counts + 1) // 2 if pairs else counts  # edges per frame: spokes, then pairs
-    buckets = list(_buckets(counts, sizes if pairs else None))
+    feats, counts, rel, layout = packed.feats, packed.counts, packed.relations, packed.layout
+    pairs, sizes = cfg.graph_mode == "fully_connected", layout.sizes
     targets = _edge_targets(cfg, packed.categories, feats)
     e_o, mask_o = project_targets(targets, p["edge.proj_o"])  # once per object, for every edge ending at it
     if pairs:
-        src, tgt = _edge_rows(buckets, len(feats), len(rel))
-        sources = np.concatenate([feats, ped_rows]).take(src, axis=0)
-        targets, e_o, mask_o = (arr.take(tgt, axis=0) for arr in (targets, e_o, mask_o))
+        sources = np.concatenate([feats, ped_rows]).take(layout.src, axis=0)
+        targets, e_o, mask_o = (arr.take(layout.tgt, axis=0) for arr in (targets, e_o, mask_o))
     else:
         sources = ped_rows.repeat(counts, axis=0)
     finite, overflow = np.isfinite(rel), None
@@ -937,7 +976,7 @@ def _graph_frames(
     layers = [p[name] for name in _layer_names(cfg)]
     vecs = np.empty((len(ped_rows), 2 * cfg.hidden))
     buckets_kept = _slot(kept, "buckets")
-    for n, frames, rows, edges in buckets:
+    for n, frames, rows, edges in layout.buckets:
         x = np.empty((len(frames), n + 1, cfg.hidden))
         x[:, 0] = ped_rows[frames]
         x[:, 1:] = feats[rows]

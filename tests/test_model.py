@@ -596,6 +596,34 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
     assert _passes(_fresh(batch), cfg, values) == cold
 
 
+@pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline"])
+def test_a_window_lays_out_its_counts_once(monkeypatch, mode):
+    cfg = _batch_cfg(mode, "default", "L2-shared")
+    values = init_parameters(cfg)
+    batch = _mixed_batch()
+    calls = []
+    for name in ("_buckets", "_edge_rows"):
+        monkeypatch.setattr(model, name, lambda *args, _real=getattr(model, name), _name=name: calls.append(_name) or _real(*args))
+    once = ["_buckets", "_edge_rows"] if mode == "fully_connected" else ["_buckets"]
+
+    def laid_out(call):
+        calls.clear()
+        call()
+        return calls[:]
+
+    # a cold pass lays out its counts once, for its pack and its pass alike
+    assert laid_out(lambda: forward_batch(batch, cfg, values)) == once
+    assert laid_out(lambda: forward(_fresh(batch[:1])[0], cfg, values)) == once
+    # a record packed inside a larger pass lays out its own on its first pass alone, and keeps it
+    assert batch[0].window.layout is None
+    assert laid_out(lambda: forward(batch[0], cfg, values)) == once
+    for call in (lambda: forward(batch[0], cfg, values), lambda: scenario_gradients(batch[0], cfg, values)):
+        assert laid_out(call) == []
+    # a pass joining several warm windows lays out the join once, and keeps nothing
+    assert laid_out(lambda: forward_batch(batch, cfg, values)) == once
+    assert all(s.window.layout is None for s in batch[1:])
+
+
 @pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
 def test_a_batch_of_warm_and_cold_scenarios_gives_the_cold_bytes(mode):
     cfg = _batch_cfg(mode, "ctxt", "L3-unshared-norm-cls")
@@ -627,10 +655,15 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
     window = scenario.window
     objects = sum(len(f.objects) for f in scenario.frames[: cfg.T])
     assert window.key == (cfg.T, "star") and window.ped.shape == (cfg.T, cfg.D)
-    assert window._fields == ("key", "ped", "counts", "feats", "categories", "relations")  # no edge rows, in any mode
+    assert window._fields == ("key", "ped", "counts", "feats", "categories", "relations", "layout")
     assert window.counts.tolist() == [len(f.objects) for f in scenario.frames[: cfg.T]]
     assert window.feats.shape == (objects, cfg.D) and window.categories.shape == (objects,)
-    assert not any(arr.flags.writeable for arr in window[1:] if arr is not None)
+    assert not any(arr.flags.writeable for arr in window[1:-1] if arr is not None)
+    # a lone scenario's pack keeps the layout of its counts: in star mode, no edge rows
+    layout = window.layout
+    assert layout.sizes.tolist() == window.counts.tolist() and layout.src is None and layout.tgt is None
+    assert [n for n, *_ in layout.buckets] == sorted(set(window.counts.tolist()))
+    assert not any(arr.flags.writeable for arr in (layout.sizes, *(arr for _, *arrays in layout.buckets for arr in arrays)))
     # each object's unscaled relation to its frame's pedestrian box, in canonical order
     want = [
         relation_rows(

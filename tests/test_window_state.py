@@ -11,8 +11,11 @@ after every pass that:
   gives on cold copies of the records (``dataclasses.replace``), under
   ``tobytes()``; a lone forward() also equals the taped forward_logits;
 - every record a pass succeeded on holds a window of that pass's key;
-- every window holds read-only arrays under the key of the pack that made it;
-- a pack that raised left every record's window as it was.
+- a pack that raised left every record's window as it was;
+
+and after every rule that every window holds read-only arrays, its kept
+layout's too, under the key of the pack that made it, and that a kept
+layout is the one its window's object counts give (``model._layout_of``).
 
 Between passes it may read a loaded frame's objects, which builds them, or
 swap a loaded record for a copy whose frame holds those objects as a tuple,
@@ -27,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from intent_graph import model
 from intent_graph.data import SynthConfig, generate_synthetic, load, write_dataset
@@ -106,6 +109,25 @@ def _pool():
     ]
 
 
+def _arrays(window):
+    """Every array a window holds: its fields' and its layout's."""
+    arrays = [arr for arr in window[1:-1] if arr is not None]
+    if window.layout is not None:
+        sizes, buckets, src, tgt = window.layout
+        arrays += [arr for arr in (sizes, src, tgt) if arr is not None]
+        arrays += [arr for _, *group in buckets for arr in group]
+    return arrays
+
+
+def _layout_bytes(layout):
+    """A layout as comparable values: each bucket's N and every array's shape, dtype and bytes."""
+    def flat(arr):
+        return None if arr is None else (arr.shape, arr.dtype.str, arr.tobytes())
+
+    groups = [(n, *map(flat, group)) for n, *group in layout.buckets]
+    return flat(layout.sizes), groups, flat(layout.src), flat(layout.tgt)
+
+
 def _outcome(call):
     """What ``call()`` gave, as bytes, or the type and message of what it raised."""
     try:
@@ -181,13 +203,20 @@ class WindowMachine(RuleBasedStateMachine):
         assert got == _outcome(lambda: call([dataclasses.replace(s) for s in records], cfg, values))
         if got[0] == "ok":
             assert all(s.window.key == (cfg.T, cfg.graph_mode) for s in records)
-        for s in self.pool:
-            if s.window is None:
-                assert id(s) not in self.keys
-            else:
-                assert s.window.key == self.keys[id(s)]
-                assert not any(arr.flags.writeable for arr in s.window[1:] if arr is not None)
         return got
+
+    @invariant()
+    def windows_are_read_only_and_current(self):
+        for s in self.pool:
+            window = s.window
+            if window is None:
+                assert id(s) not in self.keys
+                continue
+            assert window.key == self.keys[id(s)]
+            assert not any(arr.flags.writeable for arr in _arrays(window)), "a window holds a writable array"
+            if window.layout is not None:  # a copy of the counts, so the rebuild shares no array with the window
+                rebuilt = model._layout_of(window.counts.copy(), window.key[1])
+                assert _layout_bytes(window.layout) == _layout_bytes(rebuilt), "a kept layout is not its counts' layout"
 
     @rule(shape=shapes, at=records)
     def forward_one(self, shape, at):
