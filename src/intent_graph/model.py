@@ -74,26 +74,26 @@ objects either), _object_rows' canonically ordered object features and
 categories; and for star and fully_connected, the unscaled spatial
 relation of every edge the mode scores, in the order it scores them
 (star its spokes, fully_connected its spokes and object pairs), each
-computed once; and the _Layout of its object counts: the per-frame edge
-counts, _buckets' groups and, in fully_connected mode, each edge's source
-and target row (_edge_rows), built once per pass (_layout_of), which the
-relation gather reuses. Each scenario keeps its share on the record's
-window slot as read-only views; a pass under another key repacks it, and
-a build that raises keeps nothing. A share keeps its pack's layout only
-when the pack held that scenario alone; a pass over it alone lays out its
-counts once and keeps the layout, so a warm forward() of one record calls
-neither _buckets nor _edge_rows, and a pass over several lays out their
-joined counts. The build refuses a feature whose shape is not (D,) or a
-non-finite feature or box (_observed_rows, ScenarioError naming the
-scenario), as forward_logits does; a ReLU would turn a NaN into zeros
-and train on it. A warm pass checks no feature or box again and computes
+computed once; and for fully_connected the _Layout of its object counts
+(_layout_of: per-frame edge counts, _buckets' groups and each edge's
+source and target row, _edge_rows), which its relation gather reads.
+Each scenario keeps its share on the record's window slot as read-only
+views; a pass under another key repacks it, and a build that raises
+keeps nothing. _packed lays out a pass's counts once where its window
+has none. In fully_connected mode a record packed or passed alone keeps
+its layout, so a warm forward() of one record calls neither _buckets nor
+_edge_rows; star and concat_baseline windows keep none, as keeping one
+slowed a fresh record's pass. The build refuses a feature whose shape
+is not (D,) or a non-finite feature or box (_observed_rows, ScenarioError
+naming the scenario), as forward_logits does; a ReLU would turn a NaN
+into zeros and train on it. A warm pass checks no feature or box again and computes
 no relation: it scales the window's relations and finds an overflowed
 one on every pass, as forward_logits checks every call. A pass over one
 warm scenario reads its window as it is; a pass over several
 concatenates their windows field by field and shifts nothing. The
 records are frozen, and the loader and _pack itself make the feature
-arrays read-only, as _layout_of makes every array of a layout, so a
-window cannot go stale: a write raises instead.
+arrays read-only, as _layout_of makes every array of a kept layout, so
+a window cannot go stale: a write raises instead.
 
 forward_logits builds one scenario on Tensors, each GRU step, edge block
 and frame's graph block one tape node (gru_step, edge_weight, star_graph)
@@ -496,7 +496,7 @@ def _check_finite(
 
 
 class _Layout(NamedTuple):
-    """What a pass derives from its frames' object counts alone (_layout_of); every array is read-only."""
+    """What a pass derives from its frames' object counts alone (_layout_of)."""
 
     sizes: np.ndarray  # (F,) edges per frame: its spokes, then (fully_connected) its object pairs
     buckets: tuple  # _buckets' groups (N, frames, (m, N) object rows, (m, E) edge rows)
@@ -508,9 +508,8 @@ class _Window(NamedTuple):
     """The F = B * T observed frames of B scenarios as a pass of one (T, graph_mode) reads them; frame b * T + t is frame t of scenario b.
 
     A field the mode does not read is None: pedestrian_only reads no
-    objects, and concat_baseline no relations. ``layout`` is None where
-    ``counts`` is, and on a scenario's share of a larger pack until a pass
-    over it alone builds it.
+    objects, and concat_baseline no relations. A record's window holds a
+    ``layout`` only in fully_connected mode, once a pass has read it alone.
     """
 
     key: tuple  # (T, graph_mode)
@@ -522,8 +521,8 @@ class _Window(NamedTuple):
     layout: _Layout | None = None  # the _Layout of counts
 
 
-def _layout_of(counts: np.ndarray, mode: str) -> _Layout:
-    """The _Layout of frames with these object counts in graph_mode ``mode``, its arrays made read-only.
+def _layout_of(counts: np.ndarray, mode: str, keep: bool) -> _Layout:
+    """The _Layout of frames with these object counts in graph_mode ``mode``; one a record's window will ``keep`` has its arrays made read-only.
 
     The one caller of _buckets and _edge_rows: a pass reads them from its window.
     """
@@ -531,9 +530,10 @@ def _layout_of(counts: np.ndarray, mode: str) -> _Layout:
     sizes = counts * (counts + 1) // 2 if pairs else counts
     buckets = tuple(_buckets(counts, sizes if pairs else None))
     layout = _Layout(sizes, buckets, *(_edge_rows(buckets, int(counts.sum()), int(sizes.sum())) if pairs else ()))
-    for arr in (sizes, *layout[2:], *(arr for _, *arrays in buckets for arr in arrays)):
-        if arr is not None:
-            arr.setflags(write=False)
+    if keep:
+        for arr in (sizes, *layout[2:], *(arr for _, *arrays in buckets for arr in arrays)):
+            if arr is not None:
+                arr.setflags(write=False)
     return layout
 
 
@@ -605,14 +605,15 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
     if objs is not None:  # a loaded record's object features are read-only already
         sources += [o.feature for f in observed if type(f.objects) is not LoadedObjects for o in f.objects]
         rows = edges = [0, *objs.counts.reshape(len(scenarios), t_obs).sum(axis=1).cumsum().tolist()]
-        layout = _layout_of(objs.counts, mode)
-        window = window._replace(counts=objs.counts, feats=objs.feats, categories=objs.categories, layout=layout)
+        window = window._replace(counts=objs.counts, feats=objs.feats, categories=objs.categories)
     if mode == "star":
         window = window._replace(relations=relation_rows(ped_boxes.repeat(objs.counts, axis=0), objs.boxes))
-    elif mode == "fully_connected":
-        window = window._replace(relations=relation_rows(np.concatenate([objs.boxes, ped_boxes])[layout.src], objs.boxes[layout.tgt]))
+    elif mode == "fully_connected":  # the relation gather reads the edge rows; a pack of one record keeps them
+        layout = _layout_of(objs.counts, mode, keep=len(scenarios) == 1)
+        relations = relation_rows(np.concatenate([objs.boxes, ped_boxes])[layout.src], objs.boxes[layout.tgt])
+        window = window._replace(relations=relations, layout=layout)
         edges = [0, *layout.sizes.reshape(len(scenarios), t_obs).sum(axis=1).cumsum().tolist()]
-    arrays = window[1:-1]  # the layout's arrays are read-only already
+    arrays = window[1:-1]  # a kept layout's arrays are read-only already
     for arr in (*sources, *arrays):
         try:
             if arr.flags.writeable:  # reading the flag costs a third of setting it, and a loaded record's is clear
@@ -620,7 +621,7 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
         except AttributeError:  # a feature held as a list, or a field the mode leaves out, has no flag to set
             pass
     cuts = frames, frames, rows, rows, edges  # each scenario's first row of ped, counts, feats, categories and relations, then the end
-    kept = window.layout if len(scenarios) == 1 else None  # a share of a larger pack builds its own on a pass of its own
+    kept = window.layout if len(scenarios) == 1 else None  # a share of a larger pack has its own built on a pass of its own
     for b, scenario in enumerate(scenarios):
         share = [None if arr is None else arr[at[b] : at[b + 1]] for arr, at in zip(arrays, cuts)]
         object.__setattr__(scenario, "window", _Window(window.key, *share, kept))  # not data; see scene
@@ -632,26 +633,25 @@ def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
 
     A scenario whose window was packed under another key is packed again.
     When every scenario needs packing, _pack's window is the result; a lone
-    warm scenario's is its window as it is, given a layout it keeps if it
-    has none; otherwise the windows are joined field by field, one
-    concatenate each, as no field depends on its place, and the join gets a
-    layout of its own.
+    scenario's is its window as it is; otherwise the windows are joined
+    field by field, one concatenate each, as no field depends on its place.
+    A window without a layout gets one here, which a lone fully_connected
+    scenario's keeps.
     """
     key = (cfg.T, cfg.graph_mode)
     cold = [s for s in scenarios if s.window is None or s.window.key != key]
-    if len(cold) == len(scenarios):
-        return _pack(scenarios, cfg)
-    if cold:
-        _pack(cold, cfg)
-    windows = [s.window for s in scenarios]
-    if len(windows) == 1:
-        window = windows[0]
-        if window.layout is None and window.counts is not None:
-            window = window._replace(layout=_layout_of(window.counts, cfg.graph_mode))
+    window = _pack(cold, cfg) if cold else None
+    if len(scenarios) == 1:
+        window = scenarios[0].window
+    elif len(cold) < len(scenarios):
+        columns = list(zip(*(s.window for s in scenarios)))[1:-1]
+        window = _Window(key, *(None if column[0] is None else np.concatenate(column) for column in columns))
+    if window.layout is None and window.counts is not None:
+        keep = len(scenarios) == 1 and cfg.graph_mode == "fully_connected"
+        window = _Window(*window[:-1], _layout_of(window.counts, cfg.graph_mode, keep))
+        if keep:
             object.__setattr__(scenarios[0], "window", window)
-        return window
-    joined = [None if column[0] is None else np.concatenate(column) for column in list(zip(*windows))[1:-1]]
-    return _Window(key, *joined, None if joined[1] is None else _layout_of(joined[1], cfg.graph_mode))
+    return window
 
 
 def _edge_targets(cfg: ModelConfig, categories: np.ndarray, feats: np.ndarray) -> np.ndarray:

@@ -27,10 +27,10 @@ frames of a generated scenario share one tuple of its static objects.
 A Scenario also has one slot that is not data: ``window``, where ``model``
 keeps the scenario's observed frames packed into arrays on its first
 forward pass, with the relation of every edge the pass's graph mode
-scores and, once a pass has read the record alone, the layout of its
-edges, which follows from the object counts, so that later passes of
-that mode skip the walk over frames and objects, every relation and that
-layout. That first pass reads a loaded frame's objects from its
+scores and, in fully_connected mode once a pass has read the record
+alone, the layout of its edges, which follows from the object counts, so
+that later passes of that mode skip the walk over frames and objects,
+every relation and that layout. That first pass reads a loaded frame's objects from its
 columns and walks any other frame's.
 The loader and the generator hand out read-only feature arrays (the
 loader's are row views of one (n, D) block per record, its pedestrians'

@@ -215,7 +215,7 @@ class WindowMachine(RuleBasedStateMachine):
             assert window.key == self.keys[id(s)]
             assert not any(arr.flags.writeable for arr in _arrays(window)), "a window holds a writable array"
             if window.layout is not None:  # a copy of the counts, so the rebuild shares no array with the window
-                rebuilt = model._layout_of(window.counts.copy(), window.key[1])
+                rebuilt = model._layout_of(window.counts.copy(), window.key[1], keep=True)
                 assert _layout_bytes(window.layout) == _layout_bytes(rebuilt), "a kept layout is not its counts' layout"
 
     @rule(shape=shapes, at=records)
