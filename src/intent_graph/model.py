@@ -68,32 +68,32 @@ forward_chunk reads no frame or object record after a scenario's first
 pass. _pack walks the observed frames of a pass's new scenarios once,
 after _check_scenario, reading a loaded frame's objects from its record's
 columns and walking any other frame's (_object_rows), into one _Window keyed
-by (T, graph_mode) that holds only what a pass of that mode reads: the
-pedestrian features; unless pedestrian_only (the taped forward reads no
-objects either), _object_rows' canonically ordered object features and
+by (T, graph_mode) that holds only record data a pass of that mode reads:
+the pedestrian features; unless pedestrian_only (the taped forward reads
+no objects either), _object_rows' canonically ordered object features and
 categories; and for star and fully_connected, the unscaled spatial
 relation of every edge the mode scores, in the order it scores them
 (star its spokes, fully_connected its spokes and object pairs), each
-computed once; and for fully_connected the _Layout of its object counts
-(_layout_of: per-frame edge counts, _buckets' groups and each edge's
-source and target row, _edge_rows), which its relation gather reads.
-Each scenario keeps its share on the record's window slot as read-only
-views; a pass under another key repacks it, and a build that raises
-keeps nothing. _packed lays out a pass's counts once where its window
-has none. In fully_connected mode a record packed or passed alone keeps
-its layout, so a warm forward() of one record calls neither _buckets nor
-_edge_rows; star and concat_baseline windows keep none, as keeping one
-slowed a fresh record's pass. The build refuses a feature whose shape
-is not (D,) or a non-finite feature or box (_observed_rows, ScenarioError
-naming the scenario), as forward_logits does; a ReLU would turn a NaN
-into zeros and train on it. A warm pass checks no feature or box again and computes
-no relation: it scales the window's relations and finds an overflowed
-one on every pass, as forward_logits checks every call. A pass over one
-warm scenario reads its window as it is; a pass over several
-concatenates their windows field by field and shifts nothing. The
-records are frozen, and the loader and _pack itself make the feature
-arrays read-only, as _layout_of makes every array of a kept layout, so
-a window cannot go stale: a write raises instead.
+computed once. Each scenario keeps its share on the record's window slot
+as read-only views; a pass under another key repacks it, and a build that
+raises keeps nothing. What follows from the object counts alone, the
+_Layout (per-frame edge counts, _buckets' groups and, for fully_connected,
+each edge's source and target row, _edge_rows), no window holds: every
+pass that reads objects, in any mode, alone or joined, warm or fresh,
+looks it up in one bounded memo keyed by the counts and whether pairs are
+scored (_layout_of, LAYOUTS entries), as does _pack's fully_connected
+relation gather, so a pass whose count pattern was seen lays out nothing.
+The build refuses a feature whose shape is not (D,) or a non-finite
+feature or box (_observed_rows, ScenarioError naming the scenario), as
+forward_logits does; a ReLU would turn a NaN into zeros and train on it.
+A warm pass checks no feature or box again and computes no relation: it
+scales the window's relations and finds an overflowed one on every pass,
+as forward_logits checks every call. A pass over one warm scenario reads
+its window as it is; a pass over several concatenates their windows
+field by field and shifts nothing. The records are frozen, and the loader
+and _pack itself make the feature arrays read-only, as _layout_of makes
+every array of a memo entry, so neither a window nor an entry can go
+stale: a write raises instead.
 
 forward_logits builds one scenario on Tensors, each GRU step, edge block
 and frame's graph block one tape node (gru_step, edge_weight, star_graph)
@@ -496,7 +496,7 @@ def _check_finite(
 
 
 class _Layout(NamedTuple):
-    """What a pass derives from its frames' object counts alone (_layout_of)."""
+    """What a pass derives from its frames' object counts alone (_layout_of); every array is read-only."""
 
     sizes: np.ndarray  # (F,) edges per frame: its spokes, then (fully_connected) its object pairs
     buckets: tuple  # _buckets' groups (N, frames, (m, N) object rows, (m, E) edge rows)
@@ -508,8 +508,7 @@ class _Window(NamedTuple):
     """The F = B * T observed frames of B scenarios as a pass of one (T, graph_mode) reads them; frame b * T + t is frame t of scenario b.
 
     A field the mode does not read is None: pedestrian_only reads no
-    objects, and concat_baseline no relations. A record's window holds a
-    ``layout`` only in fully_connected mode, once a pass has read it alone.
+    objects, and concat_baseline no relations.
     """
 
     key: tuple  # (T, graph_mode)
@@ -518,22 +517,31 @@ class _Window(NamedTuple):
     feats: np.ndarray | None = None  # (M, D) object features, _object_rows' order
     categories: np.ndarray | None = None  # (M,) ObjectCategory.index
     relations: np.ndarray | None = None  # (E, 8) unscaled, unchecked relation of each edge's target box to its source box, in _Edges order
-    layout: _Layout | None = None  # the _Layout of counts
 
 
-def _layout_of(counts: np.ndarray, mode: str, keep: bool) -> _Layout:
-    """The _Layout of frames with these object counts in graph_mode ``mode``; one a record's window will ``keep`` has its arrays made read-only.
+# Object-count patterns whose _Layout _layout_of keeps, least recently used
+# first out. Passes repeat a few patterns: the benchmark's eval-dense holds at
+# most 8 live ones per unit (4 evaluate chunks, 3 patterns of lone records,
+# 1 warm-up pass). A CHUNK pass in fully_connected mode at N = 8 objects a
+# frame and T = 4 has a 241,664-byte entry, so 16 hold about 3.9 MB at worst.
+LAYOUTS = 16
 
-    The one caller of _buckets and _edge_rows: a pass reads them from its window.
+
+@lru_cache(maxsize=LAYOUTS)
+def _layout_of(counts: bytes, pairs: bool) -> _Layout:
+    """The _Layout of frames whose (F,) intp object counts are the bytes ``counts``, with object pairs when ``pairs``.
+
+    The one caller of _buckets and _edge_rows, memoized on its key: every
+    pass with these counts shares the entry, so its arrays are read-only,
+    as pair_indices' are.
     """
-    pairs = mode == "fully_connected"
+    counts = np.frombuffer(counts, dtype=np.intp)
     sizes = counts * (counts + 1) // 2 if pairs else counts
     buckets = tuple(_buckets(counts, sizes if pairs else None))
     layout = _Layout(sizes, buckets, *(_edge_rows(buckets, int(counts.sum()), int(sizes.sum())) if pairs else ()))
-    if keep:
-        for arr in (sizes, *layout[2:], *(arr for _, *arrays in buckets for arr in arrays)):
-            if arr is not None:
-                arr.setflags(write=False)
+    for arr in (sizes, *layout[2:], *(arr for _, *arrays in buckets for arr in arrays)):
+        if arr is not None:
+            arr.setflags(write=False)
     return layout
 
 
@@ -608,23 +616,20 @@ def _pack(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
         window = window._replace(counts=objs.counts, feats=objs.feats, categories=objs.categories)
     if mode == "star":
         window = window._replace(relations=relation_rows(ped_boxes.repeat(objs.counts, axis=0), objs.boxes))
-    elif mode == "fully_connected":  # the relation gather reads the edge rows; a pack of one record keeps them
-        layout = _layout_of(objs.counts, mode, keep=len(scenarios) == 1)
-        relations = relation_rows(np.concatenate([objs.boxes, ped_boxes])[layout.src], objs.boxes[layout.tgt])
-        window = window._replace(relations=relations, layout=layout)
+    elif mode == "fully_connected":  # the relation gather reads the edge rows
+        layout = _layout_of(objs.counts.tobytes(), True)
+        window = window._replace(relations=relation_rows(np.concatenate([objs.boxes, ped_boxes])[layout.src], objs.boxes[layout.tgt]))
         edges = [0, *layout.sizes.reshape(len(scenarios), t_obs).sum(axis=1).cumsum().tolist()]
-    arrays = window[1:-1]  # a kept layout's arrays are read-only already
-    for arr in (*sources, *arrays):
+    for arr in (*sources, *window[1:]):
         try:
             if arr.flags.writeable:  # reading the flag costs a third of setting it, and a loaded record's is clear
                 arr.setflags(write=False)
         except AttributeError:  # a feature held as a list, or a field the mode leaves out, has no flag to set
             pass
     cuts = frames, frames, rows, rows, edges  # each scenario's first row of ped, counts, feats, categories and relations, then the end
-    kept = window.layout if len(scenarios) == 1 else None  # a share of a larger pack has its own built on a pass of its own
     for b, scenario in enumerate(scenarios):
-        share = [None if arr is None else arr[at[b] : at[b + 1]] for arr, at in zip(arrays, cuts)]
-        object.__setattr__(scenario, "window", _Window(window.key, *share, kept))  # not data; see scene
+        share = [None if arr is None else arr[at[b] : at[b + 1]] for arr, at in zip(window[1:], cuts)]
+        object.__setattr__(scenario, "window", _Window(window.key, *share))  # not data; see scene
     return window
 
 
@@ -633,25 +638,19 @@ def _packed(scenarios: Sequence[Scenario], cfg: ModelConfig) -> _Window:
 
     A scenario whose window was packed under another key is packed again.
     When every scenario needs packing, _pack's window is the result; a lone
-    scenario's is its window as it is; otherwise the windows are joined
+    warm scenario's is its window as it is; otherwise the windows are joined
     field by field, one concatenate each, as no field depends on its place.
-    A window without a layout gets one here, which a lone fully_connected
-    scenario's keeps.
     """
     key = (cfg.T, cfg.graph_mode)
     cold = [s for s in scenarios if s.window is None or s.window.key != key]
-    window = _pack(cold, cfg) if cold else None
-    if len(scenarios) == 1:
-        window = scenarios[0].window
-    elif len(cold) < len(scenarios):
-        columns = list(zip(*(s.window for s in scenarios)))[1:-1]
-        window = _Window(key, *(None if column[0] is None else np.concatenate(column) for column in columns))
-    if window.layout is None and window.counts is not None:
-        keep = len(scenarios) == 1 and cfg.graph_mode == "fully_connected"
-        window = _Window(*window[:-1], _layout_of(window.counts, cfg.graph_mode, keep))
-        if keep:
-            object.__setattr__(scenarios[0], "window", window)
-    return window
+    if len(cold) == len(scenarios):
+        return _pack(scenarios, cfg)
+    if cold:
+        _pack(cold, cfg)
+    windows = [s.window for s in scenarios]
+    if len(windows) == 1:
+        return windows[0]
+    return _Window(key, *(None if column[0] is None else np.concatenate(column) for column in list(zip(*windows))[1:]))
 
 
 def _edge_targets(cfg: ModelConfig, categories: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -899,6 +898,7 @@ def forward_chunk(
     tc, mode, b, t_obs = cfg.temporal, cfg.graph_mode, len(scenarios), cfg.T
     kept = {} if keep else None
     packed = _packed(scenarios, cfg)  # frame index b * T + t
+    layout = None if packed.counts is None else _layout_of(packed.counts.tobytes(), mode == "fully_connected")
     ped = packed.ped.reshape(b, t_obs, 1, cfg.D)
     zero = np.zeros((b, 1, cfg.hidden))
     if tc.use_temporal and tc.use_ped_gru:
@@ -908,12 +908,12 @@ def forward_chunk(
         vecs = ped
     elif mode == "concat_baseline":
         pooled = np.zeros((b * t_obs, cfg.D))
-        for n, frames, rows, _ in packed.layout.buckets:
+        for n, frames, rows, _ in layout.buckets:
             if n:
                 pooled[frames] = packed.feats[rows].mean(axis=1)
         vecs = np.concatenate([ped, pooled.reshape(b, t_obs, 1, cfg.D)], axis=-1)
     else:
-        vecs = _graph_frames(scenarios, cfg, p, packed, ped.reshape(b * t_obs, cfg.hidden), kept)
+        vecs = _graph_frames(scenarios, cfg, p, packed, layout, ped.reshape(b * t_obs, cfg.hidden), kept)
         vecs = vecs.reshape(b, t_obs, 1, 2 * cfg.hidden)
         if tc.use_temporal and tc.use_ctxt_gru:
             ctx = vecs[..., cfg.hidden :]
@@ -934,23 +934,23 @@ def forward_chunk(
 
 
 def _graph_frames(
-    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], packed: _Window, ped_rows: np.ndarray, kept: dict | None
+    scenarios, cfg: ModelConfig, p: Mapping[str, np.ndarray], packed: _Window, layout: _Layout, ped_rows: np.ndarray, kept: dict | None
 ) -> np.ndarray:
     """The (F, 2H) frame rows [refined pedestrian row, object-context mean] of F frames.
 
-    ``packed`` is _packed's window, and ``ped_rows`` the (F, H) pedestrian
-    stream.
+    ``packed`` is _packed's window, ``layout`` the _Layout of its counts,
+    and ``ped_rows`` the (F, H) pedestrian stream.
 
     Every edge of the pass is scored in one stacked call, laid out as
     _Edges says, on the window's relation scaled by spatial_scale; in
-    fully_connected mode the window's layout picks each edge's rows. Then
+    fully_connected mode the layout picks each edge's rows. Then
     each of its buckets of frames with N objects runs graph convolution as
     one stacked (m, N+1, N+1) @ (m, N+1, H) @ W per layer.
     Into ``kept``, when given, go the _Edges ("edges") and per bucket (N,
     frames, edge rows, adjacency, build_adjacency's and graph_conv's saved
     values) ("buckets").
     """
-    feats, counts, rel, layout = packed.feats, packed.counts, packed.relations, packed.layout
+    feats, counts, rel = packed.feats, packed.counts, packed.relations
     pairs, sizes = cfg.graph_mode == "fully_connected", layout.sizes
     targets = _edge_targets(cfg, packed.categories, feats)
     e_o, mask_o = project_targets(targets, p["edge.proj_o"])  # once per object, for every edge ending at it

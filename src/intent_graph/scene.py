@@ -27,11 +27,10 @@ frames of a generated scenario share one tuple of its static objects.
 A Scenario also has one slot that is not data: ``window``, where ``model``
 keeps the scenario's observed frames packed into arrays on its first
 forward pass, with the relation of every edge the pass's graph mode
-scores and, in fully_connected mode once a pass has read the record
-alone, the layout of its edges, which follows from the object counts, so
-that later passes of that mode skip the walk over frames and objects,
-every relation and that layout. That first pass reads a loaded frame's objects from its
-columns and walks any other frame's.
+scores, so that later passes of that mode skip the walk over frames and
+objects and every relation. The window holds record data only. That
+first pass reads a loaded frame's objects from its columns and walks any
+other frame's.
 The loader and the generator hand out read-only feature arrays (the
 loader's are row views of one (n, D) block per record, its pedestrians'
 rows first), and that first pass makes a hand-built record's packed
@@ -253,7 +252,7 @@ class Scenario:
     id: str
     frames: tuple[FrameObservation, ...]
     fps: float
-    # model's packed observed window for one (T, graph_mode), what a pass of that mode reads; see model._Window
+    # model's packed observed window for one (T, graph_mode): the record data a pass of that mode reads; see model._Window
     window: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     @property

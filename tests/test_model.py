@@ -583,9 +583,8 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
             patched.setattr(model, name, refuse(name))
         assert _passes(batch, cfg, values) == cold
         assert forward(batch[0], cfg, values).logits == tuple(np.frombuffer(cold[0])[: cfg.K].tolist())
-        # a lone warm scenario's pass reads its window's arrays, not copies (star and concat_baseline add a layout of their own)
-        lone = model._packed(batch[:1], cfg)
-        assert lone is batch[0].window or all(a is b for a, b in zip(lone[:-1], batch[0].window[:-1]))
+        # a lone warm scenario's pass reads its window, not a copy
+        assert model._packed(batch[:1], cfg) is batch[0].window
         if mode == "pedestrian_only":  # packs no objects, cold or warm
             assert forward_batch(_fresh(batch), cfg, values).tobytes() == cold[0]
     # each patch does bite, on the calls the mode's cold pack makes
@@ -598,37 +597,55 @@ def test_a_warm_pass_gives_the_cold_bytes_without_repacking(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline"])
-def test_a_pass_lays_out_its_counts_once_and_a_fully_connected_record_keeps_them(monkeypatch, mode):
+def test_a_count_pattern_is_laid_out_once_and_every_pass_reads_its_memo_entry(monkeypatch, mode):
     cfg = _batch_cfg(mode, "default", "L2-shared")
     values = init_parameters(cfg)
     batch = _mixed_batch()
     calls = []
     for name in ("_buckets", "_edge_rows"):
         monkeypatch.setattr(model, name, lambda *args, _real=getattr(model, name), _name=name: calls.append(_name) or _real(*args))
-    keeps = mode == "fully_connected"
-    once = ["_buckets", "_edge_rows"] if keeps else ["_buckets"]
+    pairs = mode == "fully_connected"
+    once = ["_buckets", "_edge_rows"] if pairs else ["_buckets"]
+    memo = model._layout_of
+    memo.cache_clear()  # the memo is shared by every pass in the process
 
     def laid_out(call):
         calls.clear()
         call()
         return calls[:]
 
-    # a cold pass lays out its counts once, for its pack and its pass alike
+    # a cold pass builds its key once: in fully_connected mode its pack's relation gather and its pass read one entry
     assert laid_out(lambda: forward_batch(batch, cfg, values)) == once
-    assert laid_out(lambda: forward(_fresh(batch[:1])[0], cfg, values)) == once
-    # a record packed inside a larger pass lays out its own on its first pass alone; only fully_connected keeps it
-    assert batch[0].window.layout is None
+    assert memo.cache_info().currsize == 1
+    # a record's first pass alone builds its own pattern's entry; no later pass over a seen pattern builds anything:
+    # a warm lone pass, a joined warm pass, and a fresh copy, whose pack reads the entry too
     assert laid_out(lambda: forward(batch[0], cfg, values)) == once
-    assert (batch[0].window.layout is not None) == keeps
-    for call in (lambda: forward(batch[0], cfg, values), lambda: scenario_gradients(batch[0], cfg, values)):
-        assert laid_out(call) == ([] if keeps else once)
-    # a pass joining several warm windows lays out the join once, and keeps nothing
-    assert laid_out(lambda: forward_batch(batch, cfg, values)) == once
-    assert all(s.window.layout is None for s in batch[1:])
-    # with one new record among them, a fully_connected pack also lays out that record, for its relations, and keeps it
-    mixed = [*_fresh(batch[:1]), *batch[1:]]
-    assert laid_out(lambda: forward_batch(mixed, cfg, values)) == once * (2 if keeps else 1)
-    assert (mixed[0].window.layout is not None) == keeps
+    warm = [
+        lambda: forward(batch[0], cfg, values),
+        lambda: scenario_gradients(batch[0], cfg, values),
+        lambda: forward_batch(batch, cfg, values),
+        lambda: forward(_fresh(batch[:1])[0], cfg, values),
+        lambda: forward_batch(_fresh(batch), cfg, values),
+    ]
+    for call in warm:
+        assert laid_out(call) == []
+    # a pass mixing new records with packed ones joins a seen pattern; only a fully_connected pack lays out the new ones
+    assert laid_out(lambda: forward_batch([*_fresh(batch[:2]), *batch[2:]], cfg, values)) == (once if pairs else [])
+    # star and concat_baseline share entries; fully_connected's, keyed with its pairs, are its own
+    other = _batch_cfg("concat_baseline" if mode == "star" else "star", "default", "L2-shared")
+    assert laid_out(lambda: forward_batch(_fresh(batch), other, init_parameters(other))) == (["_buckets"] if pairs else [])
+    # every array of an entry is read-only
+    entry = memo(batch[0].window.counts.tobytes(), pairs)
+    arrays = [arr for arr in (entry.sizes, entry.src, entry.tgt) if arr is not None]
+    arrays += [arr for _, *group in entry.buckets for arr in group]
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    # the memo holds at most LAYOUTS entries
+    for n in range(model.LAYOUTS + 1):
+        memo(np.full(cfg.T, n, dtype=np.intp).tobytes(), pairs)
+    assert memo.cache_info().currsize == model.LAYOUTS
 
 
 @pytest.mark.parametrize("mode", ["star", "fully_connected", "concat_baseline", "pedestrian_only"])
@@ -662,11 +679,10 @@ def test_replace_gives_an_empty_window_and_the_window_is_read_only():
     window = scenario.window
     objects = sum(len(f.objects) for f in scenario.frames[: cfg.T])
     assert window.key == (cfg.T, "star") and window.ped.shape == (cfg.T, cfg.D)
-    assert window._fields == ("key", "ped", "counts", "feats", "categories", "relations", "layout")
+    assert window._fields == ("key", "ped", "counts", "feats", "categories", "relations")  # record data only, in any mode
     assert window.counts.tolist() == [len(f.objects) for f in scenario.frames[: cfg.T]]
     assert window.feats.shape == (objects, cfg.D) and window.categories.shape == (objects,)
-    assert not any(arr.flags.writeable for arr in window[1:-1] if arr is not None)
-    assert window.layout is None  # a star pass lays out its counts each time
+    assert not any(arr.flags.writeable for arr in window[1:] if arr is not None)
     # each object's unscaled relation to its frame's pedestrian box, in canonical order
     want = [
         relation_rows(
@@ -709,16 +725,10 @@ def test_a_fully_connected_window_keeps_its_edges_in_the_order_they_are_scored()
     sizes = counts * (counts + 1) // 2
     src, tgt = model._edge_rows(model._buckets(counts, sizes), objects, int(sizes.sum()))
     assert src.tolist() == np.concatenate(src_rows).tolist() and tgt.tolist() == np.concatenate(tgt_rows).tolist()
-    # a record's window keeps the layout of its own counts once a pass has read it alone, every array read-only
-    assert all(s.window.layout is None for s in batch)
-    forward(batch[1], cfg, init_parameters(cfg))
-    window = batch[1].window
-    own = window.counts * (window.counts + 1) // 2
-    src, tgt = model._edge_rows(model._buckets(window.counts, own), int(window.counts.sum()), int(own.sum()))
-    sizes, buckets, kept_src, kept_tgt = window.layout
-    assert sizes.tolist() == own.tolist() and [n for n, *_ in buckets] == sorted(set(window.counts.tolist()))
-    assert kept_src.tolist() == src.tolist() and kept_tgt.tolist() == tgt.tolist()
-    assert not any(arr.flags.writeable for arr in (sizes, kept_src, kept_tgt, *(arr for _, *arrays in buckets for arr in arrays)))
+    # the memo's entry for the pass's counts holds those rows
+    layout = model._layout_of(counts.astype(np.intp).tobytes(), True)
+    assert layout.sizes.tolist() == sizes.tolist() and [n for n, *_ in layout.buckets] == sorted(set(counts.tolist()))
+    assert layout.src.tolist() == src.tolist() and layout.tgt.tolist() == tgt.tolist()
 
 
 def test_an_overflowed_pair_relation_is_refused_on_every_pass():

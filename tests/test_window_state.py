@@ -13,9 +13,10 @@ after every pass that:
 - every record a pass succeeded on holds a window of that pass's key;
 - a pack that raised left every record's window as it was;
 
-and after every rule that every window holds read-only arrays, its kept
-layout's too, under the key of the pack that made it, and that a kept
-layout is the one its window's object counts give (``model._layout_of``).
+and after every rule that every window holds read-only arrays under the
+key of the pack that made it, and that every live entry of the layout
+memo (``model._layout_of``) is read-only and, byte for byte, the layout an
+uncached build of its key gives.
 
 Between passes it may read a loaded frame's objects, which builds them, or
 swap a loaded record for a copy whose frame holds those objects as a tuple,
@@ -109,14 +110,10 @@ def _pool():
     ]
 
 
-def _arrays(window):
-    """Every array a window holds: its fields' and its layout's."""
-    arrays = [arr for arr in window[1:-1] if arr is not None]
-    if window.layout is not None:
-        sizes, buckets, src, tgt = window.layout
-        arrays += [arr for arr in (sizes, src, tgt) if arr is not None]
-        arrays += [arr for _, *group in buckets for arr in group]
-    return arrays
+def _arrays(layout):
+    """Every array a layout holds."""
+    arrays = [arr for arr in (layout.sizes, layout.src, layout.tgt) if arr is not None]
+    return arrays + [arr for _, *group in layout.buckets for arr in group]
 
 
 def _layout_bytes(layout):
@@ -180,9 +177,19 @@ class WindowMachine(RuleBasedStateMachine):
         self.last = None  # the last pass's (shape, at, call)
         self.pack = model._pack
         model._pack = self._checked_pack
+        self.memo = model._layout_of
+        self.memo.cache_clear()  # each run starts with an empty memo
+        self.entries = {}  # (counts, pairs): the layout the memo last gave for that key, so every live entry
+        self.checked = {}  # the entries the invariant has found current: being read-only, they cannot change
+        model._layout_of = self._recorded_layout
 
     def teardown(self):
         model._pack = self.pack
+        model._layout_of = self.memo
+
+    def _recorded_layout(self, counts, pairs):
+        layout = self.entries[counts, pairs] = self.memo(counts, pairs)
+        return layout
 
     def _checked_pack(self, scenarios, cfg):
         before = [s.window for s in scenarios]
@@ -206,17 +213,21 @@ class WindowMachine(RuleBasedStateMachine):
         return got
 
     @invariant()
-    def windows_are_read_only_and_current(self):
+    def windows_and_layouts_are_read_only_and_current(self):
         for s in self.pool:
             window = s.window
             if window is None:
                 assert id(s) not in self.keys
                 continue
             assert window.key == self.keys[id(s)]
-            assert not any(arr.flags.writeable for arr in _arrays(window)), "a window holds a writable array"
-            if window.layout is not None:  # a copy of the counts, so the rebuild shares no array with the window
-                rebuilt = model._layout_of(window.counts.copy(), window.key[1], keep=True)
-                assert _layout_bytes(window.layout) == _layout_bytes(rebuilt), "a kept layout is not its counts' layout"
+            assert not any(arr.flags.writeable for arr in window[1:] if arr is not None), "a window holds a writable array"
+        for (counts, pairs), layout in self.entries.items():
+            if self.checked.get((counts, pairs)) is layout:
+                continue
+            assert not any(arr.flags.writeable for arr in _arrays(layout)), "a memo entry holds a writable array"
+            rebuilt = self.memo.__wrapped__(counts, pairs)  # uncached: it shares no array with the entry
+            assert _layout_bytes(layout) == _layout_bytes(rebuilt), "a memo entry is not its key's layout"
+            self.checked[counts, pairs] = layout
 
     @rule(shape=shapes, at=records)
     def forward_one(self, shape, at):
